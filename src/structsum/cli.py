@@ -220,14 +220,24 @@ def cmd_summarize(args) -> int:
 def _load_predictions(path: str, data) -> dict[str, Summary]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    records = payload.get("summaries") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: predictions need a 'summaries' list")
     by_id = {x.set_id: x for x, _ in data}
     out: dict[str, Summary] = {}
-    for rec in payload["summaries"]:
-        set_id = rec["set_id"]
+    for n, rec in enumerate(records):
+        rec = rec if isinstance(rec, dict) else {}
+        set_id, ids = rec.get("set_id"), rec.get("sentence_ids")
+        if not (isinstance(set_id, str) and isinstance(ids, list)
+                and all(type(i) is int for i in ids)):
+            raise ValueError(
+                f"{path}: summaries[{n}] needs a string set_id and a list of integer sentence_ids"
+            )
         if set_id not in by_id:
             raise ValueError(f"predictions name unknown set id {set_id!r}")
+        if set_id in out:
+            raise ValueError(f"predictions name set id {set_id!r} twice")
         x = by_id[set_id]
-        ids = rec["sentence_ids"]
         bad = [i for i in ids if not (0 <= i < x.num_sentences)]
         if bad:
             raise ValueError(f"set {set_id!r}: sentence ids {bad} out of range")

@@ -8,9 +8,12 @@ A dataset is a JSON-lines file. Each line describes one document set:
 ``budget_bytes`` is optional; when present it overrides whatever budget the
 caller configured for that set.
 
+Set ids must be unique within a file, and ``budget_bytes`` must be a
+non-negative integer.
+
 Segmentation and tokenization are deterministic, rule based and stemming
-free. The abbreviation table and the edge punctuation set live in
-``structsum/data`` and are documented in docs/tokenization.md.
+free. The abbreviation table lives in ``structsum/data``; the rules are
+summarized in the README's "Dataset format" section.
 """
 
 from __future__ import annotations
@@ -256,6 +259,7 @@ def load_dataset(
     if stopwords is None:
         stopwords = load_stopwords()
     out: list[tuple[DocumentSet, ReferenceSet]] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -272,9 +276,18 @@ def load_dataset(
                 raise DatasetError(f"line {lineno}: missing field {exc}") from exc
             if not references:
                 raise DatasetError(f"no references for set {set_id!r} (line {lineno})")
-            x = build_document_set(
-                set_id, list(documents), stopwords, record.get("budget_bytes")
-            )
+            if not isinstance(set_id, str):
+                raise DatasetError(f"line {lineno}: set_id must be a string, got {set_id!r}")
+            if set_id in first_line:
+                raise DatasetError(f"line {lineno}: duplicate set_id {set_id!r} "
+                                   f"(first on line {first_line[set_id]})")
+            first_line[set_id] = lineno
+            budget = record.get("budget_bytes")
+            if budget is not None and (type(budget) is not int or budget < 0):
+                raise DatasetError(
+                    f"line {lineno}: budget_bytes must be a non-negative integer, got {budget!r}"
+                )
+            x = build_document_set(set_id, list(documents), stopwords, budget)
             refs = tuple(tuple(tokenize(r, stopwords)) for r in references)
             if any(not r for r in refs):
                 raise DatasetError(f"empty reference for set {set_id!r} (line {lineno})")

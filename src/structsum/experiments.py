@@ -13,13 +13,14 @@ import random
 from dataclasses import dataclass, replace
 
 from .corpus import DocumentSet, ReferenceSet
-from .features import FeatureConfig, GROUPS
+from .features import FeatureConfig
 from .greedy import GreedyConfig
 from .learner import Model, TrainerConfig, TrainResult, predict, train
 from .rouge import (
     LossConfig,
     RougeGain,
-    loss_delta_r,
+    clipped_overlap,
+    f_score,
     make_target,
     reference_counts,
     rouge1_prf,
@@ -39,18 +40,6 @@ ABLATION_ROWS = (
     ("cap+stop+len", "cap_stop_len"),
     ("minmax", "minmax"),
 )
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    dataset: str
-    splits: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-    resamples: int
-    budget_bytes: int
-    model_kind: str
-    c_grid: tuple[float, ...]
-    r: float
-    seed: int
 
 
 def sample_splits(
@@ -225,8 +214,6 @@ def human_agreement(data: Dataset, ids, loss_cfg: LossConfig) -> float | None:
             others = [r for j, r in enumerate(refs) if j != held_out]
             total = 0.0
             for other in others:
-                from .rouge import clipped_overlap, f_score
-
                 total += f_score(
                     clipped_overlap(refs[held_out], other), refs[held_out].total, other.total
                 )

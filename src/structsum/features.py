@@ -31,15 +31,17 @@ sentence of the set contains the word at least a times and the word occurs
 in at least fraction b of the sentences.
 
 The registry assigns indices by sorting feature names, so a configuration
-always yields the same index layout.
+always yields the same index layout. ``FeatureBank`` computes all of the
+above for one document set as arrays (see docs/features.md).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
-from typing import Iterable
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .corpus import DocumentSet
 from .scoring import Summary
@@ -219,9 +221,7 @@ class FeatureVector:
     def dot(self, w) -> float:
         return float(sum(w[i] * v for i, v in self.entries.items()))
 
-    def to_dense(self):
-        import numpy as np
-
+    def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.dimension)
         for i, v in self.entries.items():
             dense[i] = v
@@ -252,13 +252,6 @@ def fv_subtract(a: FeatureVector, b: FeatureVector) -> FeatureVector:
         else:
             entries[i] = nv
     return FeatureVector(entries, a.dimension, validate=False)
-
-
-def _accumulate(acc: dict[int, float], fv: FeatureVector, scale: float) -> None:
-    if scale == 0.0:
-        return
-    for i, v in fv.entries.items():
-        acc[i] = acc.get(i, 0.0) + scale * v
 
 
 class FeatureRegistry:
@@ -320,154 +313,174 @@ def registry_for(cfg: FeatureConfig, model_kind: str) -> FeatureRegistry:
     return FeatureRegistry(cfg, model_kind)
 
 
-def _bucket_index(value: float, edges: tuple[float, ...]) -> int:
-    b = 0
-    for e in edges:
-        if value >= e:
-            b += 1
-    return b
+def _sparse(dense: np.ndarray) -> FeatureVector:
+    nz = np.flatnonzero(dense)
+    return FeatureVector(dict(zip(nz.tolist(), dense[nz].tolist())), len(dense), validate=False)
 
 
-class FeatureContext:
-    """Read-through cache of extraction state for one document set.
+class FeatureBank:
+    """Every feature of one document set as arrays, built once per set.
 
-    Holds group memberships, weighted sentence vectors and extracted
-    feature vectors. Confine one context to one document set; it never
-    mutates the set itself.
+    Holds the sorted vocabulary ``words``, the n x V term-count matrix, idf
+    and one boolean vocabulary mask per group variant. The pairwise stacks
+    (``cosines``, ``codes``) and the coverage ``word_features`` matrix are
+    built on first use. sigma(w), omega(w), psi(y) and single feature
+    vectors are all linear read-outs of these arrays.
     """
 
     def __init__(self, x: DocumentSet, cfg: FeatureConfig):
         self.x = x
         self.cfg = cfg
         self.groups = cosine_groups(cfg)
-        self._members: dict[tuple[str, str], frozenset[str]] = {}
-        self._vectors: dict[tuple[str, str, str], list[tuple[dict[str, float], float]]] = {}
-        self._idf: dict[str, float] | None = None
-        self._pair_cache: dict[tuple[int, int], FeatureVector] = {}
-        self._word_cache: dict[str, FeatureVector] = {}
-        self._registry_pair = registry_for(cfg, "pairwise")
-        self._registry_cov = registry_for(cfg, "coverage")
+        self.words = sorted(x.vocabulary)
+        self.word_index = {w: k for k, w in enumerate(self.words)}
+        self.counts = np.zeros((x.num_sentences, len(self.words)))
+        for i, s in enumerate(x.sentences):
+            for w, c in s.word_counts().items():
+                self.counts[i, self.word_index[w]] = c
+        d = x.num_docs
+        self.idf = np.array(
+            [math.log((d + 1) / (x.vocabulary[w].doc_freq + 1)) + 1.0 for w in self.words]
+        )
+        self.masks = np.zeros((len(self.groups), len(self.words)), dtype=bool)
+        for mask, g in zip(self.masks, self.groups):
+            members = g.members(x)
+            mask[:] = [w in members for w in self.words]
+        # one cosine layer per (group variant, scheme), in registry order
+        self._stems = [
+            f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
+        ]
 
-    def members(self, g: WordGroup) -> frozenset[str]:
-        key = (g.group_id, g.variant)
-        if key not in self._members:
-            self._members[key] = g.members(self.x)
-        return self._members[key]
+    @cached_property
+    def sentence_words(self) -> list[list[str]]:
+        """Each sentence's distinct words, sorted."""
+        return [[self.words[k] for k in np.flatnonzero(row)] for row in self.counts]
 
-    def idf(self) -> dict[str, float]:
-        if self._idf is None:
-            d = self.x.num_docs
-            self._idf = {
-                w: math.log((d + 1) / (s.doc_freq + 1)) + 1.0
-                for w, s in self.x.vocabulary.items()
-            }
-        return self._idf
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        """K x n x n cosines, one layer per stem; the diagonal is zero."""
+        n = self.x.num_sentences
+        layers = []
+        for mask in self.masks:
+            for scheme in sorted(self.cfg.weightings):
+                v = self.counts[:, mask] * (self.idf[mask] if scheme == "tfidf" else 1.0)
+                dot = v @ v.T
+                norm_sq = np.diag(dot).copy()
+                # one sqrt of the product keeps rational cosines such as
+                # 1/sqrt(2*2) exact at bin edges
+                denom = np.sqrt(np.outer(norm_sq, norm_sq))
+                cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
+                np.fill_diagonal(cos, 0.0)
+                layers.append(cos)
+        return np.array(layers).reshape(len(layers), n, n)
 
-    def sentence_vectors(self, g: WordGroup, scheme: str):
-        key = (g.group_id, g.variant, scheme)
-        if key not in self._vectors:
-            member = self.members(g)
-            idf = self.idf() if scheme == "tfidf" else None
-            vecs = []
-            for s in self.x.sentences:
-                vec: dict[str, float] = {}
-                for w, c in s.word_counts().items():
-                    if w in member:
-                        vec[w] = c * idf[w] if idf is not None else float(c)
-                # squared norm; the cosine takes one sqrt of the product so
-                # rational cases like 1/sqrt(2*2) come out exact
-                vecs.append((vec, sum(v * v for v in vec.values())))
-            self._vectors[key] = vecs
-        return self._vectors[key]
+    @cached_property
+    def _cos_index(self) -> np.ndarray:
+        reg = registry_for(self.cfg, "pairwise")
+        return np.array([reg.index[f"pair:cos:{stem}"] for stem in self._stems], dtype=np.intp)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Indicator layers holding the pairwise-registry index of the feature
+        firing at (i, j): the similarity bin of each cosine layer, then the
+        location pair. Where none fires (zero cosine, the diagonal) the entry
+        is the registry dimension, one past the last feature."""
+        cfg, reg = self.cfg, registry_for(self.cfg, "pairwise")
+        n, nbins = self.x.num_sentences, cfg.similarity_bins
+        layers = []
+        for stem, cos in zip(self._stems, self.cosines):
+            index = np.array([reg.index[f"pair:bin:{stem}:{b:02d}"] for b in range(nbins)])
+            b = np.minimum((cos * nbins).astype(np.intp), nbins - 1)
+            layers.append(np.where(cos > 0.0, index[b], reg.dimension))
+        if "location" in cfg.enabled_groups:
+            nb = range(cfg.num_position_bins)
+            index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
+                              for a in nb])
+            pb = np.array([cfg.position_bin(s.position_in_doc) for s in self.x.sentences])
+            loc = index[pb[:, None], pb[None, :]]
+            np.fill_diagonal(loc, reg.dimension)
+            layers.append(loc)
+        return np.array(layers, dtype=np.intp).reshape(len(layers), n, n)
+
+    def sigma(self, w: np.ndarray) -> np.ndarray:
+        """n x n learned similarity w . phi(i, j) for pairwise-registry
+        weights w; zero diagonal."""
+        m = np.tensordot(w[self._cos_index], self.cosines, axes=1)
+        m += np.append(w, 0.0)[self.codes].sum(axis=0)
+        return m
+
+    def _block_sum(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense sum of phi(i, j) over i in rows, j in cols, i != j."""
+        dim = registry_for(self.cfg, "pairwise").dimension
+        out = np.bincount(self.codes[:, :, cols][:, rows].ravel(), minlength=dim + 1)[:dim]
+        out = out.astype(float)
+        out[self._cos_index] += self.cosines[:, :, cols][:, rows].sum(axis=(1, 2))
+        return out
 
     def pair(self, i: int, j: int) -> FeatureVector:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        fv = self._pair_cache.get(key)
-        if fv is None:
-            fv = self._pair_cache[key] = _extract_pair(self, i, j)
-        return fv
+        return _sparse(self._block_sum(np.array([i]), np.array([j])))
+
+    def pair_psi(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Dense pair-feature sums of a selection over (outside, inside)
+        pairs and over ordered inside pairs."""
+        inside = np.zeros(self.x.num_sentences, dtype=bool)
+        inside[list(ids)] = True
+        ins = np.flatnonzero(inside)
+        return self._block_sum(np.flatnonzero(~inside), ins), self._block_sum(ins, ins)
+
+    @cached_property
+    def word_features(self) -> np.ndarray:
+        """V x d 0/1 matrix; row k is phi(words[k]) in the coverage registry."""
+        cfg, reg = self.cfg, registry_for(self.cfg, "coverage")
+        stats = [self.x.vocabulary[w] for w in self.words]
+        max_in = np.array([s.max_in_sentence for s in stats])
+        sf = np.array([s.sentence_freq for s in stats]) / self.x.num_sentences
+        edges = np.array(cfg.importance_bucket_edges, dtype=float)
+        bucket = (sf[:, None] >= edges[None, :]).sum(axis=1)
+        f = np.zeros((len(stats), reg.dimension), dtype=bool)
+        for g, mask in zip(self.groups, self.masks):
+            stem = f"{g.group_id}:{g.variant}"
+            for a, b in sorted(cfg.coverage_levels):
+                f[:, reg.index[f"cov:lvl:{stem}:a{a}b{b:.2f}"]] |= mask & (max_in >= a) & (sf >= b)
+            for q in range(len(edges) + 1):
+                f[:, reg.index[f"cov:imp:{stem}:q{q}"]] |= mask & (bucket == q)
+        if "location" in cfg.enabled_groups:
+            loc = [reg.index[f"cov:loc:bin{cfg.position_bin(s.earliest_position)}"] for s in stats]
+            f[np.arange(len(stats)), loc] = True
+        return f.astype(float)
+
+    def omega(self, w: np.ndarray) -> np.ndarray:
+        """Learned value w . phi(v) of every word, in ``words`` order."""
+        return self.word_features @ w
 
     def word(self, v: str) -> FeatureVector:
-        fv = self._word_cache.get(v)
-        if fv is None:
-            fv = self._word_cache[v] = _extract_word(self, v)
-        return fv
+        if v not in self.word_index:
+            raise KeyError(f"word {v!r} not in document set {self.x.set_id!r}")
+        return _sparse(self.word_features[self.word_index[v]])
 
-
-def _cosine(a: tuple[dict[str, float], float], b: tuple[dict[str, float], float]) -> float:
-    va, na_sq = a
-    vb, nb_sq = b
-    if na_sq == 0.0 or nb_sq == 0.0:
-        return 0.0
-    if len(vb) < len(va):
-        va, vb = vb, va
-    dot = sum(v * vb.get(w, 0.0) for w, v in va.items())
-    return dot / math.sqrt(na_sq * nb_sq)
-
-
-def _extract_pair(ctx: FeatureContext, i: int, j: int) -> FeatureVector:
-    cfg = ctx.cfg
-    reg = ctx._registry_pair
-    entries: dict[int, float] = {}
-    for g in ctx.groups:
-        for scheme in sorted(cfg.weightings):
-            vecs = ctx.sentence_vectors(g, scheme)
-            c = _cosine(vecs[i], vecs[j])
-            if c > 0.0:
-                entries[reg.index[f"pair:cos:{g.group_id}:{g.variant}:{scheme}"]] = c
-                b = min(int(c * cfg.similarity_bins), cfg.similarity_bins - 1)
-                entries[reg.index[f"pair:bin:{g.group_id}:{g.variant}:{scheme}:{b:02d}"]] = 1.0
-    if "location" in cfg.enabled_groups:
-        b1 = cfg.position_bin(ctx.x.sentences[i].position_in_doc)
-        b2 = cfg.position_bin(ctx.x.sentences[j].position_in_doc)
-        if b1 > b2:
-            b1, b2 = b2, b1
-        entries[reg.index[f"pair:loc:{b1}:{b2}"]] = 1.0
-    return FeatureVector(entries, reg.dimension, validate=False)
-
-
-def _extract_word(ctx: FeatureContext, v: str) -> FeatureVector:
-    cfg = ctx.cfg
-    reg = ctx._registry_cov
-    stats = ctx.x.vocabulary.get(v)
-    if stats is None:
-        raise KeyError(f"word {v!r} not in document set {ctx.x.set_id!r}")
-    entries: dict[int, float] = {}
-    sf_frac = stats.sentence_freq / ctx.x.num_sentences
-    for g in ctx.groups:
-        if v not in ctx.members(g):
-            continue
-        for a, b in sorted(cfg.coverage_levels):
-            if stats.max_in_sentence >= a and sf_frac >= b:
-                entries[reg.index[f"cov:lvl:{g.group_id}:{g.variant}:a{a}b{b:.2f}"]] = 1.0
-        qi = _bucket_index(sf_frac, cfg.importance_bucket_edges)
-        entries[reg.index[f"cov:imp:{g.group_id}:{g.variant}:q{qi}"]] = 1.0
-    if "location" in cfg.enabled_groups:
-        entries[reg.index[f"cov:loc:bin{cfg.position_bin(stats.earliest_position)}"]] = 1.0
-    return FeatureVector(entries, reg.dimension, validate=False)
+    def coverage_psi(self, ids) -> np.ndarray:
+        """Dense sum of phi(v) over the distinct words the selection covers."""
+        return self.word_features[self.counts[list(ids)].any(axis=0)].sum(axis=0)
 
 
 def pairwise_features(
-    x: DocumentSet, i: int, j: int, cfg: FeatureConfig, ctx: FeatureContext | None = None
+    x: DocumentSet, i: int, j: int, cfg: FeatureConfig, ctx: FeatureBank | None = None
 ) -> FeatureVector:
-    """phi(i, j): symmetric sparse features of one sentence pair."""
+    """phi(i, j): symmetric sparse features of one sentence pair.
+
+    ``ctx`` is a FeatureBank of ``x`` under ``cfg`` to reuse across calls.
+    """
     n = x.num_sentences
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError(f"bad sentence pair ({i}, {j}) for n={n}")
-    if ctx is None:
-        ctx = FeatureContext(x, cfg)
-    return ctx.pair(i, j)
+    return (ctx or FeatureBank(x, cfg)).pair(i, j)
 
 
 def coverage_features(
-    x: DocumentSet, v: str, cfg: FeatureConfig, ctx: FeatureContext | None = None
+    x: DocumentSet, v: str, cfg: FeatureConfig, ctx: FeatureBank | None = None
 ) -> FeatureVector:
     """phi(v): sparse features of one covered word."""
-    if ctx is None:
-        ctx = FeatureContext(x, cfg)
-    return ctx.word(v)
+    return (ctx or FeatureBank(x, cfg)).word(v)
 
 
 def _summary_ids(y) -> tuple[int, ...]:
@@ -482,7 +495,7 @@ def joint_feature_map_pairwise(
     cfg: FeatureConfig,
     lam: float,
     split: bool = False,
-    ctx: FeatureContext | None = None,
+    ctx: FeatureBank | None = None,
 ) -> FeatureVector:
     """Map a summary to feature space.
 
@@ -490,63 +503,26 @@ def joint_feature_map_pairwise(
     times the sum over ordered inside pairs. Split form: the same two sums
     concatenated into disjoint blocks (cross block first), lam unused.
     """
-    if ctx is None:
-        ctx = FeatureContext(x, cfg)
-    ids = _summary_ids(y)
-    inside = set(ids)
-    n = x.num_sentences
-    cross: dict[int, float] = {}
-    red: dict[int, float] = {}
-    for j in inside:
-        for i in range(n):
-            if i == j:
-                continue
-            if i in inside:
-                if i < j:
-                    # ordered redundancy pairs count each unordered pair twice
-                    _accumulate(red, ctx.pair(i, j), 2.0)
-            else:
-                _accumulate(cross, ctx.pair(i, j), 1.0)
+    cross, red = (ctx or FeatureBank(x, cfg)).pair_psi(_summary_ids(y))
     if split:
-        reg = registry_for(cfg, "pairwise-split")
-        base = reg.base_dimension
-        entries = {i: v for i, v in cross.items() if v != 0.0}
-        for i, v in red.items():
-            if v != 0.0:
-                entries[base + i] = v
-        return FeatureVector(entries, reg.dimension, validate=False)
-    entries = dict(cross)
-    for i, v in red.items():
-        entries[i] = entries.get(i, 0.0) - lam * v
-    entries = {i: v for i, v in entries.items() if v != 0.0}
-    return FeatureVector(entries, registry_for(cfg, "pairwise").dimension, validate=False)
+        return _sparse(np.concatenate([cross, red]))
+    return _sparse(cross - lam * red)
 
 
 def joint_feature_map_coverage(
-    x: DocumentSet, y, cfg: FeatureConfig, ctx: FeatureContext | None = None
+    x: DocumentSet, y, cfg: FeatureConfig, ctx: FeatureBank | None = None
 ) -> FeatureVector:
     """Sum of word features over the distinct words the summary covers."""
-    if ctx is None:
-        ctx = FeatureContext(x, cfg)
-    covered: set[str] = set()
-    for sid in _summary_ids(y):
-        for t in x.sentences[sid].tokens:
-            covered.add(t.normalized)
-    acc: dict[int, float] = {}
-    for v in sorted(covered):
-        _accumulate(acc, ctx.word(v), 1.0)
-    acc = {i: val for i, val in acc.items() if val != 0.0}
-    return FeatureVector(acc, registry_for(cfg, "coverage").dimension, validate=False)
+    return _sparse((ctx or FeatureBank(x, cfg)).coverage_psi(_summary_ids(y)))
 
 
 def tfidf_cosine_fn(x: DocumentSet):
-    """Similarity used by the hand-tuned baseline: tf-idf cosine, all words."""
+    """Similarity used by the hand-tuned baseline: tf-idf cosine, all words
+    (defined for i != j)."""
     cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
-    ctx = FeatureContext(x, cfg)
-    g = ctx.groups[0]
+    m = FeatureBank(x, cfg).cosines[0]
 
     def sigma(i: int, j: int) -> float:
-        vecs = ctx.sentence_vectors(g, "tfidf")
-        return _cosine(vecs[i], vecs[j])
+        return float(m[i, j])
 
     return sigma

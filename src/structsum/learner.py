@@ -27,8 +27,8 @@ import numpy as np
 
 from .corpus import DocumentSet, ReferenceSet
 from .features import (
+    FeatureBank,
     FeatureConfig,
-    FeatureContext,
     FeatureVector,
     fv_subtract,
     joint_feature_map_coverage,
@@ -118,12 +118,17 @@ class Model:
             raise ModelError(
                 f"model dimension {dim} does not match feature registry ({expected})"
             )
+        try:
+            entries = [(int(i), float(v)) for i, v in weights.items()]
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ModelError(f"model file has malformed weights: {exc}") from exc
         w = np.zeros(dim)
-        for i, v in weights.items():
-            idx = int(i)
+        for idx, v in entries:
             if not (0 <= idx < dim):
                 raise ModelError(f"weight index {idx} out of range")
-            w[idx] = float(v)
+            if not math.isfinite(v):
+                raise ModelError(f"weight {idx} is not finite ({v})")
+            w[idx] = v
         lam = d.get("lambda")
         return cls(
             model_kind=kind,
@@ -362,7 +367,8 @@ def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
 
 
 class _ExampleState:
-    """Per-example caches that survive across cutting-plane iterations."""
+    """Per-example state that survives across cutting-plane iterations: the
+    set's feature bank, the target's psi and its raw loss."""
 
     def __init__(self, index: int, x: DocumentSet, Y: ReferenceSet, model: Model):
         if Y.target is None:
@@ -372,120 +378,44 @@ class _ExampleState:
         self.index = index
         self.x = x
         self.Y = Y
-        self.ctx = FeatureContext(x, model.feature_config)
-        self.kind = model.model_kind
-        self.loss_cfg = model.loss_config
-        budget = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
-        self.greedy_cfg = GreedyConfig(
-            budget_bytes=budget, r=model.greedy_config.r, tie_break=model.greedy_config.tie_break
-        )
-        if self.kind == "coverage":
-            self.bank = _WordBank(self.ctx)
-        else:
-            self.bank = _PairBank(self.ctx)
-        self.psi_target = psi(x, Y.target, model, ctx=self.ctx)
+        self.bank = FeatureBank(x, model.feature_config)
+        self.greedy_cfg = _greedy_config(x, model)
+        self.psi_target = psi(x, Y.target, model, bank=self.bank)
         self.raw_target_loss = loss_delta_r(Y, Y.target, x, model.loss_config)
 
-    def psi_of(self, y, model: Model) -> FeatureVector:
-        return psi(self.x, y, model, ctx=self.ctx)
+
+def _greedy_config(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> GreedyConfig:
+    if budget_bytes is None:
+        budget_bytes = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
+    return GreedyConfig(
+        budget_bytes=budget_bytes, r=model.greedy_config.r, tie_break=model.greedy_config.tie_break
+    )
 
 
-class _PairBank:
-    """Flattened pair features: one reduceat turns w into a sigma matrix."""
-
-    def __init__(self, ctx: FeatureContext):
-        n = ctx.x.num_sentences
-        self.n = n
-        idx: list[np.ndarray] = []
-        val: list[np.ndarray] = []
-        offsets = [0]
-        pairs = []
-        pos = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                fv = ctx.pair(i, j)
-                items = sorted(fv.entries.items())
-                idx.append(np.array([k for k, _ in items], dtype=np.int64))
-                val.append(np.array([v for _, v in items]))
-                pos += len(items)
-                offsets.append(pos)
-                pairs.append((i, j))
-        self.pairs = pairs
-        self.flat_idx = np.concatenate(idx) if idx else np.zeros(0, dtype=np.int64)
-        self.flat_val = np.concatenate(val) if val else np.zeros(0)
-        self.starts = np.array(offsets[:-1], dtype=np.int64)
-        self.lengths = np.diff(np.array(offsets, dtype=np.int64))
-
-    def sigma_matrix(self, w: np.ndarray, index_offset: int = 0) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        if len(self.flat_idx) == 0 or not self.pairs:
-            return m
-        products = w[self.flat_idx + index_offset] * self.flat_val
-        sums = np.add.reduceat(products, self.starts) if len(products) else np.zeros(len(self.pairs))
-        # reduceat repeats values when a segment is empty; zero those out
-        sums = np.where(self.lengths > 0, sums, 0.0)
-        for (i, j), s in zip(self.pairs, sums):
-            m[i, j] = m[j, i] = s
-        return m
-
-
-class _WordBank:
-    """Flattened per-word coverage features."""
-
-    def __init__(self, ctx: FeatureContext):
-        self.words = sorted(ctx.x.vocabulary)
-        idx: list[np.ndarray] = []
-        val: list[np.ndarray] = []
-        offsets = [0]
-        pos = 0
-        for wd in self.words:
-            fv = ctx.word(wd)
-            items = sorted(fv.entries.items())
-            idx.append(np.array([k for k, _ in items], dtype=np.int64))
-            val.append(np.array([v for _, v in items]))
-            pos += len(items)
-            offsets.append(pos)
-        self.flat_idx = np.concatenate(idx) if idx else np.zeros(0, dtype=np.int64)
-        self.flat_val = np.concatenate(val) if val else np.zeros(0)
-        self.starts = np.array(offsets[:-1], dtype=np.int64)
-        self.lengths = np.diff(np.array(offsets, dtype=np.int64))
-        self.sentence_words = [
-            sorted({t.normalized for t in s.tokens}) for s in ctx.x.sentences
-        ]
-
-    def values(self, w: np.ndarray) -> dict[str, float]:
-        if len(self.flat_idx) == 0:
-            return {wd: 0.0 for wd in self.words}
-        products = w[self.flat_idx] * self.flat_val
-        sums = np.add.reduceat(products, self.starts) if len(products) else np.zeros(len(self.words))
-        sums = np.where(self.lengths > 0, sums, 0.0)
-        return dict(zip(self.words, sums))
-
-
-def psi(x: DocumentSet, y, model: Model, ctx: FeatureContext | None = None) -> FeatureVector:
+def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> FeatureVector:
     """Joint feature map in the model's index space."""
     if model.model_kind == "coverage":
-        return joint_feature_map_coverage(x, y, model.feature_config, ctx=ctx)
+        return joint_feature_map_coverage(x, y, model.feature_config, ctx=bank)
     if model.model_kind == "pairwise-split":
-        return joint_feature_map_pairwise(x, y, model.feature_config, 0.0, split=True, ctx=ctx)
-    return joint_feature_map_pairwise(x, y, model.feature_config, model.lam, ctx=ctx)
+        return joint_feature_map_pairwise(x, y, model.feature_config, 0.0, split=True, ctx=bank)
+    return joint_feature_map_pairwise(x, y, model.feature_config, model.lam, ctx=bank)
 
 
-def _score_state(state: _ExampleState, model: Model, clamp: bool):
-    if state.kind == "coverage":
-        values = state.bank.values(model.w)
+def _score_state(bank: FeatureBank, model: Model, clamp: bool):
+    if model.model_kind == "coverage":
+        values = bank.omega(model.w)
         if clamp:
-            values = {wd: max(0.0, v) for wd, v in values.items()}
-        return CoverageGainState(state.bank.sentence_words, values)
-    if state.kind == "pairwise-split":
+            values = np.maximum(values, 0.0)
+        return CoverageGainState(bank.sentence_words, dict(zip(bank.words, values)))
+    if model.model_kind == "pairwise-split":
         base = registry_for(model.feature_config, "pairwise-split").base_dimension
-        mc = state.bank.sigma_matrix(model.w, 0)
-        mr = state.bank.sigma_matrix(model.w, base)
+        mc = bank.sigma(model.w[:base])
+        mr = bank.sigma(model.w[base:])
         if clamp:
             mc = np.maximum(mc, 0.0)
             mr = np.minimum(mr, 0.0)
         return SplitGainState(mc, mr)
-    m = state.bank.sigma_matrix(model.w, 0)
+    m = bank.sigma(model.w)
     if clamp:
         m = np.maximum(m, 0.0)
     return PairwiseGainState(m, model.lam)
@@ -515,12 +445,12 @@ class _AugmentedGain:
 
 def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
     gain = _AugmentedGain(
-        _score_state(state, model, clamp=False),
+        _score_state(state.bank, model, clamp=False),
         RougeGain(state.x, state.Y, model.loss_config),
         state.raw_target_loss,
     )
     y_hat = greedy_maximize(state.x, gain, cost=None, cfg=state.greedy_cfg)
-    psi_hat = state.psi_of(y_hat, model)
+    psi_hat = psi(state.x, y_hat, model, bank=state.bank)
     raw = loss_delta_r(state.Y, y_hat, state.x, model.loss_config)
     loss = max(0.0, raw - state.raw_target_loss)
     return Constraint(
@@ -537,20 +467,14 @@ def separation_oracle(x: DocumentSet, Y: ReferenceSet, model: Model) -> Constrai
     return _oracle_from_state(_ExampleState(0, x, Y, model), model)
 
 
+def _predict(bank: FeatureBank, model: Model, budget_bytes: int | None = None) -> Summary:
+    gain = _score_state(bank, model, clamp=True)
+    return greedy_maximize(bank.x, gain, cost=None, cfg=_greedy_config(bank.x, model, budget_bytes))
+
+
 def predict(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> Summary:
     """Greedy inference under the learned weights (clamped by default)."""
-    state = _ExampleState.__new__(_ExampleState)
-    state.x = x
-    state.kind = model.model_kind
-    ctx = FeatureContext(x, model.feature_config)
-    state.bank = _WordBank(ctx) if model.model_kind == "coverage" else _PairBank(ctx)
-    gain = _score_state(state, model, clamp=True)
-    if budget_bytes is None:
-        budget_bytes = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
-    cfg = GreedyConfig(
-        budget_bytes=budget_bytes, r=model.greedy_config.r, tie_break=model.greedy_config.tie_break
-    )
-    return greedy_maximize(x, gain, cost=None, cfg=cfg)
+    return _predict(FeatureBank(x, model.feature_config), model, budget_bytes)
 
 
 @dataclass
@@ -622,7 +546,7 @@ def train(
             "max_violation": max_violation,
         }
         if trainer_config.track_train_rouge:
-            entry["train_rouge1f"] = _mean_train_rouge(data, model)
+            entry["train_rouge1f"] = _mean_train_rouge(states, model)
             if entry["train_rouge1f"] > best_score:
                 best_score = entry["train_rouge1f"]
                 best_w = ws.w.copy()
@@ -648,13 +572,13 @@ def train(
     return TrainResult(model=model, iterations=iterations, dual_history=dual_history, converged=converged)
 
 
-def _mean_train_rouge(data, model: Model) -> float:
+def _mean_train_rouge(states: list[_ExampleState], model: Model) -> float:
     total = 0.0
-    for x, Y in data:
-        y = predict(x, model)
+    for state in states:
+        y = _predict(state.bank, model)
         total += rouge1_f(
-            summary_counts(x, y, model.loss_config),
-            reference_counts(Y, model.loss_config),
+            summary_counts(state.x, y, model.loss_config),
+            reference_counts(state.Y, model.loss_config),
             model.loss_config,
         )
-    return total / len(data)
+    return total / len(states)

@@ -16,7 +16,7 @@ by default for inference and off inside loss-augmented training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .corpus import DocumentSet
 

@@ -1,11 +1,14 @@
 """End-to-end command line tests driving cli.main with real fixture files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import structsum
 from structsum.cli import main
 from structsum.learner import Model
 
@@ -199,6 +202,107 @@ class TestEvaluate:
         assert "zzz" in stderr
 
 
+    def test_predictions_without_summaries_fail(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"records": []}))
+        rc, _, stderr = run(
+            capsys, "evaluate", "--dataset", DATASET, "--predictions", str(bad)
+        )
+        assert rc == 1
+        assert stderr.startswith("error:") and "summaries" in stderr
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"summaries": {"set00": [0]}},
+        {"summaries": ["set00"]},
+        {"summaries": [{"set_id": "set00"}]},
+        {"summaries": [{"set_id": "set00", "sentence_ids": ["0"]}]},
+        {"summaries": [{"set_id": 0, "sentence_ids": [0]}]},
+    ])
+    def test_malformed_prediction_records_fail(self, capsys, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc, _, stderr = run(
+            capsys, "evaluate", "--dataset", DATASET, "--predictions", str(bad)
+        )
+        assert rc == 1
+        assert stderr.startswith("error:")
+
+    def test_repeated_prediction_set_id_fails(self, capsys, tmp_path):
+        record = {"set_id": "set00", "sentence_ids": [0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"summaries": [record, record]}))
+        rc, _, stderr = run(
+            capsys, "evaluate", "--dataset", DATASET, "--predictions", str(bad)
+        )
+        assert rc == 1
+        assert stderr.startswith("error:") and "twice" in stderr
+
+
+class TestInputContract:
+    def _dataset(self, tmp_path, lines):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget_bytes", "abc"), ("budget_bytes", -5), ("budget_bytes", 66.5),
+        ("budget_bytes", True), ("set_id", 5), ("set_id", ["set01"]),
+    ])
+    def test_bad_field_names_the_line(self, capsys, tmp_path, field, value):
+        first, second = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[:2]
+        record = json.loads(second)
+        record[field] = value
+        dataset = self._dataset(tmp_path, [first, json.dumps(record)])
+        rc, _, stderr = run(capsys, "summarize", "--dataset", dataset, "--baseline")
+        assert rc == 1
+        assert stderr.startswith(f"error: line 2: {field}")
+
+    def test_duplicate_set_ids_fail(self, capsys, tmp_path):
+        first = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[0]
+        dataset = self._dataset(tmp_path, [first, "", first])
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps({"summaries": [{"set_id": "set00", "sentence_ids": [0]}]}))
+        rc, _, stderr = run(
+            capsys, "evaluate", "--dataset", dataset, "--predictions", str(preds)
+        )
+        assert rc == 1
+        assert stderr.startswith("error: line 3: duplicate set_id 'set00' (first on line 1)")
+
+    def test_non_finite_model_weight_fails(self, capsys, tmp_path):
+        payload = json.loads(SMALL_MODEL.read_text(encoding="utf-8"))
+        payload["weights"][next(iter(payload["weights"]))] = float("nan")
+        model = tmp_path / "nan.json"
+        model.write_text(json.dumps(payload))
+        rc, stdout, stderr = run(
+            capsys, "summarize", "--dataset", DATASET, "--model-file", str(model)
+        )
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and "not finite" in stderr
+
+
+@pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
+def test_train_and_summarize_are_byte_identical_on_rerun(capsys, tmp_path, kind):
+    outputs = []
+    for attempt in ("a", "b"):
+        model = tmp_path / f"model-{attempt}.json"
+        summaries = tmp_path / f"summaries-{attempt}.json"
+        rc, _, _ = run(
+            capsys, "train", "--dataset", DATASET, "--model", kind,
+            "--train-ids", "0,1,2,3", "--out", str(model),
+        )
+        assert rc == 0
+        rc, _, _ = run(
+            capsys, "summarize", "--dataset", DATASET, "--model-file", str(model),
+            "--out", str(summaries),
+        )
+        assert rc == 0
+        log = tmp_path / f"model-{attempt}.json.log.jsonl"
+        outputs.append((model.read_bytes(), log.read_bytes(), summaries.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 class TestBounds:
     def test_table(self, capsys, tmp_path):
         out = tmp_path / "bounds.json"
@@ -272,9 +376,13 @@ class TestErrorsAndEntryPoint:
         assert stderr.startswith("error:")
 
     def test_module_help_exits_zero(self):
+        # the child imports the same package this test imported, installed or not
+        package_root = str(Path(structsum.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "structsum.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "structsum" in proc.stdout

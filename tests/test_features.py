@@ -8,7 +8,7 @@ from structsum.corpus import build_document_set
 from structsum.features import (
     GROUPS,
     FeatureConfig,
-    FeatureContext,
+    FeatureBank,
     FeatureVector,
     coverage_features,
     fv_subtract,
@@ -29,6 +29,7 @@ from structsum.scoring import (
 )
 
 from conftest import random_documents
+from oracles import pair_features_brute, word_features_brute
 
 
 class TestFeatureConfig:
@@ -173,11 +174,11 @@ class TestPairwiseFeatures:
 
     def test_tfidf_uses_idf(self, make_docset):
         x = make_docset(["Same word here. Same word there."], with_stopwords=False)
-        ctx = FeatureContext(x, FeatureConfig(enabled_groups=("basic",)))
+        bank = FeatureBank(x, FeatureConfig(enabled_groups=("basic",)))
         d = x.num_docs
         for word, stats in x.vocabulary.items():
             expected = math.log((d + 1) / (stats.doc_freq + 1)) + 1.0
-            assert ctx.idf()[word] == pytest.approx(expected)
+            assert bank.idf[bank.word_index[word]] == pytest.approx(expected)
 
 
 class TestCoverageFeatures:
@@ -262,15 +263,15 @@ class TestJointFeatureMap:
             reg = registry_for(cfg, "pairwise")
             w = self._random_w(rng, reg.dimension)
             lam = rng.uniform(0.0, 5.0)
-            ctx = FeatureContext(x, cfg)
+            bank = FeatureBank(x, cfg)
             scorer = PairwiseScorer(
-                lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(w),
+                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w),
                 lam=lam,
                 clamp_negative=False,
             )
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_pairwise(x, y, cfg, lam, ctx=ctx)
+            psi = joint_feature_map_pairwise(x, y, cfg, lam, ctx=bank)
             assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
 
     def test_split_linearity(self, stopwords):
@@ -283,15 +284,15 @@ class TestJointFeatureMap:
             reg = registry_for(cfg, "pairwise-split")
             w = self._random_w(rng, reg.dimension)
             w_cross, w_red = w[: base.dimension], w[base.dimension :]
-            ctx = FeatureContext(x, cfg)
+            bank = FeatureBank(x, cfg)
             scorer = SplitPairwiseScorer(
-                lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(w_cross),
-                lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(w_red),
+                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w_cross),
+                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w_red),
                 clamp_negative=False,
             )
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_pairwise(x, y, cfg, lam=0.0, split=True, ctx=ctx)
+            psi = joint_feature_map_pairwise(x, y, cfg, lam=0.0, split=True, ctx=bank)
             assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
 
     def test_coverage_linearity(self, stopwords):
@@ -302,14 +303,14 @@ class TestJointFeatureMap:
             x = build_document_set(f"c{trial}", docs, stopwords)
             reg = registry_for(cfg, "coverage")
             w = self._random_w(rng, reg.dimension)
-            ctx = FeatureContext(x, cfg)
+            bank = FeatureBank(x, cfg)
             scorer = CoverageScorer(
-                lambda v: coverage_features(x, v, cfg, ctx).dot(w),
+                lambda v: coverage_features(x, v, cfg, bank).dot(w),
                 clamp_negative=False,
             )
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_coverage(x, y, cfg, ctx=ctx)
+            psi = joint_feature_map_coverage(x, y, cfg, ctx=bank)
             assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
 
     def test_empty_summary_maps_to_zero(self, stopwords):
@@ -339,3 +340,121 @@ def test_greedy_runs_on_feature_scorer(stopwords):
 
     y = greedy_maximize(x, gain_state(x, scorer), cfg=GreedyConfig(budget_bytes=60))
     assert y.total_cost <= 60
+
+
+# every group and scheme; len20 and df1.00 come out empty on these sets, and
+# sentence fractions k/n land exactly on the 0.25 and 0.5 levels and edges
+BANK_CONFIGS = (
+    FeatureConfig(),
+    FeatureConfig(
+        length_cutoffs=(4, 20), doc_frac_thresholds=(1.0,), similarity_bins=7,
+        coverage_levels=((1, 0.25), (1, 0.5), (2, 0.25)), importance_bucket_edges=(0.25, 0.5),
+    ),
+    FeatureConfig(enabled_groups=("cap_stop_len", "location"), weightings=("tfidf",)),
+    FeatureConfig(enabled_groups=("location",)),
+)
+
+
+def _random_bank_sets(stopwords, count, seed):
+    rng = random.Random(seed)
+    for trial in range(count):
+        docs = random_documents(rng, n_docs=rng.randint(1, 3), sentences_per_doc=rng.randint(2, 4))
+        # a stopword-only sentence has zero norm in the nonstop variant
+        docs[0] += " The of and a."
+        yield build_document_set(f"b{trial}", docs, stopwords)
+
+
+def _oracle_dense(features: dict, reg) -> np.ndarray:
+    dense = np.zeros(reg.dimension)
+    for name, v in features.items():
+        dense[reg.index[name]] += v
+    return dense
+
+
+class TestBankAgainstOracle:
+    """The array bank against the brute-force extractor of tests/oracles.py."""
+
+    @pytest.mark.parametrize("cfg", BANK_CONFIGS)
+    def test_pair_features(self, cfg, stopwords):
+        reg = registry_for(cfg, "pairwise")
+        for x in _random_bank_sets(stopwords, 6, seed=17):
+            bank = FeatureBank(x, cfg)
+            for i in range(x.num_sentences):
+                for j in range(i + 1, x.num_sentences):
+                    got = {reg.names[k]: v for k, v in bank.pair(i, j).entries.items()}
+                    want = pair_features_brute(x, i, j, cfg)
+                    assert got.keys() == want.keys()
+                    for name, v in want.items():
+                        if name.startswith("pair:cos:"):
+                            assert abs(got[name] - v) <= 1e-12
+                        else:
+                            assert got[name] == v == 1.0
+
+    @pytest.mark.parametrize("cfg", BANK_CONFIGS)
+    def test_word_features(self, cfg, stopwords):
+        reg = registry_for(cfg, "coverage")
+        for x in _random_bank_sets(stopwords, 6, seed=19):
+            bank = FeatureBank(x, cfg)
+            for v in x.vocabulary:
+                got = {reg.names[k]: val for k, val in bank.word(v).entries.items()}
+                assert got == word_features_brute(x, v, cfg)
+
+    @pytest.mark.parametrize("cfg", BANK_CONFIGS)
+    def test_sigma_and_pairwise_psi(self, cfg, stopwords):
+        rng = random.Random(23)
+        reg = registry_for(cfg, "pairwise")
+        for x in _random_bank_sets(stopwords, 6, seed=29):
+            n = x.num_sentences
+            bank = FeatureBank(x, cfg)
+            phi = {
+                (i, j): _oracle_dense(pair_features_brute(x, i, j, cfg), reg)
+                for i in range(n) for j in range(n) if i != j
+            }
+            w = np.array([rng.uniform(-1, 1) for _ in range(reg.dimension)])
+            sigma = bank.sigma(w)
+            assert np.all(np.diag(sigma) == 0.0)
+            for (i, j), f in phi.items():
+                assert abs(sigma[i, j] - f @ w) <= 1e-9
+            inside = set(rng.sample(range(n), k=rng.randint(0, n)))
+            cross = sum((f for (i, j), f in phi.items() if i not in inside and j in inside),
+                        np.zeros(reg.dimension))
+            red = sum((f for (i, j), f in phi.items() if i in inside and j in inside),
+                      np.zeros(reg.dimension))
+            lam = rng.uniform(0.0, 5.0)
+            got = joint_feature_map_pairwise(x, tuple(inside), cfg, lam, ctx=bank).to_dense()
+            np.testing.assert_allclose(got, cross - lam * red, rtol=0, atol=1e-9)
+            got = joint_feature_map_pairwise(x, tuple(inside), cfg, 0.0, split=True, ctx=bank)
+            want = np.concatenate([cross, red])
+            np.testing.assert_allclose(got.to_dense(), want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cfg", BANK_CONFIGS)
+    def test_omega_and_coverage_psi(self, cfg, stopwords):
+        rng = random.Random(31)
+        reg = registry_for(cfg, "coverage")
+        for x in _random_bank_sets(stopwords, 6, seed=37):
+            bank = FeatureBank(x, cfg)
+            phi = {v: _oracle_dense(word_features_brute(x, v, cfg), reg) for v in x.vocabulary}
+            w = np.array([rng.uniform(-1, 1) for _ in range(reg.dimension)])
+            omega = dict(zip(bank.words, bank.omega(w)))
+            for v, f in phi.items():
+                assert abs(omega[v] - f @ w) <= 1e-9
+            ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
+            covered = {t.normalized for sid in ids for t in x.sentences[sid].tokens}
+            want = sum((phi[v] for v in covered), np.zeros(reg.dimension))
+            got = joint_feature_map_coverage(x, tuple(ids), cfg, ctx=bank).to_dense()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shared", range(1, 11))
+def test_raw_cosine_bins_at_tenths(shared, make_docset):
+    """Two ten-word sentences sharing k words have raw cosine k/10 exactly
+    and land in bin k (the last bin for k = 10)."""
+    words = [f"w{c}" for c in "abcdefghijklmnopqrst"]
+    first = " ".join(words[:10])
+    second = " ".join(words[10 - shared:20 - shared])
+    x = make_docset([f"{first.capitalize()}. {second.capitalize()}."], with_stopwords=False)
+    cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
+    reg = registry_for(cfg, "pairwise")
+    fv = pairwise_features(x, 0, 1, cfg)
+    assert fv.entries[reg.index["pair:cos:basic:all:raw"]] == shared / 10
+    assert reg.index[f"pair:bin:basic:all:raw:{min(shared, 9):02d}"] in fv.entries

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
-from structsum.features import FeatureConfig, FeatureContext, FeatureVector, registry_for
+from structsum.features import FeatureConfig, FeatureBank, FeatureVector, registry_for
 from structsum.greedy import GreedyConfig, exhaustive_maximize
 from structsum.learner import (
     Constraint,
@@ -190,6 +190,19 @@ class TestModelIO:
         with pytest.raises(ModelError, match="out of range"):
             Model.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        payload = json.loads(self._model().to_json())
+        payload["weights"]["3"] = bad
+        with pytest.raises(ModelError, match="not finite"):
+            Model.from_json(json.dumps(payload))
+
+    def test_malformed_weights_rejected(self):
+        payload = json.loads(self._model().to_json())
+        payload["weights"] = {"3": None}
+        with pytest.raises(ModelError, match="malformed weights"):
+            Model.from_json(json.dumps(payload))
+
     def test_pairwise_requires_lambda(self):
         with pytest.raises(ModelError, match="lambda"):
             Model("pairwise", np.zeros(registry_for(FeatureConfig(), "pairwise").dimension),
@@ -238,29 +251,29 @@ class TestPsiConsistency:
             x, _ = toy_example(stopwords, seed=seed)
             model = Model.zeros(kind, cfg, LossConfig(), GreedyConfig(budget_bytes=100), lam=lam)
             model.w = np.array([rng.uniform(-1, 1) for _ in range(model.w.shape[0])])
-            ctx = FeatureContext(x, cfg)
+            bank = FeatureBank(x, cfg)
             if kind == "coverage":
                 scorer = CoverageScorer(
-                    lambda v: coverage_features(x, v, cfg, ctx).dot(model.w),
+                    lambda v: coverage_features(x, v, cfg, bank).dot(model.w),
                     clamp_negative=False,
                 )
             elif kind == "pairwise-split":
                 base = registry_for(cfg, "pairwise-split").base_dimension
                 scorer = SplitPairwiseScorer(
-                    lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(model.w[:base]),
-                    lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(model.w[base:]),
+                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[:base]),
+                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[base:]),
                     clamp_negative=False,
                 )
             else:
                 scorer = PairwiseScorer(
-                    lambda i, j: pairwise_features(x, i, j, cfg, ctx).dot(model.w),
+                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w),
                     lam=lam,
                     clamp_negative=False,
                 )
             n = x.num_sentences
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             y = Summary(ids, 0)
-            assert psi(x, y, model, ctx=ctx).dot(model.w) == pytest.approx(
+            assert psi(x, y, model, bank=bank).dot(model.w) == pytest.approx(
                 score(x, y, scorer), abs=1e-9
             )
 
