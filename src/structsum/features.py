@@ -352,27 +352,26 @@ class FeatureBank:
         ]
 
     @cached_property
-    def sentence_words(self) -> list[list[str]]:
-        """Each sentence's distinct words, sorted."""
-        return [[self.words[k] for k in np.flatnonzero(row)] for row in self.counts]
+    def sentence_word_ids(self) -> list[np.ndarray]:
+        """Each sentence's distinct word indices, ascending (so its words sorted)."""
+        return [np.flatnonzero(row) for row in self.counts]
 
     @cached_property
     def cosines(self) -> np.ndarray:
         """K x n x n cosines, one layer per stem; the diagonal is zero."""
         n = self.x.num_sentences
-        layers = []
-        for mask in self.masks:
-            for scheme in sorted(self.cfg.weightings):
-                v = self.counts[:, mask] * (self.idf[mask] if scheme == "tfidf" else 1.0)
-                dot = v @ v.T
-                norm_sq = np.diag(dot).copy()
-                # one sqrt of the product keeps rational cosines such as
-                # 1/sqrt(2*2) exact at bin edges
-                denom = np.sqrt(np.outer(norm_sq, norm_sq))
-                cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
-                np.fill_diagonal(cos, 0.0)
-                layers.append(cos)
-        return np.array(layers).reshape(len(layers), n, n)
+        out = np.zeros((len(self._stems), n, n))
+        layers = ((mask, scheme) for mask in self.masks for scheme in sorted(self.cfg.weightings))
+        for cos, (mask, scheme) in zip(out, layers):
+            v = self.counts[:, mask] * (self.idf[mask] if scheme == "tfidf" else 1.0)
+            dot = v @ v.T
+            norm_sq = np.diag(dot).copy()
+            # one sqrt of the product keeps rational cosines such as
+            # 1/sqrt(2*2) exact at bin edges
+            denom = np.sqrt(np.outer(norm_sq, norm_sq))
+            np.divide(dot, denom, out=cos, where=denom > 0.0)
+            np.fill_diagonal(cos, 0.0)
+        return out
 
     @cached_property
     def _cos_index(self) -> np.ndarray:
@@ -387,32 +386,39 @@ class FeatureBank:
         is the registry dimension, one past the last feature."""
         cfg, reg = self.cfg, registry_for(self.cfg, "pairwise")
         n, nbins = self.x.num_sentences, cfg.similarity_bins
-        layers = []
-        for stem, cos in zip(self._stems, self.cosines):
+        location = "location" in cfg.enabled_groups
+        dtype = np.min_scalar_type(reg.dimension)
+        out = np.empty((len(self._stems) + location, n, n), dtype=dtype)
+        for layer, stem, cos in zip(out, self._stems, self.cosines):
             index = np.array([reg.index[f"pair:bin:{stem}:{b:02d}"] for b in range(nbins)])
             b = np.minimum((cos * nbins).astype(np.intp), nbins - 1)
-            layers.append(np.where(cos > 0.0, index[b], reg.dimension))
-        if "location" in cfg.enabled_groups:
+            layer[:] = np.where(cos > 0.0, index[b], reg.dimension)
+        if location:
             nb = range(cfg.num_position_bins)
             index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
                               for a in nb])
             pb = np.array([cfg.position_bin(s.position_in_doc) for s in self.x.sentences])
-            loc = index[pb[:, None], pb[None, :]]
-            np.fill_diagonal(loc, reg.dimension)
-            layers.append(loc)
-        return np.array(layers, dtype=np.intp).reshape(len(layers), n, n)
+            out[-1] = index[pb[:, None], pb[None, :]]
+            np.fill_diagonal(out[-1], reg.dimension)
+        return out
 
     def sigma(self, w: np.ndarray) -> np.ndarray:
         """n x n learned similarity w . phi(i, j) for pairwise-registry
         weights w; zero diagonal."""
+        values = np.append(w, 0.0)
+        # one n x n layer at a time, in order, never a K x n x n gather
+        indicators = np.zeros(self.codes.shape[1:])
+        for layer in self.codes:
+            indicators += values[layer]
         m = np.tensordot(w[self._cos_index], self.cosines, axes=1)
-        m += np.append(w, 0.0)[self.codes].sum(axis=0)
+        m += indicators
         return m
 
     def _block_sum(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense sum of phi(i, j) over i in rows, j in cols, i != j."""
         dim = registry_for(self.cfg, "pairwise").dimension
-        out = np.bincount(self.codes[:, :, cols][:, rows].ravel(), minlength=dim + 1)[:dim]
+        codes = self.codes[:, :, cols][:, rows].ravel().astype(np.intp)
+        out = np.bincount(codes, minlength=dim + 1)[:dim]
         out = out.astype(float)
         out[self._cos_index] += self.cosines[:, :, cols][:, rows].sum(axis=(1, 2))
         return out

@@ -1,14 +1,26 @@
 """Budget-constrained greedy selection with cost-scaled gains.
 
-Each round picks the candidate maximizing gain / cost**r over the remaining
-pool, adds it only when it fits the byte budget and its gain is
-non-negative, and removes it from the pool either way. For monotone
-submodular objectives with unit costs and r = 1 this is the classic
-(1 - 1/e)-approximate greedy; r < 1 softens the cost scaling.
+Each round takes, among the sentences that still fit the byte budget, the
+one maximizing gain / cost**r (the lowest id on ties), and accepts it when
+its gain is non-negative. For monotone submodular objectives with unit
+costs and r = 1 this is the classic (1 - 1/e)-approximate greedy; r < 1
+softens the cost scaling. Zero-gain candidates that fit are accepted.
 
-Note the acceptance-or-not decision does not stop the scan: a rejected
-candidate simply leaves the pool, so later, cheaper candidates still get
-their turn. Zero-gain candidates that fit the budget are accepted.
+A gain object that has ``gains(ids)`` returns the marginal gains of all the
+given candidate ids as one array, so a round costs one call; any other
+callable is called once per candidate as gain(current_summary, id). Both
+give the same selection as scanning the whole pool every round and
+removing its best, accepted or not:
+
+* A sentence that does not fit now never will, because the remaining
+  budget only shrinks. The scan would reject it whenever it came out best
+  and take the best fitting sentence next, so it is dropped at once and
+  never evaluated.
+* When the best fitting ratio is negative, every fitting gain is, since
+  costs are positive. The scan would reject them one per round without a
+  commit, so the gains never change and the loop stops there.
+
+A non-finite gain raises ValueError; it would otherwise never win.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .corpus import DocumentSet
 from .scoring import (
@@ -72,8 +86,9 @@ def greedy_maximize(
 ) -> Summary:
     """Run the budgeted greedy loop.
 
-    ``gain`` is called as gain(current_summary, candidate_id) and may carry
-    state; when it exposes a ``commit(candidate_id)`` method, the method is
+    ``gain`` is called as gain(current_summary, candidate_id), or as
+    gain.gains(ids) -> array when it has that method, and may carry state;
+    when it exposes a ``commit(candidate_id)`` method, the method is
     invoked exactly once per accepted candidate, in acceptance order.
     ``cost`` maps a sentence id to a positive cost (a callable or a
     sequence) and defaults to the byte costs of ``x``.
@@ -81,28 +96,37 @@ def greedy_maximize(
     if cfg is None:
         raise ValueError("greedy_maximize requires a GreedyConfig")
     cost = _cost_fn(x, cost)
-    pool = list(range(x.num_sentences))
+    costs = [cost(sid) for sid in range(x.num_sentences)]
+    for sid, c in enumerate(costs):
+        if c <= 0:
+            raise ValueError(f"sentence {sid} has non-positive cost {c}")
+    cost_arr = np.array(costs)
+    scale = np.array([c ** cfg.r for c in costs])
+    gains = getattr(gain, "gains", None)
+    ids = np.arange(len(costs))
     selected: list[int] = []
     total = 0
-    while pool:
-        current = Summary(tuple(selected), total)
-        best_id = -1
-        best_ratio = 0.0
-        best_gain = 0.0
-        for sid in pool:
-            g = gain(current, sid)
-            c = cost(sid)
-            if c <= 0:
-                raise ValueError(f"sentence {sid} has non-positive cost {c}")
-            ratio = g / c ** cfg.r
-            if best_id < 0 or ratio > best_ratio:
-                best_id, best_ratio, best_gain = sid, ratio, g
-        if total + cost(best_id) <= cfg.budget_bytes and best_gain >= 0.0:
-            selected.append(best_id)
-            total += cost(best_id)
-            if hasattr(gain, "commit"):
-                gain.commit(best_id)
-        pool.remove(best_id)
+    while True:
+        ids = ids[total + cost_arr[ids] <= cfg.budget_bytes]
+        if not len(ids):
+            break
+        if gains is not None:
+            g = np.asarray(gains(ids), dtype=float)
+        else:
+            current = Summary(tuple(selected), total)
+            g = np.array([gain(current, sid) for sid in ids.tolist()], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(g))
+        if len(bad):
+            raise ValueError(f"sentence {ids[bad[0]]} has non-finite gain {g[bad[0]]}")
+        best = int(np.argmax(g / scale[ids]))
+        if g[best] < 0.0:
+            break
+        sid = int(ids[best])
+        selected.append(sid)
+        total += costs[sid]
+        if hasattr(gain, "commit"):
+            gain.commit(sid)
+        ids = np.delete(ids, best)
     return Summary(tuple(selected), total)
 
 

@@ -406,7 +406,7 @@ def _score_state(bank: FeatureBank, model: Model, clamp: bool):
         values = bank.omega(model.w)
         if clamp:
             values = np.maximum(values, 0.0)
-        return CoverageGainState(bank.sentence_words, dict(zip(bank.words, values)))
+        return CoverageGainState(bank.sentence_word_ids, values)
     if model.model_kind == "pairwise-split":
         base = registry_for(model.feature_config, "pairwise-split").base_dimension
         mc = bank.sigma(model.w[:base])
@@ -429,14 +429,13 @@ class _AugmentedGain:
         self.rouge_state = rouge_state
         self.raw_target = raw_target_loss
 
-    def _delta(self, f: float) -> float:
-        return max(0.0, (1.0 - f) - self.raw_target)
+    def gains(self, ids) -> np.ndarray:
+        d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
+        d_new = np.maximum(0.0, (1.0 - self.rouge_state.merged_f(ids)) - self.raw_target)
+        return self.score_state.gains(ids) + (d_new - d_now)
 
     def __call__(self, summary, k: int) -> float:
-        sg = self.score_state(summary, k)
-        d_now = self._delta(self.rouge_state.current_f())
-        d_new = self._delta(self.rouge_state._merged_f(k))
-        return sg + (d_new - d_now)
+        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         self.score_state.commit(k)

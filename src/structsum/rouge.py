@@ -19,6 +19,8 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .corpus import DocumentSet, ReferenceSet, Token
 from .greedy import GreedyConfig, greedy_maximize
 from .scoring import Summary
@@ -171,18 +173,31 @@ def loss_delta_r(
 class RougeGain:
     """Incremental aggregated-F gains for one greedy run.
 
-    Tracks per-reference clipped overlaps of the growing candidate; a gain
-    query simulates merging one sentence without mutating state.
+    Holds int64 term counts of every sentence, of each reference and of the
+    growing candidate over the reference vocabulary, plus the per-reference
+    clipped overlaps of the candidate. ``gains(ids)`` merges each candidate
+    sentence without mutating state; the overlap increments are exact
+    integers and F is summed reference by reference, as ``current_f`` does.
     """
 
     def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig = LossConfig()):
         self.cfg = cfg
         self.refs = reference_counts(Y, cfg)
-        self.sentence_counts = [
-            UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
-            for s in x.sentences
-        ]
-        self.cand: dict[str, int] = {}
+        vocab = sorted({w for ref in self.refs for w in ref.counts})
+        index = {w: v for v, w in enumerate(vocab)}
+        self.ref_counts = np.zeros((len(self.refs), len(vocab)), dtype=np.int64)
+        for row, ref in zip(self.ref_counts, self.refs):
+            for w, c in ref.counts.items():
+                row[index[w]] = c
+        self.sentence_counts = np.zeros((x.num_sentences, len(vocab)), dtype=np.int64)
+        self.sentence_totals = np.zeros(x.num_sentences, dtype=np.int64)
+        for k, s in enumerate(x.sentences):
+            counts = UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
+            self.sentence_totals[k] = counts.total
+            for w, c in counts.counts.items():
+                if w in index:
+                    self.sentence_counts[k, index[w]] = c
+        self.cand = np.zeros(len(vocab), dtype=np.int64)
         self.cand_total = 0
         self.overlaps = [0] * len(self.refs)
 
@@ -192,36 +207,33 @@ class RougeGain:
             total += f_score(o, self.cand_total, ref.total)
         return total / len(self.refs)
 
-    def _merged_f(self, k: int) -> float:
-        add = self.sentence_counts[k]
-        new_total = self.cand_total + add.total
-        total = 0.0
-        for o, ref in zip(self.overlaps, self.refs):
-            extra = 0
-            for w, c in add.counts.items():
-                rc = ref.counts.get(w, 0)
-                if rc:
-                    have = self.cand.get(w, 0)
-                    extra += min(have + c, rc) - min(have, rc)
-            total += f_score(o + extra, new_total, ref.total)
+    def _extra(self, add: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Clipped-overlap increment of merging each row of ``add``."""
+        return (np.minimum(self.cand + add, ref) - np.minimum(self.cand, ref)).sum(axis=-1)
+
+    def merged_f(self, ids) -> np.ndarray:
+        """Aggregated F of the candidate plus each sentence in ``ids``."""
+        add = self.sentence_counts[ids]
+        new_total = self.cand_total + self.sentence_totals[ids]
+        total = np.zeros(len(add))
+        for o, ref, ref_row in zip(self.overlaps, self.refs, self.ref_counts):
+            denom = new_total + ref.total
+            overlap = 2.0 * (o + self._extra(add, ref_row))
+            total += np.divide(overlap, denom, out=np.zeros(len(add)), where=denom != 0)
         return total / len(self.refs)
 
+    def gains(self, ids) -> np.ndarray:
+        return self.merged_f(ids) - self.current_f()
+
     def __call__(self, summary, k: int) -> float:
-        return self._merged_f(k) - self.current_f()
+        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         add = self.sentence_counts[k]
-        for idx, ref in enumerate(self.refs):
-            extra = 0
-            for w, c in add.counts.items():
-                rc = ref.counts.get(w, 0)
-                if rc:
-                    have = self.cand.get(w, 0)
-                    extra += min(have + c, rc) - min(have, rc)
-            self.overlaps[idx] += extra
-        for w, c in add.counts.items():
-            self.cand[w] = self.cand.get(w, 0) + c
-        self.cand_total += add.total
+        for idx, ref_row in enumerate(self.ref_counts):
+            self.overlaps[idx] += int(self._extra(add, ref_row))
+        self.cand += add
+        self.cand_total += int(self.sentence_totals[k])
 
 
 def make_target(

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .corpus import DocumentSet
 
 
@@ -200,9 +202,7 @@ def marginal_gain(x: DocumentSet, y, k: int, scorer) -> float:
     raise TypeError(f"cannot compute gains with {type(scorer).__name__}")
 
 
-def _sigma_matrix(x: DocumentSet, sig: Callable[[int, int], float]):
-    import numpy as np
-
+def _sigma_matrix(x: DocumentSet, sig: Callable[[int, int], float]) -> np.ndarray:
     n = x.num_sentences
     m = np.zeros((n, n))
     for i in range(n):
@@ -215,13 +215,11 @@ class PairwiseGainState:
     """Incremental pairwise gains for one greedy run.
 
     Works from a materialized (symmetric, zero-diagonal) similarity matrix;
-    each gain query is O(1) and each commit O(n). Confine one state object
-    to a single run.
+    ``gains(ids)`` is one array expression over the candidates and each
+    commit is O(n). Confine one state object to a single run.
     """
 
     def __init__(self, m, lam: float):
-        import numpy as np
-
         self.m = m
         self.lam = lam
         self.total_row = m.sum(axis=0)
@@ -231,8 +229,11 @@ class PairwiseGainState:
     def from_scorer(cls, x: DocumentSet, scorer: PairwiseScorer) -> "PairwiseGainState":
         return cls(_sigma_matrix(x, scorer.sig), scorer.lam)
 
+    def gains(self, ids) -> np.ndarray:
+        return self.total_row[ids] - (2.0 + 2.0 * self.lam) * self.sel[ids]
+
     def __call__(self, summary, k: int) -> float:
-        return float(self.total_row[k] - (2.0 + 2.0 * self.lam) * self.sel[k])
+        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         self.sel += self.m[k]
@@ -240,8 +241,6 @@ class PairwiseGainState:
 
 class SplitGainState:
     def __init__(self, mc, mr):
-        import numpy as np
-
         self.mc = mc
         self.mr = mr
         self.total_row = mc.sum(axis=0)
@@ -252,8 +251,11 @@ class SplitGainState:
     def from_scorer(cls, x: DocumentSet, scorer: SplitPairwiseScorer) -> "SplitGainState":
         return cls(_sigma_matrix(x, scorer.sig_cross), _sigma_matrix(x, scorer.sig_red))
 
+    def gains(self, ids) -> np.ndarray:
+        return self.total_row[ids] - 2.0 * self.sel_cross[ids] + 2.0 * self.sel_red[ids]
+
     def __call__(self, summary, k: int) -> float:
-        return float(self.total_row[k] - 2.0 * self.sel_cross[k] + 2.0 * self.sel_red[k])
+        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         self.sel_cross += self.mc[k]
@@ -261,26 +263,42 @@ class SplitGainState:
 
 
 class CoverageGainState:
-    def __init__(self, words_per_sentence: list[list[str]], value: dict[str, float]):
-        self.words = words_per_sentence
-        self.value = value
-        self.covered: set[str] = set()
+    """Coverage gains over word indices.
+
+    ``word_ids[k]`` lists sentence k's distinct word indices in ascending
+    order and ``values[v]`` is word v's value. A gain adds the values of
+    the sentence's uncovered words left to right, one column of a padded
+    index matrix at a time, so every candidate sums in the same order as
+    a scalar loop over its words.
+    """
+
+    def __init__(self, word_ids, values):
+        # the last entry is a zero that padding points at; a commit zeroes
+        # the value of every word it covers
+        self.values = np.append(np.asarray(values, dtype=float), 0.0)
+        width = max((len(ws) for ws in word_ids), default=0)
+        self.padded = np.full((len(word_ids), width), len(self.values) - 1, dtype=np.intp)
+        for row, ws in zip(self.padded, word_ids):
+            row[: len(ws)] = ws
 
     @classmethod
     def from_scorer(cls, x: DocumentSet, scorer: CoverageScorer) -> "CoverageGainState":
-        words = [sorted({t.normalized for t in s.tokens}) for s in x.sentences]
-        value: dict[str, float] = {}
-        for ws in words:
-            for w in ws:
-                if w not in value:
-                    value[w] = scorer.value(w)
-        return cls(words, value)
+        words = sorted({t.normalized for s in x.sentences for t in s.tokens})
+        index = {w: v for v, w in enumerate(words)}
+        word_ids = [sorted({index[t.normalized] for t in s.tokens}) for s in x.sentences]
+        return cls(word_ids, [scorer.value(w) for w in words])
+
+    def gains(self, ids) -> np.ndarray:
+        out = np.zeros(len(ids))
+        for column in self.padded[ids].T:
+            out += self.values[column]
+        return out
 
     def __call__(self, summary, k: int) -> float:
-        return sum(self.value[w] for w in self.words[k] if w not in self.covered)
+        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
-        self.covered.update(self.words[k])
+        self.values[self.padded[k]] = 0.0
 
 
 def gain_state(x: DocumentSet, scorer):

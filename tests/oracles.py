@@ -3,7 +3,10 @@
 Everything here is written from the definitions, not from the package code:
 direct nested loops, Counter arithmetic, and full subset enumeration. Unit
 tests treat these as ground truth and check the optimized implementations
-against them.
+against them. The exception is the greedy part at the end: the full-scan
+greedy loop and the one-candidate-at-a-time gain formulas the package used
+before its gains became arrays, kept so that the array versions can be held
+to identical results.
 """
 
 from __future__ import annotations
@@ -162,3 +165,155 @@ def word_features_brute(x, v, cfg):
     if "location" in cfg.enabled_groups:
         out[f"cov:loc:bin{_position_bin(cfg, st.earliest_position)}"] = 1.0
     return out
+
+
+def greedy_scan_reference(x, gain, cost=None, cfg=None):
+    """The budgeted greedy as a full scan: every round evaluates the whole
+    pool one candidate at a time and removes its best, accepted or not."""
+    from structsum.greedy import _cost_fn
+    from structsum.scoring import Summary
+
+    if cfg is None:
+        raise ValueError("greedy_maximize requires a GreedyConfig")
+    cost = _cost_fn(x, cost)
+    pool = list(range(x.num_sentences))
+    selected: list[int] = []
+    total = 0
+    while pool:
+        current = Summary(tuple(selected), total)
+        best_id = -1
+        best_ratio = 0.0
+        best_gain = 0.0
+        for sid in pool:
+            g = gain(current, sid)
+            c = cost(sid)
+            if c <= 0:
+                raise ValueError(f"sentence {sid} has non-positive cost {c}")
+            ratio = g / c ** cfg.r
+            if best_id < 0 or ratio > best_ratio:
+                best_id, best_ratio, best_gain = sid, ratio, g
+        if total + cost(best_id) <= cfg.budget_bytes and best_gain >= 0.0:
+            selected.append(best_id)
+            total += cost(best_id)
+            if hasattr(gain, "commit"):
+                gain.commit(best_id)
+        pool.remove(best_id)
+    return Summary(tuple(selected), total)
+
+
+class RougeGainReference:
+    """Aggregated-F gains by dict loops over each sentence's words."""
+
+    def __init__(self, x, Y, cfg):
+        from structsum.rouge import UnigramCounts, reference_counts
+
+        self.refs = reference_counts(Y, cfg)
+        self.sentence_counts = [
+            UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
+            for s in x.sentences
+        ]
+        self.cand: dict[str, int] = {}
+        self.cand_total = 0
+        self.overlaps = [0] * len(self.refs)
+
+    def current_f(self) -> float:
+        from structsum.rouge import f_score
+
+        total = 0.0
+        for o, ref in zip(self.overlaps, self.refs):
+            total += f_score(o, self.cand_total, ref.total)
+        return total / len(self.refs)
+
+    def _merged_f(self, k: int) -> float:
+        from structsum.rouge import f_score
+
+        add = self.sentence_counts[k]
+        new_total = self.cand_total + add.total
+        total = 0.0
+        for o, ref in zip(self.overlaps, self.refs):
+            extra = 0
+            for w, c in add.counts.items():
+                rc = ref.counts.get(w, 0)
+                if rc:
+                    have = self.cand.get(w, 0)
+                    extra += min(have + c, rc) - min(have, rc)
+            total += f_score(o + extra, new_total, ref.total)
+        return total / len(self.refs)
+
+    def __call__(self, k: int) -> float:
+        return self._merged_f(k) - self.current_f()
+
+    def commit(self, k: int) -> None:
+        add = self.sentence_counts[k]
+        for idx, ref in enumerate(self.refs):
+            extra = 0
+            for w, c in add.counts.items():
+                rc = ref.counts.get(w, 0)
+                if rc:
+                    have = self.cand.get(w, 0)
+                    extra += min(have + c, rc) - min(have, rc)
+            self.overlaps[idx] += extra
+        for w, c in add.counts.items():
+            self.cand[w] = self.cand.get(w, 0) + c
+        self.cand_total += add.total
+
+
+class AugmentedGainReference:
+    """Score gain plus the change of the target-normalized loss, one
+    candidate at a time, on top of ``RougeGainReference``."""
+
+    def __init__(self, score_gain, rouge: RougeGainReference, raw_target: float):
+        self.score_gain = score_gain
+        self.rouge = rouge
+        self.raw_target = raw_target
+
+    def _delta(self, f: float) -> float:
+        return max(0.0, (1.0 - f) - self.raw_target)
+
+    def __call__(self, k: int) -> float:
+        sg = self.score_gain(k)
+        d_now = self._delta(self.rouge.current_f())
+        d_new = self._delta(self.rouge._merged_f(k))
+        return sg + (d_new - d_now)
+
+    def commit(self, k: int) -> None:
+        self.score_gain.commit(k)
+        self.rouge.commit(k)
+
+
+class PairwiseGainReference:
+    """total_row[k] - (2 + 2 lam) sel[k], or the split form
+    total_row[k] - 2 sel_cross[k] + 2 sel_red[k], one candidate at a time."""
+
+    def __init__(self, mc, lam=None, mr=None):
+        self.mc, self.lam, self.mr = mc, lam, mr
+        self.total_row = [float(v) for v in mc.sum(axis=0)]
+        self.sel_cross = [0.0] * len(mc)
+        self.sel_red = [0.0] * len(mc)
+
+    def __call__(self, k: int) -> float:
+        if self.mr is None:
+            return self.total_row[k] - (2.0 + 2.0 * self.lam) * self.sel_cross[k]
+        return self.total_row[k] - 2.0 * self.sel_cross[k] + 2.0 * self.sel_red[k]
+
+    def commit(self, k: int) -> None:
+        for i in range(len(self.mc)):
+            self.sel_cross[i] += float(self.mc[k, i])
+            if self.mr is not None:
+                self.sel_red[i] += float(self.mr[k, i])
+
+
+class CoverageGainReference:
+    """Sum of the values of a sentence's uncovered words, taken over its
+    words in sorted order."""
+
+    def __init__(self, sentence_words, value):
+        self.words = [sorted(ws) for ws in sentence_words]
+        self.value = value
+        self.covered: set = set()
+
+    def __call__(self, k: int) -> float:
+        return sum(self.value[w] for w in self.words[k] if w not in self.covered)
+
+    def commit(self, k: int) -> None:
+        self.covered.update(self.words[k])

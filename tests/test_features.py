@@ -445,6 +445,21 @@ class TestBankAgainstOracle:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("cfg", BANK_CONFIGS)
+def test_sigma_equals_gather_and_sum(cfg, fixture_data):
+    """sigma adds the indicator layers one at a time; the result is bit for
+    bit the K x n x n gather summed over layers, added to the cosine part."""
+    rng = np.random.default_rng(41)
+    reg = registry_for(cfg, "pairwise")
+    for x, _ in fixture_data[:8]:
+        bank = FeatureBank(x, cfg)
+        for _ in range(3):
+            w = rng.normal(size=reg.dimension) * 10.0 ** rng.uniform(-3, 3, size=reg.dimension)
+            want = np.tensordot(w[bank._cos_index], bank.cosines, axes=1)
+            want += np.append(w, 0.0)[bank.codes.astype(np.intp)].sum(axis=0)
+            assert np.array_equal(bank.sigma(w), want)
+
+
 @pytest.mark.parametrize("shared", range(1, 11))
 def test_raw_cosine_bins_at_tenths(shared, make_docset):
     """Two ten-word sentences sharing k words have raw cosine k/10 exactly

@@ -1,0 +1,142 @@
+"""Every gain state's ``gains(ids)`` equals its one-candidate-at-a-time
+reference exactly, at every round of greedy runs on fixture sets."""
+
+import random
+
+import numpy as np
+import pytest
+
+from structsum.corpus import ReferenceSet, build_document_set, tokenize
+from structsum.features import FeatureBank, FeatureConfig, registry_for
+from structsum.greedy import GreedyConfig, greedy_maximize
+from structsum.learner import _AugmentedGain
+from structsum.rouge import LossConfig, RougeGain
+from structsum.scoring import (
+    CoverageGainState,
+    CoverageScorer,
+    PairwiseGainState,
+    SplitGainState,
+    gain_state,
+)
+
+from conftest import random_documents
+from oracles import (
+    AugmentedGainReference,
+    CoverageGainReference,
+    PairwiseGainReference,
+    RougeGainReference,
+)
+
+BUDGETS = (66, 400)
+
+
+class Checked:
+    """Greedy gain that asserts state == reference on every gains call."""
+
+    def __init__(self, state, reference):
+        self.state, self.reference = state, reference
+        self.rounds = 0
+
+    def gains(self, ids):
+        got = self.state.gains(ids)
+        assert got.tolist() == [self.reference(k) for k in ids.tolist()]
+        self.rounds += 1
+        return got
+
+    def commit(self, k):
+        self.state.commit(k)
+        self.reference.commit(k)
+
+
+def long_sentences(rng, count):
+    """Sentences of 10-30 words over 60 words, so that many have more
+    distinct words than numpy's pairwise summation handles in one block."""
+    vocab = [f"w{k:02d}" for k in range(60)]
+    return " ".join(
+        " ".join(rng.choice(vocab) for _ in range(rng.randint(10, 30))).capitalize() + "."
+        for _ in range(count)
+    )
+
+
+@pytest.fixture(scope="module")
+def sets(fixture_data, stopwords):
+    rng = random.Random(5)
+    extra = []
+    for i in range(3):
+        docs = random_documents(rng, 4, 5) + [long_sentences(rng, 6)]
+        x = build_document_set(f"r{i}", docs, stopwords)
+        refs = random_documents(rng, 3, 2)
+        refs[-1] += " " + long_sentences(rng, 1)
+        refs = tuple(tuple(tokenize(r, stopwords)) for r in refs)
+        extra.append((x, ReferenceSet(x.set_id, refs)))
+    return list(fixture_data[:6]) + extra
+
+
+def run(x, state, reference, budget):
+    gain = Checked(state, reference)
+    y = greedy_maximize(x, gain, cfg=GreedyConfig(budget_bytes=budget))
+    assert gain.rounds <= len(y.selected) + 1
+    return len(y.selected)
+
+
+def weights(rng, dimension):
+    return rng.normal(size=dimension) * rng.uniform(0.01, 3.0)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_pairwise_and_split(sets, clamp):
+    rng = np.random.default_rng(3)
+    cfg = FeatureConfig()
+    dim = registry_for(cfg, "pairwise").dimension
+    accepted = 0
+    for x, _ in sets:
+        bank = FeatureBank(x, cfg)
+        m = bank.sigma(weights(rng, dim))
+        mr = bank.sigma(weights(rng, dim))
+        if clamp:
+            m, mr = np.maximum(m, 0.0), np.minimum(mr, 0.0)
+        lam = float(rng.uniform(0.0, 5.0))
+        for budget in BUDGETS:
+            accepted += run(x, PairwiseGainState(m, lam), PairwiseGainReference(m, lam=lam), budget)
+            accepted += run(x, SplitGainState(m, mr), PairwiseGainReference(m, mr=mr), budget)
+    assert accepted > 4 * len(sets)
+
+
+def test_coverage(sets):
+    rng = np.random.default_rng(4)
+    cfg = FeatureConfig()
+    dim = registry_for(cfg, "coverage").dimension
+    accepted = 0
+    for x, _ in sets:
+        bank = FeatureBank(x, cfg)
+        values = bank.omega(weights(rng, dim))
+        words = [[bank.words[v] for v in ids] for ids in bank.sentence_word_ids]
+        for budget in BUDGETS:
+            for vals in (values, np.maximum(values, 0.0)):
+                reference = CoverageGainReference(words, dict(zip(bank.words, vals)))
+                accepted += run(x, CoverageGainState(bank.sentence_word_ids, vals),
+                              reference, budget)
+            value = dict(zip(bank.words, np.abs(values)))
+            reference = CoverageGainReference([s.word_counts() for s in x.sentences], value)
+            accepted += run(x, gain_state(x, CoverageScorer(value.__getitem__)), reference, budget)
+    assert accepted > 4 * len(sets)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_rouge_and_augmented(sets, drop):
+    rng = np.random.default_rng(6)
+    cfg = LossConfig(rouge_stopword_removal=drop)
+    dim = registry_for(FeatureConfig(), "pairwise").dimension
+    accepted = 0
+    for x, Y in sets:
+        bank = FeatureBank(x, FeatureConfig())
+        m = bank.sigma(weights(rng, dim) * 0.05)
+        raw_target = float(rng.uniform(0.0, 0.8))
+        for budget in BUDGETS:
+            accepted += run(x, RougeGain(x, Y, cfg), RougeGainReference(x, Y, cfg), budget)
+            state = _AugmentedGain(PairwiseGainState(m, 4.0), RougeGain(x, Y, cfg), raw_target)
+            reference = AugmentedGainReference(
+                PairwiseGainReference(m, lam=4.0), RougeGainReference(x, Y, cfg), raw_target
+            )
+            accepted += run(x, state, reference, budget)
+    assert accepted > 4 * len(sets)

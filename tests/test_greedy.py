@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from structsum.corpus import build_document_set
 from structsum.greedy import GreedyConfig, exhaustive_maximize, greedy_maximize
 from structsum.scoring import CoverageScorer, Summary, gain_state
 
-from oracles import best_coverage_subset
+from oracles import best_coverage_subset, greedy_scan_reference
 
 
 def flat_set(n):
@@ -88,7 +89,8 @@ class TestGreedyMechanics:
                             cfg=GreedyConfig(budget_bytes=2, r=1.0))
         assert y.selected == (1, 2)
 
-    def test_gain_called_once_per_pool_member_per_round(self):
+    def test_gain_called_once_per_live_candidate_then_stops(self):
+        # an all-negative round accepts nothing, so the greedy stops after it
         x = flat_set(4)
         calls = []
 
@@ -97,7 +99,55 @@ class TestGreedyMechanics:
             return -1.0
 
         greedy_maximize(x, gain, cost=[1] * 4, cfg=GreedyConfig(budget_bytes=4, r=1.0))
-        assert len(calls) == 4 + 3 + 2 + 1
+        assert calls == [0, 1, 2, 3]
+
+    def test_unaffordable_sentences_never_evaluated(self):
+        x = flat_set(4)
+        calls = []
+
+        def gain(y, k):
+            calls.append(k)
+            return 1.0
+
+        y = greedy_maximize(x, gain, cost=[1, 5, 2, 9], cfg=GreedyConfig(budget_bytes=3, r=1.0))
+        assert y.selected == (0, 2)
+        assert calls == [0, 2, 2]
+
+    def test_one_gains_call_per_round(self):
+        x = flat_set(6)
+        calls = []
+
+        class Gain:
+            def __init__(self):
+                self.taken = 0
+
+            def gains(self, ids):
+                calls.append(list(ids))
+                return np.array([1.0 - 0.5 * self.taken] * len(ids))
+
+            def commit(self, k):
+                self.taken += 1
+
+        y = greedy_maximize(x, Gain(), cost=[1] * 6, cfg=GreedyConfig(budget_bytes=6, r=1.0))
+        # gains 1, 0.5, 0 are accepted, then -0.5 stops the run
+        assert y.selected == (0, 1, 2)
+        assert calls == [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [2, 3, 4, 5], [3, 4, 5]]
+        assert len(calls) <= len(y.selected) + 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gain_rejected(self, bad):
+        x = flat_set(3)
+        table = [1.0, bad, 2.0]
+
+        class Gain:
+            def gains(self, ids):
+                return np.array([table[k] for k in ids])
+
+        cfg = GreedyConfig(budget_bytes=3, r=1.0)
+        with pytest.raises(ValueError, match="sentence 1 "):
+            greedy_maximize(x, lambda y, k: table[k], cost=[1, 1, 1], cfg=cfg)
+        with pytest.raises(ValueError, match="sentence 1 "):
+            greedy_maximize(x, Gain(), cost=[1, 1, 1], cfg=cfg)
 
     def test_tie_breaks_to_lowest_id(self):
         x = flat_set(4)
@@ -211,3 +261,73 @@ def test_greedy_never_beats_exhaustive_on_modular_gains(seed):
     got = sum(values[i] for i in y.selected)
     opt = sum(values[i] for i in best.selected)
     assert got <= opt + 1e-12
+
+
+class _TableGain:
+    """Gains read from a table by the number of commits so far; records the
+    commit order."""
+
+    def __init__(self, table):
+        self.table = table
+        self.committed: list[int] = []
+
+    def __call__(self, y, k):
+        return self.table[len(self.committed)][k]
+
+    def commit(self, k):
+        self.committed.append(k)
+
+
+class _VectorTableGain(_TableGain):
+    def gains(self, ids):
+        row = self.table[len(self.committed)]
+        return np.array([row[k] for k in ids])
+
+
+class _CoverageGain:
+    """Stateful coverage-style gains: the values of uncovered words."""
+
+    def __init__(self, words, value):
+        self.words, self.value = words, value
+        self.covered: set[int] = set()
+        self.committed: list[int] = []
+
+    def __call__(self, y, k):
+        return sum(self.value[w] for w in self.words[k] if w not in self.covered)
+
+    def commit(self, k):
+        self.covered.update(self.words[k])
+        self.committed.append(k)
+
+
+class _VectorCoverageGain(_CoverageGain):
+    def gains(self, ids):
+        return np.array([self(None, k) for k in ids])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matches_full_scan_reference(data):
+    n = data.draw(st.integers(1, 8))
+    x = flat_set(n)
+    costs = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    cfg = GreedyConfig(budget_bytes=data.draw(st.integers(0, 25)),
+                       r=data.draw(st.sampled_from([0.3, 1.0])))
+    if data.draw(st.booleans()):
+        # few distinct values give ties, zeros and negative gains
+        values = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        table = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                   min_size=n + 1, max_size=n + 1))
+        make = [lambda: _TableGain(table), lambda: _VectorTableGain(table)]
+    else:
+        words = data.draw(st.lists(st.sets(st.integers(0, 5), max_size=4),
+                                   min_size=n, max_size=n))
+        value = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0]),
+                                   min_size=6, max_size=6))
+        make = [lambda: _CoverageGain(words, value), lambda: _VectorCoverageGain(words, value)]
+    want_gain = make[0]()
+    want = greedy_scan_reference(x, want_gain, cost=costs, cfg=cfg)
+    for new in make:
+        gain = new()
+        assert greedy_maximize(x, gain, cost=costs, cfg=cfg) == want
+        assert gain.committed == want_gain.committed
