@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+from dataclasses import replace
 
 from .corpus import DatasetError, load_dataset, load_stopwords
 from .experiments import (
@@ -150,17 +152,15 @@ def cmd_train(args) -> int:
             feature_cfg, loss_cfg, greedy_cfg, trainer_cfg,
             lam=lam, single_reference=args.single_reference,
         )
-        trainer_cfg = TrainerConfig(
-            C=best_c, epsilon=args.epsilon, max_outer_iters=args.max_iters
-        )
+        trainer_cfg = replace(trainer_cfg, C=best_c)
         print(f"selected C={best_c} on validation sets {val_ids}")
     log_lines: list[str] = []
 
     def log_cb(entry: dict) -> None:
         log_lines.append(json.dumps(entry, sort_keys=True))
         print(
-            "iter {iteration}: constraints={constraints_total} "
-            "dual={dual_objective:.6f} max_violation={max_violation:.6f}".format(**entry)
+            "iter {iteration}: constraints={constraints_total} dual={dual_objective:.6f} "
+            "gap={gap:.2e} max_violation={max_violation:.6f}".format(**entry)
         )
 
     result = train_on(
@@ -342,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="structsum",
         description="Budgeted submodular extractive summarization with large-margin training.",
     )
+    parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                        default="warning", help="least severe message logged to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model with cutting planes")
@@ -398,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bare messages on stderr: at the default level, what Python prints anyway
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger("structsum").setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (DatasetError, ModelError, ValueError, OSError) as exc:

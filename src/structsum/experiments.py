@@ -104,9 +104,12 @@ def train_on(
     lam: float | None = None,
     single_reference: bool = False,
     log_callback=None,
+    targets_built: bool = False,
 ) -> TrainResult:
-    subset = [data[i] for i in ids]
-    prepared = build_targets(subset, greedy_config, loss_config, single_reference)
+    """Train on ``data[i] for i in ids``, building their targets unless ``targets_built``."""
+    prepared = [data[i] for i in ids]
+    if not targets_built:
+        prepared = build_targets(prepared, greedy_config, loss_config, single_reference)
     return train(
         prepared,
         model_kind,
@@ -254,28 +257,23 @@ def learning_curve(
 ) -> list[dict]:
     """Train on prefixes of ``train_ids``; evaluate each on ``test_ids``."""
     rows = []
+    largest = max((size for size in sizes if size <= len(train_ids)), default=0)
+    prepared = build_targets([data[i] for i in train_ids[:largest]], greedy_config, loss_config)
     for size in sizes:
         if size > len(train_ids):
             if warn is not None:
                 warn(f"curve size {size} exceeds {len(train_ids)} available training sets; skipped")
             continue
         result = train_on(
-            data, list(train_ids)[:size], model_kind,
+            prepared, range(size), model_kind,
             feature_config, loss_config, greedy_config, trainer_config, lam=lam,
+            targets_built=True,
         )
-        per_set = [
-            r["f"]
-            for r in evaluate_predictions(
-                [data[i] for i in test_ids], predict_sets(data, test_ids, result.model), loss_config
-            ).rows
-        ]
-        rows.append(
-            {
-                "size": size,
-                "mean_f": sum(per_set) / len(per_set),
-                "stderr_f": _stderr(per_set),
-            }
+        report = evaluate_predictions(
+            [data[i] for i in test_ids], predict_sets(data, test_ids, result.model), loss_config
         )
+        per_set = [r["f"] for r in report.rows]
+        rows.append({"size": size, "mean_f": report.mean_f, "stderr_f": _stderr(per_set)})
     return rows
 
 
@@ -296,6 +294,7 @@ def ablation_table(
     out = []
     selected = rows if rows is not None else [label for label, _ in ABLATION_ROWS]
     valid = {label: spec for label, spec in ABLATION_ROWS}
+    prepared = build_targets([data[i] for i in train_ids], greedy_config, loss_config)
     for label in selected:
         if label not in valid:
             raise ValueError(
@@ -309,7 +308,8 @@ def ablation_table(
         else:
             cfg = feature_config.without_group(spec)
         result = train_on(
-            data, list(train_ids), model_kind, cfg, loss_config, greedy_config, trainer_config, lam=lam
+            prepared, range(len(prepared)), model_kind, cfg, loss_config, greedy_config,
+            trainer_config, lam=lam, targets_built=True,
         )
         f = mean_f(data, test_ids, result.model, loss_config)
         out.append({"removed": label, "mean_f": f})
@@ -334,11 +334,12 @@ def select_c(
         raise ValueError("C-grid selection needs a validation split")
     table = []
     best_c, best_f = None, -1.0
+    sets = [data[i] for i in train_ids]
+    prepared = build_targets(sets, greedy_config, loss_config, single_reference)
     for c in sorted(c_grid):
         result = train_on(
-            data, list(train_ids), model_kind, feature_config, loss_config,
-            greedy_config, replace(trainer_config, C=c), lam=lam,
-            single_reference=single_reference,
+            prepared, range(len(prepared)), model_kind, feature_config, loss_config,
+            greedy_config, replace(trainer_config, C=c), lam=lam, targets_built=True,
         )
         f = mean_f(data, val_ids, result.model, loss_config)
         table.append({"C": c, "val_f": f})

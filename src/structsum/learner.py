@@ -9,11 +9,18 @@ most violated summary, adds a constraint
 when it is violated by more than epsilon, re-solves the dual of the
 restricted quadratic program, and stops after a full pass adds nothing.
 
-The restricted dual is solved by clipped coordinate ascent on the alphas.
-One alpha per constraint, per-example sum capped at C / n, and
-w = sum alpha * dpsi maintained incrementally. When an example's cap is
-active, mass may need to move between two of its constraints at once, so
-paired (transfer) moves run alongside the single-coordinate steps.
+The restricted dual, min 0.5 a'Ka - loss'a over a >= 0 with each example's
+sum capped at C / n (K the Gram matrix of the dpsi vectors, w = sum a dpsi),
+is solved exactly by an active-set method warm-started from the last
+optimum; ``add`` grows K by one row of sparse dot products. Each iteration
+solves the KKT system [K_FF E; E' 0] of the free alphas, held caps as
+equalities, by least squares. If K_FF is singular (more constraints than
+dimensions, a zero dpsi) and the system inconsistent, the residual is a
+zero-curvature descent ray, followed to the first blocking constraint;
+otherwise the step stops at 1 or at a blocking constraint, which joins the
+working set. After a full step the most negative multiplier (nu_i of a held
+cap, g_c + nu_i of an alpha at zero) leaves it if below -qp_tol, else the
+solve ends. qp_max_passes caps the iterations of one solve.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .features import (
     registry_for,
 )
 from .greedy import GreedyConfig, greedy_maximize
-from .rouge import LossConfig, RougeGain, loss_delta_r, rouge1_f, reference_counts, summary_counts
+from .rouge import LossConfig, RougeGain, loss_delta_r, rouge1_f, summary_counts
 from .scoring import (
     CoverageGainState,
     PairwiseGainState,
@@ -185,19 +192,16 @@ class Constraint:
         self.norm_sq = float(self.val @ self.val)
 
     def w_dot_delta(self, w: np.ndarray) -> float:
-        if len(self.idx) == 0:
-            return 0.0
         return float(w[self.idx] @ self.val)
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    C: float = 10.0
-    epsilon: float = 1e-3
+    C: float = 10.0  # each example's dual mass is capped at C / n
+    epsilon: float = 1e-3  # violation a constraint must exceed to be added
     max_outer_iters: int = 100
-    qp_tol: float = 1e-10
-    qp_max_passes: int = 2000
-    batch_qp: bool = False
+    qp_tol: float = 1e-10  # tolerance on the QP's KKT multipliers
+    qp_max_passes: int = 2000  # active-set iterations per QP solve
     track_train_rouge: bool = True
 
     def __post_init__(self):
@@ -210,9 +214,10 @@ class TrainerConfig:
 class WorkingSet:
     """Per-example constraint lists with their dual variables.
 
-    Invariants kept by every update: alphas non-negative, per-example sums
-    never exceed C / n, and w equals sum(alpha * dpsi) (re-accumulated after
-    each solve to kill float drift).
+    The duals, ``K`` and the working set (alphas held at zero, examples held
+    at their cap) follow the order of ``add``. Invariants: alphas
+    non-negative, per-example sums never above C / n, and w equal to
+    sum(alpha * dpsi) (re-accumulated after each solve).
     """
 
     def __init__(self, n_examples: int, C: float, dimension: int):
@@ -223,17 +228,32 @@ class WorkingSet:
         self.cap = C / n_examples
         self.dimension = dimension
         self.constraints: list[list[Constraint]] = [[] for _ in range(n_examples)]
-        self.alpha: list[list[float]] = [[] for _ in range(n_examples)]
         self.w = np.zeros(dimension)
-        self._cross: dict[tuple[int, int, int], float] = {}
+        self.K = np.zeros((0, 0))
+        self.last_iterations = 0
+        self._added: list[Constraint] = []
+        self._alpha = np.zeros(0)
+        self._at_zero = np.zeros(0, dtype=bool)
+        self._tight = np.zeros(n_examples, dtype=bool)
 
     @property
     def total_constraints(self) -> int:
-        return sum(len(c) for c in self.constraints)
+        return len(self._added)
+
+    @property
+    def alpha(self) -> list[list[float]]:
+        examples = np.array([c.example_index for c in self._added])
+        return [self._alpha[examples == i].tolist() for i in range(self.n_examples)]
 
     def add(self, con: Constraint) -> None:
         self.constraints[con.example_index].append(con)
-        self.alpha[con.example_index].append(0.0)
+        self._added.append(con)
+        dense = np.zeros(self.dimension)
+        dense[con.idx] = con.val
+        self.K = np.pad(self.K, (0, 1))
+        self.K[-1] = self.K[:, -1] = [dense[c.idx] @ c.val for c in self._added]
+        self._alpha = np.append(self._alpha, 0.0)
+        self._at_zero = np.append(self._at_zero, True)
 
     def xi(self, i: int) -> float:
         cons = self.constraints[i]
@@ -254,76 +274,6 @@ class WorkingSet:
         slack = sum(self.xi(i) for i in range(self.n_examples))
         return float(0.5 * (self.w @ self.w) + self.cap * slack)
 
-    def _coord_step(self, i: int, c: int) -> float:
-        con = self.constraints[i][c]
-        alphas = self.alpha[i]
-        g = con.loss - con.w_dot_delta(self.w)
-        upper = self.cap - (sum(alphas) - alphas[c])
-        if upper < 0.0:
-            upper = 0.0
-        if con.norm_sq > 0.0:
-            target = alphas[c] + g / con.norm_sq
-        elif g > 0.0:
-            target = upper
-        elif g < 0.0:
-            target = 0.0
-        else:
-            return 0.0
-        new = min(max(target, 0.0), upper)
-        delta = new - alphas[c]
-        if delta == 0.0:
-            return 0.0
-        improve = g * delta - 0.5 * con.norm_sq * delta * delta
-        if improve <= 0.0:
-            return 0.0
-        alphas[c] = new
-        if len(con.idx):
-            self.w[con.idx] += delta * con.val
-        return improve
-
-    def _cross_dot(self, i: int, c1: int, c2: int) -> float:
-        key = (i, c1, c2)
-        v = self._cross.get(key)
-        if v is None:
-            a = self.constraints[i][c1].delta_psi.entries
-            b = self.constraints[i][c2].delta_psi.entries
-            if len(b) < len(a):
-                a, b = b, a
-            v = sum(val * b.get(idx, 0.0) for idx, val in a.items())
-            self._cross[key] = v
-        return v
-
-    def _pair_step(self, i: int, c1: int, c2: int) -> float:
-        # transfer mass between two constraints of one example, keeping the
-        # per-example sum fixed (needed when the cap is active)
-        con1 = self.constraints[i][c1]
-        con2 = self.constraints[i][c2]
-        alphas = self.alpha[i]
-        g = (con1.loss - con2.loss) - (con1.w_dot_delta(self.w) - con2.w_dot_delta(self.w))
-        denom = con1.norm_sq + con2.norm_sq - 2.0 * self._cross_dot(i, c1, c2)
-        lo, hi = -alphas[c1], alphas[c2]
-        if denom > 0.0:
-            t = g / denom
-        elif g > 0.0:
-            t = hi
-        elif g < 0.0:
-            t = lo
-        else:
-            return 0.0
-        t = min(max(t, lo), hi)
-        if t == 0.0:
-            return 0.0
-        improve = g * t - 0.5 * max(denom, 0.0) * t * t
-        if improve <= 0.0:
-            return 0.0
-        alphas[c1] += t
-        alphas[c2] -= t
-        if len(con1.idx):
-            self.w[con1.idx] += t * con1.val
-        if len(con2.idx):
-            self.w[con2.idx] -= t * con2.val
-        return improve
-
     def _refresh_w(self) -> None:
         self.w = np.zeros(self.dimension)
         for cons, alphas in zip(self.constraints, self.alpha):
@@ -332,24 +282,66 @@ class WorkingSet:
                     self.w[con.idx] += a * con.val
 
     def solve(self, cfg: TrainerConfig) -> float:
-        """Coordinate ascent until the best single move improves the dual
-        by less than qp_tol. Returns the dual objective."""
+        """Active-set solve (see the module docstring), warm-started from the
+        stored duals and working set. Returns the dual objective."""
         if self.total_constraints == 0:
             raise ValueError("working set is empty")
-        for _ in range(cfg.qp_max_passes):
-            best = 0.0
-            for i in range(self.n_examples):
-                cons = self.constraints[i]
-                if not cons:
-                    continue
-                for c in range(len(cons)):
-                    best = max(best, self._coord_step(i, c))
-                if len(cons) > 1 and sum(self.alpha[i]) >= self.cap * (1.0 - 1e-9):
-                    for c1 in range(len(cons)):
-                        for c2 in range(c1 + 1, len(cons)):
-                            best = max(best, self._pair_step(i, c1, c2))
-            if best < cfg.qp_tol:
+        alpha, at_zero, tight, n = self._alpha, self._at_zero, self._tight, self.n_examples
+        loss = np.array([c.loss for c in self._added])
+        ex = np.array([c.example_index for c in self._added])
+        iteration = 0
+        for iteration in range(1, cfg.qp_max_passes + 1):
+            free = np.flatnonzero(~at_zero)
+            tight &= np.bincount(ex[free], minlength=n) > 0
+            held, nf = np.flatnonzero(tight), len(free)
+            E = (ex[free][:, None] == held[None, :]).astype(float)
+            A = np.block([[self.K[np.ix_(free, free)], E], [E.T, np.zeros((len(held),) * 2)]])
+            b = np.concatenate([loss[free] - self.K[free] @ alpha, np.zeros(len(held))])
+            # least squares; eigenvalues below eps * size * max(1, |A|) count
+            # as zero, so that a tiny K reads as zero curvature
+            lam, V = np.linalg.eigh(A)
+            zero_tol = np.finfo(float).eps * len(b) * max(1.0, np.abs(lam).max(initial=0.0))
+            keep = np.abs(lam) > zero_tol
+            sol = V[:, keep] @ ((V[:, keep].T @ b) / lam[keep])
+            ray = (V[:, ~keep] @ (V[:, ~keep].T @ b))[:nf]
+            if np.abs(ray).max(initial=0.0) > cfg.qp_tol:
+                step, t = ray, np.inf  # singular, inconsistent: a descent ray
+            else:
+                step, t = sol[:nf], 1.0
+            # blocking constraints: a free alpha reaching zero, a free cap filling up
+            shrink = np.flatnonzero(step < 0.0)
+            growth = np.bincount(ex[free], weights=step, minlength=n)
+            grow = np.flatnonzero((growth > 0.0) & ~tight)
+            room = np.maximum(self.cap - np.bincount(ex, weights=alpha, minlength=n)[grow], 0.0)
+            blocks = np.concatenate([alpha[free[shrink]] / -step[shrink], room / growth[grow]])
+            k = int(np.argmin(blocks)) if len(blocks) else -1
+            if k >= 0 and blocks[k] < t:
+                alpha[free] = np.maximum(alpha[free] + blocks[k] * step, 0.0)
+                if k < len(shrink):
+                    alpha[free[shrink[k]]] = 0.0
+                    at_zero[free[shrink[k]]] = True
+                else:
+                    tight[grow[k - len(shrink)]] = True
+                continue
+            if not np.isfinite(t):
                 break
+            alpha[free] = np.maximum(alpha[free] + step, 0.0)
+            # full step: release the most negative multiplier, if any
+            nu = np.zeros(n)
+            nu[held] = sol[nf:]
+            zero = np.flatnonzero(at_zero)
+            mu = self.K[zero] @ alpha - loss[zero] + nu[ex[zero]]
+            multipliers = np.concatenate([nu[held], mu])
+            if multipliers.min(initial=0.0) >= -cfg.qp_tol:
+                break
+            k = int(np.argmin(multipliers))
+            if k < len(held):
+                tight[held[k]] = False
+            else:
+                at_zero[zero[k - len(held)]] = False
+        else:
+            logger.warning("QP solve stopped at qp_max_passes=%d", cfg.qp_max_passes)
+        self.last_iterations = iteration
         self._refresh_w()
         return self.dual_objective()
 
@@ -368,7 +360,8 @@ def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
 
 class _ExampleState:
     """Per-example state that survives across cutting-plane iterations: the
-    set's feature bank, the target's psi and its raw loss."""
+    set's feature bank, its ROUGE count arrays, the target's psi and its raw
+    loss."""
 
     def __init__(self, index: int, x: DocumentSet, Y: ReferenceSet, model: Model):
         if Y.target is None:
@@ -380,6 +373,7 @@ class _ExampleState:
         self.Y = Y
         self.bank = FeatureBank(x, model.feature_config)
         self.greedy_cfg = _greedy_config(x, model)
+        self.rouge = RougeGain(x, Y, model.loss_config)
         self.psi_target = psi(x, Y.target, model, bank=self.bank)
         self.raw_target_loss = loss_delta_r(Y, Y.target, x, model.loss_config)
 
@@ -445,7 +439,7 @@ class _AugmentedGain:
 def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
     gain = _AugmentedGain(
         _score_state(state.bank, model, clamp=False),
-        RougeGain(state.x, state.Y, model.loss_config),
+        state.rouge.reset(),
         state.raw_target_loss,
     )
     y_hat = greedy_maximize(state.x, gain, cost=None, cfg=state.greedy_cfg)
@@ -509,9 +503,7 @@ def train(
     if not data:
         raise ValueError("no training data")
     model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
-    states = [
-        _ExampleState(i, x, Y, model) for i, (x, Y) in enumerate(data)
-    ]
+    states = [_ExampleState(i, x, Y, model) for i, (x, Y) in enumerate(data)]
     ws = WorkingSet(len(data), trainer_config.C, model.w.shape[0])
     iterations: list[dict] = []
     dual_history: list[float] = []
@@ -521,7 +513,7 @@ def train(
     for it in range(trainer_config.max_outer_iters):
         added = 0
         max_violation = 0.0
-        pending = False
+        qp_iters = 0
         for state in states:
             model.w = ws.w
             con = _oracle_from_state(state, model)
@@ -530,18 +522,19 @@ def train(
             if v > trainer_config.epsilon:
                 ws.add(con)
                 added += 1
-                if trainer_config.batch_qp:
-                    pending = True
-                else:
-                    dual_history.append(ws.solve(trainer_config))
-        if pending:
-            dual_history.append(ws.solve(trainer_config))
+                dual_history.append(ws.solve(trainer_config))
+                qp_iters += ws.last_iterations
         model.w = ws.w
+        dual = dual_history[-1] if dual_history else 0.0
+        primal = ws.primal_objective()
         entry = {
             "iteration": it,
             "constraints_total": ws.total_constraints,
             "constraints_added": added,
-            "dual_objective": dual_history[-1] if dual_history else 0.0,
+            "dual_objective": dual,
+            "primal": primal,
+            "gap": primal - dual,
+            "qp_iters": qp_iters,
             "max_violation": max_violation,
         }
         if trainer_config.track_train_rouge:
@@ -556,6 +549,7 @@ def train(
         if added == 0:
             converged = True
             break
+    model.w = ws.w
     if not converged:
         logger.warning(
             "training stopped at max_outer_iters=%d with violations above epsilon; "
@@ -564,10 +558,6 @@ def train(
         )
         if trainer_config.track_train_rouge:
             model.w = best_w
-        else:
-            model.w = ws.w
-    else:
-        model.w = ws.w
     return TrainResult(model=model, iterations=iterations, dual_history=dual_history, converged=converged)
 
 
@@ -576,8 +566,6 @@ def _mean_train_rouge(states: list[_ExampleState], model: Model) -> float:
     for state in states:
         y = _predict(state.bank, model)
         total += rouge1_f(
-            summary_counts(state.x, y, model.loss_config),
-            reference_counts(state.Y, model.loss_config),
-            model.loss_config,
+            summary_counts(state.x, y, model.loss_config), state.rouge.refs, model.loss_config
         )
     return total / len(states)

@@ -197,9 +197,14 @@ class RougeGain:
             for w, c in counts.counts.items():
                 if w in index:
                     self.sentence_counts[k, index[w]] = c
-        self.cand = np.zeros(len(vocab), dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> "RougeGain":
+        """Empty the candidate, keeping the count arrays; returns self."""
+        self.cand = np.zeros(self.ref_counts.shape[1], dtype=np.int64)
         self.cand_total = 0
         self.overlaps = [0] * len(self.refs)
+        return self
 
     def current_f(self) -> float:
         total = 0.0

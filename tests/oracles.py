@@ -3,10 +3,11 @@
 Everything here is written from the definitions, not from the package code:
 direct nested loops, Counter arithmetic, and full subset enumeration. Unit
 tests treat these as ground truth and check the optimized implementations
-against them. The exception is the greedy part at the end: the full-scan
-greedy loop and the one-candidate-at-a-time gain formulas the package used
-before its gains became arrays, kept so that the array versions can be held
-to identical results.
+against them. The exceptions are at the end: the full-scan greedy loop and
+the one-candidate-at-a-time gain formulas the package used before its gains
+became arrays, kept so that the array versions can be held to identical
+results, and the coordinate-ascent dual solver the package used before its
+active-set solver, whose duals the active-set solver must match or beat.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def rouge1_f_brute(cand_tokens, ref_token_lists):
@@ -317,3 +320,152 @@ class CoverageGainReference:
 
     def commit(self, k: int) -> None:
         self.covered.update(self.words[k])
+
+
+class CoordinateAscentWorkingSet:
+    """The package's former dual solver, kept verbatim: clipped coordinate
+    ascent with paired transfer moves between two constraints of a capped
+    example. Same constraint and alpha layout as ``WorkingSet``.
+
+    Invariants kept by every update: alphas non-negative, per-example sums
+    never exceed C / n, and w equals sum(alpha * dpsi) (re-accumulated after
+    each solve to kill float drift).
+    """
+
+    def __init__(self, n_examples: int, C: float, dimension: int):
+        if n_examples <= 0:
+            raise ValueError("need at least one example")
+        self.n_examples = n_examples
+        self.C = C
+        self.cap = C / n_examples
+        self.dimension = dimension
+        self.constraints: list[list] = [[] for _ in range(n_examples)]
+        self.alpha: list[list[float]] = [[] for _ in range(n_examples)]
+        self.w = np.zeros(dimension)
+        self._cross: dict[tuple[int, int, int], float] = {}
+
+    @property
+    def total_constraints(self) -> int:
+        return sum(len(c) for c in self.constraints)
+
+    def add(self, con) -> None:
+        self.constraints[con.example_index].append(con)
+        self.alpha[con.example_index].append(0.0)
+
+    def xi(self, i: int) -> float:
+        cons = self.constraints[i]
+        if not cons:
+            return 0.0
+        worst = max(c.loss - c.w_dot_delta(self.w) for c in cons)
+        return max(0.0, worst)
+
+    def dual_objective(self) -> float:
+        lin = sum(
+            a * c.loss
+            for cons, alphas in zip(self.constraints, self.alpha)
+            for c, a in zip(cons, alphas)
+        )
+        return float(lin - 0.5 * (self.w @ self.w))
+
+    def primal_objective(self) -> float:
+        slack = sum(self.xi(i) for i in range(self.n_examples))
+        return float(0.5 * (self.w @ self.w) + self.cap * slack)
+
+    def _coord_step(self, i: int, c: int) -> float:
+        con = self.constraints[i][c]
+        alphas = self.alpha[i]
+        g = con.loss - con.w_dot_delta(self.w)
+        upper = self.cap - (sum(alphas) - alphas[c])
+        if upper < 0.0:
+            upper = 0.0
+        if con.norm_sq > 0.0:
+            target = alphas[c] + g / con.norm_sq
+        elif g > 0.0:
+            target = upper
+        elif g < 0.0:
+            target = 0.0
+        else:
+            return 0.0
+        new = min(max(target, 0.0), upper)
+        delta = new - alphas[c]
+        if delta == 0.0:
+            return 0.0
+        improve = g * delta - 0.5 * con.norm_sq * delta * delta
+        if improve <= 0.0:
+            return 0.0
+        alphas[c] = new
+        if len(con.idx):
+            self.w[con.idx] += delta * con.val
+        return improve
+
+    def _cross_dot(self, i: int, c1: int, c2: int) -> float:
+        key = (i, c1, c2)
+        v = self._cross.get(key)
+        if v is None:
+            a = self.constraints[i][c1].delta_psi.entries
+            b = self.constraints[i][c2].delta_psi.entries
+            if len(b) < len(a):
+                a, b = b, a
+            v = sum(val * b.get(idx, 0.0) for idx, val in a.items())
+            self._cross[key] = v
+        return v
+
+    def _pair_step(self, i: int, c1: int, c2: int) -> float:
+        # transfer mass between two constraints of one example, keeping the
+        # per-example sum fixed (needed when the cap is active)
+        con1 = self.constraints[i][c1]
+        con2 = self.constraints[i][c2]
+        alphas = self.alpha[i]
+        g = (con1.loss - con2.loss) - (con1.w_dot_delta(self.w) - con2.w_dot_delta(self.w))
+        denom = con1.norm_sq + con2.norm_sq - 2.0 * self._cross_dot(i, c1, c2)
+        lo, hi = -alphas[c1], alphas[c2]
+        if denom > 0.0:
+            t = g / denom
+        elif g > 0.0:
+            t = hi
+        elif g < 0.0:
+            t = lo
+        else:
+            return 0.0
+        t = min(max(t, lo), hi)
+        if t == 0.0:
+            return 0.0
+        improve = g * t - 0.5 * max(denom, 0.0) * t * t
+        if improve <= 0.0:
+            return 0.0
+        alphas[c1] += t
+        alphas[c2] -= t
+        if len(con1.idx):
+            self.w[con1.idx] += t * con1.val
+        if len(con2.idx):
+            self.w[con2.idx] -= t * con2.val
+        return improve
+
+    def _refresh_w(self) -> None:
+        self.w = np.zeros(self.dimension)
+        for cons, alphas in zip(self.constraints, self.alpha):
+            for con, a in zip(cons, alphas):
+                if a != 0.0 and len(con.idx):
+                    self.w[con.idx] += a * con.val
+
+    def solve(self, cfg) -> float:
+        """Coordinate ascent until the best single move improves the dual
+        by less than qp_tol. Returns the dual objective."""
+        if self.total_constraints == 0:
+            raise ValueError("working set is empty")
+        for _ in range(cfg.qp_max_passes):
+            best = 0.0
+            for i in range(self.n_examples):
+                cons = self.constraints[i]
+                if not cons:
+                    continue
+                for c in range(len(cons)):
+                    best = max(best, self._coord_step(i, c))
+                if len(cons) > 1 and sum(self.alpha[i]) >= self.cap * (1.0 - 1e-9):
+                    for c1 in range(len(cons)):
+                        for c2 in range(c1 + 1, len(cons)):
+                            best = max(best, self._pair_step(i, c1, c2))
+            if best < cfg.qp_tol:
+                break
+        self._refresh_w()
+        return self.dual_objective()

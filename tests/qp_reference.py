@@ -4,7 +4,7 @@ Maximizes  sum_c alpha_c * loss_c - 0.5 * || sum_c alpha_c * dpsi_c ||^2
 subject to alpha >= 0 and, per example i, sum over that example's
 constraints <= cap. Solved by accelerated projected gradient on the dense
 Gram matrix with an exact per-example projection, so it shares no code with
-the package's coordinate-ascent solver.
+the package's active-set solver.
 """
 
 from __future__ import annotations

@@ -23,6 +23,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m structsum.cli`` in a child process that imports the same
+    package this test imported, installed or not."""
+    package_root = str(Path(structsum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "structsum.cli", *argv], capture_output=True, text=True, env=env,
+    )
+
+
 class TestTrain:
     def test_writes_model_and_log(self, capsys, tmp_path):
         out = tmp_path / "model.json"
@@ -41,6 +52,32 @@ class TestTrain:
         entries = [json.loads(line) for line in log_lines]
         assert [e["iteration"] for e in entries] == list(range(len(entries)))
         assert {"constraints_total", "dual_objective", "max_violation"} <= set(entries[0])
+
+    def test_log_entries_carry_the_duality_gap(self, capsys, tmp_path):
+        out = tmp_path / "model.json"
+        rc, stdout, _ = run(
+            capsys, "train", "--dataset", DATASET, "--train-ids", "0,1", "--out", str(out),
+        )
+        assert rc == 0
+        log = (tmp_path / "model.json.log.jsonl").read_text()
+        entries = [json.loads(line) for line in log.splitlines()]
+        for entry in entries:
+            assert entry["gap"] == entry["primal"] - entry["dual_objective"]
+            assert entry["qp_iters"] >= entry["constraints_added"]
+            assert f"gap={entry['gap']:.2e}" in stdout
+
+    @pytest.mark.parametrize("level,entries,warns", [
+        ("warning", False, True), ("info", True, True), ("error", False, False),
+    ])
+    def test_log_level_switch(self, tmp_path, level, entries, warns):
+        # a child process: in-process, pytest's own log capture takes the records
+        proc = run_module(
+            "--log-level", level, "train", "--dataset", DATASET, "--train-ids", "0",
+            "--out", str(tmp_path / "m.json"), "--max-iters", "1",
+        )
+        assert proc.returncode == 0
+        assert ('train {"constraints_added"' in proc.stderr) == entries
+        assert ("training stopped at max_outer_iters=1" in proc.stderr) == warns
 
     def test_custom_log_path(self, capsys, tmp_path):
         out, log = tmp_path / "m.json", tmp_path / "trace.jsonl"
@@ -376,14 +413,7 @@ class TestErrorsAndEntryPoint:
         assert stderr.startswith("error:")
 
     def test_module_help_exits_zero(self):
-        # the child imports the same package this test imported, installed or not
-        package_root = str(Path(structsum.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "structsum.cli", "--help"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "structsum" in proc.stdout
         for command in ("train", "summarize", "evaluate", "bounds", "curve", "ablate"):

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from structsum import experiments
 from structsum.corpus import ReferenceSet, tokenize
 from structsum.experiments import (
     ABLATION_ROWS,
@@ -27,7 +28,7 @@ from structsum.experiments import (
 from structsum.features import FeatureConfig
 from structsum.greedy import GreedyConfig
 from structsum.learner import Model, TrainerConfig
-from structsum.rouge import LossConfig
+from structsum.rouge import LossConfig, make_target
 from structsum.scoring import Summary
 
 from conftest import EXPECTED_RESULTS, SMALL_MODEL
@@ -275,6 +276,66 @@ class TestSelectC:
         assert best == 1.0
         assert [row["C"] for row in table] == [1.0, 10.0]
         assert all(row["val_f"] == pytest.approx(1.0) for row in table)
+
+
+class TestTargetsBuiltOncePerDriverCall:
+    """Targets depend on the greedy and loss configs only, so every study
+    driver builds them once and trains each grid point, size or row on the
+    same prepared sets, with the results of rebuilding them every time."""
+
+    KW = dict(feature_config=FeatureConfig(), loss_config=LossConfig(),
+              greedy_config=GreedyConfig(budget_bytes=66, r=0.3))
+
+    @pytest.fixture
+    def target_calls(self, monkeypatch):
+        calls = []
+
+        def counting(x, Y, *args):
+            calls.append(x.set_id)
+            return make_target(x, Y, *args)
+
+        monkeypatch.setattr(experiments, "make_target", counting)
+        return calls
+
+    def test_select_c_builds_each_target_once(self, fixture_data, target_calls):
+        train_ids, val_ids, grid = [0, 1, 2], [3, 4], [0.1, 1.0, 10.0]
+        best, table = select_c(
+            fixture_data, train_ids, val_ids, grid, "coverage",
+            trainer_config=TrainerConfig(max_outer_iters=2), **self.KW,
+        )
+        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in train_ids)
+        for row in table:
+            result = train_on(fixture_data, train_ids, "coverage",
+                              trainer_config=TrainerConfig(C=row["C"], max_outer_iters=2),
+                              **self.KW)
+            assert row["val_f"] == mean_f(fixture_data, val_ids, result.model, LossConfig())
+
+    def test_learning_curve_builds_the_largest_prefix_once(self, fixture_data, target_calls):
+        train_ids = [5, 0, 3, 8]
+        rows = learning_curve(
+            fixture_data, [1, 3, 9], train_ids, [1, 2], "pairwise",
+            trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0, **self.KW,
+        )
+        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in train_ids[:3])
+        for row in rows:
+            result = train_on(fixture_data, train_ids[:row["size"]], "pairwise",
+                              trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
+                              **self.KW)
+            assert row["mean_f"] == mean_f(fixture_data, [1, 2], result.model, LossConfig())
+
+    def test_ablation_table_builds_each_target_once(self, fixture_data, target_calls):
+        rows = ablation_table(
+            fixture_data, [0, 1], [2, 3], "pairwise",
+            trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
+            rows=["none", "location"], **self.KW,
+        )
+        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in [0, 1])
+        kw = dict(self.KW)
+        for row, cfg in zip(rows, [kw.pop("feature_config"),
+                                   FeatureConfig().without_group("location")]):
+            result = train_on(fixture_data, [0, 1], "pairwise", feature_config=cfg,
+                              trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0, **kw)
+            assert row["mean_f"] == mean_f(fixture_data, [2, 3], result.model, LossConfig())
 
 
 class TestSignTest:

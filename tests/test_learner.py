@@ -396,18 +396,30 @@ class TestTrain:
         assert {"iteration", "constraints_total", "constraints_added",
                 "dual_objective", "max_violation"} <= set(entry)
 
-    def test_batch_qp_matches_immediate_mode(self, stopwords):
-        data = self._mini_corpus(stopwords)
-        kw = dict(model_kind="pairwise", feature_config=FeatureConfig(),
-                  loss_config=LossConfig(),
-                  greedy_config=GreedyConfig(budget_bytes=60, r=0.3), lam=4.0)
-        immediate = train(data, trainer_config=TrainerConfig(C=10.0), **kw)
-        batch = train(data, trainer_config=TrainerConfig(C=10.0, batch_qp=True), **kw)
-        assert immediate.converged and batch.converged
-        for x, Y in data:
-            assert set(predict(x, immediate.model).selected) == set(
-                predict(x, batch.model).selected
-            )
+    def test_iteration_entries_certify_each_pass(self, stopwords, monkeypatch):
+        solves = []
+        solve = WorkingSet.solve
+
+        def counting(ws, cfg):
+            dual = solve(ws, cfg)
+            solves.append(ws.last_iterations)
+            return dual
+
+        monkeypatch.setattr(WorkingSet, "solve", counting)
+        result = train(self._mini_corpus(stopwords), "coverage", FeatureConfig(), LossConfig(),
+                       GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0))
+        start = 0
+        for entry in result.iterations:
+            # deterministic fields only: reruns must write identical logs
+            assert set(entry) == {"iteration", "constraints_total", "constraints_added",
+                                  "dual_objective", "primal", "gap", "qp_iters",
+                                  "max_violation", "train_rouge1f"}
+            assert entry["gap"] == entry["primal"] - entry["dual_objective"]
+            assert -1e-12 <= entry["gap"] <= 1e-9 * max(1.0, abs(entry["dual_objective"]))
+            end = start + entry["constraints_added"]
+            assert entry["qp_iters"] == sum(solves[start:end])
+            start = end
+        assert start == len(solves) == len(result.dual_history)
 
     def test_iteration_cap_warns_and_keeps_best(self, stopwords, caplog):
         import logging
