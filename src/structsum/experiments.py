@@ -104,12 +104,9 @@ def train_on(
     lam: float | None = None,
     single_reference: bool = False,
     log_callback=None,
-    targets_built: bool = False,
 ) -> TrainResult:
-    """Train on ``data[i] for i in ids``, building their targets unless ``targets_built``."""
-    prepared = [data[i] for i in ids]
-    if not targets_built:
-        prepared = build_targets(prepared, greedy_config, loss_config, single_reference)
+    subset = [data[i] for i in ids]
+    prepared = build_targets(subset, greedy_config, loss_config, single_reference)
     return train(
         prepared,
         model_kind,
@@ -264,10 +261,10 @@ def learning_curve(
             if warn is not None:
                 warn(f"curve size {size} exceeds {len(train_ids)} available training sets; skipped")
             continue
-        result = train_on(
-            prepared, range(size), model_kind,
-            feature_config, loss_config, greedy_config, trainer_config, lam=lam,
-            targets_built=True,
+        result = train(
+            prepared[:size], model_kind, feature_config=feature_config,
+            loss_config=loss_config, greedy_config=greedy_config,
+            trainer_config=trainer_config, lam=lam,
         )
         report = evaluate_predictions(
             [data[i] for i in test_ids], predict_sets(data, test_ids, result.model), loss_config
@@ -307,9 +304,9 @@ def ablation_table(
             cfg = replace(feature_config, enabled_groups=("basic",))
         else:
             cfg = feature_config.without_group(spec)
-        result = train_on(
-            prepared, range(len(prepared)), model_kind, cfg, loss_config, greedy_config,
-            trainer_config, lam=lam, targets_built=True,
+        result = train(
+            prepared, model_kind, feature_config=cfg, loss_config=loss_config,
+            greedy_config=greedy_config, trainer_config=trainer_config, lam=lam,
         )
         f = mean_f(data, test_ids, result.model, loss_config)
         out.append({"removed": label, "mean_f": f})
@@ -334,12 +331,13 @@ def select_c(
         raise ValueError("C-grid selection needs a validation split")
     table = []
     best_c, best_f = None, -1.0
-    sets = [data[i] for i in train_ids]
-    prepared = build_targets(sets, greedy_config, loss_config, single_reference)
+    # one train_on call per C, targets included: perfbench records the
+    # C-grid's trainings by wrapping train_on
     for c in sorted(c_grid):
         result = train_on(
-            prepared, range(len(prepared)), model_kind, feature_config, loss_config,
-            greedy_config, replace(trainer_config, C=c), lam=lam, targets_built=True,
+            data, list(train_ids), model_kind, feature_config, loss_config,
+            greedy_config, replace(trainer_config, C=c), lam=lam,
+            single_reference=single_reference,
         )
         f = mean_f(data, val_ids, result.model, loss_config)
         table.append({"C": c, "val_f": f})

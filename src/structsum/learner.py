@@ -15,12 +15,13 @@ is solved exactly by an active-set method warm-started from the last
 optimum; ``add`` grows K by one row of sparse dot products. Each iteration
 solves the KKT system [K_FF E; E' 0] of the free alphas, held caps as
 equalities, by least squares. If K_FF is singular (more constraints than
-dimensions, a zero dpsi) and the system inconsistent, the residual is a
-zero-curvature descent ray, followed to the first blocking constraint;
-otherwise the step stops at 1 or at a blocking constraint, which joins the
-working set. After a full step the most negative multiplier (nu_i of a held
-cap, g_c + nu_i of an alpha at zero) leaves it if below -qp_tol, else the
-solve ends. qp_max_passes caps the iterations of one solve.
+dimensions, a zero dpsi) and the residual (the free alphas' gradient the
+solution leaves) exceeds qp_tol, it is a zero-curvature descent ray,
+followed to the first blocking constraint; otherwise the step stops at 1 or
+at a blocking constraint, which joins the working set. After a full step the
+most negative multiplier (nu_i of a held cap, g_c + nu_i of an alpha at
+zero) leaves it if below -qp_tol, else the solve ends. So qp_tol bounds the
+KKT residuals in gradient units; qp_max_passes caps one solve's iterations.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class TrainerConfig:
     C: float = 10.0  # each example's dual mass is capped at C / n
     epsilon: float = 1e-3  # violation a constraint must exceed to be added
     max_outer_iters: int = 100
-    qp_tol: float = 1e-10  # tolerance on the QP's KKT multipliers
+    qp_tol: float = 1e-10  # KKT tolerance on multipliers and free-alpha residuals
     qp_max_passes: int = 2000  # active-set iterations per QP solve
     track_train_rouge: bool = True
 
@@ -214,10 +215,11 @@ class TrainerConfig:
 class WorkingSet:
     """Per-example constraint lists with their dual variables.
 
-    The duals, ``K`` and the working set (alphas held at zero, examples held
-    at their cap) follow the order of ``add``. Invariants: alphas
-    non-negative, per-example sums never above C / n, and w equal to
-    sum(alpha * dpsi) (re-accumulated after each solve).
+    The solver's state is flat, in the order of ``add``: the duals, losses
+    and example indices, ``K`` and the working set (alphas held at zero,
+    examples held at their cap); ``alpha`` is its per-example view.
+    Invariants: alphas non-negative, per-example sums never above C / n,
+    and w equal to sum(alpha * dpsi) (re-accumulated after each solve).
     """
 
     def __init__(self, n_examples: int, C: float, dimension: int):
@@ -233,6 +235,8 @@ class WorkingSet:
         self.last_iterations = 0
         self._added: list[Constraint] = []
         self._alpha = np.zeros(0)
+        self._loss = np.zeros(0)
+        self._example = np.zeros(0, dtype=np.int64)
         self._at_zero = np.zeros(0, dtype=bool)
         self._tight = np.zeros(n_examples, dtype=bool)
 
@@ -242,8 +246,7 @@ class WorkingSet:
 
     @property
     def alpha(self) -> list[list[float]]:
-        examples = np.array([c.example_index for c in self._added])
-        return [self._alpha[examples == i].tolist() for i in range(self.n_examples)]
+        return [self._alpha[self._example == i].tolist() for i in range(self.n_examples)]
 
     def add(self, con: Constraint) -> None:
         self.constraints[con.example_index].append(con)
@@ -253,6 +256,8 @@ class WorkingSet:
         self.K = np.pad(self.K, (0, 1))
         self.K[-1] = self.K[:, -1] = [dense[c.idx] @ c.val for c in self._added]
         self._alpha = np.append(self._alpha, 0.0)
+        self._loss = np.append(self._loss, con.loss)
+        self._example = np.append(self._example, con.example_index)
         self._at_zero = np.append(self._at_zero, True)
 
     def xi(self, i: int) -> float:
@@ -263,12 +268,7 @@ class WorkingSet:
         return max(0.0, worst)
 
     def dual_objective(self) -> float:
-        lin = sum(
-            a * c.loss
-            for cons, alphas in zip(self.constraints, self.alpha)
-            for c, a in zip(cons, alphas)
-        )
-        return float(lin - 0.5 * (self.w @ self.w))
+        return float(self._alpha @ self._loss - 0.5 * (self.w @ self.w))
 
     def primal_objective(self) -> float:
         slack = sum(self.xi(i) for i in range(self.n_examples))
@@ -276,10 +276,9 @@ class WorkingSet:
 
     def _refresh_w(self) -> None:
         self.w = np.zeros(self.dimension)
-        for cons, alphas in zip(self.constraints, self.alpha):
-            for con, a in zip(cons, alphas):
-                if a != 0.0 and len(con.idx):
-                    self.w[con.idx] += a * con.val
+        for con, a in zip(self._added, self._alpha):
+            if a != 0.0:
+                self.w[con.idx] += a * con.val
 
     def solve(self, cfg: TrainerConfig) -> float:
         """Active-set solve (see the module docstring), warm-started from the
@@ -287,8 +286,7 @@ class WorkingSet:
         if self.total_constraints == 0:
             raise ValueError("working set is empty")
         alpha, at_zero, tight, n = self._alpha, self._at_zero, self._tight, self.n_examples
-        loss = np.array([c.loss for c in self._added])
-        ex = np.array([c.example_index for c in self._added])
+        loss, ex = self._loss, self._example
         iteration = 0
         for iteration in range(1, cfg.qp_max_passes + 1):
             free = np.flatnonzero(~at_zero)
@@ -324,6 +322,8 @@ class WorkingSet:
                     tight[grow[k - len(shrink)]] = True
                 continue
             if not np.isfinite(t):
+                # unreachable while caps are finite: every ray meets a bound
+                logger.warning("QP solve stopped on an unblocked descent ray")
                 break
             alpha[free] = np.maximum(alpha[free] + step, 0.0)
             # full step: release the most negative multiplier, if any
@@ -341,6 +341,8 @@ class WorkingSet:
                 at_zero[zero[k - len(held)]] = False
         else:
             logger.warning("QP solve stopped at qp_max_passes=%d", cfg.qp_max_passes)
+        # rounding in the KKT solves can leave a held cap a few ulps over
+        alpha /= np.maximum(np.bincount(ex, weights=alpha, minlength=n) / self.cap, 1.0)[ex]
         self.last_iterations = iteration
         self._refresh_w()
         return self.dual_objective()

@@ -90,6 +90,9 @@ def coordinate_ascent_dual(n_examples, C, dimension, cons, cfg):
 # found by hypothesis: solver noise once pushed a capped sum past its cap
 @example((2, 3, 0.01, [(0, 1.0, (0.0, 1.0, 1.0)), (0, 0.0, (0.0, 0.0, 0.0)),
                        (1, 1.0, (0.0, 1.0, 1.0)), (0, 0.0, (0.0, 0.0, 0.0))]))
+# found by hypothesis: a held cap drifted 1.2e-12 over across warm solves
+@example((2, 3, 0.01, [(0, 0.0, (0.0, 0.0, 0.125)), (1, 1.0, (0.0, 0.0, 0.125)),
+                       (0, 1.0, (3.0, 2.0, 2.0)), (0, 0.0, (0.0, 0.0, 0.0))]))
 # found by hypothesis: a subnormal Gram entry overflowed the step
 @example((1, 1, 0.01, [(0, 1.0, (1.411946047064502e-157,))]))
 def test_random_problems_certify_and_match_the_oracle(problem):
@@ -149,6 +152,16 @@ def test_held_cap_without_free_alphas_is_dropped():
     ws._tight[0] = True
     assert_certified(ws, ws.solve(cfg), cfg)
     assert ws.alpha == [[pytest.approx(0.5)]]
+
+
+def test_unblocked_ray_stops_with_a_warning(caplog):
+    # finite caps block every descent ray; without a cap a zero dpsi with a
+    # positive loss is an unbounded direction, and the solve must say so
+    ws = WorkingSet(1, math.inf, 1)
+    ws.add(constraint(0, 0.5, (0.0,)))
+    with caplog.at_level("WARNING", logger="structsum.learner"):
+        ws.solve(TrainerConfig())
+    assert "unblocked descent ray" in caplog.text
 
 
 @pytest.fixture(scope="module")

@@ -279,8 +279,8 @@ class TestSelectC:
 
 
 class TestTargetsBuiltOncePerDriverCall:
-    """Targets depend on the greedy and loss configs only, so every study
-    driver builds them once and trains each grid point, size or row on the
+    """Targets depend on the greedy and loss configs only, so the curve and
+    the ablation table build them once and train each size or row on the
     same prepared sets, with the results of rebuilding them every time."""
 
     KW = dict(feature_config=FeatureConfig(), loss_config=LossConfig(),
@@ -297,18 +297,20 @@ class TestTargetsBuiltOncePerDriverCall:
         monkeypatch.setattr(experiments, "make_target", counting)
         return calls
 
-    def test_select_c_builds_each_target_once(self, fixture_data, target_calls):
-        train_ids, val_ids, grid = [0, 1, 2], [3, 4], [0.1, 1.0, 10.0]
-        best, table = select_c(
-            fixture_data, train_ids, val_ids, grid, "coverage",
+    def test_select_c_trains_through_train_on_once_per_c(self, fixture_data, monkeypatch):
+        # the benchmark's recorder wraps train_on to see each C's training
+        seen = []
+
+        def recording(data, ids, kind, features, loss, greedy, trainer, **kwargs):
+            seen.append(trainer.C)
+            return train_on(data, ids, kind, features, loss, greedy, trainer, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_on", recording)
+        _, table = select_c(
+            fixture_data, [0, 1], [3, 4], [10.0, 0.1, 1.0], "coverage",
             trainer_config=TrainerConfig(max_outer_iters=2), **self.KW,
         )
-        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in train_ids)
-        for row in table:
-            result = train_on(fixture_data, train_ids, "coverage",
-                              trainer_config=TrainerConfig(C=row["C"], max_outer_iters=2),
-                              **self.KW)
-            assert row["val_f"] == mean_f(fixture_data, val_ids, result.model, LossConfig())
+        assert seen == [row["C"] for row in table] == [0.1, 1.0, 10.0]
 
     def test_learning_curve_builds_the_largest_prefix_once(self, fixture_data, target_calls):
         train_ids = [5, 0, 3, 8]
