@@ -158,9 +158,7 @@ def evaluate_predictions(
     for set_id in sorted(predictions):
         x, Y = by_id[set_id]
         y = predictions[set_id]
-        p, r, f = rouge1_prf(
-            summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg), loss_cfg
-        )
+        p, r, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
         rows.append(
             {"set_id": set_id, "precision": p, "recall": r, "f": f, "sentences": list(y.selected)}
         )
@@ -194,9 +192,7 @@ def extractive_ceiling(
         cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
         gain = RougeGain(x, Y, loss_cfg)
         y = greedy_maximize(x, gain, cost=None, cfg=cfg)
-        _, _, f = rouge1_prf(
-            summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg), loss_cfg
-        )
+        _, _, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
         total += f
     return total / len(ids)
 

@@ -146,37 +146,6 @@ class WordGroup:
     kind: str
     threshold: float = 0.0
 
-    def members(self, x: DocumentSet) -> frozenset[str]:
-        vocab = x.vocabulary
-        if self.kind == "all":
-            return frozenset(vocab)
-        if self.kind == "cap":
-            return frozenset(w for w, s in vocab.items() if s.ever_capitalized)
-        if self.kind == "nonstop":
-            return frozenset(w for w, s in vocab.items() if not s.is_stopword)
-        if self.kind == "minlen":
-            n = int(self.threshold)
-            return frozenset(w for w in vocab if len(w) >= n)
-        if self.kind == "topk":
-            return top_k_words(x, int(self.threshold))
-        if self.kind == "sentfrac":
-            n = x.num_sentences
-            return frozenset(
-                w for w, s in vocab.items() if s.sentence_freq / n >= self.threshold
-            )
-        if self.kind == "docfrac":
-            d = x.num_docs
-            return frozenset(
-                w for w, s in vocab.items() if s.doc_freq / d >= self.threshold
-            )
-        raise ValueError(f"unknown word group kind {self.kind!r}")
-
-
-def top_k_words(x: DocumentSet, k: int) -> frozenset[str]:
-    """The k most frequent words of the set; ties broken alphabetically."""
-    ranked = sorted(x.vocabulary.items(), key=lambda kv: (-kv[1].total_count, kv[0]))
-    return frozenset(w for w, _ in ranked[:k])
-
 
 def cosine_groups(cfg: FeatureConfig) -> tuple[WordGroup, ...]:
     """The word-membership group variants, sorted by (group, variant)."""
@@ -308,6 +277,12 @@ def _coverage_names(cfg: FeatureConfig) -> list[str]:
     return names
 
 
+def _position_bins(cfg: FeatureConfig, positions) -> np.ndarray:
+    """``cfg.position_bin`` of every position: the number of edges <= p."""
+    edges = np.array(cfg.position_bin_edges, dtype=np.intp)
+    return np.searchsorted(edges, positions, side="right")
+
+
 @lru_cache(maxsize=64)
 def registry_for(cfg: FeatureConfig, model_kind: str) -> FeatureRegistry:
     return FeatureRegistry(cfg, model_kind)
@@ -321,11 +296,14 @@ def _sparse(dense: np.ndarray) -> FeatureVector:
 class FeatureBank:
     """Every feature of one document set as arrays, built once per set.
 
-    Holds the sorted vocabulary ``words``, the n x V term-count matrix, idf
-    and one boolean vocabulary mask per group variant. The pairwise stacks
-    (``cosines``, ``codes``) and the coverage ``word_features`` matrix are
-    built on first use. sigma(w), omega(w), psi(y) and single feature
-    vectors are all linear read-outs of these arrays.
+    Holds the sorted vocabulary ``words``, the n x V term-count matrix (one
+    bincount over the tokens' word indices), the vocabulary statistics that
+    idf, the groups and the coverage features read, as arrays in ``words``
+    order, idf and one boolean vocabulary mask per group variant. The
+    pairwise stacks (``cosines``, ``codes``) and the coverage
+    ``word_features`` matrix are built on first use. sigma(w), omega(w),
+    psi(y) and single feature vectors are all linear read-outs of these
+    arrays.
     """
 
     def __init__(self, x: DocumentSet, cfg: FeatureConfig):
@@ -334,18 +312,42 @@ class FeatureBank:
         self.groups = cosine_groups(cfg)
         self.words = sorted(x.vocabulary)
         self.word_index = {w: k for k, w in enumerate(self.words)}
-        self.counts = np.zeros((x.num_sentences, len(self.words)))
-        for i, s in enumerate(x.sentences):
-            for w, c in s.word_counts().items():
-                self.counts[i, self.word_index[w]] = c
+        n, nv = x.num_sentences, len(self.words)
+        rows = np.repeat(np.arange(n), [len(s.tokens) for s in x.sentences])
+        cols = np.array([self.word_index[t.normalized] for s in x.sentences for t in s.tokens])
+        # float weights make bincount return the float matrix without a copy
+        self.counts = np.bincount(
+            rows * nv + cols, weights=np.ones(len(cols)), minlength=n * nv
+        ).reshape(n, nv)
+        stats = [x.vocabulary[w] for w in self.words]
+        self.sentence_freq = np.array([s.sentence_freq for s in stats])
+        self.doc_freq = np.array([s.doc_freq for s in stats])
+        self.max_in_sentence = np.array([s.max_in_sentence for s in stats])
+        self.earliest_position = np.array([s.earliest_position for s in stats])
         d = x.num_docs
-        self.idf = np.array(
-            [math.log((d + 1) / (x.vocabulary[w].doc_freq + 1)) + 1.0 for w in self.words]
-        )
-        self.masks = np.zeros((len(self.groups), len(self.words)), dtype=bool)
+        idf_of_df = [math.log((d + 1) / (df + 1)) + 1.0 for df in range(d + 1)]
+        self.idf = np.array(idf_of_df)[self.doc_freq]
+        # words are sorted, so a stable sort of the counts breaks ties alphabetically
+        by_count = np.argsort(-np.array([s.total_count for s in stats]), kind="stable")
+        capitalized = np.array([s.ever_capitalized for s in stats], dtype=bool)
+        stopword = np.array([s.is_stopword for s in stats], dtype=bool)
+        length = np.array([len(w) for w in self.words])
+        self.masks = np.zeros((len(self.groups), nv), dtype=bool)
         for mask, g in zip(self.masks, self.groups):
-            members = g.members(x)
-            mask[:] = [w in members for w in self.words]
+            if g.kind == "all":
+                mask[:] = True
+            elif g.kind == "cap":
+                mask[:] = capitalized
+            elif g.kind == "nonstop":
+                mask[:] = ~stopword
+            elif g.kind == "minlen":
+                mask[:] = length >= int(g.threshold)
+            elif g.kind == "topk":
+                mask[by_count[:int(g.threshold)]] = True
+            elif g.kind == "sentfrac":
+                mask[:] = self.sentence_freq / n >= g.threshold
+            elif g.kind == "docfrac":
+                mask[:] = self.doc_freq / d >= g.threshold
         # one cosine layer per (group variant, scheme), in registry order
         self._stems = [
             f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
@@ -390,14 +392,18 @@ class FeatureBank:
         dtype = np.min_scalar_type(reg.dimension)
         out = np.empty((len(self._stems) + location, n, n), dtype=dtype)
         for layer, stem, cos in zip(out, self._stems, self.cosines):
-            index = np.array([reg.index[f"pair:bin:{stem}:{b:02d}"] for b in range(nbins)])
+            # bin b's feature is the b-th of the stem's contiguous bin block
+            base = reg.index[f"pair:bin:{stem}:00"]
+            block = [f"pair:bin:{stem}:{b:02d}" for b in range(nbins)]
+            if list(reg.names[base:base + nbins]) != block:
+                raise ValueError(f"similarity bins of {stem} are not contiguous in the registry")
             b = np.minimum((cos * nbins).astype(np.intp), nbins - 1)
-            layer[:] = np.where(cos > 0.0, index[b], reg.dimension)
+            layer[:] = np.where(cos > 0.0, base + b, reg.dimension)
         if location:
             nb = range(cfg.num_position_bins)
             index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
                               for a in nb])
-            pb = np.array([cfg.position_bin(s.position_in_doc) for s in self.x.sentences])
+            pb = _position_bins(cfg, [s.position_in_doc for s in self.x.sentences])
             out[-1] = index[pb[:, None], pb[None, :]]
             np.fill_diagonal(out[-1], reg.dimension)
         return out
@@ -438,21 +444,25 @@ class FeatureBank:
     def word_features(self) -> np.ndarray:
         """V x d 0/1 matrix; row k is phi(words[k]) in the coverage registry."""
         cfg, reg = self.cfg, registry_for(self.cfg, "coverage")
-        stats = [self.x.vocabulary[w] for w in self.words]
-        max_in = np.array([s.max_in_sentence for s in stats])
-        sf = np.array([s.sentence_freq for s in stats]) / self.x.num_sentences
+        levels = sorted(cfg.coverage_levels)
+        sf = self.sentence_freq / self.x.num_sentences
         edges = np.array(cfg.importance_bucket_edges, dtype=float)
+        buckets = len(edges) + 1
+        times = np.array([a for a, _ in levels], dtype=np.intp)
+        frac = np.array([b for _, b in levels], dtype=float)
+        level = (self.max_in_sentence[:, None] >= times[None, :]) & (sf[:, None] >= frac[None, :])
         bucket = (sf[:, None] >= edges[None, :]).sum(axis=1)
-        f = np.zeros((len(stats), reg.dimension), dtype=bool)
+        importance = bucket[:, None] == np.arange(buckets)[None, :]
+        per_group = np.concatenate([level, importance], axis=1)
+        f = np.zeros((len(self.words), reg.dimension), dtype=bool)
         for g, mask in zip(self.groups, self.masks):
             stem = f"{g.group_id}:{g.variant}"
-            for a, b in sorted(cfg.coverage_levels):
-                f[:, reg.index[f"cov:lvl:{stem}:a{a}b{b:.2f}"]] |= mask & (max_in >= a) & (sf >= b)
-            for q in range(len(edges) + 1):
-                f[:, reg.index[f"cov:imp:{stem}:q{q}"]] |= mask & (bucket == q)
+            cols = [reg.index[f"cov:lvl:{stem}:a{a}b{b:.2f}"] for a, b in levels]
+            cols += [reg.index[f"cov:imp:{stem}:q{q}"] for q in range(buckets)]
+            f[:, cols] |= mask[:, None] & per_group
         if "location" in cfg.enabled_groups:
-            loc = [reg.index[f"cov:loc:bin{cfg.position_bin(s.earliest_position)}"] for s in stats]
-            f[np.arange(len(stats)), loc] = True
+            loc = np.array([reg.index[f"cov:loc:bin{b}"] for b in range(cfg.num_position_bins)])
+            f[np.arange(len(self.words)), loc[_position_bins(cfg, self.earliest_position)]] = True
         return f.astype(float)
 
     def omega(self, w: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .features import (
     registry_for,
 )
 from .greedy import GreedyConfig, greedy_maximize
-from .rouge import LossConfig, RougeGain, loss_delta_r, rouge1_f, summary_counts
+from .rouge import LossConfig, RougeGain
 from .scoring import (
     CoverageGainState,
     PairwiseGainState,
@@ -362,8 +362,10 @@ def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
 
 class _ExampleState:
     """Per-example state that survives across cutting-plane iterations: the
-    set's feature bank, its ROUGE count arrays, the target's psi and its raw
-    loss."""
+    set's feature bank, its ``RougeGain``, the target's psi and its raw
+    loss. Every training loss and F is read off the ``RougeGain``: the
+    oracle's after its greedy run, the target's and the train-F summaries'
+    after ``load``."""
 
     def __init__(self, index: int, x: DocumentSet, Y: ReferenceSet, model: Model):
         if Y.target is None:
@@ -377,7 +379,7 @@ class _ExampleState:
         self.greedy_cfg = _greedy_config(x, model)
         self.rouge = RougeGain(x, Y, model.loss_config)
         self.psi_target = psi(x, Y.target, model, bank=self.bank)
-        self.raw_target_loss = loss_delta_r(Y, Y.target, x, model.loss_config)
+        self.raw_target_loss = self.rouge.load(Y.target.selected).raw_loss()
 
 
 def _greedy_config(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> GreedyConfig:
@@ -446,8 +448,8 @@ def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
     )
     y_hat = greedy_maximize(state.x, gain, cost=None, cfg=state.greedy_cfg)
     psi_hat = psi(state.x, y_hat, model, bank=state.bank)
-    raw = loss_delta_r(state.Y, y_hat, state.x, model.loss_config)
-    loss = max(0.0, raw - state.raw_target_loss)
+    # the greedy committed y_hat, so the gain state holds its counts
+    loss = max(0.0, state.rouge.raw_loss() - state.raw_target_loss)
     return Constraint(
         example_index=state.index,
         y_hat=y_hat,
@@ -566,8 +568,5 @@ def train(
 def _mean_train_rouge(states: list[_ExampleState], model: Model) -> float:
     total = 0.0
     for state in states:
-        y = _predict(state.bank, model)
-        total += rouge1_f(
-            summary_counts(state.x, y, model.loss_config), state.rouge.refs, model.loss_config
-        )
+        total += state.rouge.load(_predict(state.bank, model).selected).current_f()
     return total / len(states)

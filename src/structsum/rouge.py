@@ -105,11 +105,7 @@ def precision_recall_f(
     return p, r, f_score(o, candidate.total, reference.total)
 
 
-def rouge1_f(
-    candidate: UnigramCounts,
-    references: list[UnigramCounts],
-    cfg: LossConfig = LossConfig(),
-) -> float:
+def rouge1_f(candidate: UnigramCounts, references: list[UnigramCounts]) -> float:
     """Mean per-reference F. Empty candidate scores 0 against everything."""
     if not references:
         raise ValueError("rouge1_f needs at least one reference")
@@ -120,9 +116,7 @@ def rouge1_f(
 
 
 def rouge1_prf(
-    candidate: UnigramCounts,
-    references: list[UnigramCounts],
-    cfg: LossConfig = LossConfig(),
+    candidate: UnigramCounts, references: list[UnigramCounts]
 ) -> tuple[float, float, float]:
     if not references:
         raise ValueError("rouge1_prf needs at least one reference")
@@ -156,8 +150,12 @@ def loss_delta_r(
 ) -> float:
     """Raw loss max(0, 1 - F), aggregated per the configured mode.
 
-    The two modes coincide numerically because F never exceeds 1, but both
-    code paths exist and stay selectable.
+    ``mean-f`` is one minus the mean per-reference F, ``per-ref-loss`` the
+    mean of the per-reference losses 1 - F_r. F never exceeds 1, so the two
+    are equal as real numbers, but they round differently and can differ in
+    the last bit: a summary matching one of three one-word references loses
+    1 - 1/3 under ``mean-f`` and 2/3 under ``per-ref-loss``, one ulp apart.
+    Both paths stay selectable, each with its own formula.
     """
     cand = summary_counts(x, y, cfg)
     refs = reference_counts(Y, cfg)
@@ -167,65 +165,74 @@ def loss_delta_r(
             f = f_score(clipped_overlap(cand, ref), cand.total, ref.total)
             total += max(0.0, 1.0 - f)
         return total / len(refs)
-    return max(0.0, 1.0 - rouge1_f(cand, refs, cfg))
+    return max(0.0, 1.0 - rouge1_f(cand, refs))
 
 
 class RougeGain:
-    """Incremental aggregated-F gains for one greedy run.
+    """Incremental aggregated-F gains for one greedy run, and the F and raw
+    loss of a candidate.
 
-    Holds int64 term counts of every sentence, of each reference and of the
-    growing candidate over the reference vocabulary, plus the per-reference
-    clipped overlaps of the candidate. ``gains(ids)`` merges each candidate
-    sentence without mutating state; the overlap increments are exact
-    integers and F is summed reference by reference, as ``current_f`` does.
+    Holds int64 term counts of every sentence and of each reference over
+    the reference vocabulary, each reference's ``room`` (its counts minus
+    the candidate's clipped counts), the candidate's token total and its
+    per-reference clipped overlaps. Merging sentence counts ``a`` adds
+    ``sum(min(a, room))`` to a reference's overlap, for all references in
+    one array op. ``gains(ids)`` merges each candidate sentence without
+    mutating state; the overlap increments are exact integers and F is
+    summed reference by reference, as ``current_f`` does.
     """
 
     def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig = LossConfig()):
         self.cfg = cfg
-        self.refs = reference_counts(Y, cfg)
-        vocab = sorted({w for ref in self.refs for w in ref.counts})
-        index = {w: v for v, w in enumerate(vocab)}
-        self.ref_counts = np.zeros((len(self.refs), len(vocab)), dtype=np.int64)
-        for row, ref in zip(self.ref_counts, self.refs):
-            for w, c in ref.counts.items():
-                row[index[w]] = c
-        self.sentence_counts = np.zeros((x.num_sentences, len(vocab)), dtype=np.int64)
-        self.sentence_totals = np.zeros(x.num_sentences, dtype=np.int64)
-        for k, s in enumerate(x.sentences):
-            counts = UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
-            self.sentence_totals[k] = counts.total
-            for w, c in counts.counts.items():
-                if w in index:
-                    self.sentence_counts[k, index[w]] = c
+        refs = [_kept_words(r, cfg) for r in Y.references]
+        index = {w: v for v, w in enumerate(sorted({w for ref in refs for w in ref}))}
+        sentences = [_kept_words(s.tokens, cfg) for s in x.sentences]
+        self.ref_totals = [len(ref) for ref in refs]
+        self.ref_counts = _count_rows([[index[w] for w in ref] for ref in refs], len(index))
+        self.sentence_totals = np.array([len(s) for s in sentences], dtype=np.int64)
+        self.sentence_counts = _count_rows(
+            [[index[w] for w in s if w in index] for s in sentences], len(index)
+        )
         self.reset()
+
+    def load(self, ids) -> "RougeGain":
+        """Make the candidate exactly the sentences ``ids``; returns self."""
+        ids = list(ids)
+        take = np.minimum(self.sentence_counts[ids].sum(axis=0), self.ref_counts)
+        self.room = self.ref_counts - take
+        self.overlaps = take.sum(axis=-1).tolist()
+        self.cand_total = int(self.sentence_totals[ids].sum())
+        return self
 
     def reset(self) -> "RougeGain":
         """Empty the candidate, keeping the count arrays; returns self."""
-        self.cand = np.zeros(self.ref_counts.shape[1], dtype=np.int64)
-        self.cand_total = 0
-        self.overlaps = [0] * len(self.refs)
-        return self
+        return self.load(())
 
     def current_f(self) -> float:
         total = 0.0
-        for o, ref in zip(self.overlaps, self.refs):
-            total += f_score(o, self.cand_total, ref.total)
-        return total / len(self.refs)
+        for o, ref_total in zip(self.overlaps, self.ref_totals):
+            total += f_score(o, self.cand_total, ref_total)
+        return total / len(self.ref_totals)
 
-    def _extra(self, add: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Clipped-overlap increment of merging each row of ``add``."""
-        return (np.minimum(self.cand + add, ref) - np.minimum(self.cand, ref)).sum(axis=-1)
+    def raw_loss(self) -> float:
+        """``loss_delta_r`` of the candidate, by the same formula per mode."""
+        if self.cfg.multi_ref_aggregation == "per-ref-loss":
+            total = 0.0
+            for o, ref_total in zip(self.overlaps, self.ref_totals):
+                total += max(0.0, 1.0 - f_score(o, self.cand_total, ref_total))
+            return total / len(self.ref_totals)
+        return max(0.0, 1.0 - self.current_f())
 
     def merged_f(self, ids) -> np.ndarray:
         """Aggregated F of the candidate plus each sentence in ``ids``."""
-        add = self.sentence_counts[ids]
-        new_total = self.cand_total + self.sentence_totals[ids]
-        total = np.zeros(len(add))
-        for o, ref, ref_row in zip(self.overlaps, self.refs, self.ref_counts):
-            denom = new_total + ref.total
-            overlap = 2.0 * (o + self._extra(add, ref_row))
-            total += np.divide(overlap, denom, out=np.zeros(len(add)), where=denom != 0)
-        return total / len(self.refs)
+        extra = np.minimum(self.sentence_counts[ids][:, None, :], self.room).sum(axis=-1)
+        overlap = 2.0 * (extra + self.overlaps)
+        denom = (self.cand_total + self.sentence_totals[ids])[:, None] + self.ref_totals
+        f = np.divide(overlap, denom, out=np.zeros(overlap.shape), where=denom != 0)
+        total = np.zeros(len(f))
+        for column in f.T:
+            total += column
+        return total / len(self.ref_totals)
 
     def gains(self, ids) -> np.ndarray:
         return self.merged_f(ids) - self.current_f()
@@ -234,11 +241,23 @@ class RougeGain:
         return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
-        add = self.sentence_counts[k]
-        for idx, ref_row in enumerate(self.ref_counts):
-            self.overlaps[idx] += int(self._extra(add, ref_row))
-        self.cand += add
+        take = np.minimum(self.sentence_counts[k], self.room)
+        self.room -= take
+        self.overlaps = [o + e for o, e in zip(self.overlaps, take.sum(axis=-1).tolist())]
         self.cand_total += int(self.sentence_totals[k])
+
+
+def _kept_words(tokens: Iterable[Token], cfg: LossConfig) -> list[str]:
+    drop = cfg.rouge_stopword_removal
+    return [t.normalized for t in tokens if not (drop and t.is_stopword)]
+
+
+def _count_rows(rows: list[list[int]], width: int) -> np.ndarray:
+    """int64 matrix whose row r counts the ids in ``rows[r]``; one bincount."""
+    owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    ids = np.fromiter((i for r in rows for i in r), dtype=np.int64, count=len(owner))
+    counts = np.bincount(owner * width + ids, minlength=len(rows) * width)
+    return counts.astype(np.int64, copy=False).reshape(len(rows), width)
 
 
 def make_target(

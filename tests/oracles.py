@@ -6,8 +6,11 @@ tests treat these as ground truth and check the optimized implementations
 against them. The exceptions are at the end: the full-scan greedy loop and
 the one-candidate-at-a-time gain formulas the package used before its gains
 became arrays, kept so that the array versions can be held to identical
-results, and the coordinate-ascent dual solver the package used before its
-active-set solver, whose duals the active-set solver must match or beat.
+results; the coordinate-ascent dual solver the package used before its
+active-set solver, whose duals the active-set solver must match or beat;
+and the per-word and per-sentence loops that built the feature bank and the
+ROUGE count arrays before they were built from token-id arrays, which the
+array builds must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
+
+from structsum.features import FeatureBank, cosine_groups, registry_for
 
 
 def rouge1_f_brute(cand_tokens, ref_token_lists):
@@ -469,3 +475,131 @@ class CoordinateAscentWorkingSet:
                 break
         self._refresh_w()
         return self.dual_objective()
+
+
+def top_k_words(x, k: int) -> frozenset:
+    """The k most frequent words of the set; ties broken alphabetically."""
+    ranked = sorted(x.vocabulary.items(), key=lambda kv: (-kv[1].total_count, kv[0]))
+    return frozenset(w for w, _ in ranked[:k])
+
+
+def group_members(g, x) -> frozenset:
+    """The words of word group ``g`` in set ``x``, one predicate per kind."""
+    vocab = x.vocabulary
+    if g.kind == "all":
+        return frozenset(vocab)
+    if g.kind == "cap":
+        return frozenset(w for w, s in vocab.items() if s.ever_capitalized)
+    if g.kind == "nonstop":
+        return frozenset(w for w, s in vocab.items() if not s.is_stopword)
+    if g.kind == "minlen":
+        n = int(g.threshold)
+        return frozenset(w for w in vocab if len(w) >= n)
+    if g.kind == "topk":
+        return top_k_words(x, int(g.threshold))
+    if g.kind == "sentfrac":
+        n = x.num_sentences
+        return frozenset(
+            w for w, s in vocab.items() if s.sentence_freq / n >= g.threshold
+        )
+    if g.kind == "docfrac":
+        d = x.num_docs
+        return frozenset(
+            w for w, s in vocab.items() if s.doc_freq / d >= g.threshold
+        )
+    raise ValueError(f"unknown word group kind {g.kind!r}")
+
+
+class FeatureBankReference(FeatureBank):
+    """``FeatureBank`` with the package's former per-word and per-pair
+    loops for the vocabulary arrays, ``codes`` and ``word_features``;
+    ``cosines`` and the read-outs are inherited."""
+
+    def __init__(self, x, cfg):
+        self.x = x
+        self.cfg = cfg
+        self.groups = cosine_groups(cfg)
+        self.words = sorted(x.vocabulary)
+        self.word_index = {w: k for k, w in enumerate(self.words)}
+        self.counts = np.zeros((x.num_sentences, len(self.words)))
+        for i, s in enumerate(x.sentences):
+            for w, c in s.word_counts().items():
+                self.counts[i, self.word_index[w]] = c
+        d = x.num_docs
+        self.idf = np.array(
+            [math.log((d + 1) / (x.vocabulary[w].doc_freq + 1)) + 1.0 for w in self.words]
+        )
+        self.masks = np.zeros((len(self.groups), len(self.words)), dtype=bool)
+        for mask, g in zip(self.masks, self.groups):
+            members = group_members(g, x)
+            mask[:] = [w in members for w in self.words]
+        # one cosine layer per (group variant, scheme), in registry order
+        self._stems = [
+            f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
+        ]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        cfg, reg = self.cfg, registry_for(self.cfg, "pairwise")
+        n, nbins = self.x.num_sentences, cfg.similarity_bins
+        location = "location" in cfg.enabled_groups
+        dtype = np.min_scalar_type(reg.dimension)
+        out = np.empty((len(self._stems) + location, n, n), dtype=dtype)
+        for layer, stem, cos in zip(out, self._stems, self.cosines):
+            index = np.array([reg.index[f"pair:bin:{stem}:{b:02d}"] for b in range(nbins)])
+            b = np.minimum((cos * nbins).astype(np.intp), nbins - 1)
+            layer[:] = np.where(cos > 0.0, index[b], reg.dimension)
+        if location:
+            nb = range(cfg.num_position_bins)
+            index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
+                              for a in nb])
+            pb = np.array([cfg.position_bin(s.position_in_doc) for s in self.x.sentences])
+            out[-1] = index[pb[:, None], pb[None, :]]
+            np.fill_diagonal(out[-1], reg.dimension)
+        return out
+
+    @cached_property
+    def word_features(self) -> np.ndarray:
+        cfg, reg = self.cfg, registry_for(self.cfg, "coverage")
+        stats = [self.x.vocabulary[w] for w in self.words]
+        max_in = np.array([s.max_in_sentence for s in stats])
+        sf = np.array([s.sentence_freq for s in stats]) / self.x.num_sentences
+        edges = np.array(cfg.importance_bucket_edges, dtype=float)
+        bucket = (sf[:, None] >= edges[None, :]).sum(axis=1)
+        f = np.zeros((len(stats), reg.dimension), dtype=bool)
+        for g, mask in zip(self.groups, self.masks):
+            stem = f"{g.group_id}:{g.variant}"
+            for a, b in sorted(cfg.coverage_levels):
+                f[:, reg.index[f"cov:lvl:{stem}:a{a}b{b:.2f}"]] |= (
+                    mask & (max_in >= a) & (sf >= b)
+                )
+            for q in range(len(edges) + 1):
+                f[:, reg.index[f"cov:imp:{stem}:q{q}"]] |= mask & (bucket == q)
+        if "location" in cfg.enabled_groups:
+            loc = [reg.index[f"cov:loc:bin{cfg.position_bin(s.earliest_position)}"]
+                   for s in stats]
+            f[np.arange(len(stats)), loc] = True
+        return f.astype(float)
+
+
+def rouge_count_arrays_reference(x, Y, cfg):
+    """(reference totals, reference counts, sentence counts, sentence totals)
+    of ``RougeGain``, built by the former per-sentence dict loop."""
+    from structsum.rouge import UnigramCounts, reference_counts
+
+    refs = reference_counts(Y, cfg)
+    vocab = sorted({w for ref in refs for w in ref.counts})
+    index = {w: v for v, w in enumerate(vocab)}
+    ref_counts = np.zeros((len(refs), len(vocab)), dtype=np.int64)
+    for row, ref in zip(ref_counts, refs):
+        for w, c in ref.counts.items():
+            row[index[w]] = c
+    sentence_counts = np.zeros((x.num_sentences, len(vocab)), dtype=np.int64)
+    sentence_totals = np.zeros(x.num_sentences, dtype=np.int64)
+    for k, s in enumerate(x.sentences):
+        counts = UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
+        sentence_totals[k] = counts.total
+        for w, c in counts.counts.items():
+            if w in index:
+                sentence_counts[k, index[w]] = c
+    return [ref.total for ref in refs], ref_counts, sentence_counts, sentence_totals

@@ -1,0 +1,129 @@
+"""The token-id array builds of ``FeatureBank`` and ``RougeGain``, and the
+loss and F read-outs of ``RougeGain``, against the former loops kept in
+tests/oracles.py and the dict ROUGE path of rouge.py: bit for bit, on
+generated sets."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from structsum.corpus import ReferenceSet, build_document_set, load_stopwords, tokenize
+from structsum.features import FeatureBank, FeatureConfig
+from structsum.greedy import GreedyConfig, greedy_maximize
+from structsum.rouge import (
+    AGGREGATIONS,
+    LossConfig,
+    RougeGain,
+    loss_delta_r,
+    reference_counts,
+    rouge1_f,
+    summary_counts,
+)
+
+from oracles import FeatureBankReference, rouge_count_arrays_reference
+
+STOPWORDS = load_stopwords()
+# stopwords, words of every length around the cutoffs, few enough that
+# counts tie at the top-k cut and fractions land on the thresholds
+WORDS = ("the", "of", "and", "a", "ox", "pea", "bean", "maple", "lantern")
+
+# small thresholds that generated sets hit exactly (k/n = 0.25, 0.5, 1)
+TIGHT = FeatureConfig(
+    length_cutoffs=(3, 5), minmax_top_ks=(1, 2, 3), sent_frac_thresholds=(0.25, 0.5),
+    doc_frac_thresholds=(0.5, 1.0), similarity_bins=4, position_bin_edges=(1, 2),
+    coverage_levels=((1, 0.0), (1, 0.25), (2, 0.5)), importance_bucket_edges=(0.25, 0.5),
+)
+CONFIGS = (FeatureConfig(), TIGHT)
+
+word = st.tuples(st.sampled_from(WORDS), st.booleans()).map(
+    lambda wc: wc[0].capitalize() if wc[1] else wc[0]
+)
+sentence = st.one_of(
+    st.lists(word, min_size=1, max_size=6),
+    st.lists(st.sampled_from(WORDS[:4]), min_size=1, max_size=3),  # stopwords only
+    st.tuples(word, st.integers(2, 4)).map(lambda wk: [wk[0]] * wk[1]),  # one word repeated
+)
+documents = st.lists(st.lists(sentence, min_size=1, max_size=4), min_size=1, max_size=3)
+references = st.lists(st.lists(word, min_size=1, max_size=8), min_size=1, max_size=3)
+
+
+def sentence_text(words):
+    text = " ".join(words)
+    return text[:1].upper() + text[1:] + "."
+
+
+@st.composite
+def document_sets(draw):
+    docs = [" ".join(sentence_text(s) for s in doc) for doc in draw(documents)]
+    x = build_document_set("g", docs, STOPWORDS)
+    refs = tuple(tuple(tokenize(" ".join(r), STOPWORDS)) for r in draw(references))
+    return x, ReferenceSet("g", refs)
+
+
+def same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document_sets())
+def test_feature_bank_matches_former_loops(xy):
+    x, _ = xy
+    for cfg in CONFIGS:
+        got, want = FeatureBank(x, cfg), FeatureBankReference(x, cfg)
+        assert got.words == want.words
+        for name in ("counts", "idf", "masks", "cosines", "codes", "word_features"):
+            assert same(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(document_sets())
+def test_rouge_counts_match_former_loop(xy):
+    x, Y = xy
+    for drop in (False, True):
+        gain = RougeGain(x, Y, LossConfig(rouge_stopword_removal=drop))
+        ref_totals, ref_counts, sentence_counts, sentence_totals = (
+            rouge_count_arrays_reference(x, Y, LossConfig(rouge_stopword_removal=drop))
+        )
+        assert gain.ref_totals == ref_totals
+        assert same(gain.ref_counts, ref_counts)
+        assert same(gain.sentence_counts, sentence_counts)
+        assert same(gain.sentence_totals, sentence_totals)
+
+
+def loss_configs():
+    return [LossConfig(mode, drop) for mode in AGGREGATIONS for drop in (False, True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(document_sets(), st.data())
+def test_read_outs_equal_dict_path(xy, data):
+    """``load`` then ``raw_loss`` / ``current_f`` equal ``loss_delta_r`` and
+    the dict F exactly, in both aggregation modes; so do commits in any
+    order, and the state a greedy run leaves behind."""
+    x, Y = xy
+    n = x.num_sentences
+    ids = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    budget = data.draw(st.integers(0, 200))
+    for cfg in loss_configs():
+        f = rouge1_f(summary_counts(x, ids, cfg), reference_counts(Y, cfg))
+        gain = RougeGain(x, Y, cfg).load(ids)
+        assert gain.raw_loss() == loss_delta_r(Y, ids, x, cfg)
+        assert gain.current_f() == f
+        gain.reset()
+        for k in ids:
+            gain.commit(k)
+        assert gain.raw_loss() == loss_delta_r(Y, ids, x, cfg)
+        assert gain.current_f() == f
+        y = greedy_maximize(x, gain.reset(), cfg=GreedyConfig(budget_bytes=budget))
+        assert gain.raw_loss() == loss_delta_r(Y, y, x, cfg)
+
+
+def test_read_outs_on_fixture(fixture_data):
+    for x, Y in fixture_data[:10]:
+        for cfg in loss_configs():
+            gain = RougeGain(x, Y, cfg)
+            y = greedy_maximize(x, gain, cfg=GreedyConfig(budget_bytes=665))
+            assert gain.raw_loss() == loss_delta_r(Y, y, x, cfg)
+            assert gain.load(y.selected).current_f() == rouge1_f(
+                summary_counts(x, y, cfg), reference_counts(Y, cfg)
+            )

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from structsum.features import (
     pairwise_features,
     registry_for,
     tfidf_cosine_fn,
-    top_k_words,
 )
 from structsum.greedy import GreedyConfig, greedy_maximize
 from structsum.scoring import (
@@ -245,8 +245,10 @@ class TestTopK:
     def test_orders_by_count_then_word(self, make_docset):
         x = make_docset(["Pea pea pod. Yam pod bean."], with_stopwords=False)
         # counts: pea 2, pod 2, bean 1, yam 1
-        assert top_k_words(x, 2) == frozenset({"pea", "pod"})
-        assert top_k_words(x, 3) == frozenset({"pea", "pod", "bean"})
+        bank = FeatureBank(x, FeatureConfig(enabled_groups=("minmax",), minmax_top_ks=(2, 3)))
+        top = {g.variant: {w for w, m in zip(bank.words, mask) if m}
+               for g, mask in zip(bank.groups, bank.masks)}
+        assert top == {"top002": {"pea", "pod"}, "top003": {"pea", "pod", "bean"}}
 
 
 class TestJointFeatureMap:
@@ -473,3 +475,13 @@ def test_raw_cosine_bins_at_tenths(shared, make_docset):
     fv = pairwise_features(x, 0, 1, cfg)
     assert fv.entries[reg.index["pair:cos:basic:all:raw"]] == shared / 10
     assert reg.index[f"pair:bin:basic:all:raw:{min(shared, 9):02d}"] in fv.entries
+
+
+def test_codes_reject_bins_that_do_not_sort_in_order(make_docset):
+    """codes reads bin b at the first bin's registry index plus b; past 100
+    bins the names stop sorting in bin order and the build says so."""
+    x = make_docset(["Alpha beta gamma. Beta gamma delta."], with_stopwords=False)
+    cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
+    assert FeatureBank(x, replace(cfg, similarity_bins=100)).codes.shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="not contiguous"):
+        FeatureBank(x, replace(cfg, similarity_bins=101)).codes

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -113,14 +114,30 @@ class TestLoss:
         return x, Y
 
     def test_aggregation_modes_coincide(self, make_docset):
-        """Normalizing by the per-reference count of one keeps both
-        multi-reference aggregations numerically identical."""
+        """The two multi-reference aggregations agree up to rounding; they
+        are not bit-equal (see the next test)."""
         x, Y = self._xy(make_docset)
         for ids in [(), (0,), (1,), (0, 1)]:
             y = Summary(ids, 0)
             a = loss_delta_r(Y, y, x, LossConfig(multi_ref_aggregation="mean-f"))
             b = loss_delta_r(Y, y, x, LossConfig(multi_ref_aggregation="per-ref-loss"))
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_aggregation_modes_differ_in_the_last_bit(self, make_docset):
+        """1 - mean F and the mean of 1 - F round differently: a summary
+        matching one of three references gives 1 - 1/3 against 2/3, one
+        ulp apart. Both paths, and RougeGain's read-out of each, keep
+        their own formula."""
+        x = make_docset(["Beta."], with_stopwords=False)
+        Y = refset([["alpha"], ["gamma"], ["beta"]])
+        mean_f = LossConfig(multi_ref_aggregation="mean-f")
+        per_ref = LossConfig(multi_ref_aggregation="per-ref-loss")
+        a = loss_delta_r(Y, (0,), x, mean_f)
+        b = loss_delta_r(Y, (0,), x, per_ref)
+        assert (a, b) == (1.0 - 1.0 / 3.0, 2.0 / 3.0)
+        assert a - b == math.ulp(b)
+        assert RougeGain(x, Y, mean_f).load([0]).raw_loss() == a
+        assert RougeGain(x, Y, per_ref).load([0]).raw_loss() == b
 
     def test_loss_is_one_minus_f(self, make_docset):
         x, Y = self._xy(make_docset)
@@ -175,8 +192,8 @@ class TestRougeGain:
             for k in order[:4]:
                 y = Summary(tuple(selected), 0)
                 grown = Summary(tuple(selected) + (k,), 0)
-                f_now = rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg), cfg)
-                f_grown = rouge1_f(summary_counts(x, grown, cfg), reference_counts(Y, cfg), cfg)
+                f_now = rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg))
+                f_grown = rouge1_f(summary_counts(x, grown, cfg), reference_counts(Y, cfg))
                 assert gain(y, k) == pytest.approx(f_grown - f_now, abs=1e-12)
                 assert gain.current_f() == pytest.approx(f_now, abs=1e-12)
                 gain.commit(k)
@@ -217,10 +234,10 @@ class TestMakeTarget:
             budget = rng.randint(10, 60)
             gcfg = GreedyConfig(budget_bytes=budget, r=1.0)
             target = make_target(x, Y, gcfg, cfg)
-            f_target = rouge1_f(summary_counts(x, target, cfg), reference_counts(Y, cfg), cfg)
+            f_target = rouge1_f(summary_counts(x, target, cfg), reference_counts(Y, cfg))
 
             def objective(y):
-                return rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg), cfg)
+                return rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg))
 
             best = exhaustive_maximize(x, objective, gcfg)
             f_best = objective(best)
