@@ -32,7 +32,7 @@ from .learner import (
     separation_oracle,
     train,
 )
-from .rouge import LossConfig, loss_delta, loss_delta_r, make_target, rouge1_f, rouge1_prf
+from .rouge import LossConfig, RougeGain, make_target
 from .scoring import (
     CoverageScorer,
     PairwiseScorer,
@@ -58,6 +58,7 @@ __all__ = [
     "ModelError",
     "PairwiseScorer",
     "ReferenceSet",
+    "RougeGain",
     "Sentence",
     "SplitPairwiseScorer",
     "Summary",
@@ -73,15 +74,11 @@ __all__ = [
     "joint_feature_map_pairwise",
     "load_dataset",
     "load_stopwords",
-    "loss_delta",
-    "loss_delta_r",
     "make_target",
     "marginal_gain",
     "pairwise_features",
     "predict",
     "registry_for",
-    "rouge1_f",
-    "rouge1_prf",
     "score",
     "segment_sentences",
     "separation_oracle",

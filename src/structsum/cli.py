@@ -34,14 +34,22 @@ from .scoring import PairwiseScorer, Summary, gain_state
 from .util import atomic_write_text
 
 
-def _parse_ids(text: str | None) -> list[int] | None:
+def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
+    """Comma list of set indexes, each in range(n_sets); None when absent."""
     if text is None:
         return None
-    return [int(v) for v in text.split(",") if v != ""]
+    ids = [int(v) for v in text.split(",") if v != ""]
+    bad = [i for i in ids if not 0 <= i < n_sets]
+    if bad:
+        raise ValueError(f"{flag}: set indexes {bad} out of range for {n_sets} sets")
+    return ids
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def _parse_grid(text: str) -> list[float]:
+    grid = [float(v) for v in text.split(",") if v != ""]
+    if not grid:
+        raise ValueError("--C needs at least one value")
+    return grid
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -113,8 +121,8 @@ def _load(args):
 
 
 def _auto_split(args, n_sets: int, test_count: int):
-    train_ids = _parse_ids(getattr(args, "train_ids", None))
-    test_ids = _parse_ids(getattr(args, "test_ids", None))
+    train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
+    test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids")
     if train_ids is not None and test_ids is not None:
         return train_ids, test_ids
     if train_ids is not None or test_ids is not None:
@@ -136,9 +144,9 @@ def cmd_train(args) -> int:
         raise ValueError("train needs --out to save the model")
     data = _load(args)
     feature_cfg, greedy_cfg, loss_cfg = _configs(args)
-    train_ids = _parse_ids(args.train_ids) or list(range(len(data)))
-    val_ids = _parse_ids(args.val_ids) or []
-    grid = _parse_floats(args.C)
+    train_ids = _parse_ids(args.train_ids, len(data), "--train-ids") or list(range(len(data)))
+    val_ids = _parse_ids(args.val_ids, len(data), "--val-ids") or []
+    grid = _parse_grid(args.C)
     trainer_cfg = TrainerConfig(
         C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
     )
@@ -281,8 +289,8 @@ def cmd_bounds(args) -> int:
     data = _load(args)
     _, greedy_cfg, loss_cfg = _configs(args)
     model = Model.load(args.model_file)
-    train_ids = _parse_ids(args.train_ids)
-    test_ids = _parse_ids(args.test_ids)
+    train_ids = _parse_ids(args.train_ids, len(data), "--train-ids")
+    test_ids = _parse_ids(args.test_ids, len(data), "--test-ids")
     if not train_ids or not test_ids:
         raise ValueError("bounds needs --train-ids and --test-ids")
     rows = bounds_table(data, model, train_ids, test_ids, loss_cfg, greedy_cfg)
@@ -299,8 +307,10 @@ def cmd_curve(args) -> int:
     feature_cfg, greedy_cfg, loss_cfg = _configs(args)
     train_ids, test_ids = _auto_split(args, len(data), args.test_count)
     sizes = [int(v) for v in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes: training sizes must be positive, got {sizes}")
     trainer_cfg = TrainerConfig(
-        C=_parse_floats(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
+        C=_parse_grid(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
     )
     lam = args.lam if args.model == "pairwise" else None
     rows = learning_curve(
@@ -321,7 +331,7 @@ def cmd_ablate(args) -> int:
     feature_cfg, greedy_cfg, loss_cfg = _configs(args)
     train_ids, test_ids = _auto_split(args, len(data), args.test_count)
     trainer_cfg = TrainerConfig(
-        C=_parse_floats(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
+        C=_parse_grid(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
     )
     lam = args.lam if args.model == "pairwise" else None
     rows = args.rows.split(",") if args.rows else None

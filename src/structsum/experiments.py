@@ -12,22 +12,14 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .corpus import DocumentSet, ReferenceSet
 from .features import FeatureConfig
-from .greedy import GreedyConfig
+from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, TrainerConfig, TrainResult, predict, train
-from .rouge import (
-    LossConfig,
-    RougeGain,
-    clipped_overlap,
-    f_score,
-    make_target,
-    reference_counts,
-    rouge1_prf,
-    summary_counts,
-)
+from .rouge import LossConfig, RougeGain, f_score, make_target
 from .scoring import Summary
-from .greedy import greedy_maximize
 
 Dataset = list[tuple[DocumentSet, ReferenceSet]]
 
@@ -154,26 +146,19 @@ def evaluate_predictions(
     if missing:
         raise ValueError(f"predictions reference unknown set ids: {missing}")
     rows = []
-    ps, rs, fs = [], [], []
     for set_id in sorted(predictions):
         x, Y = by_id[set_id]
         y = predictions[set_id]
-        p, r, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
+        p, r, f = RougeGain(x, Y, loss_cfg).load(y.selected).prf()
         rows.append(
             {"set_id": set_id, "precision": p, "recall": r, "f": f, "sentences": list(y.selected)}
         )
-        ps.append(p)
-        rs.append(r)
-        fs.append(f)
-    n = len(rows)
-    if n == 0:
+    if not rows:
         raise ValueError("no predictions to evaluate")
+    ps, rs, fs = ([row[key] for row in rows] for key in ("precision", "recall", "f"))
+    n = len(rows)
     return EvalReport(
-        rows=rows,
-        mean_p=sum(ps) / n,
-        mean_r=sum(rs) / n,
-        mean_f=sum(fs) / n,
-        stderr_f=_stderr(fs),
+        rows=rows, mean_p=sum(ps) / n, mean_r=sum(rs) / n, mean_f=sum(fs) / n, stderr_f=_stderr(fs)
     )
 
 
@@ -191,9 +176,8 @@ def extractive_ceiling(
         x, Y = data[i]
         cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
         gain = RougeGain(x, Y, loss_cfg)
-        y = greedy_maximize(x, gain, cost=None, cfg=cfg)
-        _, _, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
-        total += f
+        greedy_maximize(x, gain, cost=None, cfg=cfg)
+        total += gain.current_f()
     return total / len(ids)
 
 
@@ -201,18 +185,18 @@ def human_agreement(data: Dataset, ids, loss_cfg: LossConfig) -> float | None:
     """Mean leave-one-out F among references; None when any set has < 2."""
     values = []
     for i in ids:
-        _, Y = data[i]
+        x, Y = data[i]
         if len(Y.references) < 2:
             return None
-        refs = reference_counts(Y, loss_cfg)
+        gain = RougeGain(x, Y, loss_cfg)
+        counts, totals = gain.ref_counts, gain.ref_totals
         per_set = []
-        for held_out in range(len(refs)):
-            others = [r for j, r in enumerate(refs) if j != held_out]
+        for held_out in range(len(totals)):
+            others = [j for j in range(len(totals)) if j != held_out]
             total = 0.0
             for other in others:
-                total += f_score(
-                    clipped_overlap(refs[held_out], other), refs[held_out].total, other.total
-                )
+                overlap = int(np.minimum(counts[held_out], counts[other]).sum())
+                total += f_score(overlap, totals[held_out], totals[other])
             per_set.append(total / len(others))
         values.append(sum(per_set) / len(per_set))
     return sum(values) / len(values)
@@ -265,8 +249,7 @@ def learning_curve(
         report = evaluate_predictions(
             [data[i] for i in test_ids], predict_sets(data, test_ids, result.model), loss_config
         )
-        per_set = [r["f"] for r in report.rows]
-        rows.append({"size": size, "mean_f": report.mean_f, "stderr_f": _stderr(per_set)})
+        rows.append({"size": size, "mean_f": report.mean_f, "stderr_f": report.stderr_f})
     return rows
 
 

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .corpus import DocumentSet
-from .scoring import Summary
+from .scoring import Summary, pad_word_ids
 
 GROUPS = ("basic", "cap_stop_len", "location", "minmax", "sent_doc")
 WEIGHTINGS = ("raw", "tfidf")
@@ -357,6 +357,12 @@ class FeatureBank:
     def sentence_word_ids(self) -> list[np.ndarray]:
         """Each sentence's distinct word indices, ascending (so its words sorted)."""
         return [np.flatnonzero(row) for row in self.counts]
+
+    @cached_property
+    def padded_word_ids(self) -> np.ndarray:
+        """``sentence_word_ids`` padded with the vocabulary size, the index
+        matrix every coverage gain state of this set shares."""
+        return pad_word_ids(self.sentence_word_ids, len(self.words))
 
     @cached_property
     def cosines(self) -> np.ndarray:

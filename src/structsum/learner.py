@@ -404,7 +404,7 @@ def _score_state(bank: FeatureBank, model: Model, clamp: bool):
         values = bank.omega(model.w)
         if clamp:
             values = np.maximum(values, 0.0)
-        return CoverageGainState(bank.sentence_word_ids, values)
+        return CoverageGainState(bank.padded_word_ids, values)
     if model.model_kind == "pairwise-split":
         base = registry_for(model.feature_config, "pairwise-split").base_dimension
         mc = bank.sigma(model.w[:base])

@@ -1,10 +1,14 @@
-"""Unigram recall/precision scoring, training losses, target construction.
+"""Unigram F scoring, training losses and target construction.
 
 The score is clipped-unigram F: per reference, overlap is the sum over
 words of min(candidate count, reference count); precision and recall
 divide by the candidate and reference totals and F is their harmonic mean,
 which reduces to 2 * overlap / (candidate_total + reference_total). Multi
 reference aggregation defaults to the mean of per-reference F.
+
+``RougeGain`` is the one implementation: int64 count arrays of every
+sentence and reference, built once per set, from which the greedy's gains,
+the training losses and F and every evaluation number are read.
 
 The raw training loss of a candidate is max(0, 1 - F). Because no
 extractive summary reaches F = 1 in general, the loss used for training is
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -55,117 +59,11 @@ class LossConfig:
         )
 
 
-@dataclass(frozen=True)
-class UnigramCounts:
-    counts: Mapping[str, int]
-    total: int
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[Token], drop_stopwords: bool = False) -> "UnigramCounts":
-        counts: dict[str, int] = {}
-        total = 0
-        for t in tokens:
-            if drop_stopwords and t.is_stopword:
-                continue
-            counts[t.normalized] = counts.get(t.normalized, 0) + 1
-            total += 1
-        return cls(counts, total)
-
-    @classmethod
-    def from_words(cls, words: Iterable[str]) -> "UnigramCounts":
-        counts: dict[str, int] = {}
-        total = 0
-        for w in words:
-            counts[w] = counts.get(w, 0) + 1
-            total += 1
-        return cls(counts, total)
-
-
-def clipped_overlap(candidate: UnigramCounts, reference: UnigramCounts) -> int:
-    # iterate the smaller map
-    a, b = candidate.counts, reference.counts
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(min(c, b.get(w, 0)) for w, c in a.items())
-
-
 def f_score(overlap: int, candidate_total: int, reference_total: int) -> float:
     denom = candidate_total + reference_total
     if denom == 0:
         return 0.0
     return 2.0 * overlap / denom
-
-
-def precision_recall_f(
-    candidate: UnigramCounts, reference: UnigramCounts
-) -> tuple[float, float, float]:
-    o = clipped_overlap(candidate, reference)
-    p = o / candidate.total if candidate.total else 0.0
-    r = o / reference.total if reference.total else 0.0
-    return p, r, f_score(o, candidate.total, reference.total)
-
-
-def rouge1_f(candidate: UnigramCounts, references: list[UnigramCounts]) -> float:
-    """Mean per-reference F. Empty candidate scores 0 against everything."""
-    if not references:
-        raise ValueError("rouge1_f needs at least one reference")
-    total = 0.0
-    for ref in references:
-        total += f_score(clipped_overlap(candidate, ref), candidate.total, ref.total)
-    return total / len(references)
-
-
-def rouge1_prf(
-    candidate: UnigramCounts, references: list[UnigramCounts]
-) -> tuple[float, float, float]:
-    if not references:
-        raise ValueError("rouge1_prf needs at least one reference")
-    ps = rs = fs = 0.0
-    for ref in references:
-        p, r, f = precision_recall_f(candidate, ref)
-        ps += p
-        rs += r
-        fs += f
-    n = len(references)
-    return ps / n, rs / n, fs / n
-
-
-def summary_counts(x: DocumentSet, y, cfg: LossConfig = LossConfig()) -> UnigramCounts:
-    ids = y.selected if isinstance(y, Summary) else tuple(y)
-    tokens: list[Token] = []
-    for sid in ids:
-        tokens.extend(x.sentences[sid].tokens)
-    return UnigramCounts.from_tokens(tokens, drop_stopwords=cfg.rouge_stopword_removal)
-
-
-def reference_counts(Y: ReferenceSet, cfg: LossConfig = LossConfig()) -> list[UnigramCounts]:
-    return [
-        UnigramCounts.from_tokens(r, drop_stopwords=cfg.rouge_stopword_removal)
-        for r in Y.references
-    ]
-
-
-def loss_delta_r(
-    Y: ReferenceSet, y, x: DocumentSet, cfg: LossConfig = LossConfig()
-) -> float:
-    """Raw loss max(0, 1 - F), aggregated per the configured mode.
-
-    ``mean-f`` is one minus the mean per-reference F, ``per-ref-loss`` the
-    mean of the per-reference losses 1 - F_r. F never exceeds 1, so the two
-    are equal as real numbers, but they round differently and can differ in
-    the last bit: a summary matching one of three one-word references loses
-    1 - 1/3 under ``mean-f`` and 2/3 under ``per-ref-loss``, one ulp apart.
-    Both paths stay selectable, each with its own formula.
-    """
-    cand = summary_counts(x, y, cfg)
-    refs = reference_counts(Y, cfg)
-    if cfg.multi_ref_aggregation == "per-ref-loss":
-        total = 0.0
-        for ref in refs:
-            f = f_score(clipped_overlap(cand, ref), cand.total, ref.total)
-            total += max(0.0, 1.0 - f)
-        return total / len(refs)
-    return max(0.0, 1.0 - rouge1_f(cand, refs))
 
 
 class RougeGain:
@@ -183,6 +81,8 @@ class RougeGain:
     """
 
     def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig = LossConfig()):
+        if not Y.references:
+            raise ValueError(f"reference set {Y.set_id!r} has no references to score against")
         self.cfg = cfg
         refs = [_kept_words(r, cfg) for r in Y.references]
         index = {w: v for v, w in enumerate(sorted({w for ref in refs for w in ref}))}
@@ -214,8 +114,20 @@ class RougeGain:
             total += f_score(o, self.cand_total, ref_total)
         return total / len(self.ref_totals)
 
+    def prf(self) -> tuple[float, float, float]:
+        """Mean per-reference precision, recall and F of the candidate."""
+        ps = rs = fs = 0.0
+        for o, ref_total in zip(self.overlaps, self.ref_totals):
+            ps += o / self.cand_total if self.cand_total else 0.0
+            rs += o / ref_total if ref_total else 0.0
+            fs += f_score(o, self.cand_total, ref_total)
+        n = len(self.ref_totals)
+        return ps / n, rs / n, fs / n
+
     def raw_loss(self) -> float:
-        """``loss_delta_r`` of the candidate, by the same formula per mode."""
+        """max(0, 1 - F): one minus the mean F (``mean-f``) or the mean of
+        the per-reference losses (``per-ref-loss``). Equal as real numbers,
+        the two round differently and can differ in the last bit."""
         if self.cfg.multi_ref_aggregation == "per-ref-loss":
             total = 0.0
             for o, ref_total in zip(self.overlaps, self.ref_totals):
@@ -277,14 +189,3 @@ def make_target(
         )
     Y.target = target
     return target
-
-
-def loss_delta(
-    Y: ReferenceSet, y_hat, x: DocumentSet, cfg: LossConfig = LossConfig()
-) -> float:
-    """Target-normalized loss: max(0, raw(y_hat) - raw(target))."""
-    if Y.target is None:
-        raise ValueError(f"reference set {Y.set_id!r} has no target; run make_target first")
-    raw_hat = loss_delta_r(Y, y_hat, x, cfg)
-    raw_target = loss_delta_r(Y, Y.target, x, cfg)
-    return max(0.0, raw_hat - raw_target)

@@ -262,6 +262,15 @@ class SplitGainState:
         self.sel_red += self.mr[k]
 
 
+def pad_word_ids(word_ids, pad: int) -> np.ndarray:
+    """Matrix whose row k holds ``word_ids[k]`` left-aligned, then ``pad``."""
+    width = max((len(ws) for ws in word_ids), default=0)
+    padded = np.full((len(word_ids), width), pad, dtype=np.intp)
+    for row, ws in zip(padded, word_ids):
+        row[: len(ws)] = ws
+    return padded
+
+
 class CoverageGainState:
     """Coverage gains over word indices.
 
@@ -269,17 +278,19 @@ class CoverageGainState:
     order and ``values[v]`` is word v's value. A gain adds the values of
     the sentence's uncovered words left to right, one column of a padded
     index matrix at a time, so every candidate sums in the same order as
-    a scalar loop over its words.
+    a scalar loop over its words. ``word_ids`` may also be that padded
+    matrix itself (``pad_word_ids(word_ids, len(values))``), which is then
+    shared, not copied: only the values change.
     """
 
     def __init__(self, word_ids, values):
         # the last entry is a zero that padding points at; a commit zeroes
         # the value of every word it covers
         self.values = np.append(np.asarray(values, dtype=float), 0.0)
-        width = max((len(ws) for ws in word_ids), default=0)
-        self.padded = np.full((len(word_ids), width), len(self.values) - 1, dtype=np.intp)
-        for row, ws in zip(self.padded, word_ids):
-            row[: len(ws)] = ws
+        if isinstance(word_ids, np.ndarray):
+            self.padded = word_ids
+        else:
+            self.padded = pad_word_ids(word_ids, len(self.values) - 1)
 
     @classmethod
     def from_scorer(cls, x: DocumentSet, scorer: CoverageScorer) -> "CoverageGainState":

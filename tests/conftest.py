@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from structsum.corpus import build_document_set, load_dataset, load_stopwords
+from structsum.corpus import (
+    ReferenceSet, build_document_set, load_dataset, load_stopwords, tokenize,
+)
+from structsum.scoring import Summary
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURE_JSONL = FIXTURE_DIR / "fixture.jsonl"
@@ -53,6 +56,17 @@ def random_documents(rng: random.Random, n_docs=2, sentences_per_doc=3, vocab=No
             parts.append(" ".join(words).capitalize() + ".")
         docs.append(" ".join(parts))
     return docs
+
+
+def words_set(set_id, cand_words, ref_word_lists):
+    """(x, Y, summary): a one-sentence set whose summary's tokens are exactly
+    ``cand_words`` (an empty list selects nothing from a filler sentence) and
+    whose references tokenize to ``ref_word_lists``; no stopwords."""
+    x = build_document_set(set_id, [(" ".join(cand_words) or "filler").capitalize() + "."],
+                           frozenset())
+    refs = tuple(tuple(tokenize(" ".join(words))) for words in ref_word_lists)
+    ids = (0,) if cand_words else ()
+    return x, ReferenceSet(set_id, refs), Summary(ids, sum(x.sentences[i].cost for i in ids))
 
 
 def random_sigma(rng: random.Random, n, low=0.0, high=1.0):

@@ -10,7 +10,10 @@ results; the coordinate-ascent dual solver the package used before its
 active-set solver, whose duals the active-set solver must match or beat;
 and the per-word and per-sentence loops that built the feature bank and the
 ROUGE count arrays before they were built from token-id arrays, which the
-array builds must reproduce bit for bit.
+array builds must reproduce bit for bit; and, last, the dict-based ROUGE
+path the package scored with before ``RougeGain`` became its only ROUGE
+implementation (``UnigramCounts`` through ``loss_delta``), kept verbatim as
+the slow oracle that every ``RougeGain`` read-out must equal exactly.
 """
 
 from __future__ import annotations
@@ -18,11 +21,18 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from structsum.corpus import DocumentSet, ReferenceSet, Token
 from structsum.features import FeatureBank, cosine_groups, registry_for
+from structsum.experiments import resolve_budget
+from structsum.greedy import greedy_maximize
+from structsum.rouge import LossConfig, RougeGain, f_score
+from structsum.scoring import Summary
 
 
 def rouge1_f_brute(cand_tokens, ref_token_lists):
@@ -214,8 +224,6 @@ class RougeGainReference:
     """Aggregated-F gains by dict loops over each sentence's words."""
 
     def __init__(self, x, Y, cfg):
-        from structsum.rouge import UnigramCounts, reference_counts
-
         self.refs = reference_counts(Y, cfg)
         self.sentence_counts = [
             UnigramCounts.from_tokens(s.tokens, drop_stopwords=cfg.rouge_stopword_removal)
@@ -226,16 +234,12 @@ class RougeGainReference:
         self.overlaps = [0] * len(self.refs)
 
     def current_f(self) -> float:
-        from structsum.rouge import f_score
-
         total = 0.0
         for o, ref in zip(self.overlaps, self.refs):
             total += f_score(o, self.cand_total, ref.total)
         return total / len(self.refs)
 
     def _merged_f(self, k: int) -> float:
-        from structsum.rouge import f_score
-
         add = self.sentence_counts[k]
         new_total = self.cand_total + add.total
         total = 0.0
@@ -585,8 +589,6 @@ class FeatureBankReference(FeatureBank):
 def rouge_count_arrays_reference(x, Y, cfg):
     """(reference totals, reference counts, sentence counts, sentence totals)
     of ``RougeGain``, built by the former per-sentence dict loop."""
-    from structsum.rouge import UnigramCounts, reference_counts
-
     refs = reference_counts(Y, cfg)
     vocab = sorted({w for ref in refs for w in ref.counts})
     index = {w: v for v, w in enumerate(vocab)}
@@ -603,3 +605,175 @@ def rouge_count_arrays_reference(x, Y, cfg):
             if w in index:
                 sentence_counts[k, index[w]] = c
     return [ref.total for ref in refs], ref_counts, sentence_counts, sentence_totals
+
+
+@dataclass(frozen=True)
+class UnigramCounts:
+    counts: Mapping[str, int]
+    total: int
+
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[Token], drop_stopwords: bool = False) -> "UnigramCounts":
+        counts: dict[str, int] = {}
+        total = 0
+        for t in tokens:
+            if drop_stopwords and t.is_stopword:
+                continue
+            counts[t.normalized] = counts.get(t.normalized, 0) + 1
+            total += 1
+        return cls(counts, total)
+
+    @classmethod
+    def from_words(cls, words: Iterable[str]) -> "UnigramCounts":
+        counts: dict[str, int] = {}
+        total = 0
+        for w in words:
+            counts[w] = counts.get(w, 0) + 1
+            total += 1
+        return cls(counts, total)
+
+
+def clipped_overlap(candidate: UnigramCounts, reference: UnigramCounts) -> int:
+    # iterate the smaller map
+    a, b = candidate.counts, reference.counts
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(min(c, b.get(w, 0)) for w, c in a.items())
+
+
+def precision_recall_f(
+    candidate: UnigramCounts, reference: UnigramCounts
+) -> tuple[float, float, float]:
+    o = clipped_overlap(candidate, reference)
+    p = o / candidate.total if candidate.total else 0.0
+    r = o / reference.total if reference.total else 0.0
+    return p, r, f_score(o, candidate.total, reference.total)
+
+
+def rouge1_f(candidate: UnigramCounts, references: list[UnigramCounts]) -> float:
+    """Mean per-reference F. Empty candidate scores 0 against everything."""
+    if not references:
+        raise ValueError("rouge1_f needs at least one reference")
+    total = 0.0
+    for ref in references:
+        total += f_score(clipped_overlap(candidate, ref), candidate.total, ref.total)
+    return total / len(references)
+
+
+def rouge1_prf(
+    candidate: UnigramCounts, references: list[UnigramCounts]
+) -> tuple[float, float, float]:
+    if not references:
+        raise ValueError("rouge1_prf needs at least one reference")
+    ps = rs = fs = 0.0
+    for ref in references:
+        p, r, f = precision_recall_f(candidate, ref)
+        ps += p
+        rs += r
+        fs += f
+    n = len(references)
+    return ps / n, rs / n, fs / n
+
+
+def summary_counts(x: DocumentSet, y, cfg: LossConfig = LossConfig()) -> UnigramCounts:
+    ids = y.selected if isinstance(y, Summary) else tuple(y)
+    tokens: list[Token] = []
+    for sid in ids:
+        tokens.extend(x.sentences[sid].tokens)
+    return UnigramCounts.from_tokens(tokens, drop_stopwords=cfg.rouge_stopword_removal)
+
+
+def reference_counts(Y: ReferenceSet, cfg: LossConfig = LossConfig()) -> list[UnigramCounts]:
+    return [
+        UnigramCounts.from_tokens(r, drop_stopwords=cfg.rouge_stopword_removal)
+        for r in Y.references
+    ]
+
+
+def loss_delta_r(
+    Y: ReferenceSet, y, x: DocumentSet, cfg: LossConfig = LossConfig()
+) -> float:
+    """Raw loss max(0, 1 - F), aggregated per the configured mode.
+
+    ``mean-f`` is one minus the mean per-reference F, ``per-ref-loss`` the
+    mean of the per-reference losses 1 - F_r. F never exceeds 1, so the two
+    are equal as real numbers, but they round differently and can differ in
+    the last bit: a summary matching one of three one-word references loses
+    1 - 1/3 under ``mean-f`` and 2/3 under ``per-ref-loss``, one ulp apart.
+    Both paths stay selectable, each with its own formula.
+    """
+    cand = summary_counts(x, y, cfg)
+    refs = reference_counts(Y, cfg)
+    if cfg.multi_ref_aggregation == "per-ref-loss":
+        total = 0.0
+        for ref in refs:
+            f = f_score(clipped_overlap(cand, ref), cand.total, ref.total)
+            total += max(0.0, 1.0 - f)
+        return total / len(refs)
+    return max(0.0, 1.0 - rouge1_f(cand, refs))
+
+
+def loss_delta(
+    Y: ReferenceSet, y_hat, x: DocumentSet, cfg: LossConfig = LossConfig()
+) -> float:
+    """Target-normalized loss: max(0, raw(y_hat) - raw(target))."""
+    if Y.target is None:
+        raise ValueError(f"reference set {Y.set_id!r} has no target; run make_target first")
+    raw_hat = loss_delta_r(Y, y_hat, x, cfg)
+    raw_target = loss_delta_r(Y, Y.target, x, cfg)
+    return max(0.0, raw_hat - raw_target)
+
+
+def evaluate_reference(data, predictions, loss_cfg):
+    """The former ``evaluate_predictions`` loop on the dict path: the rows
+    and the mean precision, recall and F."""
+    by_id = {x.set_id: (x, Y) for x, Y in data}
+    rows = []
+    ps, rs, fs = [], [], []
+    for set_id in sorted(predictions):
+        x, Y = by_id[set_id]
+        y = predictions[set_id]
+        p, r, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
+        rows.append(
+            {"set_id": set_id, "precision": p, "recall": r, "f": f, "sentences": list(y.selected)}
+        )
+        ps.append(p)
+        rs.append(r)
+        fs.append(f)
+    n = len(rows)
+    return rows, sum(ps) / n, sum(rs) / n, sum(fs) / n
+
+
+def extractive_ceiling_reference(data, ids, greedy_cfg, loss_cfg):
+    """The former ``extractive_ceiling``: the greedy's summary re-scored on
+    the dict path."""
+    total = 0.0
+    for i in ids:
+        x, Y = data[i]
+        cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
+        gain = RougeGain(x, Y, loss_cfg)
+        y = greedy_maximize(x, gain, cost=None, cfg=cfg)
+        _, _, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
+        total += f
+    return total / len(ids)
+
+
+def human_agreement_reference(data, ids, loss_cfg):
+    """The former ``human_agreement`` on the dict path."""
+    values = []
+    for i in ids:
+        _, Y = data[i]
+        if len(Y.references) < 2:
+            return None
+        refs = reference_counts(Y, loss_cfg)
+        per_set = []
+        for held_out in range(len(refs)):
+            others = [r for j, r in enumerate(refs) if j != held_out]
+            total = 0.0
+            for other in others:
+                total += f_score(
+                    clipped_overlap(refs[held_out], other), refs[held_out].total, other.total
+                )
+            per_set.append(total / len(others))
+        values.append(sum(per_set) / len(per_set))
+    return sum(values) / len(values)

@@ -20,6 +20,7 @@ from structsum.corpus import build_document_set, load_dataset, load_stopwords
 from structsum.experiments import (
     bounds_table,
     build_targets,
+    evaluate_predictions,
     learning_curve,
     mean_f,
     predict_sets,
@@ -39,7 +40,7 @@ from structsum.learner import (
     solve_qp,
     train,
 )
-from structsum.rouge import LossConfig, UnigramCounts, loss_delta, rouge1_f
+from structsum.rouge import LossConfig, RougeGain
 from structsum.scoring import (
     CoverageScorer,
     PairwiseScorer,
@@ -56,8 +57,9 @@ from conftest import (
     SMALL_MODEL,
     random_documents,
     random_sigma,
+    words_set,
 )
-from oracles import best_coverage_subset, rouge1_f_brute
+from oracles import best_coverage_subset, loss_delta, rouge1_f_brute
 from qp_reference import solve_dual_reference
 
 
@@ -146,27 +148,29 @@ def test_greedy_approximation(stopwords):
 
 
 def test_unigram_f_oracle():
-    """500 random candidate/reference multisets match the brute-force
-    clipped-overlap F to 1e-12; the 4/7 hand example is reproduced exactly."""
+    """On 500 random candidate/reference multisets, the F that
+    ``evaluate_predictions`` reports (read off ``RougeGain``) matches the
+    brute-force clipped-overlap F to 1e-12; the 4/7 hand example is
+    reproduced exactly."""
     rng = random.Random(17)
     vocab = ["red", "blue", "green", "dog", "cat", "sun", "rain", "tree", "car", "sea"]
-    worst = 0.0
-    for _ in range(500):
+    data, predictions, want = [], {}, {}
+    for k in range(500):
         cand = [rng.choice(vocab) for _ in range(rng.randint(0, 15))]
         refs = [
             [rng.choice(vocab) for _ in range(rng.randint(1, 15))]
             for _ in range(rng.randint(1, 3))
         ]
-        got = rouge1_f(
-            UnigramCounts.from_words(cand), [UnigramCounts.from_words(r) for r in refs]
-        )
-        worst = max(worst, abs(got - rouge1_f_brute(cand, refs)))
-    hand = rouge1_f(
-        UnigramCounts.from_words(["a", "b", "c"]),
-        [UnigramCounts.from_words(["a", "b", "d", "e"])],
-    )
+        x, Y, y = words_set(f"u{k:03d}", cand, refs)
+        data.append((x, Y))
+        predictions[x.set_id] = y
+        want[x.set_id] = rouge1_f_brute(cand, refs)
+    report = evaluate_predictions(data, predictions, LossConfig())
+    worst = max(abs(row["f"] - want[row["set_id"]]) for row in report.rows)
+    x, Y, y = words_set("hand", ["a", "b", "c"], [["a", "b", "d", "e"]])
+    hand = RougeGain(x, Y).load(y.selected).current_f()
     _verdict(
-        worst <= 1e-12 and hand == 4.0 / 7.0,
+        len(report.rows) == 500 and worst <= 1e-12 and hand == 4.0 / 7.0,
         f"unigram F oracle: max |got-brute| = {worst:.2e} over 500 multisets "
         f"(tolerance 1e-12), hand-computed case = {hand} (wanted {4.0 / 7.0})",
     )

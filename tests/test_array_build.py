@@ -1,26 +1,30 @@
-"""The token-id array builds of ``FeatureBank`` and ``RougeGain``, and the
-loss and F read-outs of ``RougeGain``, against the former loops kept in
-tests/oracles.py and the dict ROUGE path of rouge.py: bit for bit, on
-generated sets."""
+"""The token-id array builds of ``FeatureBank`` and ``RougeGain``, and every
+loss, F and evaluation read-out of ``RougeGain``, against the former loops
+and the dict ROUGE path kept in tests/oracles.py: bit for bit, on generated
+sets."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import ReferenceSet, build_document_set, load_stopwords, tokenize
+from structsum.experiments import evaluate_predictions, extractive_ceiling, human_agreement
 from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig, greedy_maximize
-from structsum.rouge import (
-    AGGREGATIONS,
-    LossConfig,
-    RougeGain,
+from structsum.rouge import AGGREGATIONS, LossConfig, RougeGain
+from structsum.scoring import Summary
+
+from oracles import (
+    FeatureBankReference,
+    evaluate_reference,
+    extractive_ceiling_reference,
+    human_agreement_reference,
     loss_delta_r,
     reference_counts,
     rouge1_f,
+    rouge_count_arrays_reference,
     summary_counts,
 )
-
-from oracles import FeatureBankReference, rouge_count_arrays_reference
 
 STOPWORDS = load_stopwords()
 # stopwords, words of every length around the cutoffs, few enough that
@@ -45,6 +49,9 @@ sentence = st.one_of(
 )
 documents = st.lists(st.lists(sentence, min_size=1, max_size=4), min_size=1, max_size=3)
 references = st.lists(st.lists(word, min_size=1, max_size=8), min_size=1, max_size=3)
+# DUC sets have four references; with three or more others per held-out
+# reference, the order of the agreement sum shows in the last bit
+many_references = st.lists(st.lists(word, min_size=1, max_size=8), min_size=1, max_size=5)
 
 
 def sentence_text(words):
@@ -53,11 +60,11 @@ def sentence_text(words):
 
 
 @st.composite
-def document_sets(draw):
+def document_sets(draw, set_id="g", reference_lists=references):
     docs = [" ".join(sentence_text(s) for s in doc) for doc in draw(documents)]
-    x = build_document_set("g", docs, STOPWORDS)
-    refs = tuple(tuple(tokenize(" ".join(r), STOPWORDS)) for r in draw(references))
-    return x, ReferenceSet("g", refs)
+    x = build_document_set(set_id, docs, STOPWORDS)
+    refs = tuple(tuple(tokenize(" ".join(r), STOPWORDS)) for r in draw(reference_lists))
+    return x, ReferenceSet(set_id, refs)
 
 
 def same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -127,3 +134,37 @@ def test_read_outs_on_fixture(fixture_data):
             assert gain.load(y.selected).current_f() == rouge1_f(
                 summary_counts(x, y, cfg), reference_counts(Y, cfg)
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(document_sets(f"g{i}", many_references) for i in range(n)))
+), st.data())
+def test_evaluation_read_outs_equal_dict_path(sets, data):
+    """``evaluate_predictions`` rows and means, ``human_agreement`` and
+    ``extractive_ceiling`` equal the former dict-path loops exactly, with or
+    without stopwords: summaries may be empty, references differ in length
+    and may hold only stopwords."""
+    sets = list(sets)
+    predictions = {}
+    for x, _ in sets:
+        n = x.num_sentences
+        ids = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        predictions[x.set_id] = Summary(tuple(ids), sum(x.sentences[i].cost for i in ids))
+    ids = list(range(len(sets)))
+    # human agreement is None when any set has a single reference
+    several = [i for i in ids if len(sets[i][1].references) > 1]
+    greedy_cfg = GreedyConfig(budget_bytes=data.draw(st.integers(0, 200)))
+    for drop in (False, True):
+        cfg = LossConfig(rouge_stopword_removal=drop)
+        report = evaluate_predictions(sets, predictions, cfg)
+        rows, mean_p, mean_r, mean_f = evaluate_reference(sets, predictions, cfg)
+        assert report.rows == rows
+        assert (report.mean_p, report.mean_r, report.mean_f) == (mean_p, mean_r, mean_f)
+        for subset in (ids, several or ids):
+            assert human_agreement(sets, subset, cfg) == (
+                human_agreement_reference(sets, subset, cfg)
+            )
+        assert extractive_ceiling(sets, ids, greedy_cfg, cfg) == (
+            extractive_ceiling_reference(sets, ids, greedy_cfg, cfg)
+        )

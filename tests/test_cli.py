@@ -295,6 +295,37 @@ class TestInputContract:
         assert rc == 1
         assert stderr.startswith(f"error: line 2: {field}")
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--train-ids", "99"), ("train", "--train-ids", "-1"),
+        ("train", "--val-ids", "40"), ("bounds", "--test-ids", "77"),
+        ("curve", "--test-ids", "55"),
+    ])
+    def test_out_of_range_set_ids_fail(self, capsys, tmp_path, command, flag, value):
+        argv = {
+            "train": ["--train-ids", "0,1", "--C", "1,10", "--val-ids", "2",
+                      "--out", str(tmp_path / "m.json")],
+            "bounds": ["--model-file", str(SMALL_MODEL), "--train-ids", "0", "--test-ids", "1"],
+            "curve": ["--sizes", "1", "--train-ids", "0", "--test-ids", "1"],
+        }[command]
+        argv[argv.index(flag) + 1] = value
+        rc, _, stderr = run(capsys, command, "--dataset", DATASET, *argv)
+        assert rc == 1
+        assert stderr.startswith(f"error: {flag}: set indexes [{value}] out of range")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("train", ["--train-ids", "0"]),
+        ("curve", ["--train-ids", "0", "--test-ids", "1"]),
+        ("ablate", ["--train-ids", "0", "--test-ids", "1"]),
+    ])
+    def test_empty_c_grid_fails(self, capsys, tmp_path, command, argv):
+        out = tmp_path / "out.json"
+        rc, _, stderr = run(capsys, command, "--dataset", DATASET, *argv, "--C=",
+                            "--out", str(out))
+        assert rc == 1
+        assert stderr.startswith("error: --C needs at least one value")
+        assert not out.exists()
+
     def test_duplicate_set_ids_fail(self, capsys, tmp_path):
         first = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[0]
         dataset = self._dataset(tmp_path, [first, "", first])
@@ -377,6 +408,16 @@ class TestCurve:
         assert lines[1] == "1\t1.00000\t0.00000"
         assert lines[2] == "2\t1.00000\t0.00000"
         assert "warning:" in stderr and "50" in stderr
+
+    @pytest.mark.parametrize("sizes", ["-1,2", "0"])
+    def test_non_positive_size_fails(self, capsys, sizes):
+        # a negative size used to slice off the last training sets silently
+        rc, stdout, stderr = run(
+            capsys, "curve", "--dataset", DATASET, f"--sizes={sizes}",
+            "--train-ids", "0,1,2", "--test-ids", "5",
+        )
+        assert rc == 1 and stdout == ""
+        assert stderr.startswith("error: --sizes: training sizes must be positive")
 
     def test_half_specified_split_fails(self, capsys):
         rc, _, stderr = run(

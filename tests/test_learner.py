@@ -21,10 +21,11 @@ from structsum.learner import (
     train,
     violation,
 )
-from structsum.rouge import LossConfig, loss_delta, make_target
+from structsum.rouge import LossConfig, make_target
 from structsum.scoring import Summary, score, PairwiseScorer, SplitPairwiseScorer, CoverageScorer
 
 from conftest import random_documents
+from oracles import loss_delta
 from qp_reference import solve_dual_reference
 
 

@@ -8,23 +8,12 @@ from hypothesis import strategies as st
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.greedy import GreedyConfig, exhaustive_maximize
-from structsum.rouge import (
-    LossConfig,
-    RougeGain,
-    UnigramCounts,
-    clipped_overlap,
-    f_score,
-    loss_delta,
-    loss_delta_r,
-    make_target,
-    reference_counts,
-    rouge1_f,
-    rouge1_prf,
-    summary_counts,
-)
+from structsum.learner import train
+from structsum.rouge import LossConfig, RougeGain, f_score, make_target
 from structsum.scoring import Summary
 
-from oracles import rouge1_f_brute
+from conftest import words_set
+from oracles import loss_delta, reference_counts, rouge1_f, rouge1_f_brute, summary_counts
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 
@@ -39,6 +28,12 @@ def refset(word_lists, set_id="r"):
     )
 
 
+def loaded(cand_words, ref_word_lists, cfg=LossConfig()):
+    """``RougeGain`` of a words-only set with the candidate loaded."""
+    x, Y, y = words_set("w", cand_words, ref_word_lists)
+    return RougeGain(x, Y, cfg).load(y.selected)
+
+
 class TestLossConfig:
     def test_roundtrip(self):
         cfg = LossConfig(multi_ref_aggregation="per-ref-loss", rouge_stopword_removal=True)
@@ -51,60 +46,74 @@ class TestLossConfig:
 
 class TestCounts:
     def test_from_words(self):
-        c = UnigramCounts.from_words(["a", "b", "a"])
-        assert c.counts == {"a": 2, "b": 1}
-        assert c.total == 3
+        gain = loaded(["a", "b", "a"], [["a", "b", "a"]])
+        assert gain.ref_counts.tolist() == [[2, 1]]
+        assert gain.ref_totals == [3]
+        assert gain.sentence_totals.tolist() == [3]
+        assert gain.sentence_counts.tolist() == [[2, 1]]
 
-    def test_from_tokens_stopword_removal(self, stopwords):
-        tokens = tokenize("The cat sat", stopwords)
-        kept = UnigramCounts.from_tokens(tokens)
-        assert kept.total == 3
-        dropped = UnigramCounts.from_tokens(tokens, drop_stopwords=True)
-        assert dropped.counts == {"cat": 1, "sat": 1}
+    def test_from_tokens_stopword_removal(self, make_docset):
+        x = make_docset(["The cat sat."])
+        Y = ReferenceSet("s", (tuple(x.sentences[0].tokens),))
+        kept = RougeGain(x, Y, LossConfig())
+        assert kept.ref_totals == [3]
+        assert kept.sentence_totals.tolist() == [3]
+        dropped = RougeGain(x, Y, LossConfig(rouge_stopword_removal=True))
+        assert dropped.ref_totals == [2]
+        assert dropped.sentence_totals.tolist() == [2]
+        # cat, sat: the vocabulary holds only the kept words
+        assert dropped.ref_counts.tolist() == [[1, 1]]
 
     def test_clipped_overlap(self):
-        c = UnigramCounts.from_words(["a", "a", "a", "b"])
-        r = UnigramCounts.from_words(["a", "a", "c"])
-        assert clipped_overlap(c, r) == 2
-        assert clipped_overlap(r, c) == 2
+        assert loaded(["a", "a", "a", "b"], [["a", "a", "c"]]).overlaps == [2]
+        assert loaded(["a", "a", "c"], [["a", "a", "a", "b"]]).overlaps == [2]
+        # clipped per reference: the candidate's two a's count once against a
+        # reference with one a and twice against one with three
+        gain = loaded(["a", "a"], [["a"], ["a", "a", "a"], ["b"]])
+        assert gain.overlaps == [1, 2, 0]
 
 
 class TestFScore:
     def test_hand_computed_example(self):
-        c = UnigramCounts.from_words(["a", "b", "x"])
-        r = UnigramCounts.from_words(["a", "b", "c", "d"])
-        assert f_score(clipped_overlap(c, r), c.total, r.total) == pytest.approx(4 / 7)
+        assert loaded(["a", "b", "x"], [["a", "b", "c", "d"]]).current_f() == pytest.approx(4 / 7)
 
     def test_zero_denominator(self):
         assert f_score(0, 0, 0) == 0.0
+        # an empty candidate against a reference left empty by stopword
+        # removal: every ratio hits its zero guard
+        x = build_document_set("z", ["The cat."], frozenset({"the"}))
+        Y = ReferenceSet("z", (tuple(tokenize("the the", frozenset({"the"}))),))
+        gain = RougeGain(x, Y, LossConfig(rouge_stopword_removal=True)).load(())
+        assert (gain.cand_total, gain.ref_totals) == (0, [0])
+        assert gain.prf() == (0.0, 0.0, 0.0)
+        assert gain.current_f() == 0.0
+        assert gain.raw_loss() == 1.0
 
     def test_perfect_match(self):
-        c = UnigramCounts.from_words(["a", "b"])
-        assert f_score(clipped_overlap(c, c), c.total, c.total) == 1.0
+        assert loaded(["a", "b"], [["a", "b"]]).current_f() == 1.0
 
     def test_matches_brute_force_500_multisets(self):
         rng = random.Random(23)
         for _ in range(500):
             cand = multiset(rng)
             refs = [multiset(rng) or ["alpha"] for _ in range(rng.randint(1, 4))]
-            got = rouge1_f(
-                UnigramCounts.from_words(cand),
-                [UnigramCounts.from_words(r) for r in refs],
-            )
+            gain = loaded(cand, refs)
             want = rouge1_f_brute(cand, refs)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert gain.current_f() == pytest.approx(want, abs=1e-12)
+            assert gain.prf()[2] == gain.current_f()
 
     def test_prf_consistent(self):
-        c = UnigramCounts.from_words(["a", "b", "x"])
-        r = UnigramCounts.from_words(["a", "b", "c", "d"])
-        p, rec, f = rouge1_prf(c, [r])
+        p, rec, f = loaded(["a", "b", "x"], [["a", "b", "c", "d"]]).prf()
         assert p == pytest.approx(2 / 3)
         assert rec == pytest.approx(2 / 4)
         assert f == pytest.approx(4 / 7)
+        # an empty candidate has zero precision, recall and F
+        assert loaded([], [["a", "b"]]).prf() == (0.0, 0.0, 0.0)
 
-    def test_requires_references(self):
+    def test_requires_references(self, make_docset):
+        x = make_docset(["Alpha."], with_stopwords=False)
         with pytest.raises(ValueError):
-            rouge1_f(UnigramCounts.from_words(["a"]), [])
+            RougeGain(x, ReferenceSet("r", ()))
 
 
 class TestLoss:
@@ -117,42 +126,40 @@ class TestLoss:
         """The two multi-reference aggregations agree up to rounding; they
         are not bit-equal (see the next test)."""
         x, Y = self._xy(make_docset)
+        mean_f = RougeGain(x, Y, LossConfig(multi_ref_aggregation="mean-f"))
+        per_ref = RougeGain(x, Y, LossConfig(multi_ref_aggregation="per-ref-loss"))
         for ids in [(), (0,), (1,), (0, 1)]:
-            y = Summary(ids, 0)
-            a = loss_delta_r(Y, y, x, LossConfig(multi_ref_aggregation="mean-f"))
-            b = loss_delta_r(Y, y, x, LossConfig(multi_ref_aggregation="per-ref-loss"))
+            a = mean_f.load(ids).raw_loss()
+            b = per_ref.load(ids).raw_loss()
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_aggregation_modes_differ_in_the_last_bit(self, make_docset):
         """1 - mean F and the mean of 1 - F round differently: a summary
         matching one of three references gives 1 - 1/3 against 2/3, one
-        ulp apart. Both paths, and RougeGain's read-out of each, keep
-        their own formula."""
+        ulp apart. Each mode keeps its own formula."""
         x = make_docset(["Beta."], with_stopwords=False)
         Y = refset([["alpha"], ["gamma"], ["beta"]])
-        mean_f = LossConfig(multi_ref_aggregation="mean-f")
-        per_ref = LossConfig(multi_ref_aggregation="per-ref-loss")
-        a = loss_delta_r(Y, (0,), x, mean_f)
-        b = loss_delta_r(Y, (0,), x, per_ref)
+        a = RougeGain(x, Y, LossConfig(multi_ref_aggregation="mean-f")).load([0]).raw_loss()
+        b = RougeGain(x, Y, LossConfig(multi_ref_aggregation="per-ref-loss")).load([0]).raw_loss()
         assert (a, b) == (1.0 - 1.0 / 3.0, 2.0 / 3.0)
         assert a - b == math.ulp(b)
-        assert RougeGain(x, Y, mean_f).load([0]).raw_loss() == a
-        assert RougeGain(x, Y, per_ref).load([0]).raw_loss() == b
 
     def test_loss_is_one_minus_f(self, make_docset):
         x, Y = self._xy(make_docset)
-        y = Summary((0,), 0)
-        f = rouge1_f(summary_counts(x, y), reference_counts(Y))
-        assert loss_delta_r(Y, y, x, LossConfig()) == pytest.approx(1.0 - f)
+        gain = RougeGain(x, Y, LossConfig()).load([0])
+        assert gain.raw_loss() == pytest.approx(1.0 - gain.current_f())
 
     def test_empty_summary_loss_is_one(self, make_docset):
         x, Y = self._xy(make_docset)
-        assert loss_delta_r(Y, Summary.empty(), x, LossConfig()) == 1.0
+        for mode in ("mean-f", "per-ref-loss"):
+            gain = RougeGain(x, Y, LossConfig(multi_ref_aggregation=mode))
+            assert gain.load(()).raw_loss() == 1.0
+            assert gain.reset().raw_loss() == 1.0
 
     def test_normalized_loss_needs_target(self, make_docset):
         x, Y = self._xy(make_docset)
-        with pytest.raises(ValueError):
-            loss_delta(Y, Summary.empty(), x, LossConfig())
+        with pytest.raises(ValueError, match="no target"):
+            train([(x, Y)], "pairwise")
 
     def test_normalized_loss_clamps_at_zero(self, make_docset):
         x, Y = self._xy(make_docset)
@@ -166,9 +173,8 @@ class TestLoss:
     def test_stopword_removal_changes_loss(self, make_docset):
         x = make_docset(["The cat sat. A dog ran."])
         Y = ReferenceSet("s", (tuple(tokenize("the cat")),))
-        y = Summary((0,), 0)
-        with_sw = loss_delta_r(Y, y, x, LossConfig())
-        without = loss_delta_r(Y, y, x, LossConfig(rouge_stopword_removal=True))
+        with_sw = RougeGain(x, Y, LossConfig()).load([0]).raw_loss()
+        without = RougeGain(x, Y, LossConfig(rouge_stopword_removal=True)).load([0]).raw_loss()
         assert with_sw != pytest.approx(without)
 
 
@@ -234,10 +240,11 @@ class TestMakeTarget:
             budget = rng.randint(10, 60)
             gcfg = GreedyConfig(budget_bytes=budget, r=1.0)
             target = make_target(x, Y, gcfg, cfg)
-            f_target = rouge1_f(summary_counts(x, target, cfg), reference_counts(Y, cfg))
+            gain = RougeGain(x, Y, cfg)
+            f_target = gain.load(target.selected).current_f()
 
             def objective(y):
-                return rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg))
+                return gain.load(y.selected).current_f()
 
             best = exhaustive_maximize(x, objective, gcfg)
             f_best = objective(best)
@@ -280,6 +287,7 @@ def test_recall_monotone_in_summary_growth(data):
     split_at = data.draw(st.integers(0, len(members)))
     small = Summary(tuple(members[:split_at]), 0)
     large = Summary(tuple(members), 0)
-    _, rec_small, _ = rouge1_prf(summary_counts(x, small), reference_counts(Y))
-    _, rec_large, _ = rouge1_prf(summary_counts(x, large), reference_counts(Y))
+    gain = RougeGain(x, Y)
+    _, rec_small, _ = gain.load(small.selected).prf()
+    _, rec_large, _ = gain.load(large.selected).prf()
     assert rec_large >= rec_small - 1e-12
