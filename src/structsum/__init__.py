@@ -22,7 +22,7 @@ from .features import (
     pairwise_features,
     registry_for,
 )
-from .greedy import GreedyConfig, exhaustive_maximize, greedy_maximize
+from .greedy import GreedyConfig, greedy_maximize
 from .learner import (
     Model,
     ModelError,
@@ -33,20 +33,11 @@ from .learner import (
     train,
 )
 from .rouge import LossConfig, RougeGain, make_target
-from .scoring import (
-    CoverageScorer,
-    PairwiseScorer,
-    SplitPairwiseScorer,
-    Summary,
-    gain_state,
-    marginal_gain,
-    score,
-)
+from .scoring import PairwiseScorer, Summary, gain_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverageScorer",
     "DatasetError",
     "DocumentSet",
     "FeatureConfig",
@@ -60,14 +51,12 @@ __all__ = [
     "ReferenceSet",
     "RougeGain",
     "Sentence",
-    "SplitPairwiseScorer",
     "Summary",
     "Token",
     "TrainResult",
     "TrainerConfig",
     "build_document_set",
     "coverage_features",
-    "exhaustive_maximize",
     "gain_state",
     "greedy_maximize",
     "joint_feature_map_coverage",
@@ -75,11 +64,9 @@ __all__ = [
     "load_dataset",
     "load_stopwords",
     "make_target",
-    "marginal_gain",
     "pairwise_features",
     "predict",
     "registry_for",
-    "score",
     "segment_sentences",
     "separation_oracle",
     "tokenize",

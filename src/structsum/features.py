@@ -536,15 +536,3 @@ def joint_feature_map_coverage(
 ) -> FeatureVector:
     """Sum of word features over the distinct words the summary covers."""
     return _sparse((ctx or FeatureBank(x, cfg)).coverage_psi(_summary_ids(y)))
-
-
-def tfidf_cosine_fn(x: DocumentSet):
-    """Similarity used by the hand-tuned baseline: tf-idf cosine, all words
-    (defined for i != j)."""
-    cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
-    m = FeatureBank(x, cfg).cosines[0]
-
-    def sigma(i: int, j: int) -> float:
-        return float(m[i, j])
-
-    return sigma

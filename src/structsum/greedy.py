@@ -25,20 +25,13 @@ A non-finite gain raises ValueError; it would otherwise never win.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import DocumentSet
-from .scoring import (
-    CoverageScorer,
-    PairwiseScorer,
-    SplitPairwiseScorer,
-    Summary,
-    score as _score_dispatch,
-)
+from .scoring import Summary
 
 
 @dataclass(frozen=True)
@@ -128,45 +121,3 @@ def greedy_maximize(
             gain.commit(sid)
         ids = np.delete(ids, best)
     return Summary(tuple(selected), total)
-
-
-_MAX_EXHAUSTIVE = 20
-
-
-def exhaustive_maximize(
-    x: DocumentSet,
-    scorer,
-    cfg: GreedyConfig,
-    cost=None,
-) -> Summary:
-    """Score every budget-feasible subset and return the best.
-
-    ``scorer`` may be a scorer object or a callable mapping a Summary to a
-    float. Guarded to small instances; intended as a test-time oracle.
-    Ties keep the first subset in (size, lexicographic) order, so the empty
-    summary wins when everything scores zero.
-    """
-    n = x.num_sentences
-    if n > _MAX_EXHAUSTIVE:
-        raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE}")
-    cost = _cost_fn(x, cost)
-    best = Summary.empty()
-    best_score = _score_one(x, best, scorer)
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            c = sum(cost(sid) for sid in combo)
-            if c > cfg.budget_bytes:
-                continue
-            y = Summary(combo, c)
-            s = _score_one(x, y, scorer)
-            if s > best_score:
-                best, best_score = y, s
-    return best
-
-
-def _score_one(x: DocumentSet, y: Summary, scorer) -> float:
-    if isinstance(scorer, (PairwiseScorer, SplitPairwiseScorer, CoverageScorer)):
-        return _score_dispatch(x, y, scorer)
-    if callable(scorer):
-        return float(scorer(y))
-    raise TypeError(f"cannot score with {type(scorer).__name__}")

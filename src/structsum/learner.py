@@ -206,10 +206,12 @@ class TrainerConfig:
     track_train_rouge: bool = True
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be positive and finite, not {self.C}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, not {self.epsilon}")
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be >= 1, not {self.max_outer_iters}")
 
 
 class WorkingSet:

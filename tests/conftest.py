@@ -1,18 +1,21 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from structsum.corpus import (
     ReferenceSet, build_document_set, load_dataset, load_stopwords, tokenize,
 )
-from structsum.scoring import Summary
+from structsum.features import FeatureBank, FeatureConfig
+from structsum.scoring import CoverageGainState, Summary
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURE_JSONL = FIXTURE_DIR / "fixture.jsonl"
 EXPECTED_RESULTS = FIXTURE_DIR / "expected_results.json"
 SMALL_MODEL = FIXTURE_DIR / "model_small.json"
 GOLDEN_SUMMARIES = FIXTURE_DIR / "golden_summaries.txt"
+GOLDEN_BASELINE = FIXTURE_DIR / "golden_baseline.txt"
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +81,25 @@ def random_sigma(rng: random.Random, n, low=0.0, high=1.0):
             table[(i, j)] = v
             table[(j, i)] = v
     return lambda i, j: table.get((i, j), 0.0)
+
+
+def sigma_matrix(n, sigma):
+    """The n x n matrix of a similarity callable, zero on the diagonal."""
+    return np.array([[sigma(i, j) if i != j else 0.0 for j in range(n)] for i in range(n)])
+
+
+def coverage_state(x, value, bank=None):
+    """The coverage gain state a model builds for x, each word w valued
+    ``value(w)``."""
+    bank = bank or FeatureBank(x, FeatureConfig())
+    return CoverageGainState(bank.padded_word_ids, [value(w) for w in bank.words])
+
+
+def committed(state, ids):
+    """``state`` after committing ``ids`` in order."""
+    for k in ids:
+        state.commit(k)
+    return state
 
 
 # one verdict line per acceptance criterion, echoed after the test run

@@ -182,15 +182,18 @@ def main() -> None:
         json.dumps(expected, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "structsum.cli", "summarize",
-         "--dataset", str(FIXTURE_DIR / "fixture.jsonl"),
-         "--model-file", str(FIXTURE_DIR / "model_small.json")],
-        capture_output=True, text=True, check=True, cwd=REPO_ROOT,
-    )
-    (FIXTURE_DIR / "golden_summaries.txt").write_text(proc.stdout, encoding="utf-8")
+    for name, source in (
+        ("golden_summaries.txt", ["--model-file", str(FIXTURE_DIR / "model_small.json")]),
+        ("golden_baseline.txt", ["--baseline"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "structsum.cli", "summarize",
+             "--dataset", str(FIXTURE_DIR / "fixture.jsonl"), *source],
+            capture_output=True, text=True, check=True, cwd=REPO_ROOT,
+        )
+        (FIXTURE_DIR / name).write_text(proc.stdout, encoding="utf-8")
     print("wrote fixture.jsonl, expected_results.json, model_small.json, "
-          "golden_summaries.txt")
+          "golden_summaries.txt, golden_baseline.txt")
 
 
 if __name__ == "__main__":

@@ -108,6 +108,34 @@ def best_coverage_subset(sentence_words, omega_fn, costs, budget):
     return best_value, best_subset
 
 
+_MAX_EXHAUSTIVE = 20
+
+
+def exhaustive_maximize(x, objective, cfg, cost=None):
+    """Score every budget-feasible subset with ``objective`` (a callable
+    from Summary to float) and return the best; a test-time oracle, guarded
+    to small instances. Ties keep the first subset in (size, lexicographic)
+    order, so the empty summary wins when everything scores zero."""
+    from structsum.greedy import _cost_fn
+
+    n = x.num_sentences
+    if n > _MAX_EXHAUSTIVE:
+        raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE}")
+    cost = _cost_fn(x, cost)
+    best = Summary.empty()
+    best_score = float(objective(best))
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            c = sum(cost(sid) for sid in combo)
+            if c > cfg.budget_bytes:
+                continue
+            y = Summary(combo, c)
+            s = float(objective(y))
+            if s > best_score:
+                best, best_score = y, s
+    return best
+
+
 def _variants(x, cfg):
     """(group, variant, member words) for every enabled word-group variant."""
     vocab, n, d = x.vocabulary, x.num_sentences, x.num_docs

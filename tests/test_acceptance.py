@@ -29,7 +29,7 @@ from structsum.experiments import (
     select_c,
     train_on,
 )
-from structsum.features import FeatureConfig, FeatureVector
+from structsum.features import FeatureBank, FeatureConfig, FeatureVector
 from structsum.greedy import GreedyConfig, greedy_maximize
 from structsum.learner import (
     Constraint,
@@ -41,25 +41,21 @@ from structsum.learner import (
     train,
 )
 from structsum.rouge import LossConfig, RougeGain
-from structsum.scoring import (
-    CoverageScorer,
-    PairwiseScorer,
-    Summary,
-    gain_state,
-    marginal_gain,
-    score_coverage,
-)
+from structsum.scoring import PairwiseGainState, PairwiseScorer, Summary, gain_state
 
 from conftest import (
     ACCEPTANCE_LINES,
     EXPECTED_RESULTS,
     FIXTURE_JSONL,
     SMALL_MODEL,
+    committed,
+    coverage_state,
     random_documents,
     random_sigma,
+    sigma_matrix,
     words_set,
 )
-from oracles import best_coverage_subset, loss_delta, rouge1_f_brute
+from oracles import best_coverage_subset, coverage_score_brute, loss_delta, rouge1_f_brute
 from qp_reference import solve_dual_reference
 
 
@@ -80,33 +76,36 @@ def _subset_chain(rng, universe):
 
 
 def test_submodularity_suite(stopwords):
-    """1000 random (s subseteq t, u) draws per scorer obey diminishing
-    returns within 1e-9, in under ten seconds."""
+    """1000 random (s subseteq t, u) draws per gain state obey diminishing
+    returns within 1e-9, in under ten seconds: s (resp. t) is committed
+    into a fresh state, which then gives u's gain."""
     rng = random.Random(11)
     started = time.perf_counter()
-    pair_sets = {
-        n: build_document_set(f"p{n}", random_documents(rng, 1, n), stopwords)
-        for n in range(4, 10)
-    }
+    # six set draws that fix the rng state every later draw starts from
+    for n in range(4, 10):
+        random_documents(rng, 1, n)
     cov_sets = [
         build_document_set(f"c{k}", random_documents(rng, 2, rng.randint(2, 4)), stopwords)
         for k in range(40)
     ]
+    banks = {x.set_id: FeatureBank(x, FeatureConfig()) for x in cov_sets}
     worst = 0.0
     for _ in range(1000):
         n = rng.randint(4, 9)
-        x = pair_sets[n]
-        scorer = PairwiseScorer(random_sigma(rng, n), lam=rng.uniform(0.0, 5.0))
+        m, lam = sigma_matrix(n, random_sigma(rng, n)), rng.uniform(0.0, 5.0)
         s, t, u = _subset_chain(rng, list(range(n)))
-        worst = max(worst, marginal_gain(x, t, u, scorer) - marginal_gain(x, s, u, scorer))
+        g_s = committed(PairwiseGainState(m, lam), s).gains([u])[0]
+        g_t = committed(PairwiseGainState(m, lam), t).gains([u])[0]
+        worst = max(worst, g_t - g_s)
     for _ in range(1000):
         x = rng.choice(cov_sets)
         # sorted so the draw order is stable under hash randomization
         vocab = sorted({t.normalized for s in x.sentences for t in s.tokens})
         values = {w: rng.random() for w in vocab}
-        scorer = CoverageScorer(lambda w, v=values: v.get(w, 0.0))
         s, t, u = _subset_chain(rng, list(range(x.num_sentences)))
-        worst = max(worst, marginal_gain(x, t, u, scorer) - marginal_gain(x, s, u, scorer))
+        g_s = committed(coverage_state(x, values.__getitem__, banks[x.set_id]), s).gains([u])[0]
+        g_t = committed(coverage_state(x, values.__getitem__, banks[x.set_id]), t).gains([u])[0]
+        worst = max(worst, g_t - g_s)
     elapsed = time.perf_counter() - started
     _verdict(
         worst <= 1e-9 and elapsed < 10.0,
@@ -128,15 +127,12 @@ def test_greedy_approximation(stopwords):
         n = x.num_sentences
         vocab = sorted({t.normalized for s in x.sentences for t in s.tokens})
         values = {w: rng.random() for w in vocab}
-        scorer = CoverageScorer(lambda w, v=values: v.get(w, 0.0))
         budget = rng.randint(1, n)
         cfg = GreedyConfig(budget_bytes=budget, r=1.0)
-        y = greedy_maximize(x, gain_state(x, scorer), cost=[1] * n, cfg=cfg)
-        got = score_coverage(x, y, scorer)
+        y = greedy_maximize(x, coverage_state(x, values.__getitem__), cost=[1] * n, cfg=cfg)
         sentence_words = [sorted({t.normalized for t in s.tokens}) for s in x.sentences]
-        opt, _ = best_coverage_subset(
-            sentence_words, lambda w, v=values: v.get(w, 0.0), [1] * n, budget
-        )
+        got = coverage_score_brute(sentence_words, values.__getitem__, y.selected)
+        opt, _ = best_coverage_subset(sentence_words, values.__getitem__, [1] * n, budget)
         ratios.append(1.0 if opt <= 0.0 else got / opt)
     elapsed = time.perf_counter() - started
     mean_ratio = sum(ratios) / len(ratios)

@@ -12,7 +12,7 @@ import structsum
 from structsum.cli import main
 from structsum.learner import Model
 
-from conftest import FIXTURE_JSONL, GOLDEN_SUMMARIES, SMALL_MODEL
+from conftest import FIXTURE_JSONL, GOLDEN_BASELINE, GOLDEN_SUMMARIES, SMALL_MODEL
 
 DATASET = str(FIXTURE_JSONL)
 
@@ -121,6 +121,11 @@ class TestSummarize:
         )
         assert rc == 0
         assert stdout == GOLDEN_SUMMARIES.read_text(encoding="utf-8")
+
+    def test_baseline_stdout_matches_golden_file(self, capsys):
+        rc, stdout, _ = run(capsys, "summarize", "--dataset", DATASET, "--baseline")
+        assert rc == 0
+        assert stdout == GOLDEN_BASELINE.read_text(encoding="utf-8")
 
     def test_out_file_is_reproducible(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -325,6 +330,25 @@ class TestInputContract:
         assert rc == 1
         assert stderr.startswith("error: --C needs at least one value")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("train", ["--max-iters", "0"], "max_outer_iters must be >= 1"),
+        ("curve", ["--max-iters", "-2"], "max_outer_iters must be >= 1"),
+        ("ablate", ["--max-iters", "-2"], "max_outer_iters must be >= 1"),
+        ("train", ["--epsilon", "nan"], "epsilon must be finite and >= 0"),
+        ("train", ["--epsilon", "inf"], "epsilon must be finite and >= 0"),
+        ("train", ["--C", "inf"], "C must be positive and finite"),
+    ])
+    def test_trainer_settings_that_break_training_fail(
+        self, capsys, tmp_path, command, argv, message
+    ):
+        out = tmp_path / "out.json"
+        ids = ["--train-ids", "0"] + (["--test-ids", "1"] if command != "train" else [])
+        rc, _, stderr = run(capsys, command, "--dataset", DATASET, *ids, *argv,
+                            "--out", str(out))
+        assert rc == 1
+        assert stderr.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_set_ids_fail(self, capsys, tmp_path):
         first = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[0]

@@ -17,19 +17,20 @@ from structsum.features import (
     joint_feature_map_pairwise,
     pairwise_features,
     registry_for,
-    tfidf_cosine_fn,
 )
 from structsum.greedy import GreedyConfig, greedy_maximize
-from structsum.scoring import (
-    CoverageScorer,
-    PairwiseScorer,
-    SplitPairwiseScorer,
-    Summary,
-    score,
-)
+from structsum.scoring import PairwiseScorer, Summary, gain_state
 
 from conftest import random_documents
-from oracles import pair_features_brute, word_features_brute
+from oracles import (
+    PairwiseGainReference,
+    coverage_score_brute,
+    greedy_scan_reference,
+    pair_features_brute,
+    pairwise_score_brute,
+    split_score_brute,
+    word_features_brute,
+)
 
 
 class TestFeatureConfig:
@@ -266,15 +267,15 @@ class TestJointFeatureMap:
             w = self._random_w(rng, reg.dimension)
             lam = rng.uniform(0.0, 5.0)
             bank = FeatureBank(x, cfg)
-            scorer = PairwiseScorer(
-                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w),
-                lam=lam,
-                clamp_negative=False,
-            )
+
+            def sigma(i, j):
+                return pairwise_features(x, i, j, cfg, bank).dot(w)
+
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_pairwise(x, y, cfg, lam, ctx=bank)
-            assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
+            want = pairwise_score_brute(x.num_sentences, sigma, lam, ids)
+            assert psi.dot(w) == pytest.approx(want, abs=1e-9)
 
     def test_split_linearity(self, stopwords):
         rng = random.Random(11)
@@ -287,15 +288,18 @@ class TestJointFeatureMap:
             w = self._random_w(rng, reg.dimension)
             w_cross, w_red = w[: base.dimension], w[base.dimension :]
             bank = FeatureBank(x, cfg)
-            scorer = SplitPairwiseScorer(
-                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w_cross),
-                lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(w_red),
-                clamp_negative=False,
-            )
+
+            def cross(i, j):
+                return pairwise_features(x, i, j, cfg, bank).dot(w_cross)
+
+            def red(i, j):
+                return pairwise_features(x, i, j, cfg, bank).dot(w_red)
+
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_pairwise(x, y, cfg, lam=0.0, split=True, ctx=bank)
-            assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
+            want = split_score_brute(x.num_sentences, cross, red, ids)
+            assert psi.dot(w) == pytest.approx(want, abs=1e-9)
 
     def test_coverage_linearity(self, stopwords):
         rng = random.Random(13)
@@ -306,14 +310,15 @@ class TestJointFeatureMap:
             reg = registry_for(cfg, "coverage")
             w = self._random_w(rng, reg.dimension)
             bank = FeatureBank(x, cfg)
-            scorer = CoverageScorer(
-                lambda v: coverage_features(x, v, cfg, bank).dot(w),
-                clamp_negative=False,
-            )
+
+            def omega(v):
+                return coverage_features(x, v, cfg, bank).dot(w)
+
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_coverage(x, y, cfg, ctx=bank)
-            assert psi.dot(w) == pytest.approx(score(x, y, scorer), abs=1e-9)
+            words = [set(s.word_counts()) for s in x.sentences]
+            assert psi.dot(w) == pytest.approx(coverage_score_brute(words, omega, ids), abs=1e-9)
 
     def test_empty_summary_maps_to_zero(self, stopwords):
         x = two_doc_set(stopwords)
@@ -322,26 +327,42 @@ class TestJointFeatureMap:
         assert len(joint_feature_map_coverage(x, Summary.empty(), cfg)) == 0
 
 
-def test_tfidf_cosine_baseline_properties(stopwords):
-    x = two_doc_set(stopwords)
-    sigma = tfidf_cosine_fn(x)
-    for i in range(x.num_sentences):
-        for j in range(x.num_sentences):
-            if i == j:
-                continue
-            v = sigma(i, j)
-            assert 0.0 <= v <= 1.0 + 1e-12
-            assert v == pytest.approx(sigma(j, i))
+class _ScanGain:
+    """A one-candidate reference gain called as the full scan calls it."""
+
+    def __init__(self, reference):
+        self.reference = reference
+
+    def __call__(self, summary, k):
+        return self.reference(k)
+
+    def commit(self, k):
+        self.reference.commit(k)
 
 
-def test_greedy_runs_on_feature_scorer(stopwords):
-    """End-to-end: features -> scorer -> greedy stays inside the budget."""
-    x = two_doc_set(stopwords)
-    scorer = PairwiseScorer(tfidf_cosine_fn(x), lam=4.0)
-    from structsum.scoring import gain_state
-
-    y = greedy_maximize(x, gain_state(x, scorer), cfg=GreedyConfig(budget_bytes=60))
-    assert y.total_cost <= 60
+def test_tfidf_cosine_baseline_properties(fixture_data, stopwords):
+    """The baseline's similarity matrix is exactly symmetric with a zero
+    diagonal, its entries are the brute-force tf-idf cosine feature, and
+    its greedy summary is the full scan's over the one-candidate gains; on
+    the fixture sets and on seeded sets of 40 or more sentences."""
+    rng = random.Random(29)
+    big = [build_document_set(f"big{k}", random_documents(rng, 8, 6), stopwords)
+           for k in range(3)]
+    assert min(x.num_sentences for x in big) >= 40
+    cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
+    for x in [x for x, _ in fixture_data] + big:
+        scorer = PairwiseScorer.tfidf_baseline(x)
+        m, n = scorer.m, x.num_sentences
+        assert np.array_equal(m, m.T)
+        assert not np.diagonal(m).any()
+        want = np.array([[pair_features_brute(x, i, j, cfg).get("pair:cos:basic:all:tfidf", 0.0)
+                          if i != j else 0.0 for j in range(n)] for i in range(n)])
+        assert np.abs(m - want).max() <= 1e-12
+        gcfg = GreedyConfig(budget_bytes=x.budget_bytes or 665, r=0.3)
+        y = greedy_maximize(x, gain_state(x, scorer), cfg=gcfg)
+        reference = _ScanGain(PairwiseGainReference(m, lam=scorer.lam))
+        assert y == greedy_scan_reference(x, reference, cfg=gcfg)
+        assert y.total_cost <= gcfg.budget_bytes
 
 
 # every group and scheme; len20 and df1.00 come out empty on these sets, and

@@ -11,13 +11,7 @@ from structsum.features import FeatureBank, FeatureConfig, registry_for
 from structsum.greedy import GreedyConfig, greedy_maximize
 from structsum.learner import _AugmentedGain
 from structsum.rouge import LossConfig, RougeGain
-from structsum.scoring import (
-    CoverageGainState,
-    CoverageScorer,
-    PairwiseGainState,
-    SplitGainState,
-    gain_state,
-)
+from structsum.scoring import CoverageGainState, PairwiseGainState, SplitGainState
 
 from conftest import random_documents
 from oracles import (
@@ -114,11 +108,13 @@ def test_coverage(sets):
         for budget in BUDGETS:
             for vals in (values, np.maximum(values, 0.0)):
                 reference = CoverageGainReference(words, dict(zip(bank.words, vals)))
-                accepted += run(x, CoverageGainState(bank.sentence_word_ids, vals),
-                              reference, budget)
+                accepted += run(x, CoverageGainState(bank.padded_word_ids, vals),
+                                reference, budget)
+            # the bank's padded rows hold exactly each sentence's words
             value = dict(zip(bank.words, np.abs(values)))
             reference = CoverageGainReference([s.word_counts() for s in x.sentences], value)
-            accepted += run(x, gain_state(x, CoverageScorer(value.__getitem__)), reference, budget)
+            accepted += run(x, CoverageGainState(bank.padded_word_ids, np.abs(values)),
+                            reference, budget)
     assert accepted > 4 * len(sets)
 
 

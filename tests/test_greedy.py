@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import build_document_set
-from structsum.greedy import GreedyConfig, exhaustive_maximize, greedy_maximize
-from structsum.scoring import CoverageScorer, Summary, gain_state
+from structsum.greedy import GreedyConfig, greedy_maximize
 
-from oracles import best_coverage_subset, greedy_scan_reference
+from conftest import coverage_state
+from oracles import (
+    best_coverage_subset,
+    coverage_score_brute,
+    exhaustive_maximize,
+    greedy_scan_reference,
+)
 
 
 def flat_set(n):
@@ -44,21 +49,26 @@ class TestWorkedExample:
         self.x = build_document_set("w", ["One two. One. Three."], frozenset())
         self.cost = [3, 1, 1]
         self.cfg = GreedyConfig(budget_bytes=2, r=1.0)
-        self.scorer = CoverageScorer(lambda w: 1.0)
+
+    def gain(self):
+        return coverage_state(self.x, lambda w: 1.0)
 
     def test_selection_and_order(self):
-        y = greedy_maximize(self.x, gain_state(self.x, self.scorer),
-                            cost=self.cost, cfg=self.cfg)
+        y = greedy_maximize(self.x, self.gain(), cost=self.cost, cfg=self.cfg)
         assert y.selected == (1, 2)
         assert y.total_cost == 2
 
     def test_exhaustive_agrees(self):
-        y = exhaustive_maximize(self.x, self.scorer, self.cfg, cost=self.cost)
+        words = [set(s.word_counts()) for s in self.x.sentences]
+
+        def objective(y):
+            return coverage_score_brute(words, lambda w: 1.0, y.selected)
+
+        y = exhaustive_maximize(self.x, objective, self.cfg, cost=self.cost)
         assert set(y.selected) == {1, 2}
 
     def test_callable_cost_equivalent(self):
-        y = greedy_maximize(self.x, gain_state(self.x, self.scorer),
-                            cost=lambda sid: self.cost[sid], cfg=self.cfg)
+        y = greedy_maximize(self.x, self.gain(), cost=lambda sid: self.cost[sid], cfg=self.cfg)
         assert y.selected == (1, 2)
 
 
@@ -192,8 +202,7 @@ class TestExhaustive:
     def test_refuses_large_instances(self):
         x = flat_set(21)
         with pytest.raises(ValueError):
-            exhaustive_maximize(x, CoverageScorer(lambda w: 1.0),
-                                GreedyConfig(budget_bytes=5))
+            exhaustive_maximize(x, lambda y: 1.0, GreedyConfig(budget_bytes=5))
 
     def test_ties_prefer_smaller_then_lexicographic(self):
         x = flat_set(3)
@@ -216,8 +225,11 @@ class TestExhaustive:
             weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
             costs = [rng.randint(1, 4) for _ in range(n)]
             budget = rng.randint(1, sum(costs))
-            scorer = CoverageScorer(weights.__getitem__)
-            y = exhaustive_maximize(x, scorer, GreedyConfig(budget_bytes=budget, r=1.0),
+
+            def objective(y):
+                return coverage_score_brute(sentence_words, weights.__getitem__, y.selected)
+
+            y = exhaustive_maximize(x, objective, GreedyConfig(budget_bytes=budget, r=1.0),
                                     cost=costs)
             got = sum(weights[w] for w in set().union(
                 *[sentence_words[i] for i in y.selected])) if y.selected else 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.features import FeatureConfig, FeatureBank, FeatureVector, registry_for
-from structsum.greedy import GreedyConfig, exhaustive_maximize
+from structsum.greedy import GreedyConfig
 from structsum.learner import (
     Constraint,
     Model,
@@ -22,10 +22,16 @@ from structsum.learner import (
     violation,
 )
 from structsum.rouge import LossConfig, make_target
-from structsum.scoring import Summary, score, PairwiseScorer, SplitPairwiseScorer, CoverageScorer
+from structsum.scoring import Summary
 
 from conftest import random_documents
-from oracles import loss_delta
+from oracles import (
+    coverage_score_brute,
+    exhaustive_maximize,
+    loss_delta,
+    pairwise_score_brute,
+    split_score_brute,
+)
 from qp_reference import solve_dual_reference
 
 
@@ -238,8 +244,9 @@ def toy_example(stopwords, seed=0, n_docs=2, per_doc=3):
 
 
 class TestPsiConsistency:
-    """psi() must agree with the score of the w-derived scorer, which is the
-    identity the whole training formulation leans on."""
+    """psi() must agree with the brute-force score under the w-derived
+    similarities or word values, which is the identity the whole training
+    formulation leans on."""
 
     @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
     def test_w_dot_psi_equals_score(self, kind, stopwords):
@@ -253,30 +260,27 @@ class TestPsiConsistency:
             model = Model.zeros(kind, cfg, LossConfig(), GreedyConfig(budget_bytes=100), lam=lam)
             model.w = np.array([rng.uniform(-1, 1) for _ in range(model.w.shape[0])])
             bank = FeatureBank(x, cfg)
+            n = x.num_sentences
+            ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             if kind == "coverage":
-                scorer = CoverageScorer(
-                    lambda v: coverage_features(x, v, cfg, bank).dot(model.w),
-                    clamp_negative=False,
+                words = [set(s.word_counts()) for s in x.sentences]
+                want = coverage_score_brute(
+                    words, lambda v: coverage_features(x, v, cfg, bank).dot(model.w), ids
                 )
             elif kind == "pairwise-split":
                 base = registry_for(cfg, "pairwise-split").base_dimension
-                scorer = SplitPairwiseScorer(
+                want = split_score_brute(
+                    n,
                     lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[:base]),
                     lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[base:]),
-                    clamp_negative=False,
+                    ids,
                 )
             else:
-                scorer = PairwiseScorer(
-                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w),
-                    lam=lam,
-                    clamp_negative=False,
+                want = pairwise_score_brute(
+                    n, lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w), lam, ids
                 )
-            n = x.num_sentences
-            ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             y = Summary(ids, 0)
-            assert psi(x, y, model, bank=bank).dot(model.w) == pytest.approx(
-                score(x, y, scorer), abs=1e-9
-            )
+            assert psi(x, y, model, bank=bank).dot(model.w) == pytest.approx(want, abs=1e-9)
 
 
 class TestSeparationOracle:

@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
-from structsum.greedy import GreedyConfig, exhaustive_maximize
+from structsum.greedy import GreedyConfig
 from structsum.learner import train
 from structsum.rouge import LossConfig, RougeGain, f_score, make_target
 from structsum.scoring import Summary
 
 from conftest import words_set
-from oracles import loss_delta, reference_counts, rouge1_f, rouge1_f_brute, summary_counts
+from oracles import (
+    exhaustive_maximize,
+    loss_delta,
+    reference_counts,
+    rouge1_f,
+    rouge1_f_brute,
+    summary_counts,
+)
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 

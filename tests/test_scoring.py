@@ -1,23 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import build_document_set
-from structsum.scoring import (
-    CoverageScorer,
-    PairwiseScorer,
-    SplitPairwiseScorer,
-    Summary,
-    covered_words,
-    gain_state,
-    marginal_gain,
-    score,
-)
+from structsum.features import FeatureBank, FeatureConfig
+from structsum.greedy import GreedyConfig
+from structsum.learner import Model, _score_state, predict
+from structsum.rouge import LossConfig
+from structsum.scoring import PairwiseGainState, SplitGainState, Summary
 
-from conftest import random_documents, random_sigma
-from oracles import coverage_score_brute, pairwise_score_brute, split_score_brute
+from conftest import committed, coverage_state, random_documents, random_sigma, sigma_matrix
+from oracles import (
+    CoverageGainReference,
+    PairwiseGainReference,
+    coverage_score_brute,
+    pairwise_score_brute,
+    split_score_brute,
+)
 
 
 def n_sentence_set(n, stopwords=frozenset()):
@@ -33,9 +35,45 @@ FROZEN_SIGMA = {
 }
 
 
-def frozen_scorer(lam=1.0, clamp=True):
-    return PairwiseScorer(lambda i, j: FROZEN_SIGMA.get((i, j), 0.0), lam=lam,
-                          clamp_negative=clamp)
+def frozen_sigma(i, j):
+    return FROZEN_SIGMA.get((i, j), 0.0)
+
+
+def frozen_state(lam=1.0):
+    return PairwiseGainState(sigma_matrix(3, frozen_sigma), lam)
+
+
+def telescoped(state, ids):
+    """The objective of ``ids``: the sum of their gains, committed in order."""
+    total = 0.0
+    for k in ids:
+        total += float(state.gains([k])[0])
+        state.commit(k)
+    return total
+
+
+def sentence_words(x):
+    return [set(s.word_counts()) for s in x.sentences]
+
+
+def negative_model(kind, lam=None):
+    """A model whose similarities (or word values) are all <= 0; split
+    models get redundancy similarities >= 0."""
+    model = Model.zeros(kind, FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=100),
+                        lam=lam)
+    model.w = -np.ones_like(model.w)
+    if kind == "pairwise-split":
+        model.w[len(model.w) // 2:] = 1.0
+    return model
+
+
+def id_order_padding(x, budget):
+    chosen, total = [], 0
+    for s in x.sentences:
+        if total + s.cost <= budget:
+            chosen.append(s.id)
+            total += s.cost
+    return tuple(chosen)
 
 
 class TestSummary:
@@ -56,40 +94,44 @@ class TestSummary:
 
 class TestPairwiseScore:
     def test_frozen_single(self):
-        x = n_sentence_set(3)
-        assert score(x, Summary((0,), 0), frozen_scorer()) == pytest.approx(0.7)
+        assert pairwise_score_brute(3, frozen_sigma, 1.0, (0,)) == pytest.approx(0.7)
+        assert telescoped(frozen_state(), (0,)) == pytest.approx(0.7)
 
     def test_frozen_pair(self):
-        x = n_sentence_set(3)
-        assert score(x, Summary((0, 1), 0), frozen_scorer()) == pytest.approx(-0.7)
+        assert pairwise_score_brute(3, frozen_sigma, 1.0, (0, 1)) == pytest.approx(-0.7)
+        assert telescoped(frozen_state(), (0, 1)) == pytest.approx(-0.7)
 
     def test_frozen_gain(self):
-        x = n_sentence_set(3)
-        g = marginal_gain(x, Summary((0,), 0), 1, frozen_scorer())
-        assert g == pytest.approx(-1.4)
+        assert committed(frozen_state(), [0]).gains([1])[0] == pytest.approx(-1.4)
 
     def test_empty_scores_zero(self):
-        x = n_sentence_set(3)
-        assert score(x, Summary.empty(), frozen_scorer()) == 0.0
+        assert pairwise_score_brute(3, frozen_sigma, 1.0, ()) == 0.0
+        # gains from the empty summary are the singleton scores
+        assert frozen_state().gains([0, 1, 2]).tolist() == pytest.approx([0.7, 0.6, 0.3])
 
     def test_matches_brute_force(self):
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randint(2, 8)
-            x = n_sentence_set(n)
             sigma = random_sigma(rng, n, low=-0.5, high=1.0)
             lam = rng.uniform(0, 5)
-            scorer = PairwiseScorer(sigma, lam=lam, clamp_negative=False)
+            state = PairwiseGainState(sigma_matrix(n, sigma), lam)
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             want = pairwise_score_brute(n, sigma, lam, ids)
-            assert score(x, Summary(ids, 0), scorer) == pytest.approx(want, abs=1e-12)
+            assert telescoped(state, ids) == pytest.approx(want, abs=1e-12)
 
     def test_clamp_zeroes_negative_similarities(self):
-        x = n_sentence_set(2)
-        scorer = PairwiseScorer(lambda i, j: -3.0, lam=1.0, clamp_negative=True)
-        assert score(x, Summary((0,), 0), scorer) == 0.0
-        raw = PairwiseScorer(lambda i, j: -3.0, lam=1.0, clamp_negative=False)
-        assert score(x, Summary((0,), 0), raw) == pytest.approx(-3.0)
+        """Inference floors a model's negative similarities at zero, so
+        every gain is zero and the greedy pads in id order; the unclamped
+        state of the loss-augmented oracle keeps them."""
+        x = n_sentence_set(4)
+        model = negative_model("pairwise", lam=1.0)
+        bank = FeatureBank(x, model.feature_config)
+        raw = _score_state(bank, model, clamp=False)
+        assert raw.m.min() < 0.0 and raw.m.max() == 0.0
+        clamped = _score_state(bank, model, clamp=True)
+        assert np.array_equal(clamped.m, np.zeros_like(raw.m))
+        assert predict(x, model).selected == id_order_padding(x, 100)
 
 
 class TestSplitScore:
@@ -97,28 +139,31 @@ class TestSplitScore:
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(2, 8)
-            x = n_sentence_set(n)
             cross = random_sigma(rng, n, low=-0.5, high=1.0)
             red = random_sigma(rng, n, low=-1.0, high=.5)
-            scorer = SplitPairwiseScorer(cross, red, clamp_negative=False)
+            state = SplitGainState(sigma_matrix(n, cross), sigma_matrix(n, red))
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             want = split_score_brute(n, cross, red, ids)
-            assert score(x, Summary(ids, 0), scorer) == pytest.approx(want, abs=1e-12)
+            assert telescoped(state, ids) == pytest.approx(want, abs=1e-12)
 
     def test_asymmetric_clamp(self):
-        x = n_sentence_set(2)
-        scorer = SplitPairwiseScorer(lambda i, j: -1.0, lambda i, j: 1.0,
-                                     clamp_negative=True)
-        # cross clamps up to 0, redundancy clamps down to 0
-        assert score(x, Summary((0,), 0), scorer) == 0.0
-        assert score(x, Summary((0, 1), 0), scorer) == 0.0
+        """Inference clamps cross similarities up to zero and redundancy
+        similarities down to zero."""
+        x = n_sentence_set(4)
+        model = negative_model("pairwise-split")
+        bank = FeatureBank(x, model.feature_config)
+        raw = _score_state(bank, model, clamp=False)
+        assert raw.mc.min() < 0.0 and raw.mr.max() > 0.0
+        clamped = _score_state(bank, model, clamp=True)
+        assert np.array_equal(clamped.mc, np.zeros_like(raw.mc))
+        assert np.array_equal(clamped.mr, np.zeros_like(raw.mr))
+        assert predict(x, model).selected == id_order_padding(x, 100)
 
 
 class TestCoverageScore:
     def test_counts_each_word_once(self, make_docset):
         x = make_docset(["Apple pear. Apple plum."], with_stopwords=False)
-        scorer = CoverageScorer(lambda w: 1.0)
-        assert score(x, Summary((0, 1), 0), scorer) == 3.0
+        assert telescoped(coverage_state(x, lambda w: 1.0), (0, 1)) == 3.0
 
     def test_matches_brute_force(self, stopwords):
         rng = random.Random(7)
@@ -126,37 +171,34 @@ class TestCoverageScore:
             docs = random_documents(rng, 2, 3)
             x = build_document_set(f"b{trial}", docs, stopwords)
             weights = {w: rng.uniform(-1, 2) for w in x.vocabulary}
-            scorer = CoverageScorer(weights.__getitem__, clamp_negative=False)
+            state = coverage_state(x, weights.__getitem__)
             n = x.num_sentences
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
-            sentence_words = [set(c for c in s.word_counts()) for s in x.sentences]
-            want = coverage_score_brute(sentence_words, weights.__getitem__, ids)
-            assert score(x, Summary(ids, 0), scorer) == pytest.approx(want, abs=1e-12)
+            want = coverage_score_brute(sentence_words(x), weights.__getitem__, ids)
+            assert telescoped(state, ids) == pytest.approx(want, abs=1e-12)
 
     def test_clamp_floors_word_values(self, make_docset):
         x = make_docset(["Bad word."], with_stopwords=False)
-        scorer = CoverageScorer(lambda w: -2.0, clamp_negative=True)
-        assert score(x, Summary((0,), 0), scorer) == 0.0
+        model = negative_model("coverage")
+        bank = FeatureBank(x, model.feature_config)
+        assert _score_state(bank, model, clamp=False).values.min() < 0.0
+        assert _score_state(bank, model, clamp=True).gains([0]).tolist() == [0.0]
+        assert predict(x, model).selected == (0,)
 
     def test_covered_words(self, make_docset):
+        """A commit covers exactly the sentence's words."""
         x = make_docset(["Apple pear. Plum fig here."], with_stopwords=False)
-        assert covered_words(x, Summary((0,), 0)) == {"apple", "pear"}
+        bank = FeatureBank(x, FeatureConfig())
+        state = committed(coverage_state(x, lambda w: 1.0, bank), [0])
+        covered = {w for w, v in zip(bank.words, state.values) if v == 0.0}
+        assert covered == {"apple", "pear"}
 
 
 class TestMarginalGain:
-    def test_rejects_member(self):
-        x = n_sentence_set(3)
-        with pytest.raises(ValueError):
-            marginal_gain(x, Summary((0,), 0), 0, frozen_scorer())
-
-    def test_rejects_out_of_range(self):
-        x = n_sentence_set(3)
-        with pytest.raises(ValueError):
-            marginal_gain(x, Summary.empty(), 9, frozen_scorer())
-
     @pytest.mark.parametrize("kind", ["pairwise", "split", "coverage"])
     def test_incremental_equals_full(self, kind, stopwords):
-        """gain(y, k) == score(y + k) - score(y) across 200 random draws."""
+        """gains([k]) after committing y == score(y + k) - score(y) across
+        200 random draws."""
         rng = random.Random(11)
         checked = 0
         while checked < 200:
@@ -164,50 +206,61 @@ class TestMarginalGain:
             x = build_document_set(f"i{checked}", docs, stopwords)
             n = x.num_sentences
             if kind == "pairwise":
-                scorer = PairwiseScorer(random_sigma(rng, n, -0.3, 1.0),
-                                        lam=rng.uniform(0, 5), clamp_negative=False)
+                sigma, lam = random_sigma(rng, n, -0.3, 1.0), rng.uniform(0, 5)
+                state = PairwiseGainState(sigma_matrix(n, sigma), lam)
+
+                def score(ids):
+                    return pairwise_score_brute(n, sigma, lam, ids)
             elif kind == "split":
-                scorer = SplitPairwiseScorer(random_sigma(rng, n, -0.3, 1.0),
-                                             random_sigma(rng, n, -1.0, 0.3),
-                                             clamp_negative=False)
+                cross = random_sigma(rng, n, -0.3, 1.0)
+                red = random_sigma(rng, n, -1.0, 0.3)
+                state = SplitGainState(sigma_matrix(n, cross), sigma_matrix(n, red))
+
+                def score(ids):
+                    return split_score_brute(n, cross, red, ids)
             else:
                 weights = {w: rng.uniform(-1, 2) for w in x.vocabulary}
-                scorer = CoverageScorer(weights.__getitem__, clamp_negative=False)
+                state = coverage_state(x, weights.__getitem__)
+
+                def score(ids):
+                    return coverage_score_brute(sentence_words(x), weights.__getitem__, ids)
             ids = rng.sample(range(n), k=rng.randint(0, n - 1))
-            y = Summary(tuple(ids), 0)
-            rest = [k for k in range(n) if k not in y]
+            rest = [k for k in range(n) if k not in ids]
             k = rng.choice(rest)
-            grown = Summary(tuple(ids) + (k,), 0)
-            want = score(x, grown, scorer) - score(x, y, scorer)
-            assert marginal_gain(x, y, k, scorer) == pytest.approx(want, abs=1e-12)
+            want = score(tuple(ids) + (k,)) - score(tuple(ids))
+            assert committed(state, ids).gains([k])[0] == pytest.approx(want, abs=1e-12)
             checked += 1
 
 
 class TestGainState:
     @pytest.mark.parametrize("kind", ["pairwise", "split", "coverage"])
     def test_state_tracks_marginal_gain(self, kind, stopwords):
+        """Called one candidate at a time, a state equals its one-candidate
+        reference along a run of commits."""
         rng = random.Random(13)
         for trial in range(30):
             docs = random_documents(rng, 2, 3)
             x = build_document_set(f"g{trial}", docs, stopwords)
             n = x.num_sentences
             if kind == "pairwise":
-                scorer = PairwiseScorer(random_sigma(rng, n), lam=rng.uniform(0, 5))
+                m = sigma_matrix(n, random_sigma(rng, n))
+                lam = rng.uniform(0, 5)
+                state, reference = PairwiseGainState(m, lam), PairwiseGainReference(m, lam=lam)
             elif kind == "split":
-                scorer = SplitPairwiseScorer(random_sigma(rng, n),
-                                             random_sigma(rng, n, -1.0, 0.0))
+                mc = sigma_matrix(n, random_sigma(rng, n))
+                mr = sigma_matrix(n, random_sigma(rng, n, -1.0, 0.0))
+                state, reference = SplitGainState(mc, mr), PairwiseGainReference(mc, mr=mr)
             else:
                 weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
-                scorer = CoverageScorer(weights.__getitem__)
-            state = gain_state(x, scorer)
+                state = coverage_state(x, weights.__getitem__)
+                reference = CoverageGainReference(sentence_words(x), weights)
             selected: list[int] = []
             order = rng.sample(range(n), k=n)
             for k in order[: n // 2 + 1]:
                 y = Summary(tuple(selected), 0)
-                assert state(y, k) == pytest.approx(
-                    marginal_gain(x, y, k, scorer), abs=1e-12
-                )
+                assert state(y, k) == pytest.approx(reference(k), abs=1e-12)
                 state.commit(k)
+                reference.commit(k)
                 selected.append(k)
 
 
@@ -215,20 +268,19 @@ class TestGainState:
 @given(st.data())
 def test_pairwise_submodular_with_nonnegative_sigma(data):
     n = data.draw(st.integers(min_value=2, max_value=7))
-    x = n_sentence_set(n)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    scorer = PairwiseScorer(random_sigma(rng, n), lam=rng.uniform(0, 5))
+    m = sigma_matrix(n, random_sigma(rng, n))
+    lam = rng.uniform(0, 5)
     members = data.draw(
         st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)
     )
     split_at = data.draw(st.integers(0, len(members)))
-    small = Summary(tuple(sorted(members[:split_at])), 0)
-    large = Summary(tuple(sorted(members)), 0)
+    small, large = sorted(members[:split_at]), sorted(members)
     u = data.draw(st.integers(0, n - 1))
     if u in large:
         return
-    g_small = marginal_gain(x, small, u, scorer)
-    g_large = marginal_gain(x, large, u, scorer)
+    g_small = committed(PairwiseGainState(m, lam), small).gains([u])[0]
+    g_large = committed(PairwiseGainState(m, lam), large).gains([u])[0]
     assert g_small >= g_large - 1e-9
 
 
@@ -240,15 +292,14 @@ def test_coverage_submodular_and_monotone_with_nonnegative_omega(data):
     x = build_document_set("h", docs, frozenset())
     n = x.num_sentences
     weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
-    scorer = CoverageScorer(weights.__getitem__)
+    bank = FeatureBank(x, FeatureConfig())
     members = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
     split_at = data.draw(st.integers(0, len(members)))
-    small = Summary(tuple(sorted(members[:split_at])), 0)
-    large = Summary(tuple(sorted(members)), 0)
+    small, large = sorted(members[:split_at]), sorted(members)
     u = data.draw(st.integers(0, n - 1))
     if u in large:
         return
-    g_small = marginal_gain(x, small, u, scorer)
-    g_large = marginal_gain(x, large, u, scorer)
+    g_small = committed(coverage_state(x, weights.__getitem__, bank), small).gains([u])[0]
+    g_large = committed(coverage_state(x, weights.__getitem__, bank), large).gains([u])[0]
     assert g_small >= g_large - 1e-9
     assert g_large >= -1e-12
