@@ -340,6 +340,14 @@ class _ScanGain:
         self.reference.commit(k)
 
 
+def test_greedy_runs_on_feature_scorer(stopwords):
+    """End-to-end: features -> scorer -> greedy stays inside the budget."""
+    x = two_doc_set(stopwords)
+    scorer = PairwiseScorer.tfidf_baseline(x, lam=4.0)
+    y = greedy_maximize(x, gain_state(x, scorer), cfg=GreedyConfig(budget_bytes=60))
+    assert y.total_cost <= 60
+
+
 def test_tfidf_cosine_baseline_properties(fixture_data, stopwords):
     """The baseline's similarity matrix is exactly symmetric with a zero
     diagonal, its entries are the brute-force tf-idf cosine feature, and
