@@ -15,11 +15,8 @@ from .corpus import (
 from .features import (
     FeatureConfig,
     FeatureRegistry,
-    FeatureVector,
-    coverage_features,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
-    pairwise_features,
     registry_for,
 )
 from .greedy import GreedyConfig, greedy_maximize
@@ -42,7 +39,6 @@ __all__ = [
     "DocumentSet",
     "FeatureConfig",
     "FeatureRegistry",
-    "FeatureVector",
     "GreedyConfig",
     "LossConfig",
     "Model",
@@ -56,7 +52,6 @@ __all__ = [
     "TrainResult",
     "TrainerConfig",
     "build_document_set",
-    "coverage_features",
     "gain_state",
     "greedy_maximize",
     "joint_feature_map_coverage",
@@ -64,7 +59,6 @@ __all__ = [
     "load_dataset",
     "load_stopwords",
     "make_target",
-    "pairwise_features",
     "predict",
     "registry_for",
     "segment_sentences",

@@ -8,8 +8,8 @@ A dataset is a JSON-lines file. Each line describes one document set:
 ``budget_bytes`` is optional; when present it overrides whatever budget the
 caller configured for that set.
 
-Set ids must be unique within a file, and ``budget_bytes`` must be a
-non-negative integer.
+``documents`` and ``references`` must be lists of strings, set ids must be
+unique within a file, and ``budget_bytes`` must be a non-negative integer.
 
 Segmentation and tokenization are deterministic, rule based and stemming
 free. The abbreviation table lives in ``structsum/data``; the rules are
@@ -278,6 +278,9 @@ def load_dataset(
                 raise DatasetError(f"no references for set {set_id!r} (line {lineno})")
             if not isinstance(set_id, str):
                 raise DatasetError(f"line {lineno}: set_id must be a string, got {set_id!r}")
+            for name, texts in (("documents", documents), ("references", references)):
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                    raise DatasetError(f"line {lineno}: {name} must be a list of strings")
             if set_id in first_line:
                 raise DatasetError(f"line {lineno}: duplicate set_id {set_id!r} "
                                    f"(first on line {first_line[set_id]})")
@@ -287,7 +290,7 @@ def load_dataset(
                 raise DatasetError(
                     f"line {lineno}: budget_bytes must be a non-negative integer, got {budget!r}"
                 )
-            x = build_document_set(set_id, list(documents), stopwords, budget)
+            x = build_document_set(set_id, documents, stopwords, budget)
             refs = tuple(tuple(tokenize(r, stopwords)) for r in references)
             if any(not r for r in refs):
                 raise DatasetError(f"empty reference for set {set_id!r} (line {lineno})")

@@ -1,4 +1,4 @@
-"""Sparse features over sentence pairs and covered words.
+"""Features over sentence pairs and covered words.
 
 Feature construction is organized by word groups. A word group is a
 predicate on a word's statistics within one document set (never on the
@@ -22,7 +22,7 @@ scheme), the cosine similarity of the two sentences restricted to the
 group's words, plus an indicator for the bin the similarity falls in.
 Weighting is raw counts or tf-idf with idf(v) = ln((D+1)/(df(v)+1)) + 1
 computed within the document set. Binned indicators only fire for strictly
-positive similarities, so disjoint-vocabulary pairs produce an empty map.
+positive similarities, so a disjoint-vocabulary pair has all-zero features.
 
 Coverage features for a word are indicators per (coverage level, group
 containing the word), a bucketed sentence-fraction importance indicator per
@@ -168,61 +168,6 @@ def cosine_groups(cfg: FeatureConfig) -> tuple[WordGroup, ...]:
     return tuple(sorted(out, key=lambda g: (g.group_id, g.variant)))
 
 
-class FeatureVector:
-    """Sparse map from feature index to value. Zeros are never stored."""
-
-    __slots__ = ("entries", "dimension")
-
-    def __init__(self, entries: dict[int, float], dimension: int, validate: bool = True):
-        if validate:
-            clean: dict[int, float] = {}
-            for i, v in entries.items():
-                if not (0 <= i < dimension):
-                    raise ValueError(f"feature index {i} out of range [0, {dimension})")
-                if not math.isfinite(v):
-                    raise ValueError(f"non-finite feature value at index {i}")
-                if v != 0.0:
-                    clean[i] = float(v)
-            entries = clean
-        self.entries = entries
-        self.dimension = dimension
-
-    def dot(self, w) -> float:
-        return float(sum(w[i] * v for i, v in self.entries.items()))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dimension)
-        for i, v in self.entries.items():
-            dense[i] = v
-        return dense
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FeatureVector)
-            and self.dimension == other.dimension
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"FeatureVector({self.entries!r}, dimension={self.dimension})"
-
-
-def fv_subtract(a: FeatureVector, b: FeatureVector) -> FeatureVector:
-    if a.dimension != b.dimension:
-        raise ValueError("dimension mismatch")
-    entries = dict(a.entries)
-    for i, v in b.entries.items():
-        nv = entries.get(i, 0.0) - v
-        if nv == 0.0:
-            entries.pop(i, None)
-        else:
-            entries[i] = nv
-    return FeatureVector(entries, a.dimension, validate=False)
-
-
 class FeatureRegistry:
     """Deterministic feature-name-to-index assignment for one model kind."""
 
@@ -288,11 +233,6 @@ def registry_for(cfg: FeatureConfig, model_kind: str) -> FeatureRegistry:
     return FeatureRegistry(cfg, model_kind)
 
 
-def _sparse(dense: np.ndarray) -> FeatureVector:
-    nz = np.flatnonzero(dense)
-    return FeatureVector(dict(zip(nz.tolist(), dense[nz].tolist())), len(dense), validate=False)
-
-
 class FeatureBank:
     """Every feature of one document set as arrays, built once per set.
 
@@ -302,8 +242,8 @@ class FeatureBank:
     order, idf and one boolean vocabulary mask per group variant. The
     pairwise stacks (``cosines``, ``codes``) and the coverage
     ``word_features`` matrix are built on first use. sigma(w), omega(w),
-    psi(y) and single feature vectors are all linear read-outs of these
-    arrays.
+    psi(y), phi(i, j) and phi(v) are all linear read-outs of these arrays;
+    the last three are dense vectors in registry index order.
     """
 
     def __init__(self, x: DocumentSet, cfg: FeatureConfig):
@@ -435,8 +375,12 @@ class FeatureBank:
         out[self._cos_index] += self.cosines[:, :, cols][:, rows].sum(axis=(1, 2))
         return out
 
-    def pair(self, i: int, j: int) -> FeatureVector:
-        return _sparse(self._block_sum(np.array([i]), np.array([j])))
+    def pair(self, i: int, j: int) -> np.ndarray:
+        """phi(i, j) in the pairwise registry; symmetric in i and j."""
+        n = self.x.num_sentences
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"bad sentence pair ({i}, {j}) for n={n}")
+        return self._block_sum(np.array([i]), np.array([j]))
 
     def pair_psi(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Dense pair-feature sums of a selection over (outside, inside)
@@ -475,34 +419,15 @@ class FeatureBank:
         """Learned value w . phi(v) of every word, in ``words`` order."""
         return self.word_features @ w
 
-    def word(self, v: str) -> FeatureVector:
+    def word(self, v: str) -> np.ndarray:
+        """phi(v) in the coverage registry, as a fresh array."""
         if v not in self.word_index:
             raise KeyError(f"word {v!r} not in document set {self.x.set_id!r}")
-        return _sparse(self.word_features[self.word_index[v]])
+        return self.word_features[self.word_index[v]].copy()
 
     def coverage_psi(self, ids) -> np.ndarray:
         """Dense sum of phi(v) over the distinct words the selection covers."""
         return self.word_features[self.counts[list(ids)].any(axis=0)].sum(axis=0)
-
-
-def pairwise_features(
-    x: DocumentSet, i: int, j: int, cfg: FeatureConfig, ctx: FeatureBank | None = None
-) -> FeatureVector:
-    """phi(i, j): symmetric sparse features of one sentence pair.
-
-    ``ctx`` is a FeatureBank of ``x`` under ``cfg`` to reuse across calls.
-    """
-    n = x.num_sentences
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError(f"bad sentence pair ({i}, {j}) for n={n}")
-    return (ctx or FeatureBank(x, cfg)).pair(i, j)
-
-
-def coverage_features(
-    x: DocumentSet, v: str, cfg: FeatureConfig, ctx: FeatureBank | None = None
-) -> FeatureVector:
-    """phi(v): sparse features of one covered word."""
-    return (ctx or FeatureBank(x, cfg)).word(v)
 
 
 def _summary_ids(y) -> tuple[int, ...]:
@@ -518,8 +443,8 @@ def joint_feature_map_pairwise(
     lam: float,
     split: bool = False,
     ctx: FeatureBank | None = None,
-) -> FeatureVector:
-    """Map a summary to feature space.
+) -> np.ndarray:
+    """Map a summary to feature space, in registry index order.
 
     Fixed-lambda form: sum of phi over (outside, inside) pairs minus lam
     times the sum over ordered inside pairs. Split form: the same two sums
@@ -527,12 +452,12 @@ def joint_feature_map_pairwise(
     """
     cross, red = (ctx or FeatureBank(x, cfg)).pair_psi(_summary_ids(y))
     if split:
-        return _sparse(np.concatenate([cross, red]))
-    return _sparse(cross - lam * red)
+        return np.concatenate([cross, red])
+    return cross - lam * red
 
 
 def joint_feature_map_coverage(
     x: DocumentSet, y, cfg: FeatureConfig, ctx: FeatureBank | None = None
-) -> FeatureVector:
+) -> np.ndarray:
     """Sum of word features over the distinct words the summary covers."""
-    return _sparse((ctx or FeatureBank(x, cfg)).coverage_psi(_summary_ids(y)))
+    return (ctx or FeatureBank(x, cfg)).coverage_psi(_summary_ids(y))

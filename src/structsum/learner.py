@@ -37,8 +37,6 @@ from .corpus import DocumentSet, ReferenceSet
 from .features import (
     FeatureBank,
     FeatureConfig,
-    FeatureVector,
-    fv_subtract,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
     registry_for,
@@ -121,6 +119,11 @@ class Model:
             weights = d["weights"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"model file missing or bad field: {exc}") from exc
+        if not isinstance(kind, str):
+            raise ModelError(f"model_kind must be a string, not {kind!r}")
+        lam = d.get("lambda")
+        if lam is not None and (type(lam) not in (int, float) or not math.isfinite(lam)):
+            raise ModelError(f"lambda must be a finite number or null, not {lam!r}")
         expected = registry_for(cfg, kind).dimension
         if dim != expected:
             raise ModelError(
@@ -137,7 +140,6 @@ class Model:
             if not math.isfinite(v):
                 raise ModelError(f"weight {idx} is not finite ({v})")
             w[idx] = v
-        lam = d.get("lambda")
         return cls(
             model_kind=kind,
             w=w,
@@ -175,22 +177,19 @@ class Model:
 
 @dataclass
 class Constraint:
-    """One cutting plane: the oracle's summary for one training example."""
+    """One cutting plane: the oracle's summary for one training example,
+    with its dense dpsi and that vector's nonzero indices and values."""
 
     example_index: int
     y_hat: Summary
-    psi_hat: FeatureVector
     loss: float
-    delta_psi: FeatureVector
+    delta_psi: np.ndarray
     idx: np.ndarray = field(init=False)
     val: np.ndarray = field(init=False)
-    norm_sq: float = field(init=False)
 
     def __post_init__(self):
-        items = sorted(self.delta_psi.entries.items())
-        self.idx = np.array([i for i, _ in items], dtype=np.int64)
-        self.val = np.array([v for _, v in items])
-        self.norm_sq = float(self.val @ self.val)
+        self.idx = np.flatnonzero(self.delta_psi)
+        self.val = self.delta_psi[self.idx]
 
     def w_dot_delta(self, w: np.ndarray) -> float:
         return float(w[self.idx] @ self.val)
@@ -253,10 +252,8 @@ class WorkingSet:
     def add(self, con: Constraint) -> None:
         self.constraints[con.example_index].append(con)
         self._added.append(con)
-        dense = np.zeros(self.dimension)
-        dense[con.idx] = con.val
         self.K = np.pad(self.K, (0, 1))
-        self.K[-1] = self.K[:, -1] = [dense[c.idx] @ c.val for c in self._added]
+        self.K[-1] = self.K[:, -1] = [con.delta_psi[c.idx] @ c.val for c in self._added]
         self._alpha = np.append(self._alpha, 0.0)
         self._loss = np.append(self._loss, con.loss)
         self._example = np.append(self._example, con.example_index)
@@ -392,7 +389,7 @@ def _greedy_config(x: DocumentSet, model: Model, budget_bytes: int | None = None
     )
 
 
-def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> FeatureVector:
+def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> np.ndarray:
     """Joint feature map in the model's index space."""
     if model.model_kind == "coverage":
         return joint_feature_map_coverage(x, y, model.feature_config, ctx=bank)
@@ -449,15 +446,13 @@ def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
         state.raw_target_loss,
     )
     y_hat = greedy_maximize(state.x, gain, cost=None, cfg=state.greedy_cfg)
-    psi_hat = psi(state.x, y_hat, model, bank=state.bank)
     # the greedy committed y_hat, so the gain state holds its counts
     loss = max(0.0, state.rouge.raw_loss() - state.raw_target_loss)
     return Constraint(
         example_index=state.index,
         y_hat=y_hat,
-        psi_hat=psi_hat,
         loss=loss,
-        delta_psi=fv_subtract(state.psi_target, psi_hat),
+        delta_psi=state.psi_target - psi(state.x, y_hat, model, bank=state.bank),
     )
 
 

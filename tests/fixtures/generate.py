@@ -12,8 +12,13 @@ Good sentences are similarity hubs in the capitalized-word variant (cosine
 0.5 to each of their supports) while noise sentences are near-duplicates of
 each other in the raw all-words variant, which traps a uniform-weight model.
 
-Run from the repo root:  python3 tests/fixtures/generate.py
-Outputs are committed; rerunning must reproduce them byte for byte.
+Run from the repo root:  PYTHONPATH=src python3 tests/fixtures/generate.py
+It writes fixture.jsonl, expected_results.json, golden_summaries.txt and
+golden_baseline.txt; all are committed, and rerunning must reproduce them
+byte for byte. model_small.json is a frozen input, not an output: a pairwise
+model trained on SMALL_TRAIN_IDS when the fixture was made. The bounds table
+and the golden summaries are computed from it, and it is never rewritten, so
+a change to training cannot silently move the golden files.
 """
 
 from __future__ import annotations
@@ -142,14 +147,9 @@ def main() -> None:
     assert curve[-1]["mean_f"] >= curve[0]["mean_f"] - 0.01, curve
     print("curve:", [(row["size"], round(row["mean_f"], 4)) for row in curve])
 
-    small = train_on(
-        data, SMALL_TRAIN_IDS, "pairwise", feature_cfg, loss_cfg, greedy_cfg,
-        trainer_cfg, lam=4.0,
-    )
-    assert small.converged
-    small.model.save(FIXTURE_DIR / "model_small.json")
+    small_model = Model.load(FIXTURE_DIR / "model_small.json")
     bounds = bounds_table(
-        data, small.model, SMALL_TRAIN_IDS,
+        data, small_model, SMALL_TRAIN_IDS,
         [i for i in range(N_SETS) if i not in SMALL_TRAIN_IDS],
         loss_cfg, greedy_cfg,
     )
@@ -192,8 +192,8 @@ def main() -> None:
             capture_output=True, text=True, check=True, cwd=REPO_ROOT,
         )
         (FIXTURE_DIR / name).write_text(proc.stdout, encoding="utf-8")
-    print("wrote fixture.jsonl, expected_results.json, model_small.json, "
-          "golden_summaries.txt, golden_baseline.txt")
+    print("wrote fixture.jsonl, expected_results.json, golden_summaries.txt, "
+          "golden_baseline.txt")
 
 
 if __name__ == "__main__":

@@ -361,9 +361,10 @@ class CoverageGainReference:
 
 
 class CoordinateAscentWorkingSet:
-    """The package's former dual solver, kept verbatim: clipped coordinate
-    ascent with paired transfer moves between two constraints of a capped
-    example. Same constraint and alpha layout as ``WorkingSet``.
+    """The package's former dual solver: clipped coordinate ascent with
+    paired transfer moves between two constraints of a capped example. Same
+    constraint and alpha layout as ``WorkingSet``; squared norms and cross
+    products of dpsi are computed here from the constraints' arrays.
 
     Invariants kept by every update: alphas non-negative, per-example sums
     never exceed C / n, and w equals sum(alpha * dpsi) (re-accumulated after
@@ -416,8 +417,9 @@ class CoordinateAscentWorkingSet:
         upper = self.cap - (sum(alphas) - alphas[c])
         if upper < 0.0:
             upper = 0.0
-        if con.norm_sq > 0.0:
-            target = alphas[c] + g / con.norm_sq
+        norm_sq = float(con.val @ con.val)
+        if norm_sq > 0.0:
+            target = alphas[c] + g / norm_sq
         elif g > 0.0:
             target = upper
         elif g < 0.0:
@@ -428,7 +430,7 @@ class CoordinateAscentWorkingSet:
         delta = new - alphas[c]
         if delta == 0.0:
             return 0.0
-        improve = g * delta - 0.5 * con.norm_sq * delta * delta
+        improve = g * delta - 0.5 * norm_sq * delta * delta
         if improve <= 0.0:
             return 0.0
         alphas[c] = new
@@ -440,11 +442,7 @@ class CoordinateAscentWorkingSet:
         key = (i, c1, c2)
         v = self._cross.get(key)
         if v is None:
-            a = self.constraints[i][c1].delta_psi.entries
-            b = self.constraints[i][c2].delta_psi.entries
-            if len(b) < len(a):
-                a, b = b, a
-            v = sum(val * b.get(idx, 0.0) for idx, val in a.items())
+            v = float(self.constraints[i][c1].delta_psi @ self.constraints[i][c2].delta_psi)
             self._cross[key] = v
         return v
 
@@ -455,7 +453,7 @@ class CoordinateAscentWorkingSet:
         con2 = self.constraints[i][c2]
         alphas = self.alpha[i]
         g = (con1.loss - con2.loss) - (con1.w_dot_delta(self.w) - con2.w_dot_delta(self.w))
-        denom = con1.norm_sq + con2.norm_sq - 2.0 * self._cross_dot(i, c1, c2)
+        denom = (con1.val @ con1.val) + (con2.val @ con2.val) - 2.0 * self._cross_dot(i, c1, c2)
         lo, hi = -alphas[c1], alphas[c2]
         if denom > 0.0:
             t = g / denom

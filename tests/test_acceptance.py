@@ -29,7 +29,7 @@ from structsum.experiments import (
     select_c,
     train_on,
 )
-from structsum.features import FeatureBank, FeatureConfig, FeatureVector
+from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig, greedy_maximize
 from structsum.learner import (
     Constraint,
@@ -180,9 +180,7 @@ def test_dual_solver():
                            (100.0, 0.9, (2.0, 1.0)), (0.1, 1.3, (0.5, 0.5))]:
         d = len(vec)
         ws = WorkingSet(n_examples=1, C=cap, dimension=d)
-        dense = {i: v for i, v in enumerate(vec) if v != 0.0}
-        ws.add(Constraint(0, Summary.empty(), FeatureVector({}, d), loss,
-                          FeatureVector(dense, d)))
+        ws.add(Constraint(0, Summary.empty(), loss, np.array(vec)))
         solve_qp(ws, TrainerConfig(C=cap))
         want = min(cap, loss / sum(v * v for v in vec))
         analytic_err = max(analytic_err, abs(ws.alpha[0][0] - want))
@@ -199,9 +197,7 @@ def test_dual_solver():
             ex = int(rng.integers(0, n_ex))
             vec = rng.normal(size=d)
             loss = float(rng.uniform(0.0, 1.5))
-            dense = {i: float(v) for i, v in enumerate(vec) if v != 0.0}
-            ws.add(Constraint(ex, Summary.empty(), FeatureVector({}, d), loss,
-                              FeatureVector(dense, d)))
+            ws.add(Constraint(ex, Summary.empty(), loss, vec.copy()))
             dpsis.append(vec.copy())
             losses.append(loss)
             groups.append(ex)

@@ -290,6 +290,8 @@ class TestInputContract:
     @pytest.mark.parametrize("field, value", [
         ("budget_bytes", "abc"), ("budget_bytes", -5), ("budget_bytes", 66.5),
         ("budget_bytes", True), ("set_id", 5), ("set_id", ["set01"]),
+        ("documents", "Alpha beta. Gamma delta."), ("documents", [5, "Alpha beta."]),
+        ("references", [7]),
     ])
     def test_bad_field_names_the_line(self, capsys, tmp_path, field, value):
         first, second = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[:2]

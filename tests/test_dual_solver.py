@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from structsum import learner
 from structsum.experiments import build_targets
-from structsum.features import FeatureConfig, FeatureVector
+from structsum.features import FeatureConfig
 from structsum.greedy import GreedyConfig
 from structsum.learner import Constraint, TrainerConfig, WorkingSet, train
 from structsum.rouge import LossConfig
@@ -53,9 +53,7 @@ def problems(draw):
 
 
 def constraint(ex, loss, vec):
-    d = len(vec)
-    dense = {i: v for i, v in enumerate(vec) if v != 0.0}
-    return Constraint(ex, Summary.empty(), FeatureVector({}, d), loss, FeatureVector(dense, d))
+    return Constraint(ex, Summary.empty(), loss, np.array(vec, dtype=float))
 
 
 def assert_gram_is_dense_product(K, cons, d):

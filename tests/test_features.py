@@ -10,12 +10,8 @@ from structsum.features import (
     GROUPS,
     FeatureConfig,
     FeatureBank,
-    FeatureVector,
-    coverage_features,
-    fv_subtract,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
-    pairwise_features,
     registry_for,
 )
 from structsum.greedy import GreedyConfig, greedy_maximize
@@ -92,31 +88,6 @@ class TestRegistry:
         assert less < full
 
 
-class TestFeatureVector:
-    def test_drops_zeros_and_keeps_sparse(self):
-        fv = FeatureVector({0: 1.0, 2: 0.0, 3: -2.0}, 4)
-        assert len(fv) == 2
-        assert fv.dot(np.ones(4)) == pytest.approx(-1.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            FeatureVector({5: 1.0}, 3)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            FeatureVector({0: float("nan")}, 2)
-
-    def test_subtract(self):
-        a = FeatureVector({0: 2.0, 1: 1.0}, 3)
-        b = FeatureVector({1: 1.0, 2: 4.0}, 3)
-        d = fv_subtract(a, b)
-        assert d.to_dense().tolist() == [2.0, 0.0, -4.0]
-
-    def test_to_dense_matches_entries(self):
-        fv = FeatureVector({1: 0.5}, 2)
-        assert fv.to_dense().tolist() == [0.0, 0.5]
-
-
 def two_doc_set(stopwords):
     return build_document_set(
         "f",
@@ -132,46 +103,52 @@ class TestPairwiseFeatures:
     def test_cosine_worked_example(self, make_docset):
         x = make_docset(["A b. A c."], with_stopwords=False)
         cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
-        fv = pairwise_features(x, 0, 1, cfg)
+        fv = FeatureBank(x, cfg).pair(0, 1)
         reg = registry_for(cfg, "pairwise")
         cos_idx = reg.index["pair:cos:basic:all:raw"]
-        assert fv.to_dense()[cos_idx] == pytest.approx(0.5)
+        assert fv[cos_idx] == pytest.approx(0.5)
 
     def test_symmetry(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
+        bank = FeatureBank(x, cfg)
         for i in range(x.num_sentences):
             for j in range(i + 1, x.num_sentences):
-                assert pairwise_features(x, i, j, cfg) == pairwise_features(x, j, i, cfg)
+                assert np.array_equal(bank.pair(i, j), bank.pair(j, i))
 
     def test_bin_fires_only_with_positive_cosine(self, make_docset):
         x = make_docset(["Alpha beta. Gamma delta."], with_stopwords=False)
         cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
         reg = registry_for(cfg, "pairwise")
-        fv = pairwise_features(x, 0, 1, cfg)
-        fired = {reg.names[i] for i in fv.entries}
+        fv = FeatureBank(x, cfg).pair(0, 1)
+        fired = {reg.names[i] for i in np.flatnonzero(fv)}
         assert not any(n.startswith("pair:cos") or n.startswith("pair:bin") for n in fired)
 
     def test_exactly_one_bin_per_positive_cosine(self, make_docset):
         x = make_docset(["A b. A c."], with_stopwords=False)
         cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
         reg = registry_for(cfg, "pairwise")
-        fv = pairwise_features(x, 0, 1, cfg)
-        bins = [reg.names[i] for i in fv.entries if reg.names[i].startswith("pair:bin")]
+        fv = FeatureBank(x, cfg).pair(0, 1)
+        bins = [reg.names[i] for i in np.flatnonzero(fv) if reg.names[i].startswith("pair:bin")]
         assert bins == ["pair:bin:basic:all:raw:05"]
 
     def test_location_indicator_always_fires(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig(enabled_groups=("location",))
         reg = registry_for(cfg, "pairwise")
-        fv = pairwise_features(x, 0, 5, cfg)
+        fv = FeatureBank(x, cfg).pair(0, 5)
         # positions 0 and 2 -> unordered bin pair (0, 2)
-        assert fv.entries == {reg.index["pair:loc:0:2"]: 1.0}
+        want = np.zeros(reg.dimension)
+        want[reg.index["pair:loc:0:2"]] = 1.0
+        assert np.array_equal(fv, want)
 
     def test_self_pair_rejected(self, stopwords):
         x = two_doc_set(stopwords)
-        with pytest.raises(ValueError):
-            pairwise_features(x, 1, 1, FeatureConfig())
+        bank = FeatureBank(x, FeatureConfig())
+        n = x.num_sentences
+        for i, j in [(1, 1), (-1, 0), (0, n)]:
+            with pytest.raises(ValueError):
+                bank.pair(i, j)
 
     def test_tfidf_uses_idf(self, make_docset):
         x = make_docset(["Same word here. Same word there."], with_stopwords=False)
@@ -186,23 +163,31 @@ class TestCoverageFeatures:
     def test_summary_independent(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
-        fv1 = coverage_features(x, "markets", cfg)
-        fv2 = coverage_features(x, "markets", cfg)
-        assert fv1 == fv2
+        fv1 = FeatureBank(x, cfg).word("markets")
+        fv2 = FeatureBank(x, cfg).word("markets")
+        assert np.array_equal(fv1, fv2)
+
+    def test_word_returns_fresh_array(self, stopwords):
+        bank = FeatureBank(two_doc_set(stopwords), FeatureConfig())
+        fv = bank.word("markets")
+        fv[:] = -1.0
+        assert np.array_equal(bank.word("markets"), bank.word_features[bank.word_index["markets"]])
+        assert not np.any(bank.word_features == -1.0)
 
     def test_unknown_word_raises(self, stopwords):
         x = two_doc_set(stopwords)
         with pytest.raises(KeyError):
-            coverage_features(x, "zzzz", FeatureConfig())
+            FeatureBank(x, FeatureConfig()).word("zzzz")
 
     def test_coverage_level_gating(self, make_docset):
         # "twice twice" gives max_in_sentence 2; sentence fraction 1/2
         x = make_docset(["Twice twice here. Other words now."], with_stopwords=False)
         cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
         reg = registry_for(cfg, "coverage")
+        bank = FeatureBank(x, cfg)
         fired = {
             reg.names[i]
-            for i in coverage_features(x, "twice", cfg).entries
+            for i in np.flatnonzero(bank.word("twice"))
             if reg.names[i].startswith("cov:lvl")
         }
         assert fired == {
@@ -215,7 +200,7 @@ class TestCoverageFeatures:
         }
         fired_single = {
             reg.names[i]
-            for i in coverage_features(x, "other", cfg).entries
+            for i in np.flatnonzero(bank.word("other"))
             if reg.names[i].startswith("cov:lvl")
         }
         assert fired_single == {
@@ -228,17 +213,16 @@ class TestCoverageFeatures:
         x = make_docset(["First mention here. Late word kumquat."], with_stopwords=False)
         cfg = FeatureConfig(enabled_groups=("location",))
         reg = registry_for(cfg, "coverage")
-        fv = coverage_features(x, "kumquat", cfg)
-        assert reg.index["cov:loc:bin1"] in fv.entries
-        fv0 = coverage_features(x, "first", cfg)
-        assert reg.index["cov:loc:bin0"] in fv0.entries
+        bank = FeatureBank(x, cfg)
+        assert bank.word("kumquat")[reg.index["cov:loc:bin1"]] != 0.0
+        assert bank.word("first")[reg.index["cov:loc:bin0"]] != 0.0
 
     def test_importance_bucket_from_tfidf(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
         reg = registry_for(cfg, "coverage")
-        fv = coverage_features(x, "markets", cfg)
-        buckets = [reg.names[i] for i in fv.entries if ":imp:" in reg.names[i]]
+        fv = FeatureBank(x, cfg).word("markets")
+        buckets = [reg.names[i] for i in np.flatnonzero(fv) if ":imp:" in reg.names[i]]
         assert buckets, "expected at least one importance bucket to fire"
 
 
@@ -269,13 +253,13 @@ class TestJointFeatureMap:
             bank = FeatureBank(x, cfg)
 
             def sigma(i, j):
-                return pairwise_features(x, i, j, cfg, bank).dot(w)
+                return bank.pair(i, j) @ w
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_pairwise(x, y, cfg, lam, ctx=bank)
             want = pairwise_score_brute(x.num_sentences, sigma, lam, ids)
-            assert psi.dot(w) == pytest.approx(want, abs=1e-9)
+            assert psi @ w == pytest.approx(want, abs=1e-9)
 
     def test_split_linearity(self, stopwords):
         rng = random.Random(11)
@@ -290,16 +274,16 @@ class TestJointFeatureMap:
             bank = FeatureBank(x, cfg)
 
             def cross(i, j):
-                return pairwise_features(x, i, j, cfg, bank).dot(w_cross)
+                return bank.pair(i, j) @ w_cross
 
             def red(i, j):
-                return pairwise_features(x, i, j, cfg, bank).dot(w_red)
+                return bank.pair(i, j) @ w_red
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_pairwise(x, y, cfg, lam=0.0, split=True, ctx=bank)
             want = split_score_brute(x.num_sentences, cross, red, ids)
-            assert psi.dot(w) == pytest.approx(want, abs=1e-9)
+            assert psi @ w == pytest.approx(want, abs=1e-9)
 
     def test_coverage_linearity(self, stopwords):
         rng = random.Random(13)
@@ -312,19 +296,19 @@ class TestJointFeatureMap:
             bank = FeatureBank(x, cfg)
 
             def omega(v):
-                return coverage_features(x, v, cfg, bank).dot(w)
+                return bank.word(v) @ w
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
             psi = joint_feature_map_coverage(x, y, cfg, ctx=bank)
             words = [set(s.word_counts()) for s in x.sentences]
-            assert psi.dot(w) == pytest.approx(coverage_score_brute(words, omega, ids), abs=1e-9)
+            assert psi @ w == pytest.approx(coverage_score_brute(words, omega, ids), abs=1e-9)
 
     def test_empty_summary_maps_to_zero(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
-        assert len(joint_feature_map_pairwise(x, Summary.empty(), cfg, 4.0)) == 0
-        assert len(joint_feature_map_coverage(x, Summary.empty(), cfg)) == 0
+        assert not np.any(joint_feature_map_pairwise(x, Summary.empty(), cfg, 4.0))
+        assert not np.any(joint_feature_map_coverage(x, Summary.empty(), cfg))
 
 
 class _ScanGain:
@@ -412,7 +396,8 @@ class TestBankAgainstOracle:
             bank = FeatureBank(x, cfg)
             for i in range(x.num_sentences):
                 for j in range(i + 1, x.num_sentences):
-                    got = {reg.names[k]: v for k, v in bank.pair(i, j).entries.items()}
+                    fv = bank.pair(i, j)
+                    got = {reg.names[k]: fv[k] for k in np.flatnonzero(fv)}
                     want = pair_features_brute(x, i, j, cfg)
                     assert got.keys() == want.keys()
                     for name, v in want.items():
@@ -427,7 +412,8 @@ class TestBankAgainstOracle:
         for x in _random_bank_sets(stopwords, 6, seed=19):
             bank = FeatureBank(x, cfg)
             for v in x.vocabulary:
-                got = {reg.names[k]: val for k, val in bank.word(v).entries.items()}
+                fv = bank.word(v)
+                got = {reg.names[k]: fv[k] for k in np.flatnonzero(fv)}
                 assert got == word_features_brute(x, v, cfg)
 
     @pytest.mark.parametrize("cfg", BANK_CONFIGS)
@@ -452,11 +438,11 @@ class TestBankAgainstOracle:
             red = sum((f for (i, j), f in phi.items() if i in inside and j in inside),
                       np.zeros(reg.dimension))
             lam = rng.uniform(0.0, 5.0)
-            got = joint_feature_map_pairwise(x, tuple(inside), cfg, lam, ctx=bank).to_dense()
+            got = joint_feature_map_pairwise(x, tuple(inside), cfg, lam, ctx=bank)
             np.testing.assert_allclose(got, cross - lam * red, rtol=0, atol=1e-9)
             got = joint_feature_map_pairwise(x, tuple(inside), cfg, 0.0, split=True, ctx=bank)
             want = np.concatenate([cross, red])
-            np.testing.assert_allclose(got.to_dense(), want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("cfg", BANK_CONFIGS)
     def test_omega_and_coverage_psi(self, cfg, stopwords):
@@ -472,7 +458,7 @@ class TestBankAgainstOracle:
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             covered = {t.normalized for sid in ids for t in x.sentences[sid].tokens}
             want = sum((phi[v] for v in covered), np.zeros(reg.dimension))
-            got = joint_feature_map_coverage(x, tuple(ids), cfg, ctx=bank).to_dense()
+            got = joint_feature_map_coverage(x, tuple(ids), cfg, ctx=bank)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -501,9 +487,9 @@ def test_raw_cosine_bins_at_tenths(shared, make_docset):
     x = make_docset([f"{first.capitalize()}. {second.capitalize()}."], with_stopwords=False)
     cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
     reg = registry_for(cfg, "pairwise")
-    fv = pairwise_features(x, 0, 1, cfg)
-    assert fv.entries[reg.index["pair:cos:basic:all:raw"]] == shared / 10
-    assert reg.index[f"pair:bin:basic:all:raw:{min(shared, 9):02d}"] in fv.entries
+    fv = FeatureBank(x, cfg).pair(0, 1)
+    assert fv[reg.index["pair:cos:basic:all:raw"]] == shared / 10
+    assert fv[reg.index[f"pair:bin:basic:all:raw:{min(shared, 9):02d}"]] != 0.0
 
 
 def test_codes_reject_bins_that_do_not_sort_in_order(make_docset):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
-from structsum.features import FeatureConfig, FeatureBank, FeatureVector, registry_for
+from structsum.features import FeatureConfig, FeatureBank, registry_for
 from structsum.greedy import GreedyConfig
 from structsum.learner import (
     Constraint,
@@ -35,14 +35,9 @@ from oracles import (
 from qp_reference import solve_dual_reference
 
 
-def fv(entries, dim):
-    return FeatureVector(entries, dim)
-
-
 def single_constraint_ws(cap, loss=1.0, vec=(1.0, 0.0)):
     ws = WorkingSet(n_examples=1, C=cap, dimension=len(vec))
-    dense = {i: v for i, v in enumerate(vec) if v != 0.0}
-    ws.add(Constraint(0, Summary.empty(), fv({}, len(vec)), loss, fv(dense, len(vec))))
+    ws.add(Constraint(0, Summary.empty(), loss, np.array(vec, dtype=float)))
     return ws
 
 
@@ -90,8 +85,7 @@ class TestQPAgainstDense:
                 if rng.random() < 0.2:
                     vec[:] = 0.0
                 loss = float(rng.uniform(0.0, 1.5))
-                dense = {i: float(v) for i, v in enumerate(vec) if v != 0.0}
-                ws.add(Constraint(ex, Summary.empty(), fv({}, d), loss, fv(dense, d)))
+                ws.add(Constraint(ex, Summary.empty(), loss, vec.copy()))
                 dpsis.append(vec.copy())
                 losses.append(loss)
                 groups.append(ex)
@@ -106,9 +100,7 @@ class TestQPAgainstDense:
         ws = WorkingSet(n_examples=2, C=4.0, dimension=5)
         for c in range(6):
             vec = rng.normal(size=5)
-            dense = {i: float(v) for i, v in enumerate(vec)}
-            ws.add(Constraint(c % 2, Summary.empty(), fv({}, 5), float(rng.uniform(0, 1)),
-                              fv(dense, 5)))
+            ws.add(Constraint(c % 2, Summary.empty(), float(rng.uniform(0, 1)), vec))
         solve_qp(ws, TrainerConfig(C=4.0))
         rebuilt = np.zeros(5)
         for i, cons_list in enumerate(ws.constraints):
@@ -124,9 +116,7 @@ class TestQPAgainstDense:
             ws = WorkingSet(n_examples=n_ex, C=cap * n_ex, dimension=4)
             for c in range(6):
                 vec = rng.normal(size=4)
-                ws.add(Constraint(c % n_ex, Summary.empty(), fv({}, 4),
-                                  float(rng.uniform(0, 1.2)),
-                                  fv({i: float(v) for i, v in enumerate(vec)}, 4)))
+                ws.add(Constraint(c % n_ex, Summary.empty(), float(rng.uniform(0, 1.2)), vec))
             _, _, dual = solve_qp(ws, TrainerConfig(C=cap * n_ex, qp_tol=1e-14,
                                                     qp_max_passes=100_000))
             for i in range(n_ex):
@@ -142,9 +132,7 @@ class TestQPAgainstDense:
         ws = WorkingSet(n_examples=3, C=6.0, dimension=6)
         for c in range(12):
             vec = rng.normal(size=6)
-            ws.add(Constraint(c % 3, Summary.empty(), fv({}, 6),
-                              float(rng.uniform(0, 1)),
-                              fv({i: float(v) for i, v in enumerate(vec)}, 6)))
+            ws.add(Constraint(c % 3, Summary.empty(), float(rng.uniform(0, 1)), vec))
         w, xi, _ = solve_qp(ws, TrainerConfig(C=6.0, qp_tol=1e-14, qp_max_passes=100_000))
         for i, cons_list in enumerate(ws.constraints):
             for con in cons_list:
@@ -210,6 +198,20 @@ class TestModelIO:
         with pytest.raises(ModelError, match="malformed weights"):
             Model.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("bad", [[1], "nan", "Infinity", float("nan"), float("inf"), True])
+    def test_non_finite_or_non_numeric_lambda_rejected(self, bad):
+        payload = json.loads(self._model().to_json())
+        payload["lambda"] = bad
+        with pytest.raises(ModelError, match="lambda must be a finite number"):
+            Model.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("bad", [["pairwise"], {"pairwise": 1}, 5])
+    def test_non_string_model_kind_rejected(self, bad):
+        payload = json.loads(self._model().to_json())
+        payload["model_kind"] = bad
+        with pytest.raises(ModelError, match="model_kind must be a string"):
+            Model.from_json(json.dumps(payload))
+
     def test_pairwise_requires_lambda(self):
         with pytest.raises(ModelError, match="lambda"):
             Model("pairwise", np.zeros(registry_for(FeatureConfig(), "pairwise").dimension),
@@ -250,8 +252,6 @@ class TestPsiConsistency:
 
     @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
     def test_w_dot_psi_equals_score(self, kind, stopwords):
-        from structsum.features import coverage_features, pairwise_features
-
         rng = random.Random(41)
         cfg = FeatureConfig()
         lam = 3.0 if kind == "pairwise" else None
@@ -265,22 +265,22 @@ class TestPsiConsistency:
             if kind == "coverage":
                 words = [set(s.word_counts()) for s in x.sentences]
                 want = coverage_score_brute(
-                    words, lambda v: coverage_features(x, v, cfg, bank).dot(model.w), ids
+                    words, lambda v: bank.word(v) @ model.w, ids
                 )
             elif kind == "pairwise-split":
                 base = registry_for(cfg, "pairwise-split").base_dimension
                 want = split_score_brute(
                     n,
-                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[:base]),
-                    lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w[base:]),
+                    lambda i, j: bank.pair(i, j) @ model.w[:base],
+                    lambda i, j: bank.pair(i, j) @ model.w[base:],
                     ids,
                 )
             else:
                 want = pairwise_score_brute(
-                    n, lambda i, j: pairwise_features(x, i, j, cfg, bank).dot(model.w), lam, ids
+                    n, lambda i, j: bank.pair(i, j) @ model.w, lam, ids
                 )
             y = Summary(ids, 0)
-            assert psi(x, y, model, bank=bank).dot(model.w) == pytest.approx(want, abs=1e-9)
+            assert psi(x, y, model, bank=bank) @ model.w == pytest.approx(want, abs=1e-9)
 
 
 class TestSeparationOracle:
@@ -301,10 +301,28 @@ class TestSeparationOracle:
             assert con.loss == pytest.approx(
                 loss_delta(Y, con.y_hat, x, model.loss_config), abs=1e-12
             )
-            want_delta = psi(x, Y.target, model).to_dense() - psi(x, con.y_hat, model).to_dense()
-            assert np.allclose(con.delta_psi.to_dense(), want_delta, atol=1e-12)
+            want_delta = psi(x, Y.target, model) - psi(x, con.y_hat, model)
+            assert np.allclose(con.delta_psi, want_delta, atol=1e-12)
             budget = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
             assert con.y_hat.total_cost <= budget
+
+    def test_constraint_arrays_are_nonzeros_of_dense_delta(self, stopwords):
+        """idx/val are flatnonzero of dpsi = psi(target) - psi(y_hat) and its
+        values there; entries equal in both psis, and signed zeros, drop out,
+        and no nonzero is too small to keep."""
+        con = Constraint(0, Summary.empty(), 1.0, np.array([0.0, -0.0, 2.5, 0.0, -1.0, 1e-300]))
+        assert con.idx.tolist() == [2, 4, 5] and con.val.tolist() == [2.5, -1.0, 1e-300]
+        rng = random.Random(53)
+        for kind in ("pairwise", "pairwise-split", "coverage"):
+            for seed in range(4):
+                x, Y, model = self._prep(stopwords, seed, kind=kind)
+                model.w = np.array([rng.uniform(-0.5, 0.5) for _ in range(model.w.shape[0])])
+                con = separation_oracle(x, Y, model)
+                want = psi(x, Y.target, model) - psi(x, con.y_hat, model)
+                assert np.array_equal(con.delta_psi, want)
+                assert np.array_equal(con.idx, np.flatnonzero(want))
+                assert np.array_equal(con.val, want[np.flatnonzero(want)])
+                assert np.all(con.val != 0.0)
 
     def test_zero_weights_oracle_padded_in_id_order(self, stopwords):
         x, Y, model = self._prep(stopwords, seed=3)
@@ -335,7 +353,7 @@ class TestSeparationOracle:
             con = separation_oracle(x, Y, model)
 
             def augmented(y):
-                return psi(x, y, model).dot(model.w) + loss_delta(Y, y, x, model.loss_config)
+                return psi(x, y, model) @ model.w + loss_delta(Y, y, x, model.loss_config)
 
             best = exhaustive_maximize(x, augmented, gcfg)
             base = augmented(Summary.empty())
@@ -349,14 +367,15 @@ class TestSeparationOracle:
 class TestViolation:
     def test_formula(self):
         d = 4
-        con = Constraint(0, Summary.empty(), fv({}, d), 0.8, fv({1: 2.0}, d))
+        con = Constraint(0, Summary.empty(), 0.8, np.array([0.0, 2.0, 0.0, 0.0]))
         model = Model.zeros("pairwise", FeatureConfig(), LossConfig(),
                             GreedyConfig(budget_bytes=10), lam=4.0)
         w = np.zeros(model.w.shape[0])
         w[1] = 0.1
         model.w = w
-        con2 = Constraint(0, Summary.empty(),
-                          fv({}, model.w.shape[0]), 0.8, fv({1: 2.0}, model.w.shape[0]))
+        dpsi = np.zeros(model.w.shape[0])
+        dpsi[1] = 2.0
+        con2 = Constraint(0, Summary.empty(), 0.8, dpsi)
         assert violation(con2, model, xi_i=0.25) == pytest.approx(0.8 - 0.2 - 0.25)
 
 
