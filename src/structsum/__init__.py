@@ -23,6 +23,7 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import (
     Model,
     ModelError,
+    PreparedSet,
     TrainerConfig,
     TrainResult,
     predict,
@@ -44,6 +45,7 @@ __all__ = [
     "Model",
     "ModelError",
     "PairwiseScorer",
+    "PreparedSet",
     "ReferenceSet",
     "RougeGain",
     "Sentence",

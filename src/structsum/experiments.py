@@ -1,9 +1,9 @@
 """Experiment harness: splits, evaluation, bounds, curves, ablations.
 
-Everything here is a plain function over loaded datasets so the CLI stays a
-thin wrapper and tests can call the logic directly. All sampling is driven
-by explicit seeds; rerunning with the same inputs reproduces the same
-numbers.
+Plain functions over loaded datasets, so the CLI stays a thin wrapper. The
+C grid, the curve and the ablation prepare each set once per call
+(``prepare_sets``) for all their trainings and scores; ``train_on`` trains
+once. Sampling is seeded, so reruns reproduce the numbers.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import DocumentSet, ReferenceSet
-from .features import FeatureConfig
+from .features import FeatureBank, FeatureConfig
 from .greedy import GreedyConfig, greedy_maximize
-from .learner import Model, TrainerConfig, TrainResult, predict, train
-from .rouge import LossConfig, RougeGain, f_score, make_target
+from .learner import Model, PreparedSet, TrainerConfig, TrainResult, predict, train
+from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
 
 Dataset = list[tuple[DocumentSet, ReferenceSet]]
@@ -64,24 +64,24 @@ def resolve_budget(x: DocumentSet, default_budget: int) -> int:
     return x.budget_bytes if x.budget_bytes is not None else default_budget
 
 
-def build_targets(
+def prepare_sets(
     data: Dataset,
-    greedy_cfg: GreedyConfig,
-    loss_cfg: LossConfig,
+    ids,
+    feature_config: FeatureConfig,
+    loss_config: LossConfig,
+    greedy_config: GreedyConfig,
     single_reference: bool = False,
-) -> Dataset:
-    """Return training views with targets attached.
-
-    In single-reference mode both the target and the training loss see only
-    the first reference; evaluation elsewhere still uses all of them.
+) -> list[PreparedSet]:
+    """One ``PreparedSet`` per id, to share across the trainings and scores
+    of one study call. In single-reference mode the sets see only their
+    first reference, as training sets do; evaluation sets use all of them.
     """
-    out: Dataset = []
-    for x, Y in data:
-        refs = Y.references[:1] if single_reference else Y.references
-        view = ReferenceSet(set_id=Y.set_id, references=refs)
-        cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
-        make_target(x, view, cfg, loss_cfg)
-        out.append((x, view))
+    out = []
+    for i in ids:
+        x, Y = data[i]
+        if single_reference:
+            Y = ReferenceSet(set_id=Y.set_id, references=Y.references[:1])
+        out.append(PreparedSet.build(x, Y, feature_config, loss_config, greedy_config))
     return out
 
 
@@ -96,19 +96,15 @@ def train_on(
     lam: float | None = None,
     single_reference: bool = False,
     log_callback=None,
+    sets: list[PreparedSet] | None = None,
 ) -> TrainResult:
-    subset = [data[i] for i in ids]
-    prepared = build_targets(subset, greedy_config, loss_config, single_reference)
-    return train(
-        prepared,
-        model_kind,
-        feature_config=feature_config,
-        loss_config=loss_config,
-        greedy_config=greedy_config,
-        trainer_config=trainer_config,
-        lam=lam,
-        log_callback=log_callback,
-    )
+    """Prepare ``data[i] for i in ids`` (unless given as ``sets``) and train once."""
+    if sets is None:
+        sets = prepare_sets(data, ids, feature_config, loss_config, greedy_config, single_reference)
+    elif len(sets) != len(ids):
+        raise ValueError(f"{len(sets)} prepared sets for {len(ids)} training ids")
+    return train(sets, model_kind, feature_config, loss_config, greedy_config, trainer_config,
+                 lam=lam, log_callback=log_callback)
 
 
 def predict_sets(data: Dataset, ids, model: Model) -> dict[str, Summary]:
@@ -165,6 +161,14 @@ def evaluate_predictions(
 def mean_f(data: Dataset, ids, model: Model, loss_cfg: LossConfig) -> float:
     report = evaluate_predictions([data[i] for i in ids], predict_sets(data, ids, model), loss_cfg)
     return report.mean_f
+
+
+def _f_values(sets: list[PreparedSet], model: Model) -> list[float]:
+    """Each set's F under ``model``, in the set-id order ``mean_f`` sums."""
+    by_id = {s.x.set_id: s for s in sets}
+    if not by_id:
+        raise ValueError("no predictions to evaluate")
+    return [by_id[set_id].score(model) for set_id in sorted(by_id)]
 
 
 def extractive_ceiling(
@@ -235,21 +239,17 @@ def learning_curve(
     """Train on prefixes of ``train_ids``; evaluate each on ``test_ids``."""
     rows = []
     largest = max((size for size in sizes if size <= len(train_ids)), default=0)
-    prepared = build_targets([data[i] for i in train_ids[:largest]], greedy_config, loss_config)
+    configs = (feature_config, loss_config, greedy_config)
+    prepared = prepare_sets(data, train_ids[:largest], *configs)
+    test_sets = prepare_sets(data, test_ids, *configs)
     for size in sizes:
         if size > len(train_ids):
             if warn is not None:
                 warn(f"curve size {size} exceeds {len(train_ids)} available training sets; skipped")
             continue
-        result = train(
-            prepared[:size], model_kind, feature_config=feature_config,
-            loss_config=loss_config, greedy_config=greedy_config,
-            trainer_config=trainer_config, lam=lam,
-        )
-        report = evaluate_predictions(
-            [data[i] for i in test_ids], predict_sets(data, test_ids, result.model), loss_config
-        )
-        rows.append({"size": size, "mean_f": report.mean_f, "stderr_f": report.stderr_f})
+        result = train(prepared[:size], model_kind, *configs, trainer_config, lam=lam)
+        fs = _f_values(test_sets, result.model)
+        rows.append({"size": size, "mean_f": sum(fs) / len(fs), "stderr_f": _stderr(fs)})
     return rows
 
 
@@ -270,7 +270,10 @@ def ablation_table(
     out = []
     selected = rows if rows is not None else [label for label, _ in ABLATION_ROWS]
     valid = {label: spec for label, spec in ABLATION_ROWS}
-    prepared = build_targets([data[i] for i in train_ids], greedy_config, loss_config)
+    configs = (feature_config, loss_config, greedy_config)
+    # targets and RougeGains are shared by every row; only the banks change
+    prepared = [s.with_target() for s in prepare_sets(data, train_ids, *configs)]
+    test_sets = prepare_sets(data, test_ids, *configs)
     for label in selected:
         if label not in valid:
             raise ValueError(
@@ -283,13 +286,15 @@ def ablation_table(
             cfg = replace(feature_config, enabled_groups=("basic",))
         else:
             cfg = feature_config.without_group(spec)
-        result = train(
-            prepared, model_kind, feature_config=cfg, loss_config=loss_config,
-            greedy_config=greedy_config, trainer_config=trainer_config, lam=lam,
-        )
-        f = mean_f(data, test_ids, result.model, loss_config)
-        out.append({"removed": label, "mean_f": f})
+        result = train(_with_features(prepared, cfg), model_kind, cfg, loss_config,
+                       greedy_config, trainer_config, lam=lam)
+        fs = _f_values(_with_features(test_sets, cfg), result.model)
+        out.append({"removed": label, "mean_f": sum(fs) / len(fs)})
     return out
+
+
+def _with_features(sets: list[PreparedSet], cfg: FeatureConfig) -> list[PreparedSet]:
+    return [s if s.bank.cfg == cfg else replace(s, bank=FeatureBank(s.x, cfg)) for s in sets]
 
 
 def select_c(
@@ -305,20 +310,27 @@ def select_c(
     lam: float | None = None,
     single_reference: bool = False,
 ) -> tuple[float, list[dict]]:
-    """Pick the grid point with the best validation F (ties: smaller C)."""
+    """Pick the grid point with the best validation F (ties: smaller C),
+    preparing the training and validation sets once for every C."""
     if not val_ids:
         raise ValueError("C-grid selection needs a validation split")
+    trainer_configs = [replace(trainer_config, C=c) for c in sorted(c_grid)]  # checks every C
+    if len(set(c_grid)) != len(trainer_configs):
+        raise ValueError(f"C grid repeats a value: {sorted(c_grid)}")
+    configs = (feature_config, loss_config, greedy_config)
+    train_sets = prepare_sets(data, train_ids, *configs, single_reference=single_reference)
+    val_sets = prepare_sets(data, val_ids, *configs)
     table = []
     best_c, best_f = None, -1.0
-    # one train_on call per C, targets included: perfbench records the
-    # C-grid's trainings by wrapping train_on
-    for c in sorted(c_grid):
+    # one train_on call per C: perfbench records the C grid's trainings by
+    # wrapping train_on
+    for cfg in trainer_configs:
         result = train_on(
-            data, list(train_ids), model_kind, feature_config, loss_config,
-            greedy_config, replace(trainer_config, C=c), lam=lam,
-            single_reference=single_reference,
+            data, list(train_ids), model_kind, *configs, cfg, lam=lam,
+            single_reference=single_reference, sets=train_sets,
         )
-        f = mean_f(data, val_ids, result.model, loss_config)
+        fs = _f_values(val_sets, result.model)
+        c, f = cfg.C, sum(fs) / len(fs)
         table.append({"C": c, "val_f": f})
         if f > best_f:
             best_c, best_f = c, f

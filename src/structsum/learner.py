@@ -8,6 +8,8 @@ most violated summary, adds a constraint
 
 when it is violated by more than epsilon, re-solves the dual of the
 restricted quadratic program, and stops after a full pass adds nothing.
+Each training set is a ``PreparedSet``, built once per study call: the
+oracle, the train-F tracking and the scores read its bank and ``RougeGain``.
 
 The restricted dual, min 0.5 a'Ka - loss'a over a >= 0 with each example's
 sum capped at C / n (K the Gram matrix of the dpsi vectors, w = sum a dpsi),
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .features import (
     registry_for,
 )
 from .greedy import GreedyConfig, greedy_maximize
-from .rouge import LossConfig, RougeGain
+from .rouge import LossConfig, RougeGain, greedy_target
 from .scoring import (
     CoverageGainState,
     PairwiseGainState,
@@ -291,8 +293,10 @@ class WorkingSet:
             free = np.flatnonzero(~at_zero)
             tight &= np.bincount(ex[free], minlength=n) > 0
             held, nf = np.flatnonzero(tight), len(free)
-            E = (ex[free][:, None] == held[None, :]).astype(float)
-            A = np.block([[self.K[np.ix_(free, free)], E], [E.T, np.zeros((len(held),) * 2)]])
+            A = np.zeros((nf + len(held),) * 2)
+            A[:nf, :nf] = self.K[np.ix_(free, free)]
+            A[:nf, nf:] = ex[free][:, None] == held[None, :]
+            A[nf:, :nf] = A[:nf, nf:].T
             b = np.concatenate([loss[free] - self.K[free] @ alpha, np.zeros(len(held))])
             # least squares; eigenvalues below eps * size * max(1, |A|) count
             # as zero, so that a tiny K reads as zero curvature
@@ -359,34 +363,43 @@ def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
     return constraint.loss - constraint.w_dot_delta(model.w) - xi_i
 
 
-class _ExampleState:
-    """Per-example state that survives across cutting-plane iterations: the
-    set's feature bank, its ``RougeGain``, the target's psi and its raw
-    loss. Every training loss and F is read off the ``RougeGain``: the
-    oracle's after its greedy run, the target's and the train-F summaries'
-    after ``load``."""
+@dataclass
+class PreparedSet:
+    """One set prepared once per study call for all its trainings and scores:
+    ``x``, the references ``Y`` it is scored against, its bank, its one
+    ``RougeGain`` and its greedy config with the set's budget. ``with_target``
+    computes the ROUGE target (same greedy, same ``RougeGain``) and its raw
+    loss once; ``replace`` copies keep both. Evaluation sets never need it."""
 
-    def __init__(self, index: int, x: DocumentSet, Y: ReferenceSet, model: Model):
-        if Y.target is None:
-            raise ValueError(
-                f"reference set {Y.set_id!r} has no target; build targets before training"
-            )
-        self.index = index
-        self.x = x
-        self.Y = Y
-        self.bank = FeatureBank(x, model.feature_config)
-        self.greedy_cfg = _greedy_config(x, model)
-        self.rouge = RougeGain(x, Y, model.loss_config)
-        self.psi_target = psi(x, Y.target, model, bank=self.bank)
-        self.raw_target_loss = self.rouge.load(Y.target.selected).raw_loss()
+    x: DocumentSet
+    Y: ReferenceSet
+    bank: FeatureBank
+    rouge: RougeGain
+    greedy_cfg: GreedyConfig
+    target: Summary | None = None
+    raw_target_loss: float | None = None
+
+    @classmethod
+    def build(cls, x, Y, feature_config, loss_config, greedy_config) -> "PreparedSet":
+        return cls(x, Y, FeatureBank(x, feature_config), RougeGain(x, Y, loss_config),
+                   _greedy_config(x, greedy_config))
+
+    def with_target(self) -> "PreparedSet":
+        if self.target is None:
+            self.target = greedy_target(self.x, self.rouge.reset(), self.greedy_cfg)
+        if self.raw_target_loss is None:
+            self.raw_target_loss = self.rouge.load(self.target.selected).raw_loss()
+        return self
+
+    def score(self, model: Model) -> float:
+        """F of the model's (clamped) prediction against ``Y``."""
+        return self.rouge.load(_predict(self.bank, model).selected).current_f()
 
 
-def _greedy_config(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> GreedyConfig:
-    if budget_bytes is None:
-        budget_bytes = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
-    return GreedyConfig(
-        budget_bytes=budget_bytes, r=model.greedy_config.r, tie_break=model.greedy_config.tie_break
-    )
+def _greedy_config(x: DocumentSet, cfg: GreedyConfig, budget: int | None = None) -> GreedyConfig:
+    if budget is None:
+        budget = x.budget_bytes if x.budget_bytes is not None else cfg.budget_bytes
+    return replace(cfg, budget_bytes=budget)
 
 
 def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> np.ndarray:
@@ -439,7 +452,7 @@ class _AugmentedGain:
         self.rouge_state.commit(k)
 
 
-def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
+def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model) -> Constraint:
     gain = _AugmentedGain(
         _score_state(state.bank, model, clamp=False),
         state.rouge.reset(),
@@ -449,21 +462,26 @@ def _oracle_from_state(state: _ExampleState, model: Model) -> Constraint:
     # the greedy committed y_hat, so the gain state holds its counts
     loss = max(0.0, state.rouge.raw_loss() - state.raw_target_loss)
     return Constraint(
-        example_index=state.index,
+        example_index=index,
         y_hat=y_hat,
         loss=loss,
-        delta_psi=state.psi_target - psi(state.x, y_hat, model, bank=state.bank),
+        delta_psi=psi_target - psi(state.x, y_hat, model, bank=state.bank),
     )
 
 
 def separation_oracle(x: DocumentSet, Y: ReferenceSet, model: Model) -> Constraint:
     """Loss-augmented inference: greedily maximize w . psi + loss."""
-    return _oracle_from_state(_ExampleState(0, x, Y, model), model)
+    if Y.target is None:
+        raise ValueError(f"reference set {Y.set_id!r} has no target; build it with make_target")
+    state = PreparedSet.build(x, Y, model.feature_config, model.loss_config, model.greedy_config)
+    state.target = Y.target
+    return _oracle_from_state(state.with_target(), 0, psi(x, Y.target, model, state.bank), model)
 
 
 def _predict(bank: FeatureBank, model: Model, budget_bytes: int | None = None) -> Summary:
     gain = _score_state(bank, model, clamp=True)
-    return greedy_maximize(bank.x, gain, cost=None, cfg=_greedy_config(bank.x, model, budget_bytes))
+    cfg = _greedy_config(bank.x, model.greedy_config, budget_bytes)
+    return greedy_maximize(bank.x, gain, cost=None, cfg=cfg)
 
 
 def predict(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> Summary:
@@ -484,7 +502,7 @@ class TrainResult:
 
 
 def train(
-    data: list[tuple[DocumentSet, ReferenceSet]],
+    sets: list[PreparedSet],
     model_kind: str,
     feature_config: FeatureConfig = FeatureConfig(),
     loss_config: LossConfig = LossConfig(),
@@ -493,19 +511,18 @@ def train(
     lam: float | None = None,
     log_callback=None,
 ) -> TrainResult:
-    """Cutting-plane training loop.
-
-    Every reference set must already carry a target summary. Returns the
-    trained model together with per-iteration statistics and the dual
-    objective after every QP solve. If the iteration cap is hit, the
-    weights with the best training score seen so far are returned and a
-    warning is logged.
-    """
-    if not data:
+    """Cutting-plane training loop over sets prepared under the same feature
+    and loss configs; each set's target is computed on first use and kept.
+    Returns the model with per-iteration statistics and the dual objective
+    after every QP solve. If the iteration cap is hit, the weights with the
+    best training score seen are returned and a warning is logged."""
+    if not sets:
         raise ValueError("no training data")
+    if any(s.bank.cfg != feature_config or s.rouge.cfg != loss_config for s in sets):
+        raise ValueError("training sets were prepared under other feature or loss configs")
     model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
-    states = [_ExampleState(i, x, Y, model) for i, (x, Y) in enumerate(data)]
-    ws = WorkingSet(len(data), trainer_config.C, model.w.shape[0])
+    psi_targets = [psi(s.x, s.with_target().target, model, bank=s.bank) for s in sets]
+    ws = WorkingSet(len(sets), trainer_config.C, model.w.shape[0])
     iterations: list[dict] = []
     dual_history: list[float] = []
     best_score = -1.0
@@ -515,10 +532,10 @@ def train(
         added = 0
         max_violation = 0.0
         qp_iters = 0
-        for state in states:
+        for i, state in enumerate(sets):
             model.w = ws.w
-            con = _oracle_from_state(state, model)
-            v = violation(con, model, ws.xi(state.index))
+            con = _oracle_from_state(state, i, psi_targets[i], model)
+            v = violation(con, model, ws.xi(i))
             max_violation = max(max_violation, v)
             if v > trainer_config.epsilon:
                 ws.add(con)
@@ -539,7 +556,7 @@ def train(
             "max_violation": max_violation,
         }
         if trainer_config.track_train_rouge:
-            entry["train_rouge1f"] = _mean_train_rouge(states, model)
+            entry["train_rouge1f"] = _mean_train_rouge(sets, model)
             if entry["train_rouge1f"] > best_score:
                 best_score = entry["train_rouge1f"]
                 best_w = ws.w.copy()
@@ -562,8 +579,5 @@ def train(
     return TrainResult(model=model, iterations=iterations, dual_history=dual_history, converged=converged)
 
 
-def _mean_train_rouge(states: list[_ExampleState], model: Model) -> float:
-    total = 0.0
-    for state in states:
-        total += state.rouge.load(_predict(state.bank, model).selected).current_f()
-    return total / len(states)
+def _mean_train_rouge(sets: list[PreparedSet], model: Model) -> float:
+    return sum(s.score(model) for s in sets) / len(sets)

@@ -179,13 +179,14 @@ def make_target(
     loss_cfg: LossConfig = LossConfig(),
 ) -> Summary:
     """Greedy budgeted maximization of aggregated F; stores Y.target."""
-    gain = RougeGain(x, Y, loss_cfg)
+    Y.target = greedy_target(x, RougeGain(x, Y, loss_cfg), greedy_cfg)
+    return Y.target
+
+
+def greedy_target(x: DocumentSet, gain: RougeGain, greedy_cfg: GreedyConfig) -> Summary:
+    """The greedy's summary on ``gain`` (which must be empty), warning if it is empty."""
     target = greedy_maximize(x, gain, cost=None, cfg=greedy_cfg)
     if not target.selected:
-        logger.warning(
-            "target for set %s is empty (budget %d bytes admits no sentence)",
-            x.set_id,
-            greedy_cfg.budget_bytes,
-        )
-    Y.target = target
+        logger.warning("target for set %s is empty (budget %d bytes admits no sentence)",
+                       x.set_id, greedy_cfg.budget_bytes)
     return target

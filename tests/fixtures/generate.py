@@ -32,9 +32,9 @@ from structsum.corpus import load_dataset, load_stopwords
 from structsum.experiments import (
     ablation_table,
     bounds_table,
-    build_targets,
     learning_curve,
     mean_f,
+    prepare_sets,
     train_on,
 )
 from structsum.features import FeatureConfig
@@ -108,11 +108,11 @@ def main() -> None:
     greedy_cfg = GreedyConfig(budget_bytes=BUDGET, r=0.3)
     trainer_cfg = TrainerConfig(C=10.0, epsilon=1e-3)
 
-    data = build_targets(data, greedy_cfg, loss_cfg)
+    prepared = prepare_sets(data, range(N_SETS), feature_cfg, loss_cfg, greedy_cfg)
     targets = {}
-    for x, y_set in data:
-        want = good_ids(x)
-        got = set(y_set.target.selected)
+    for s in prepared:
+        x, want = s.x, good_ids(s.x)
+        got = set(s.with_target().target.selected)
         assert got == want, (x.set_id, got, want)
         targets[x.set_id] = sorted(got)
     print(f"targets verified: two good sentences per set, {N_SETS} sets")
@@ -125,9 +125,9 @@ def main() -> None:
     duals = [it["dual_objective"] for it in result.iterations]
     assert all(b >= a - 1e-12 for a, b in zip(duals, duals[1:])), duals
     for i in TRAIN_IDS:
-        x, y_set = data[i]
+        x = data[i][0]
         pred = predict(x, result.model)
-        assert set(pred.selected) == set(y_set.target.selected), (x.set_id, pred)
+        assert set(pred.selected) == set(prepared[i].target.selected), (x.set_id, pred)
     print(f"train split: converged in {len(result.iterations)} iterations, "
           f"all {len(TRAIN_IDS)} predictions match targets")
 

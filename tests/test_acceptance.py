@@ -12,6 +12,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ import pytest
 from structsum.corpus import build_document_set, load_dataset, load_stopwords
 from structsum.experiments import (
     bounds_table,
-    build_targets,
     evaluate_predictions,
     learning_curve,
     mean_f,
     predict_sets,
+    prepare_sets,
     resolve_budget,
     sample_splits,
     select_c,
@@ -222,7 +223,7 @@ def test_cutting_plane_contract(stopwords):
     data = load_dataset(FIXTURE_JSONL, stopwords)
     gcfg = GreedyConfig(budget_bytes=66, r=0.3)
     loss_cfg = LossConfig()
-    prepared = build_targets(data, gcfg, loss_cfg)
+    prepared = prepare_sets(data, range(len(data)), FeatureConfig(), loss_cfg, gcfg)
     result = train(
         prepared, "pairwise",
         feature_config=FeatureConfig(), loss_config=loss_cfg, greedy_config=gcfg,
@@ -232,10 +233,11 @@ def test_cutting_plane_contract(stopwords):
     monotone = all(b >= a - 1e-12 for a, b in zip(duals, duals[1:]))
     worst_loss = 0.0
     all_match = True
-    for x, Y in prepared:
-        y = predict(x, result.model)
-        worst_loss = max(worst_loss, loss_delta(Y, y, x, loss_cfg))
-        all_match = all_match and y.as_set() == Y.target.as_set()
+    for s in prepared:
+        y = predict(s.x, result.model)
+        Y = replace(s.Y, target=s.target)  # the oracle's normalized loss reads Y.target
+        worst_loss = max(worst_loss, loss_delta(Y, y, s.x, loss_cfg))
+        all_match = all_match and y.as_set() == s.target.as_set()
     elapsed = time.perf_counter() - started
     _verdict(
         result.converged and result.final_max_violation <= 1e-3 and monotone

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import structsum
+from structsum import experiments
 from structsum.cli import main
 from structsum.learner import Model
 
@@ -107,6 +108,27 @@ class TestTrain:
         assert "selected C=1.0" in stdout
         table = json.loads((tmp_path / "m.json.cgrid.json").read_text())
         assert [row["C"] for row in table] == [1.0, 10.0]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("10,1,10", "C grid repeats a value: [1.0, 10.0, 10.0]"),
+        ("1,10,1.0", "C grid repeats a value: [1.0, 1.0, 10.0]"),
+        ("1,10,nan", "C must be positive and finite, not nan"),
+        ("1,10,inf", "C must be positive and finite, not inf"),
+        ("1,10,0", "C must be positive and finite, not 0.0"),
+        ("1,-10", "C must be positive and finite, not -10.0"),
+    ])
+    def test_bad_c_grid_fails_before_training(self, capsys, tmp_path, monkeypatch, grid, message):
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "m.json"
+        rc, _, stderr = run(
+            capsys, "train", "--dataset", DATASET, "--train-ids", "0,1",
+            "--val-ids", "2,3", "--C", grid, "--out", str(out),
+        )
+        assert rc == 1
+        assert stderr.startswith(f"error: {message}")
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_out_is_an_error(self, capsys):
         rc, _, stderr = run(capsys, "train", "--dataset", DATASET, "--train-ids", "0")
@@ -331,6 +353,15 @@ class TestInputContract:
                             "--out", str(out))
         assert rc == 1
         assert stderr.startswith("error: --C needs at least one value")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["curve", "ablate"])
+    def test_empty_test_split_fails(self, capsys, tmp_path, command):
+        out = tmp_path / "out.json"
+        rc, _, stderr = run(capsys, command, "--dataset", DATASET, "--train-ids", "0",
+                            "--test-ids", "", "--max-iters", "1", "--out", str(out))
+        assert rc == 1
+        assert stderr.startswith("error: no predictions to evaluate")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, argv, message", [

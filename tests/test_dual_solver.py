@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structsum import learner
-from structsum.experiments import build_targets
+from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig
 from structsum.greedy import GreedyConfig
 from structsum.learner import Constraint, TrainerConfig, WorkingSet, train
@@ -182,7 +182,7 @@ def recorded_solves(fixture_data):
         return dual
 
     gcfg = GreedyConfig(budget_bytes=66, r=0.3)
-    prepared = build_targets(fixture_data[:8], gcfg, LossConfig())
+    prepared = prepare_sets(fixture_data, range(8), FeatureConfig(), LossConfig(), gcfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner.WorkingSet, "add", recording_add)
         mp.setattr(learner.WorkingSet, "solve", recording_solve)

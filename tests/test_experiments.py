@@ -3,32 +3,33 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
-from structsum import experiments
+from structsum import experiments, learner
 from structsum.corpus import ReferenceSet, tokenize
 from structsum.experiments import (
     ABLATION_ROWS,
     ablation_table,
     bounds_table,
-    build_targets,
     evaluate_predictions,
     extractive_ceiling,
     human_agreement,
     learning_curve,
     mean_f,
     predict_sets,
+    prepare_sets,
     resolve_budget,
     sample_splits,
     select_c,
     sign_test,
     train_on,
 )
-from structsum.features import FeatureConfig
+from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig
 from structsum.learner import Model, TrainerConfig
-from structsum.rouge import LossConfig, make_target
+from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
 from conftest import EXPECTED_RESULTS, SMALL_MODEL
@@ -78,7 +79,7 @@ class TestResolveBudget:
         assert resolve_budget(x, 665) == 665
 
 
-class TestBuildTargets:
+class TestPrepareSets:
     def _pair(self, make_docset, stopwords, refs):
         x = make_docset(["Alpha beta. Gamma delta."], budget=12)
         Y = ReferenceSet(
@@ -87,12 +88,20 @@ class TestBuildTargets:
         )
         return x, Y
 
+    def _prepared(self, pair, budget, single_reference=False):
+        (s,) = prepare_sets([pair], [0], FeatureConfig(), LossConfig(),
+                            GreedyConfig(budget_bytes=budget, r=1.0), single_reference)
+        return s
+
     def test_attaches_targets_without_touching_input(self, make_docset, stopwords):
         x, Y = self._pair(make_docset, stopwords, ["alpha beta.", "gamma delta."])
-        out = build_targets([(x, Y)], GreedyConfig(budget_bytes=100), LossConfig())
+        s = self._prepared((x, Y), 100)
+        assert s.target is None and s.raw_target_loss is None  # computed on first use
+        assert s.with_target() is s
         assert Y.target is None
-        assert out[0][1].target is not None
-        assert out[0][0] is x
+        assert s.target is not None
+        assert s.x is x and s.Y is Y
+        assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
 
     def test_single_reference_uses_first_only(self, make_docset, stopwords):
         # Budget admits one sentence. Two of three references say "alpha
@@ -100,19 +109,20 @@ class TestBuildTargets:
         # reference alone says "gamma delta" and flips it to sentence 1.
         refs = ["gamma delta.", "alpha beta.", "alpha beta."]
         x, Y = self._pair(make_docset, stopwords, refs)
-        cfg = GreedyConfig(budget_bytes=100, r=1.0)
 
-        multi = build_targets([(x, Y)], cfg, LossConfig())
-        single = build_targets([(x, Y)], cfg, LossConfig(), single_reference=True)
-        assert multi[0][1].target.selected == (0,)
-        assert single[0][1].target.selected == (1,)
-        assert len(single[0][1].references) == 1
+        multi = self._prepared((x, Y), 100).with_target()
+        single = self._prepared((x, Y), 100, single_reference=True).with_target()
+        assert multi.target.selected == (0,)
+        assert single.target.selected == (1,)
+        assert len(single.Y.references) == 1
+        assert len(Y.references) == 3
 
     def test_respects_per_set_budget(self, make_docset, stopwords):
         # cfg allows both sentences but the record's own 12 bytes does not
         x, Y = self._pair(make_docset, stopwords, ["alpha beta gamma delta."])
-        out = build_targets([(x, Y)], GreedyConfig(budget_bytes=1000), LossConfig())
-        assert out[0][1].target.total_cost <= 12
+        s = self._prepared((x, Y), 1000)
+        assert s.greedy_cfg.budget_bytes == 12
+        assert s.with_target().target.total_cost <= 12
 
 
 class TestEvaluatePredictions:
@@ -279,9 +289,9 @@ class TestSelectC:
 
 
 class TestTargetsBuiltOncePerDriverCall:
-    """Targets depend on the greedy and loss configs only, so the curve and
-    the ablation table build them once and train each size or row on the
-    same prepared sets, with the results of rebuilding them every time."""
+    """Banks, RougeGains and targets depend on the configs only, so each
+    study call prepares each of its sets once and trains every C, size or
+    row on them, with the results of preparing them every time."""
 
     KW = dict(feature_config=FeatureConfig(), loss_config=LossConfig(),
               greedy_config=GreedyConfig(budget_bytes=66, r=0.3))
@@ -290,14 +300,32 @@ class TestTargetsBuiltOncePerDriverCall:
     def target_calls(self, monkeypatch):
         calls = []
 
-        def counting(x, Y, *args):
+        def counting(x, gain, cfg):
             calls.append(x.set_id)
-            return make_target(x, Y, *args)
+            return greedy_target(x, gain, cfg)
 
-        monkeypatch.setattr(experiments, "make_target", counting)
+        monkeypatch.setattr(learner, "greedy_target", counting)
         return calls
 
-    def test_select_c_trains_through_train_on_once_per_c(self, fixture_data, monkeypatch):
+    @pytest.fixture
+    def bank_builds(self, monkeypatch):
+        builds = []
+        init = FeatureBank.__init__
+
+        def counting(bank, x, cfg):
+            builds.append(x.set_id)
+            init(bank, x, cfg)
+
+        monkeypatch.setattr(FeatureBank, "__init__", counting)
+        return builds
+
+    @staticmethod
+    def _set_ids(data, ids):
+        return sorted(data[i][0].set_id for i in ids)
+
+    def test_select_c_trains_through_train_on_once_per_c(
+        self, fixture_data, monkeypatch, target_calls, bank_builds
+    ):
         # the benchmark's recorder wraps train_on to see each C's training
         seen = []
 
@@ -306,38 +334,103 @@ class TestTargetsBuiltOncePerDriverCall:
             return train_on(data, ids, kind, features, loss, greedy, trainer, **kwargs)
 
         monkeypatch.setattr(experiments, "train_on", recording)
+        train_ids, val_ids = [0, 1], [1, 3, 4]
         _, table = select_c(
-            fixture_data, [0, 1], [3, 4], [10.0, 0.1, 1.0], "coverage",
+            fixture_data, train_ids, val_ids, [10.0, 0.1, 1.0], "coverage",
             trainer_config=TrainerConfig(max_outer_iters=2), **self.KW,
         )
         assert seen == [row["C"] for row in table] == [0.1, 1.0, 10.0]
+        # one preparation per training set and per validation set for the
+        # whole grid; set 1 is both, and is prepared once as each
+        assert sorted(target_calls) == self._set_ids(fixture_data, train_ids)
+        assert sorted(bank_builds) == self._set_ids(fixture_data, train_ids + val_ids)
 
-    def test_learning_curve_builds_the_largest_prefix_once(self, fixture_data, target_calls):
+    def test_learning_curve_builds_the_largest_prefix_once(
+        self, fixture_data, target_calls, bank_builds
+    ):
         train_ids = [5, 0, 3, 8]
         rows = learning_curve(
             fixture_data, [1, 3, 9], train_ids, [1, 2], "pairwise",
             trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0, **self.KW,
         )
-        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in train_ids[:3])
+        assert sorted(target_calls) == self._set_ids(fixture_data, train_ids[:3])
+        assert sorted(bank_builds) == self._set_ids(fixture_data, train_ids[:3] + [1, 2])
         for row in rows:
             result = train_on(fixture_data, train_ids[:row["size"]], "pairwise",
                               trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
                               **self.KW)
-            assert row["mean_f"] == mean_f(fixture_data, [1, 2], result.model, LossConfig())
+            report = evaluate_predictions(
+                [fixture_data[i] for i in [1, 2]], predict_sets(fixture_data, [1, 2], result.model)
+            )
+            assert (row["mean_f"], row["stderr_f"]) == (report.mean_f, report.stderr_f)
 
-    def test_ablation_table_builds_each_target_once(self, fixture_data, target_calls):
+    def test_ablation_table_builds_each_target_once(
+        self, fixture_data, target_calls, bank_builds
+    ):
         rows = ablation_table(
             fixture_data, [0, 1], [2, 3], "pairwise",
             trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
             rows=["none", "location"], **self.KW,
         )
-        assert sorted(target_calls) == sorted(fixture_data[i][0].set_id for i in [0, 1])
+        assert sorted(target_calls) == self._set_ids(fixture_data, [0, 1])
+        # "none" keeps the prepared banks; "location" builds one per set
+        assert sorted(bank_builds) == self._set_ids(fixture_data, [0, 1, 2, 3] * 2)
         kw = dict(self.KW)
         for row, cfg in zip(rows, [kw.pop("feature_config"),
                                    FeatureConfig().without_group("location")]):
             result = train_on(fixture_data, [0, 1], "pairwise", feature_config=cfg,
                               trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0, **kw)
             assert row["mean_f"] == mean_f(fixture_data, [2, 3], result.model, LossConfig())
+
+
+class TestSelectCMatchesIndependentRuns:
+    """select_c's table is == to what a fresh train_on and mean_f give for
+    each C, and its models are byte-equal to theirs. Validation set 2 is
+    also a training set: in single-reference mode it trains on its first
+    reference and must still be scored against all of them."""
+
+    KW = TestTargetsBuiltOncePerDriverCall.KW
+
+    @pytest.fixture(scope="class")
+    def data(self, fixture_data):
+        # a first reference unlike the others (a noise sentence), so that
+        # single-reference targets and F differ from the all-reference ones
+        return [(x, ReferenceSet(Y.set_id, (x.sentences[-1].tokens,) + Y.references))
+                for x, Y in fixture_data[:6]]
+
+    @pytest.mark.parametrize("single_reference", [False, True])
+    @pytest.mark.parametrize("kind, lam", [
+        ("pairwise", 4.0), ("pairwise-split", None), ("coverage", None),
+    ])
+    def test_table_and_models_match(self, data, monkeypatch, kind, lam, single_reference):
+        train_ids, val_ids, grid = [0, 1, 2], [2, 4, 5], [10.0, 0.1, 1.0]
+        trainer = TrainerConfig(max_outer_iters=3)
+        models = []
+
+        def recording(*args, **kwargs):
+            result = train_on(*args, **kwargs)
+            models.append(result.model.to_json())
+            return result
+
+        monkeypatch.setattr(experiments, "train_on", recording)
+        best, table = select_c(data, train_ids, val_ids, grid, kind, trainer_config=trainer,
+                               lam=lam, single_reference=single_reference, **self.KW)
+        monkeypatch.undo()
+        want_table, want_models = [], []
+        for c in sorted(grid):
+            result = train_on(data, train_ids, kind, trainer_config=replace(trainer, C=c),
+                              lam=lam, single_reference=single_reference, **self.KW)
+            want_models.append(result.model.to_json())
+            want_table.append({"C": c, "val_f": mean_f(data, val_ids, result.model, LossConfig())})
+        assert table == want_table
+        assert models == want_models
+        assert best == max(want_table, key=lambda row: row["val_f"])["C"]
+
+    def test_train_on_needs_one_prepared_set_per_id(self, data):
+        sets = prepare_sets(data, [0, 1], **self.KW)
+        with pytest.raises(ValueError, match="2 prepared sets for 3 training ids"):
+            train_on(data, [0, 1, 2], "coverage", trainer_config=TrainerConfig(), sets=sets,
+                     **self.KW)
 
 
 class TestSignTest:

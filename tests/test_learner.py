@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
+from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, registry_for
 from structsum.greedy import GreedyConfig
 from structsum.learner import (
@@ -396,20 +397,37 @@ class TestTrain:
             ]
             x = build_document_set(f"mini{i}", docs, stopwords)
             refs = (tuple(tokenize(ref, stopwords)), tuple(tokenize(ref, stopwords)))
-            Y = ReferenceSet(x.set_id, refs)
-            make_target(x, Y, GreedyConfig(budget_bytes=60, r=0.3), LossConfig())
-            data.append((x, Y))
+            data.append((x, ReferenceSet(x.set_id, refs)))
         return data
 
+    @staticmethod
+    def _sets(data, budget=60):
+        """``data`` prepared under the configs the tests train with; each
+        set's target is computed when training first uses it."""
+        gcfg = GreedyConfig(budget_bytes=budget, r=0.3)
+        return prepare_sets(data, range(len(data)), FeatureConfig(), LossConfig(), gcfg)
+
     def test_requires_targets(self, stopwords):
+        # train computes the targets of prepared sets; a bare reference set
+        # needs make_target before the oracle can measure loss against it
         x, Y = toy_example(stopwords, seed=5)
-        with pytest.raises(ValueError, match="target"):
-            train([(x, Y)], "pairwise", FeatureConfig(), LossConfig(),
-                  GreedyConfig(budget_bytes=60), TrainerConfig(C=1.0), lam=4.0)
+        model = Model.zeros("pairwise", FeatureConfig(), LossConfig(), GreedyConfig(60), 4.0)
+        with pytest.raises(ValueError, match="no target"):
+            separation_oracle(x, Y, model)
+        sets = self._sets([(x, Y)])
+        train(sets, "pairwise", FeatureConfig(), LossConfig(),
+              GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=1.0), lam=4.0)
+        assert sets[0].target is not None and Y.target is None
+
+    def test_rejects_sets_prepared_under_other_configs(self, stopwords):
+        sets = self._sets(self._mini_corpus(stopwords, n=1))
+        with pytest.raises(ValueError, match="other feature or loss configs"):
+            train(sets, "coverage", FeatureConfig().without_group("location"), LossConfig(),
+                  GreedyConfig(budget_bytes=60, r=0.3))
 
     def test_converges_and_dual_monotone(self, stopwords):
         data = self._mini_corpus(stopwords)
-        result = train(data, "pairwise", FeatureConfig(), LossConfig(),
+        result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
                        GreedyConfig(budget_bytes=60, r=0.3),
                        TrainerConfig(C=10.0, epsilon=1e-3), lam=4.0)
         assert result.converged
@@ -430,7 +448,8 @@ class TestTrain:
             return dual
 
         monkeypatch.setattr(WorkingSet, "solve", counting)
-        result = train(self._mini_corpus(stopwords), "coverage", FeatureConfig(), LossConfig(),
+        result = train(self._sets(self._mini_corpus(stopwords)), "coverage",
+                       FeatureConfig(), LossConfig(),
                        GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0))
         start = 0
         for entry in result.iterations:
@@ -450,7 +469,7 @@ class TestTrain:
 
         data = self._mini_corpus(stopwords)
         with caplog.at_level(logging.WARNING, logger="structsum.learner"):
-            result = train(data, "pairwise", FeatureConfig(), LossConfig(),
+            result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
                            GreedyConfig(budget_bytes=60, r=0.3),
                            TrainerConfig(C=10.0, max_outer_iters=1), lam=4.0)
         assert not result.converged
@@ -459,7 +478,7 @@ class TestTrain:
     def test_log_callback_sees_every_iteration(self, stopwords):
         data = self._mini_corpus(stopwords)
         seen = []
-        train(data, "pairwise", FeatureConfig(), LossConfig(),
+        train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
               GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0),
               lam=4.0, log_callback=seen.append)
         assert [e["iteration"] for e in seen] == list(range(len(seen)))
@@ -467,7 +486,7 @@ class TestTrain:
     @pytest.mark.parametrize("kind", ["pairwise-split", "coverage"])
     def test_other_model_kinds_train(self, kind, stopwords):
         data = self._mini_corpus(stopwords, n=3)
-        result = train(data, kind, FeatureConfig(), LossConfig(),
+        result = train(self._sets(data), kind, FeatureConfig(), LossConfig(),
                        GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0))
         assert result.converged
         for x, Y in data:
@@ -476,10 +495,8 @@ class TestTrain:
 
     def test_per_record_budget_respected(self, stopwords):
         data = self._mini_corpus(stopwords, n=2)
-        x0, Y0 = data[0]
-        object.__setattr__(x0, "budget_bytes", 30)
-        make_target(x0, Y0, GreedyConfig(budget_bytes=30, r=0.3), LossConfig())
-        result = train(data, "pairwise", FeatureConfig(), LossConfig(),
+        object.__setattr__(data[0][0], "budget_bytes", 30)
+        result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
                        GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0), lam=4.0)
         assert predict(data[0][0], result.model).total_cost <= 30
         assert predict(data[1][0], result.model).total_cost <= 60

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
+from structsum.experiments import prepare_sets
+from structsum.features import FeatureConfig
 from structsum.greedy import GreedyConfig
-from structsum.learner import train
+from structsum.learner import Model, separation_oracle
 from structsum.rouge import LossConfig, RougeGain, f_score, make_target
 from structsum.scoring import Summary
 
@@ -164,9 +166,19 @@ class TestLoss:
             assert gain.reset().raw_loss() == 1.0
 
     def test_normalized_loss_needs_target(self, make_docset):
+        # the normalized loss is measured from the target's raw loss: a
+        # prepared set computes both on first use, on its own RougeGain, and
+        # the oracle refuses a bare reference set that has no target
         x, Y = self._xy(make_docset)
+        gcfg = GreedyConfig(budget_bytes=20, r=1.0)
+        (s,) = prepare_sets([(x, Y)], [0], FeatureConfig(), LossConfig(), gcfg)
+        assert s.target is None and s.raw_target_loss is None
         with pytest.raises(ValueError, match="no target"):
-            train([(x, Y)], "pairwise")
+            separation_oracle(x, Y, Model.zeros("pairwise", FeatureConfig(), LossConfig(), gcfg))
+        s.with_target()
+        assert s.target == make_target(x, Y, gcfg, LossConfig())
+        assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
+        assert loss_delta(Y, s.target, x, LossConfig()) == 0.0
 
     def test_normalized_loss_clamps_at_zero(self, make_docset):
         x, Y = self._xy(make_docset)
