@@ -11,18 +11,17 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 
 from .corpus import DatasetError, load_dataset, load_stopwords
 from .experiments import (
     ABLATION_ROWS,
+    _select_c,
     ablation_table,
     bounds_table,
     evaluate_predictions,
     learning_curve,
     resolve_budget,
     sample_splits,
-    select_c,
     sign_test,
     train_on,
 )
@@ -152,16 +151,6 @@ def cmd_train(args) -> int:
     )
     lam = args.lam if args.model == "pairwise" else None
     c_table = None
-    if len(grid) > 1:
-        if not val_ids:
-            raise ValueError("a C grid needs --val-ids to select on")
-        best_c, c_table = select_c(
-            data, train_ids, val_ids, grid, args.model,
-            feature_cfg, loss_cfg, greedy_cfg, trainer_cfg,
-            lam=lam, single_reference=args.single_reference,
-        )
-        trainer_cfg = replace(trainer_cfg, C=best_c)
-        print(f"selected C={best_c} on validation sets {val_ids}")
     log_lines: list[str] = []
 
     def log_cb(entry: dict) -> None:
@@ -171,10 +160,22 @@ def cmd_train(args) -> int:
             "gap={gap:.2e} max_violation={max_violation:.6f}".format(**entry)
         )
 
-    result = train_on(
-        data, train_ids, args.model, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg,
-        lam=lam, single_reference=args.single_reference, log_callback=log_cb,
-    )
+    if len(grid) > 1:
+        if not val_ids:
+            raise ValueError("a C grid needs --val-ids to select on")
+        # the grid already trained the chosen C: keep that result and replay its log
+        best_c, c_table, result = _select_c(
+            data, train_ids, val_ids, grid, args.model, feature_cfg, loss_cfg, greedy_cfg,
+            trainer_cfg, lam, args.single_reference,
+        )
+        print(f"selected C={best_c} on validation sets {val_ids}")
+        for entry in result.iterations:
+            log_cb(entry)
+    else:
+        result = train_on(
+            data, train_ids, args.model, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg,
+            lam=lam, single_reference=args.single_reference, log_callback=log_cb,
+        )
     result.model.save(args.out)
     log_path = args.log or (args.out + ".log.jsonl")
     atomic_write_text(log_path, "\n".join(log_lines) + "\n")

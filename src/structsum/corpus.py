@@ -14,12 +14,17 @@ unique within a file, and ``budget_bytes`` must be a non-negative integer.
 Segmentation and tokenization are deterministic, rule based and stemming
 free. The abbreviation table lives in ``structsum/data``; the rules are
 summarized in the README's "Dataset format" section.
+
+Tokens are interned per load: one ``load_dataset`` call tokenizes each
+distinct whitespace chunk once, and equal chunks in all of its documents and
+references share one immutable ``Token``. Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -107,28 +112,41 @@ class Token:
     length: int
 
 
+class _TokenMemo(dict):
+    """Chunk → its ``Token``, or ``None`` for a pure-punctuation chunk,
+    tokenized on first lookup under one stopword list."""
+
+    def __init__(self, stopwords: frozenset[str]):
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, chunk: str) -> Token | None:
+        core = chunk.strip(EDGE_PUNCTUATION)
+        normalized = core.lower()
+        token = None
+        if normalized:
+            token = Token(
+                surface=chunk,
+                normalized=normalized,
+                is_stopword=normalized in self.stopwords,
+                is_capitalized=core[:1].isupper(),
+                length=len(normalized),
+            )
+        self[chunk] = token
+        return token
+
+    def tokens(self, raw_sentence: str) -> tuple[Token, ...]:
+        # a Token is always truthy, so filter(None, ...) drops just the Nones
+        return tuple(filter(None, map(self.__getitem__, raw_sentence.split())))
+
+
 def tokenize(raw_sentence: str, stopword_list: frozenset[str] = frozenset()) -> list[Token]:
     """Whitespace-split, strip edge punctuation, lowercase. No stemming.
 
     Chunks whose normalized form is empty (pure punctuation) are dropped.
     ``is_capitalized`` refers to the surface form after edge stripping.
     """
-    out: list[Token] = []
-    for chunk in raw_sentence.split():
-        core = chunk.strip(EDGE_PUNCTUATION)
-        normalized = core.lower()
-        if not normalized:
-            continue
-        out.append(
-            Token(
-                surface=chunk,
-                normalized=normalized,
-                is_stopword=normalized in stopword_list,
-                is_capitalized=core[:1].isupper(),
-                length=len(normalized),
-            )
-        )
-    return out
+    return list(_TokenMemo(stopword_list).tokens(raw_sentence))
 
 
 @dataclass(frozen=True)
@@ -198,6 +216,12 @@ def build_document_set(
     position_in_doc keeps the pre-drop index so positional features keep
     their meaning.
     """
+    return _build_document_set(set_id, documents, _TokenMemo(stopwords), budget_bytes)
+
+
+def _build_document_set(
+    set_id: str, documents: list[str], memo: _TokenMemo, budget_bytes: int | None
+) -> DocumentSet:
     sentences: list[Sentence] = []
     num_docs = 0
     for doc_id, raw in enumerate(documents):
@@ -205,7 +229,7 @@ def build_document_set(
             continue
         num_docs += 1
         for pos, text in enumerate(segment_sentences(raw)):
-            tokens = tokenize(text, stopwords)
+            tokens = memo.tokens(text)
             if not tokens:
                 continue
             sentences.append(
@@ -214,33 +238,32 @@ def build_document_set(
                     doc_id=doc_id,
                     position_in_doc=pos,
                     text=text,
-                    tokens=tuple(tokens),
+                    tokens=tokens,
                     cost=len(text.encode("utf-8")),
                 )
             )
     if not sentences:
         raise DatasetError(f"set {set_id!r} contains zero sentences")
 
+    # Words enter the vocabulary in order of first occurrence. Sentences come
+    # in document order, so a word's document count grows when its last
+    # document changes.
     vocab: dict[str, VocabStats] = {}
-    seen_in_doc: dict[str, set[int]] = {}
+    last_doc: dict[str, int] = {}
     for s in sentences:
-        counts = s.word_counts()
-        for t in s.tokens:
-            st = vocab.get(t.normalized)
+        for w, c in Counter([t.normalized for t in s.tokens]).items():
+            st = vocab.get(w)
             if st is None:
-                st = vocab[t.normalized] = VocabStats(is_stopword=t.is_stopword)
-                seen_in_doc[t.normalized] = set()
-            st.total_count += 1
-            if t.is_capitalized:
-                st.ever_capitalized = True
-        for w, c in counts.items():
-            st = vocab[w]
+                st = vocab[w] = VocabStats(is_stopword=w in memo.stopwords)
+            st.total_count += c
             st.sentence_freq += 1
             st.max_in_sentence = max(st.max_in_sentence, c)
             st.earliest_position = min(st.earliest_position, s.position_in_doc)
-            seen_in_doc[w].add(s.doc_id)
-    for w, docs in seen_in_doc.items():
-        vocab[w].doc_freq = len(docs)
+            if last_doc.get(w) != s.doc_id:
+                last_doc[w] = s.doc_id
+                st.doc_freq += 1
+        for w in {t.normalized for t in s.tokens if t.is_capitalized}:
+            vocab[w].ever_capitalized = True
 
     return DocumentSet(
         set_id=set_id,
@@ -258,6 +281,7 @@ def load_dataset(
     """Load a JSON-lines dataset. See the module docstring for the schema."""
     if stopwords is None:
         stopwords = load_stopwords()
+    memo = _TokenMemo(stopwords)  # shared by every set and reference of this load
     out: list[tuple[DocumentSet, ReferenceSet]] = []
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -290,8 +314,8 @@ def load_dataset(
                 raise DatasetError(
                     f"line {lineno}: budget_bytes must be a non-negative integer, got {budget!r}"
                 )
-            x = build_document_set(set_id, documents, stopwords, budget)
-            refs = tuple(tuple(tokenize(r, stopwords)) for r in references)
+            x = _build_document_set(set_id, documents, memo, budget)
+            refs = tuple(memo.tokens(r) for r in references)
             if any(not r for r in refs):
                 raise DatasetError(f"empty reference for set {set_id!r} (line {lineno})")
             out.append((x, ReferenceSet(set_id=set_id, references=refs)))

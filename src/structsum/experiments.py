@@ -312,6 +312,18 @@ def select_c(
 ) -> tuple[float, list[dict]]:
     """Pick the grid point with the best validation F (ties: smaller C),
     preparing the training and validation sets once for every C."""
+    best_c, table, _ = _select_c(
+        data, train_ids, val_ids, c_grid, model_kind, feature_config, loss_config,
+        greedy_config, trainer_config, lam, single_reference,
+    )
+    return best_c, table
+
+
+def _select_c(
+    data, train_ids, val_ids, c_grid, model_kind, feature_config, loss_config,
+    greedy_config, trainer_config, lam, single_reference,
+) -> tuple[float, list[dict], TrainResult]:
+    """``select_c``, also returning the chosen C's training result."""
     if not val_ids:
         raise ValueError("C-grid selection needs a validation split")
     trainer_configs = [replace(trainer_config, C=c) for c in sorted(c_grid)]  # checks every C
@@ -321,7 +333,7 @@ def select_c(
     train_sets = prepare_sets(data, train_ids, *configs, single_reference=single_reference)
     val_sets = prepare_sets(data, val_ids, *configs)
     table = []
-    best_c, best_f = None, -1.0
+    best_c, best_f, best_result = None, -1.0, None
     # one train_on call per C: perfbench records the C grid's trainings by
     # wrapping train_on
     for cfg in trainer_configs:
@@ -333,8 +345,8 @@ def select_c(
         c, f = cfg.C, sum(fs) / len(fs)
         table.append({"C": c, "val_f": f})
         if f > best_f:
-            best_c, best_f = c, f
-    return best_c, table
+            best_c, best_f, best_result = c, f, result
+    return best_c, table, best_result
 
 
 def sign_test(scores_a: list[float], scores_b: list[float]) -> float:

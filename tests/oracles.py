@@ -13,7 +13,11 @@ ROUGE count arrays before they were built from token-id arrays, which the
 array builds must reproduce bit for bit; and, last, the dict-based ROUGE
 path the package scored with before ``RougeGain`` became its only ROUGE
 implementation (``UnigramCounts`` through ``loss_delta``), kept verbatim as
-the slow oracle that every ``RougeGain`` read-out must equal exactly.
+the slow oracle that every ``RougeGain`` read-out must equal exactly;
+and the per-call ``tokenize`` and per-token vocabulary loop of
+``build_document_set`` (``tokenize_reference`` and
+``build_document_set_reference``) the corpus used before it interned its
+tokens per load, which ``load_dataset`` must reproduce with ``==``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from structsum.corpus import DocumentSet, ReferenceSet, Token
+from structsum.corpus import (
+    EDGE_PUNCTUATION,
+    DatasetError,
+    DocumentSet,
+    ReferenceSet,
+    Sentence,
+    Token,
+    VocabStats,
+    segment_sentences,
+)
 from structsum.features import FeatureBank, cosine_groups, registry_for
 from structsum.experiments import resolve_budget
 from structsum.greedy import greedy_maximize
@@ -803,3 +816,92 @@ def human_agreement_reference(data, ids, loss_cfg):
             per_set.append(total / len(others))
         values.append(sum(per_set) / len(per_set))
     return sum(values) / len(values)
+
+
+def tokenize_reference(raw_sentence: str, stopword_list: frozenset[str] = frozenset()) -> list[Token]:
+    """Whitespace-split, strip edge punctuation, lowercase. No stemming.
+
+    Chunks whose normalized form is empty (pure punctuation) are dropped.
+    ``is_capitalized`` refers to the surface form after edge stripping.
+    """
+    out: list[Token] = []
+    for chunk in raw_sentence.split():
+        core = chunk.strip(EDGE_PUNCTUATION)
+        normalized = core.lower()
+        if not normalized:
+            continue
+        out.append(
+            Token(
+                surface=chunk,
+                normalized=normalized,
+                is_stopword=normalized in stopword_list,
+                is_capitalized=core[:1].isupper(),
+                length=len(normalized),
+            )
+        )
+    return out
+
+
+def build_document_set_reference(
+    set_id: str,
+    documents: list[str],
+    stopwords: frozenset[str],
+    budget_bytes: int | None = None,
+) -> DocumentSet:
+    """Segment and tokenize raw documents into a DocumentSet.
+
+    Sentences that tokenize to nothing are dropped; ids stay contiguous but
+    position_in_doc keeps the pre-drop index so positional features keep
+    their meaning.
+    """
+    sentences: list[Sentence] = []
+    num_docs = 0
+    for doc_id, raw in enumerate(documents):
+        if not raw or not raw.strip():
+            continue
+        num_docs += 1
+        for pos, text in enumerate(segment_sentences(raw)):
+            tokens = tokenize_reference(text, stopwords)
+            if not tokens:
+                continue
+            sentences.append(
+                Sentence(
+                    id=len(sentences),
+                    doc_id=doc_id,
+                    position_in_doc=pos,
+                    text=text,
+                    tokens=tuple(tokens),
+                    cost=len(text.encode("utf-8")),
+                )
+            )
+    if not sentences:
+        raise DatasetError(f"set {set_id!r} contains zero sentences")
+
+    vocab: dict[str, VocabStats] = {}
+    seen_in_doc: dict[str, set[int]] = {}
+    for s in sentences:
+        counts = s.word_counts()
+        for t in s.tokens:
+            st = vocab.get(t.normalized)
+            if st is None:
+                st = vocab[t.normalized] = VocabStats(is_stopword=t.is_stopword)
+                seen_in_doc[t.normalized] = set()
+            st.total_count += 1
+            if t.is_capitalized:
+                st.ever_capitalized = True
+        for w, c in counts.items():
+            st = vocab[w]
+            st.sentence_freq += 1
+            st.max_in_sentence = max(st.max_in_sentence, c)
+            st.earliest_position = min(st.earliest_position, s.position_in_doc)
+            seen_in_doc[w].add(s.doc_id)
+    for w, docs in seen_in_doc.items():
+        vocab[w].doc_freq = len(docs)
+
+    return DocumentSet(
+        set_id=set_id,
+        sentences=tuple(sentences),
+        num_docs=num_docs,
+        vocabulary=vocab,
+        budget_bytes=budget_bytes,
+    )

@@ -109,6 +109,25 @@ class TestTrain:
         table = json.loads((tmp_path / "m.json.cgrid.json").read_text())
         assert [row["C"] for row in table] == [1.0, 10.0]
 
+    @pytest.mark.parametrize("grid", ["10", "1,10", "1,10,100"])
+    def test_trains_once_per_grid_point(self, capsys, tmp_path, monkeypatch, grid):
+        trained = []
+        real_train = experiments.train
+
+        def counted(sets, model_kind, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, **kwargs):
+            trained.append(trainer_cfg.C)
+            return real_train(
+                sets, model_kind, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, **kwargs
+            )
+
+        monkeypatch.setattr(experiments, "train", counted)
+        rc, _, _ = run(
+            capsys, "train", "--dataset", DATASET, "--train-ids", "0,1",
+            "--val-ids", "2,3", "--C", grid, "--out", str(tmp_path / "m.json"),
+        )
+        assert rc == 0
+        assert sorted(trained) == sorted(float(c) for c in grid.split(","))
+
     @pytest.mark.parametrize("grid, message", [
         ("10,1,10", "C grid repeats a value: [1.0, 10.0, 10.0]"),
         ("1,10,1.0", "C grid repeats a value: [1.0, 1.0, 10.0]"),

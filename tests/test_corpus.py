@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,9 @@ from structsum.corpus import (
     segment_sentences,
     tokenize,
 )
+
+from conftest import FIXTURE_JSONL
+from oracles import build_document_set_reference, tokenize_reference
 
 
 class TestSegmentation:
@@ -231,3 +235,136 @@ def test_stopword_loader_custom(tmp_path):
     path = tmp_path / "sw.txt"
     path.write_text("# comment\nfoo\nbar\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
+# Chunks that exercise every tokenizer and segmenter rule: capitalized and
+# lowercase forms of one word, edge punctuation, pure punctuation,
+# abbreviations, digits, terminal punctuation and stopwords.
+_CHUNKS = [
+    "The", "the", "of", "and", "A", "a", "It.", "Cat", "cat", "cat.", "cat,", '"Cat',
+    "(cat)", "Dog!", "dog?", "'dog'", "U.S.-based", "--", "...", "!!", "$$$", "“", "Dr.",
+    "Mr.", "fig.", "approx.", "9", "1998", "7.", "Plum?", "plum", "plum;", "café",
+]
+
+_documents = st.lists(
+    st.one_of(
+        st.sampled_from(["", "   ", "\n"]),
+        st.lists(st.sampled_from(_CHUNKS), min_size=1, max_size=30).map(" ".join),
+    ),
+    max_size=5,
+)
+
+
+def _built(build, documents, stopwords):
+    try:
+        return build("s", documents, stopwords, 77)
+    except DatasetError as exc:
+        return f"DatasetError: {exc}"
+
+
+def _random_record(rng, set_id):
+    def text():
+        return " ".join(rng.choice(_CHUNKS) for _ in range(rng.randint(1, 25)))
+
+    documents = [text() for _ in range(rng.randint(1, 4))] + ["", "  "][: rng.randint(0, 2)]
+    return {"set_id": set_id, "documents": documents,
+            "references": [text() + " plum" for _ in range(rng.randint(1, 3))]}
+
+
+def _oracle_load(path, stopwords):
+    """Per-set oracle builds of every line of a dataset file."""
+    out = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        x = build_document_set_reference(
+            record["set_id"], record["documents"], stopwords, record.get("budget_bytes")
+        )
+        refs = tuple(tuple(tokenize_reference(r, stopwords)) for r in record["references"])
+        out.append((x, refs))
+    return out
+
+
+def _tokens_of(data):
+    for x, Y in data:
+        for s in x.sentences:
+            yield from s.tokens
+        for ref in Y.references:
+            yield from ref
+
+
+class TestMatchesReference:
+    """``tokenize``, ``build_document_set`` and ``load_dataset`` against the
+    per-call tokenizer and per-token vocabulary loop they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents=_documents, use_stopwords=st.booleans())
+    def test_build_document_set(self, stopwords, documents, use_stopwords):
+        sw = stopwords if use_stopwords else frozenset()
+        x = _built(build_document_set, documents, sw)
+        expected = _built(build_document_set_reference, documents, sw)
+        assert x == expected
+        if not isinstance(x, str):
+            assert list(x.vocabulary) == list(expected.vocabulary)
+        for raw in documents:
+            assert tokenize(raw, sw) == tokenize_reference(raw, sw)
+
+    def _check_load(self, path, stopwords):
+        data = load_dataset(path, stopwords)
+        expected = _oracle_load(path, stopwords)
+        assert len(data) == len(expected)
+        for (x, Y), (x_ref, refs) in zip(data, expected):
+            assert x == x_ref
+            assert list(x.vocabulary) == list(x_ref.vocabulary)
+            assert (Y.set_id, Y.references, Y.target) == (x.set_id, refs, None)
+
+    def test_multi_set_file(self, tmp_path, stopwords):
+        rng = random.Random(11)
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            "".join(json.dumps(_random_record(rng, f"s{i}")) + "\n" for i in range(12)),
+            encoding="utf-8",
+        )
+        self._check_load(path, stopwords)
+        self._check_load(path, frozenset({"cat", "plum"}))
+
+    def test_fixture_file(self, stopwords):
+        self._check_load(FIXTURE_JSONL, stopwords)
+
+
+class TestTokenMemoScope:
+    """Tokens are interned per ``load_dataset`` call and never beyond it."""
+
+    def _write(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        records = [
+            {"set_id": "a", "documents": ["The Cat sat. The cat ran.", "Dog and cat."],
+             "references": ["The cat sat.", "A dog ran."]},
+            {"set_id": "b", "documents": ["Dog ate the plum. The Cat slept."],
+             "references": ["The dog ate.", "Cat slept."]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    def test_equal_chunks_share_one_token(self, tmp_path, stopwords):
+        tokens = list(_tokens_of(load_dataset(self._write(tmp_path), stopwords)))
+        by_surface = {}
+        for t in tokens:
+            assert by_surface.setdefault(t.surface, t) is t
+        assert len({id(t) for t in tokens}) == len(by_surface) < len(tokens)
+
+    def test_each_load_uses_its_own_stopwords(self, tmp_path):
+        path = self._write(tmp_path)
+        for sw in (frozenset({"the", "cat"}), frozenset({"dog", "and"})):
+            data = load_dataset(path, sw)
+            for t in _tokens_of(data):
+                assert t.is_stopword == (t.normalized in sw)
+            for x, _ in data:
+                for w, stats in x.vocabulary.items():
+                    assert stats.is_stopword == (w in sw)
+
+    def test_loads_share_no_tokens(self, tmp_path, stopwords):
+        path = self._write(tmp_path)
+        first = load_dataset(path, stopwords)
+        second = load_dataset(path, stopwords)
+        assert first == second
+        assert not {id(t) for t in _tokens_of(first)} & {id(t) for t in _tokens_of(second)}
