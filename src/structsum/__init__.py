@@ -27,10 +27,9 @@ from .learner import (
     TrainerConfig,
     TrainResult,
     predict,
-    separation_oracle,
     train,
 )
-from .rouge import LossConfig, RougeGain, make_target
+from .rouge import LossConfig, RougeGain
 from .scoring import PairwiseScorer, Summary, gain_state
 
 __version__ = "0.1.0"
@@ -60,11 +59,9 @@ __all__ = [
     "joint_feature_map_pairwise",
     "load_dataset",
     "load_stopwords",
-    "make_target",
     "predict",
     "registry_for",
     "segment_sentences",
-    "separation_oracle",
     "tokenize",
     "train",
 ]

@@ -20,7 +20,6 @@ from .experiments import (
     bounds_table,
     evaluate_predictions,
     learning_curve,
-    resolve_budget,
     sample_splits,
     sign_test,
     train_on,
@@ -49,6 +48,14 @@ def _parse_grid(text: str) -> list[float]:
     if not grid:
         raise ValueError("--C needs at least one value")
     return grid
+
+
+def _single_c_trainer(args) -> TrainerConfig:
+    """The trainer config of a command that trains at one C."""
+    grid = _parse_grid(args.C)
+    if len(grid) > 1:
+        raise ValueError(f"{args.command} trains at one C; --C {args.C} is a grid")
+    return TrainerConfig(C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -187,12 +194,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _summarize_one(x, args, model) -> Summary:
+def _summarize_one(x, args, model, baseline_cfg) -> Summary:
     if model is not None:
         return predict(x, model)
     scorer = PairwiseScorer.tfidf_baseline(x, lam=args.lam)
-    cfg = GreedyConfig(budget_bytes=resolve_budget(x, args.budget), r=args.r)
-    return greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=cfg)
+    return greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=baseline_cfg.for_set(x))
 
 
 def cmd_summarize(args) -> int:
@@ -200,12 +206,13 @@ def cmd_summarize(args) -> int:
         raise ValueError("give exactly one of --model-file or --baseline")
     data = _load(args)
     model = Model.load(args.model_file) if args.model_file else None
+    baseline_cfg = GreedyConfig(budget_bytes=args.budget, r=args.r) if model is None else None
     wanted = set(args.sets.split(",")) if args.sets else None
     records = []
     for x, _ in data:
         if wanted is not None and x.set_id not in wanted:
             continue
-        y = _summarize_one(x, args, model)
+        y = _summarize_one(x, args, model, baseline_cfg)
         print(f"# {x.set_id}")
         for sid in y.selected:
             print(x.sentences[sid].text)
@@ -310,9 +317,7 @@ def cmd_curve(args) -> int:
     sizes = [int(v) for v in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes: training sizes must be positive, got {sizes}")
-    trainer_cfg = TrainerConfig(
-        C=_parse_grid(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
-    )
+    trainer_cfg = _single_c_trainer(args)
     lam = args.lam if args.model == "pairwise" else None
     rows = learning_curve(
         data, sizes, train_ids, test_ids, args.model,
@@ -331,9 +336,7 @@ def cmd_ablate(args) -> int:
     data = _load(args)
     feature_cfg, greedy_cfg, loss_cfg = _configs(args)
     train_ids, test_ids = _auto_split(args, len(data), args.test_count)
-    trainer_cfg = TrainerConfig(
-        C=_parse_grid(args.C)[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
-    )
+    trainer_cfg = _single_c_trainer(args)
     lam = args.lam if args.model == "pairwise" else None
     rows = args.rows.split(",") if args.rows else None
     table = ablation_table(

@@ -6,7 +6,7 @@ A dataset is a JSON-lines file. Each line describes one document set:
      "references": ["manual summary", ...], "budget_bytes": 665}
 
 ``budget_bytes`` is optional; when present it overrides whatever budget the
-caller configured for that set.
+caller configured for that set (``GreedyConfig.for_set``).
 
 ``documents`` and ``references`` must be lists of strings, set ids must be
 unique within a file, and ``budget_bytes`` must be a non-negative integer.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -160,12 +160,6 @@ class Sentence:
     tokens: tuple[Token, ...]
     cost: int
 
-    def word_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self.tokens:
-            counts[t.normalized] = counts.get(t.normalized, 0) + 1
-        return counts
-
 
 @dataclass
 class VocabStats:
@@ -197,11 +191,11 @@ class DocumentSet:
 
 @dataclass
 class ReferenceSet:
-    """Manual summaries for one set; ``target`` is filled by make_target."""
+    """Manual summaries for one set; its ROUGE target lives on the
+    ``PreparedSet`` (``PreparedSet.with_target``)."""
 
     set_id: str
     references: tuple[tuple[Token, ...], ...]
-    target: object | None = None
 
 
 def build_document_set(

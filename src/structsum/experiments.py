@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import DocumentSet, ReferenceSet
 from .features import FeatureBank, FeatureConfig
 from .greedy import GreedyConfig, greedy_maximize
-from .learner import Model, PreparedSet, TrainerConfig, TrainResult, predict, train
+from .learner import Model, PreparedSet, TrainerConfig, TrainResult, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
 
@@ -58,10 +58,6 @@ def sample_splits(
         te = tuple(sorted(order[n_train + n_val:n_train + n_val + n_test]))
         out.append((tr, va, te))
     return tuple(out)
-
-
-def resolve_budget(x: DocumentSet, default_budget: int) -> int:
-    return x.budget_bytes if x.budget_bytes is not None else default_budget
 
 
 def prepare_sets(
@@ -105,14 +101,6 @@ def train_on(
         raise ValueError(f"{len(sets)} prepared sets for {len(ids)} training ids")
     return train(sets, model_kind, feature_config, loss_config, greedy_config, trainer_config,
                  lam=lam, log_callback=log_callback)
-
-
-def predict_sets(data: Dataset, ids, model: Model) -> dict[str, Summary]:
-    out = {}
-    for i in ids:
-        x, _ = data[i]
-        out[x.set_id] = predict(x, model)
-    return out
 
 
 @dataclass
@@ -159,12 +147,15 @@ def evaluate_predictions(
 
 
 def mean_f(data: Dataset, ids, model: Model, loss_cfg: LossConfig) -> float:
-    report = evaluate_predictions([data[i] for i in ids], predict_sets(data, ids, model), loss_cfg)
-    return report.mean_f
+    """Mean F of the model's predictions on ``data[i] for i in ids``, each set once."""
+    sets = prepare_sets(data, ids, model.feature_config, loss_cfg, model.greedy_config)
+    fs = _f_values(sets, model)
+    return sum(fs) / len(fs)
 
 
 def _f_values(sets: list[PreparedSet], model: Model) -> list[float]:
-    """Each set's F under ``model``, in the set-id order ``mean_f`` sums."""
+    """Each distinct set's F under ``model``, in set-id order, the order in
+    which ``evaluate_predictions`` sums its rows."""
     by_id = {s.x.set_id: s for s in sets}
     if not by_id:
         raise ValueError("no predictions to evaluate")
@@ -178,9 +169,8 @@ def extractive_ceiling(
     total = 0.0
     for i in ids:
         x, Y = data[i]
-        cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
         gain = RougeGain(x, Y, loss_cfg)
-        greedy_maximize(x, gain, cost=None, cfg=cfg)
+        greedy_maximize(x, gain, cost=None, cfg=greedy_cfg.for_set(x))
         total += gain.current_f()
     return total / len(ids)
 

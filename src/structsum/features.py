@@ -190,7 +190,6 @@ class FeatureRegistry:
             names = list(self.base_names)
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.base_index = {n: i for i, n in enumerate(self.base_names)}
         self.dimension = len(self.names)
 
 

@@ -25,7 +25,7 @@ A non-finite gain raises ValueError; it would otherwise never win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +47,10 @@ class GreedyConfig:
             raise ValueError("r must be in (0, 1]")
         if self.tie_break != "lowest-id":
             raise ValueError("only lowest-id tie breaking is supported")
+
+    def for_set(self, x: DocumentSet) -> "GreedyConfig":
+        """This config under ``x``'s own budget, which overrides ours when set."""
+        return self if x.budget_bytes is None else replace(self, budget_bytes=x.budget_bytes)
 
     def to_dict(self) -> dict:
         return {"budget_bytes": self.budget_bytes, "r": self.r, "tie_break": self.tie_break}

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -351,13 +351,6 @@ class WorkingSet:
         return self.dual_objective()
 
 
-def solve_qp(ws: WorkingSet, cfg: TrainerConfig):
-    """Re-solve the restricted dual; returns (w, xi per example, dual)."""
-    dual = ws.solve(cfg)
-    xi = [ws.xi(i) for i in range(ws.n_examples)]
-    return ws.w, xi, dual
-
-
 def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
     """loss - w . dpsi - xi_i; positive means the constraint is violated."""
     return constraint.loss - constraint.w_dot_delta(model.w) - xi_i
@@ -382,7 +375,7 @@ class PreparedSet:
     @classmethod
     def build(cls, x, Y, feature_config, loss_config, greedy_config) -> "PreparedSet":
         return cls(x, Y, FeatureBank(x, feature_config), RougeGain(x, Y, loss_config),
-                   _greedy_config(x, greedy_config))
+                   greedy_config.for_set(x))
 
     def with_target(self) -> "PreparedSet":
         if self.target is None:
@@ -394,12 +387,6 @@ class PreparedSet:
     def score(self, model: Model) -> float:
         """F of the model's (clamped) prediction against ``Y``."""
         return self.rouge.load(_predict(self.bank, model).selected).current_f()
-
-
-def _greedy_config(x: DocumentSet, cfg: GreedyConfig, budget: int | None = None) -> GreedyConfig:
-    if budget is None:
-        budget = x.budget_bytes if x.budget_bytes is not None else cfg.budget_bytes
-    return replace(cfg, budget_bytes=budget)
 
 
 def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> np.ndarray:
@@ -453,6 +440,8 @@ class _AugmentedGain:
 
 
 def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model) -> Constraint:
+    """Loss-augmented inference on a set that has its target: greedily
+    maximize w . psi + normalized loss, and return the cutting plane."""
     gain = _AugmentedGain(
         _score_state(state.bank, model, clamp=False),
         state.rouge.reset(),
@@ -469,24 +458,14 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
     )
 
 
-def separation_oracle(x: DocumentSet, Y: ReferenceSet, model: Model) -> Constraint:
-    """Loss-augmented inference: greedily maximize w . psi + loss."""
-    if Y.target is None:
-        raise ValueError(f"reference set {Y.set_id!r} has no target; build it with make_target")
-    state = PreparedSet.build(x, Y, model.feature_config, model.loss_config, model.greedy_config)
-    state.target = Y.target
-    return _oracle_from_state(state.with_target(), 0, psi(x, Y.target, model, state.bank), model)
-
-
-def _predict(bank: FeatureBank, model: Model, budget_bytes: int | None = None) -> Summary:
+def _predict(bank: FeatureBank, model: Model) -> Summary:
     gain = _score_state(bank, model, clamp=True)
-    cfg = _greedy_config(bank.x, model.greedy_config, budget_bytes)
-    return greedy_maximize(bank.x, gain, cost=None, cfg=cfg)
+    return greedy_maximize(bank.x, gain, cost=None, cfg=model.greedy_config.for_set(bank.x))
 
 
-def predict(x: DocumentSet, model: Model, budget_bytes: int | None = None) -> Summary:
+def predict(x: DocumentSet, model: Model) -> Summary:
     """Greedy inference under the learned weights (clamped by default)."""
-    return _predict(FeatureBank(x, model.feature_config), model, budget_bytes)
+    return _predict(FeatureBank(x, model.feature_config), model)
 
 
 @dataclass

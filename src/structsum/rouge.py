@@ -1,4 +1,4 @@
-"""Unigram F scoring, training losses and target construction.
+"""Unigram F scoring, training losses and the greedy ROUGE target.
 
 The score is clipped-unigram F: per reference, overlap is the sum over
 words of min(candidate count, reference count); precision and recall
@@ -13,8 +13,9 @@ the training losses and F and every evaluation number are read.
 The raw training loss of a candidate is max(0, 1 - F). Because no
 extractive summary reaches F = 1 in general, the loss used for training is
 normalized against the best extractive target found by the greedy
-algorithm: loss(y) = max(0, raw(y) - raw(target)), making the target itself
-a zero-loss label.
+algorithm (``greedy_target``, which ``PreparedSet.with_target`` calls once
+per training set): loss(y) = max(0, raw(y) - raw(target)), making the
+target itself a zero-loss label.
 """
 
 from __future__ import annotations
@@ -170,17 +171,6 @@ def _count_rows(rows: list[list[int]], width: int) -> np.ndarray:
     ids = np.fromiter((i for r in rows for i in r), dtype=np.int64, count=len(owner))
     counts = np.bincount(owner * width + ids, minlength=len(rows) * width)
     return counts.astype(np.int64, copy=False).reshape(len(rows), width)
-
-
-def make_target(
-    x: DocumentSet,
-    Y: ReferenceSet,
-    greedy_cfg: GreedyConfig,
-    loss_cfg: LossConfig = LossConfig(),
-) -> Summary:
-    """Greedy budgeted maximization of aggregated F; stores Y.target."""
-    Y.target = greedy_target(x, RougeGain(x, Y, loss_cfg), greedy_cfg)
-    return Y.target
 
 
 def greedy_target(x: DocumentSet, gain: RougeGain, greedy_cfg: GreedyConfig) -> Summary:

@@ -42,10 +42,14 @@ from structsum.corpus import (
     segment_sentences,
 )
 from structsum.features import FeatureBank, cosine_groups, registry_for
-from structsum.experiments import resolve_budget
 from structsum.greedy import greedy_maximize
 from structsum.rouge import LossConfig, RougeGain, f_score
 from structsum.scoring import Summary
+
+
+def word_counts(sentence: Sentence) -> Counter:
+    """Occurrences of each normalized word in one sentence."""
+    return Counter(t.normalized for t in sentence.tokens)
 
 
 def rouge1_f_brute(cand_tokens, ref_token_lists):
@@ -566,7 +570,7 @@ class FeatureBankReference(FeatureBank):
         self.word_index = {w: k for k, w in enumerate(self.words)}
         self.counts = np.zeros((x.num_sentences, len(self.words)))
         for i, s in enumerate(x.sentences):
-            for w, c in s.word_counts().items():
+            for w, c in word_counts(s).items():
                 self.counts[i, self.word_index[w]] = c
         d = x.num_docs
         self.idf = np.array(
@@ -753,13 +757,11 @@ def loss_delta_r(
 
 
 def loss_delta(
-    Y: ReferenceSet, y_hat, x: DocumentSet, cfg: LossConfig = LossConfig()
+    Y: ReferenceSet, target, y_hat, x: DocumentSet, cfg: LossConfig = LossConfig()
 ) -> float:
     """Target-normalized loss: max(0, raw(y_hat) - raw(target))."""
-    if Y.target is None:
-        raise ValueError(f"reference set {Y.set_id!r} has no target; run make_target first")
     raw_hat = loss_delta_r(Y, y_hat, x, cfg)
-    raw_target = loss_delta_r(Y, Y.target, x, cfg)
+    raw_target = loss_delta_r(Y, target, x, cfg)
     return max(0.0, raw_hat - raw_target)
 
 
@@ -789,7 +791,8 @@ def extractive_ceiling_reference(data, ids, greedy_cfg, loss_cfg):
     total = 0.0
     for i in ids:
         x, Y = data[i]
-        cfg = replace(greedy_cfg, budget_bytes=resolve_budget(x, greedy_cfg.budget_bytes))
+        budget = x.budget_bytes if x.budget_bytes is not None else greedy_cfg.budget_bytes
+        cfg = replace(greedy_cfg, budget_bytes=budget)
         gain = RougeGain(x, Y, loss_cfg)
         y = greedy_maximize(x, gain, cost=None, cfg=cfg)
         _, _, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
@@ -880,7 +883,7 @@ def build_document_set_reference(
     vocab: dict[str, VocabStats] = {}
     seen_in_doc: dict[str, set[int]] = {}
     for s in sentences:
-        counts = s.word_counts()
+        counts = word_counts(s)
         for t in s.tokens:
             st = vocab.get(t.normalized)
             if st is None:

@@ -12,7 +12,6 @@ import math
 import os
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,7 @@ from structsum.experiments import (
     evaluate_predictions,
     learning_curve,
     mean_f,
-    predict_sets,
     prepare_sets,
-    resolve_budget,
     sample_splits,
     select_c,
     train_on,
@@ -38,7 +35,6 @@ from structsum.learner import (
     TrainerConfig,
     WorkingSet,
     predict,
-    solve_qp,
     train,
 )
 from structsum.rouge import LossConfig, RougeGain
@@ -182,7 +178,7 @@ def test_dual_solver():
         d = len(vec)
         ws = WorkingSet(n_examples=1, C=cap, dimension=d)
         ws.add(Constraint(0, Summary.empty(), loss, np.array(vec)))
-        solve_qp(ws, TrainerConfig(C=cap))
+        ws.solve(TrainerConfig(C=cap))
         want = min(cap, loss / sum(v * v for v in vec))
         analytic_err = max(analytic_err, abs(ws.alpha[0][0] - want))
 
@@ -202,9 +198,7 @@ def test_dual_solver():
             dpsis.append(vec.copy())
             losses.append(loss)
             groups.append(ex)
-        _, _, dual = solve_qp(
-            ws, TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000)
-        )
+        dual = ws.solve(TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000))
         _, ref_dual, _ = solve_dual_reference(dpsis, losses, groups, cap)
         dual_err = max(dual_err, abs(dual - ref_dual))
     _verdict(
@@ -235,8 +229,7 @@ def test_cutting_plane_contract(stopwords):
     all_match = True
     for s in prepared:
         y = predict(s.x, result.model)
-        Y = replace(s.Y, target=s.target)  # the oracle's normalized loss reads Y.target
-        worst_loss = max(worst_loss, loss_delta(Y, y, s.x, loss_cfg))
+        worst_loss = max(worst_loss, loss_delta(s.Y, s.target, y, s.x, loss_cfg))
         all_match = all_match and y.as_set() == s.target.as_set()
     elapsed = time.perf_counter() - started
     _verdict(
@@ -330,7 +323,7 @@ def test_duc04_replication(stopwords):
     base_preds = {}
     for i in te:
         x, _ = data[i]
-        cfg = GreedyConfig(budget_bytes=resolve_budget(x, 665), r=0.3)
+        cfg = gcfg.for_set(x)
         scorer = PairwiseScorer.tfidf_baseline(x, lam=4.0)
         base_preds[x.set_id] = greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=cfg)
     from structsum.experiments import evaluate_predictions

@@ -374,6 +374,34 @@ class TestInputContract:
         assert stderr.startswith("error: --C needs at least one value")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, argv", [
+        ("curve", ["--sizes", "1", "--test-count", "2"]),
+        ("ablate", ["--train-ids", "0", "--test-ids", "1"]),
+    ])
+    def test_c_grid_fails_where_one_c_is_trained(self, capsys, tmp_path, command, argv):
+        # only train selects among a grid; these would train the first C alone
+        out = tmp_path / "out.json"
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv, "--C", "1,10",
+                                 "--max-iters", "1", "--out", str(out))
+        assert rc == 1
+        assert stderr.startswith(f"error: {command} trains at one C; --C 1,10 is a grid")
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--budget", "-5", "budget_bytes must be >= 0"),
+        ("--r", "0", "r must be in (0, 1]"),
+    ])
+    def test_bad_baseline_greedy_config_fails(self, capsys, tmp_path, flag, value, message):
+        # every fixture set carries its own budget, which must not hide a bad --budget
+        out = tmp_path / "summaries.json"
+        rc, stdout, stderr = run(capsys, "summarize", "--dataset", DATASET, "--baseline",
+                                 flag, value, "--out", str(out))
+        assert rc == 1
+        assert stderr == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["curve", "ablate"])
     def test_empty_test_split_fails(self, capsys, tmp_path, command):
         out = tmp_path / "out.json"

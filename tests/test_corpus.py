@@ -315,7 +315,7 @@ class TestMatchesReference:
         for (x, Y), (x_ref, refs) in zip(data, expected):
             assert x == x_ref
             assert list(x.vocabulary) == list(x_ref.vocabulary)
-            assert (Y.set_id, Y.references, Y.target) == (x.set_id, refs, None)
+            assert (Y.set_id, Y.references) == (x.set_id, refs)
 
     def test_multi_set_file(self, tmp_path, stopwords):
         rng = random.Random(11)

@@ -5,6 +5,7 @@ import math
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from structsum import experiments, learner
@@ -18,9 +19,7 @@ from structsum.experiments import (
     human_agreement,
     learning_curve,
     mean_f,
-    predict_sets,
     prepare_sets,
-    resolve_budget,
     sample_splits,
     select_c,
     sign_test,
@@ -28,16 +27,22 @@ from structsum.experiments import (
 )
 from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig
-from structsum.learner import Model, TrainerConfig
+from structsum.learner import Model, TrainerConfig, predict
 from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
 from conftest import EXPECTED_RESULTS, SMALL_MODEL
+from oracles import evaluate_reference
 
 
 @pytest.fixture(scope="module")
 def expected():
     return json.loads(EXPECTED_RESULTS.read_text(encoding="utf-8"))
+
+
+def predictions(data, ids, model):
+    """The model's summary of each set ``data[i] for i in ids``, by set id."""
+    return {data[i][0].set_id: predict(data[i][0], model) for i in ids}
 
 
 class TestSampleSplits:
@@ -69,16 +74,6 @@ class TestSampleSplits:
             sample_splits(10, 6, 3, 3, resamples=1, seed=0)
 
 
-class TestResolveBudget:
-    def test_per_set_budget_wins(self, make_docset):
-        x = make_docset(["Alpha beta gamma."], budget=50)
-        assert resolve_budget(x, 665) == 50
-
-    def test_falls_back_to_default(self, make_docset):
-        x = make_docset(["Alpha beta gamma."])
-        assert resolve_budget(x, 665) == 665
-
-
 class TestPrepareSets:
     def _pair(self, make_docset, stopwords, refs):
         x = make_docset(["Alpha beta. Gamma delta."], budget=12)
@@ -95,10 +90,11 @@ class TestPrepareSets:
 
     def test_attaches_targets_without_touching_input(self, make_docset, stopwords):
         x, Y = self._pair(make_docset, stopwords, ["alpha beta.", "gamma delta."])
+        before = replace(Y)
         s = self._prepared((x, Y), 100)
         assert s.target is None and s.raw_target_loss is None  # computed on first use
         assert s.with_target() is s
-        assert Y.target is None
+        assert Y == before
         assert s.target is not None
         assert s.x is x and s.Y is Y
         assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
@@ -138,7 +134,7 @@ class TestEvaluatePredictions:
     def test_rows_sorted_and_means_consistent(self, fixture_data):
         data = fixture_data[:3]
         model = Model.load(SMALL_MODEL)
-        report = evaluate_predictions(data, predict_sets(data, range(3), model))
+        report = evaluate_predictions(data, predictions(data, range(3), model))
         assert [r["set_id"] for r in report.rows] == ["set00", "set01", "set02"]
         fs = [r["f"] for r in report.rows]
         assert report.mean_f == pytest.approx(sum(fs) / 3)
@@ -152,7 +148,7 @@ class TestEvaluatePredictions:
         # mix the trained model with empty summaries to get unequal F values
         data = fixture_data[:3]
         model = Model.load(SMALL_MODEL)
-        preds = predict_sets(data, range(3), model)
+        preds = predictions(data, range(3), model)
         preds["set01"] = Summary.empty()
         report = evaluate_predictions(data, preds)
         fs = [r["f"] for r in report.rows]
@@ -360,7 +356,7 @@ class TestTargetsBuiltOncePerDriverCall:
                               trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
                               **self.KW)
             report = evaluate_predictions(
-                [fixture_data[i] for i in [1, 2]], predict_sets(fixture_data, [1, 2], result.model)
+                [fixture_data[i] for i in [1, 2]], predictions(fixture_data, [1, 2], result.model)
             )
             assert (row["mean_f"], row["stderr_f"]) == (report.mean_f, report.stderr_f)
 
@@ -452,6 +448,30 @@ class TestSignTest:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal length"):
             sign_test([1.0], [1.0, 2.0])
+
+
+class TestMeanF:
+    """mean_f reads the prepared-set path and equals, with ==, the dict-path
+    evaluation of the model's predictions, each distinct set counted once."""
+
+    @pytest.mark.parametrize("loss_cfg", [
+        LossConfig(),
+        LossConfig(multi_ref_aggregation="per-ref-loss", rouge_stopword_removal=True),
+    ])
+    @pytest.mark.parametrize("kind, lam", [
+        ("pairwise", 4.0), ("pairwise-split", None), ("coverage", None),
+    ])
+    def test_equals_dict_path_evaluation(self, fixture_data, kind, lam, loss_cfg):
+        rng = np.random.default_rng(11)
+        model = Model.zeros(kind, FeatureConfig(), loss_cfg,
+                            GreedyConfig(budget_bytes=66, r=0.3), lam=lam)
+        model.w = rng.uniform(-1.0, 1.0, size=model.w.shape)
+        for ids in ([7, 0, 3, 12], [5, 2, 5, 9]):
+            _, _, _, want = evaluate_reference(
+                [fixture_data[i] for i in ids], predictions(fixture_data, ids, model), loss_cfg
+            )
+            assert 0.0 < want < 1.0
+            assert mean_f(fixture_data, ids, model, loss_cfg) == want
 
 
 class TestTrainOnAndMeanF:

@@ -19,6 +19,7 @@ from oracles import (
     CoverageGainReference,
     PairwiseGainReference,
     RougeGainReference,
+    word_counts,
 )
 
 BUDGETS = (66, 400)
@@ -112,7 +113,7 @@ def test_coverage(sets):
                                 reference, budget)
             # the bank's padded rows hold exactly each sentence's words
             value = dict(zip(bank.words, np.abs(values)))
-            reference = CoverageGainReference([s.word_counts() for s in x.sentences], value)
+            reference = CoverageGainReference([word_counts(s) for s in x.sentences], value)
             accepted += run(x, CoverageGainState(bank.padded_word_ids, np.abs(values)),
                             reference, budget)
     assert accepted > 4 * len(sets)

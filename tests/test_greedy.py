@@ -14,6 +14,7 @@ from oracles import (
     coverage_score_brute,
     exhaustive_maximize,
     greedy_scan_reference,
+    word_counts,
 )
 
 
@@ -40,6 +41,20 @@ class TestGreedyConfig:
     def test_default_exponent(self):
         assert GreedyConfig(budget_bytes=1).r == 0.3
 
+    def test_for_set_budget_wins(self, make_docset):
+        cfg = GreedyConfig(budget_bytes=665, r=0.5)
+        x = make_docset(["Alpha beta gamma."], budget=50)
+        assert cfg.for_set(x) == GreedyConfig(budget_bytes=50, r=0.5)
+
+    def test_for_set_zero_budget_wins(self, make_docset):
+        cfg = GreedyConfig(budget_bytes=665, r=0.5)
+        x = make_docset(["Alpha beta gamma."], budget=0)
+        assert cfg.for_set(x) == GreedyConfig(budget_bytes=0, r=0.5)
+
+    def test_for_set_falls_back_to_config(self, make_docset):
+        cfg = GreedyConfig(budget_bytes=665, r=0.5)
+        assert cfg.for_set(make_docset(["Alpha beta gamma."])) == cfg
+
 
 class TestWorkedExample:
     """Three word groups, budget 2, unit exponent: the two cheap sentences
@@ -59,7 +74,7 @@ class TestWorkedExample:
         assert y.total_cost == 2
 
     def test_exhaustive_agrees(self):
-        words = [set(s.word_counts()) for s in self.x.sentences]
+        words = [set(word_counts(s)) for s in self.x.sentences]
 
         def objective(y):
             return coverage_score_brute(words, lambda w: 1.0, y.selected)
@@ -221,7 +236,7 @@ class TestExhaustive:
         for trial in range(30):
             n = rng.randint(2, 8)
             x = flat_set(n)
-            sentence_words = [set(c for c in s.word_counts()) for s in x.sentences]
+            sentence_words = [set(word_counts(s)) for s in x.sentences]
             weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
             costs = [rng.randint(1, 4) for _ in range(n)]
             budget = rng.randint(1, sum(costs))

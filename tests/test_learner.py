@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,16 @@ from structsum.learner import (
     Constraint,
     Model,
     ModelError,
+    PreparedSet,
     TrainerConfig,
     WorkingSet,
+    _oracle_from_state,
     predict,
     psi,
-    separation_oracle,
-    solve_qp,
     train,
     violation,
 )
-from structsum.rouge import LossConfig, make_target
+from structsum.rouge import LossConfig
 from structsum.scoring import Summary
 
 from conftest import random_documents
@@ -32,6 +33,7 @@ from oracles import (
     loss_delta,
     pairwise_score_brute,
     split_score_brute,
+    word_counts,
 )
 from qp_reference import solve_dual_reference
 
@@ -51,24 +53,24 @@ class TestQPAnalytic:
     )
     def test_unit_vector(self, cap, want_alpha, want_w0, want_xi):
         ws = single_constraint_ws(cap)
-        w, xi, dual = solve_qp(ws, TrainerConfig(C=cap))
+        ws.solve(TrainerConfig(C=cap))
         assert abs(ws.alpha[0][0] - want_alpha) < 1e-8
-        assert abs(w[0] - want_w0) < 1e-8 and abs(w[1]) < 1e-8
-        assert abs(xi[0] - want_xi) < 1e-8
+        assert abs(ws.w[0] - want_w0) < 1e-8 and abs(ws.w[1]) < 1e-8
+        assert abs(ws.xi(0) - want_xi) < 1e-8
 
     def test_general_norm(self):
         loss, vec, cap = 0.9, (2.0, 1.0), 100.0
         ws = single_constraint_ws(cap, loss=loss, vec=vec)
-        solve_qp(ws, TrainerConfig(C=cap))
+        ws.solve(TrainerConfig(C=cap))
         want = min(cap, loss / (2.0**2 + 1.0**2))
         assert abs(ws.alpha[0][0] - want) < 1e-8
 
     def test_zero_delta_psi_positive_loss(self):
         # degenerate plane: no direction to move, slack takes all of it
         ws = single_constraint_ws(5.0, loss=0.7, vec=(0.0, 0.0))
-        w, xi, _ = solve_qp(ws, TrainerConfig(C=5.0))
-        assert np.all(w == 0.0)
-        assert xi[0] == pytest.approx(0.7)
+        ws.solve(TrainerConfig(C=5.0))
+        assert np.all(ws.w == 0.0)
+        assert ws.xi(0) == pytest.approx(0.7)
 
 
 class TestQPAgainstDense:
@@ -90,9 +92,7 @@ class TestQPAgainstDense:
                 dpsis.append(vec.copy())
                 losses.append(loss)
                 groups.append(ex)
-            w, xi, dual = solve_qp(
-                ws, TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000)
-            )
+            dual = ws.solve(TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000))
             _, ref_dual, _ = solve_dual_reference(dpsis, losses, groups, cap)
             assert dual == pytest.approx(ref_dual, abs=1e-6, rel=1e-6)
 
@@ -102,7 +102,7 @@ class TestQPAgainstDense:
         for c in range(6):
             vec = rng.normal(size=5)
             ws.add(Constraint(c % 2, Summary.empty(), float(rng.uniform(0, 1)), vec))
-        solve_qp(ws, TrainerConfig(C=4.0))
+        ws.solve(TrainerConfig(C=4.0))
         rebuilt = np.zeros(5)
         for i, cons_list in enumerate(ws.constraints):
             for c, con in enumerate(cons_list):
@@ -118,8 +118,7 @@ class TestQPAgainstDense:
             for c in range(6):
                 vec = rng.normal(size=4)
                 ws.add(Constraint(c % n_ex, Summary.empty(), float(rng.uniform(0, 1.2)), vec))
-            _, _, dual = solve_qp(ws, TrainerConfig(C=cap * n_ex, qp_tol=1e-14,
-                                                    qp_max_passes=100_000))
+            dual = ws.solve(TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000))
             for i in range(n_ex):
                 s = sum(ws.alpha[i])
                 assert -1e-12 <= s <= cap + 1e-9
@@ -134,10 +133,10 @@ class TestQPAgainstDense:
         for c in range(12):
             vec = rng.normal(size=6)
             ws.add(Constraint(c % 3, Summary.empty(), float(rng.uniform(0, 1)), vec))
-        w, xi, _ = solve_qp(ws, TrainerConfig(C=6.0, qp_tol=1e-14, qp_max_passes=100_000))
+        ws.solve(TrainerConfig(C=6.0, qp_tol=1e-14, qp_max_passes=100_000))
         for i, cons_list in enumerate(ws.constraints):
             for con in cons_list:
-                assert con.loss - con.w_dot_delta(ws.w) - xi[i] <= 1e-6
+                assert con.loss - con.w_dot_delta(ws.w) - ws.xi(i) <= 1e-6
 
 
 class TestModelIO:
@@ -264,7 +263,7 @@ class TestPsiConsistency:
             n = x.num_sentences
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
             if kind == "coverage":
-                words = [set(s.word_counts()) for s in x.sentences]
+                words = [set(word_counts(s)) for s in x.sentences]
                 want = coverage_score_brute(
                     words, lambda v: bank.word(v) @ model.w, ids
                 )
@@ -286,23 +285,29 @@ class TestPsiConsistency:
 
 class TestSeparationOracle:
     def _prep(self, stopwords, seed, kind="pairwise", budget=45):
+        """A toy set prepared with its target, as ``train`` prepares it."""
         x, Y = toy_example(stopwords, seed=seed)
         gcfg = GreedyConfig(budget_bytes=budget, r=1.0)
-        make_target(x, Y, gcfg, LossConfig())
         lam = 2.0 if kind == "pairwise" else None
         model = Model.zeros(kind, FeatureConfig(), LossConfig(), gcfg, lam=lam)
-        return x, Y, model
+        state = PreparedSet.build(x, Y, FeatureConfig(), LossConfig(), gcfg).with_target()
+        return state, model
+
+    @staticmethod
+    def _oracle(state, model):
+        return _oracle_from_state(state, 0, psi(state.x, state.target, model, state.bank), model)
 
     def test_constraint_internally_consistent(self, stopwords):
         rng = random.Random(43)
         for seed in range(6):
-            x, Y, model = self._prep(stopwords, seed)
+            state, model = self._prep(stopwords, seed)
+            x, Y = state.x, state.Y
             model.w = np.array([rng.uniform(-0.5, 0.5) for _ in range(model.w.shape[0])])
-            con = separation_oracle(x, Y, model)
+            con = self._oracle(state, model)
             assert con.loss == pytest.approx(
-                loss_delta(Y, con.y_hat, x, model.loss_config), abs=1e-12
+                loss_delta(Y, state.target, con.y_hat, x, model.loss_config), abs=1e-12
             )
-            want_delta = psi(x, Y.target, model) - psi(x, con.y_hat, model)
+            want_delta = psi(x, state.target, model) - psi(x, con.y_hat, model)
             assert np.allclose(con.delta_psi, want_delta, atol=1e-12)
             budget = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
             assert con.y_hat.total_cost <= budget
@@ -316,17 +321,18 @@ class TestSeparationOracle:
         rng = random.Random(53)
         for kind in ("pairwise", "pairwise-split", "coverage"):
             for seed in range(4):
-                x, Y, model = self._prep(stopwords, seed, kind=kind)
+                state, model = self._prep(stopwords, seed, kind=kind)
                 model.w = np.array([rng.uniform(-0.5, 0.5) for _ in range(model.w.shape[0])])
-                con = separation_oracle(x, Y, model)
-                want = psi(x, Y.target, model) - psi(x, con.y_hat, model)
+                con = self._oracle(state, model)
+                want = psi(state.x, state.target, model) - psi(state.x, con.y_hat, model)
                 assert np.array_equal(con.delta_psi, want)
                 assert np.array_equal(con.idx, np.flatnonzero(want))
                 assert np.array_equal(con.val, want[np.flatnonzero(want)])
                 assert np.all(con.val != 0.0)
 
     def test_zero_weights_oracle_padded_in_id_order(self, stopwords):
-        x, Y, model = self._prep(stopwords, seed=3)
+        state, model = self._prep(stopwords, seed=3)
+        x = state.x
         pred = predict(x, model)
         chosen, total = [], 0
         for s in x.sentences:
@@ -348,13 +354,14 @@ class TestSeparationOracle:
         trials = 60
         ratios = []
         for t in range(trials):
-            x, Y, model = self._prep(stopwords, seed=100 + t, budget=40)
+            state, model = self._prep(stopwords, seed=100 + t, budget=40)
+            x, Y, target = state.x, state.Y, state.target
             model.w = np.array([rng.uniform(0.0, 0.3) for _ in range(model.w.shape[0])])
             gcfg = GreedyConfig(budget_bytes=40, r=1.0)
-            con = separation_oracle(x, Y, model)
+            con = self._oracle(state, model)
 
             def augmented(y):
-                return psi(x, y, model) @ model.w + loss_delta(Y, y, x, model.loss_config)
+                return psi(x, y, model) @ model.w + loss_delta(Y, target, y, x, model.loss_config)
 
             best = exhaustive_maximize(x, augmented, gcfg)
             base = augmented(Summary.empty())
@@ -408,16 +415,16 @@ class TestTrain:
         return prepare_sets(data, range(len(data)), FeatureConfig(), LossConfig(), gcfg)
 
     def test_requires_targets(self, stopwords):
-        # train computes the targets of prepared sets; a bare reference set
-        # needs make_target before the oracle can measure loss against it
+        # train computes the targets of prepared sets on first use and keeps
+        # them on the prepared set; the reference set is left as it was
         x, Y = toy_example(stopwords, seed=5)
-        model = Model.zeros("pairwise", FeatureConfig(), LossConfig(), GreedyConfig(60), 4.0)
-        with pytest.raises(ValueError, match="no target"):
-            separation_oracle(x, Y, model)
+        before = replace(Y)
         sets = self._sets([(x, Y)])
+        assert sets[0].target is None
         train(sets, "pairwise", FeatureConfig(), LossConfig(),
               GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=1.0), lam=4.0)
-        assert sets[0].target is not None and Y.target is None
+        assert sets[0].target is not None and sets[0].raw_target_loss is not None
+        assert Y == before
 
     def test_rejects_sets_prepared_under_other_configs(self, stopwords):
         sets = self._sets(self._mini_corpus(stopwords, n=1))

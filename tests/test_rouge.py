@@ -10,8 +10,7 @@ from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig
 from structsum.greedy import GreedyConfig
-from structsum.learner import Model, separation_oracle
-from structsum.rouge import LossConfig, RougeGain, f_score, make_target
+from structsum.rouge import LossConfig, RougeGain, f_score, greedy_target
 from structsum.scoring import Summary
 
 from conftest import words_set
@@ -167,27 +166,23 @@ class TestLoss:
 
     def test_normalized_loss_needs_target(self, make_docset):
         # the normalized loss is measured from the target's raw loss: a
-        # prepared set computes both on first use, on its own RougeGain, and
-        # the oracle refuses a bare reference set that has no target
+        # prepared set computes both on first use, on its own RougeGain
         x, Y = self._xy(make_docset)
         gcfg = GreedyConfig(budget_bytes=20, r=1.0)
         (s,) = prepare_sets([(x, Y)], [0], FeatureConfig(), LossConfig(), gcfg)
         assert s.target is None and s.raw_target_loss is None
-        with pytest.raises(ValueError, match="no target"):
-            separation_oracle(x, Y, Model.zeros("pairwise", FeatureConfig(), LossConfig(), gcfg))
         s.with_target()
-        assert s.target == make_target(x, Y, gcfg, LossConfig())
+        assert s.target == greedy_target(x, RougeGain(x, Y), gcfg)
         assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
-        assert loss_delta(Y, s.target, x, LossConfig()) == 0.0
+        assert loss_delta(Y, s.target, s.target, x, LossConfig()) == 0.0
 
     def test_normalized_loss_clamps_at_zero(self, make_docset):
         x, Y = self._xy(make_docset)
-        make_target(x, Y, GreedyConfig(budget_bytes=20, r=1.0), LossConfig())
-        assert Y.target is not None
+        target = greedy_target(x, RougeGain(x, Y), GreedyConfig(budget_bytes=20, r=1.0))
         # the target itself never shows positive normalized loss
-        assert loss_delta(Y, Y.target, x, LossConfig()) == 0.0
+        assert loss_delta(Y, target, target, x, LossConfig()) == 0.0
         worse = Summary.empty()
-        assert loss_delta(Y, worse, x, LossConfig()) >= 0.0
+        assert loss_delta(Y, target, worse, x, LossConfig()) >= 0.0
 
     def test_stopword_removal_changes_loss(self, make_docset):
         x = make_docset(["The cat sat. A dog ran."])
@@ -258,7 +253,7 @@ class TestMakeTarget:
             Y = refset([multiset(rng, 8) or ["alpha"] for _ in range(2)])
             budget = rng.randint(10, 60)
             gcfg = GreedyConfig(budget_bytes=budget, r=1.0)
-            target = make_target(x, Y, gcfg, cfg)
+            target = greedy_target(x, RougeGain(x, Y, cfg), gcfg)
             gain = RougeGain(x, Y, cfg)
             f_target = gain.load(target.selected).current_f()
 
@@ -274,17 +269,20 @@ class TestMakeTarget:
         assert sum(r > 0.999999 for r in ratios) / len(ratios) >= 0.6
 
     def test_attaches_target(self, make_docset):
+        # the prepared set computes its target once and keeps it
         x = make_docset(["Alpha beta."], with_stopwords=False)
         Y = refset([["alpha", "beta"]])
-        got = make_target(x, Y, GreedyConfig(budget_bytes=100), LossConfig())
-        assert Y.target is got
+        (s,) = prepare_sets([(x, Y)], [0], FeatureConfig(), LossConfig(),
+                            GreedyConfig(budget_bytes=100))
+        got = s.with_target().target
+        assert s.with_target().target is got
         assert set(got.selected) == {0}
 
     def test_warns_on_empty_target(self, make_docset, caplog):
         x = make_docset(["Alpha beta."], with_stopwords=False)
         Y = refset([["alpha", "beta"]])
         with caplog.at_level(logging.WARNING, logger="structsum.rouge"):
-            got = make_target(x, Y, GreedyConfig(budget_bytes=3), LossConfig())
+            got = greedy_target(x, RougeGain(x, Y), GreedyConfig(budget_bytes=3))
         assert got.selected == ()
         assert any("empty" in m for m in caplog.messages)
 

@@ -19,6 +19,7 @@ from oracles import (
     coverage_score_brute,
     pairwise_score_brute,
     split_score_brute,
+    word_counts,
 )
 
 
@@ -53,7 +54,7 @@ def telescoped(state, ids):
 
 
 def sentence_words(x):
-    return [set(s.word_counts()) for s in x.sentences]
+    return [set(word_counts(s)) for s in x.sentences]
 
 
 def negative_model(kind, lam=None):
