@@ -194,25 +194,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _summarize_one(x, args, model, baseline_cfg) -> Summary:
+def _summarize_one(x, args, model, greedy_cfg) -> Summary:
     if model is not None:
         return predict(x, model)
     scorer = PairwiseScorer.tfidf_baseline(x, lam=args.lam)
-    return greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=baseline_cfg.for_set(x))
+    return greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=greedy_cfg.for_set(x))
 
 
 def cmd_summarize(args) -> int:
     if (args.model_file is None) == (not args.baseline):
         raise ValueError("give exactly one of --model-file or --baseline")
+    # built in both modes so that a bad --budget or --r always fails; a
+    # model summarizes under the greedy config it was trained with
+    greedy_cfg = GreedyConfig(budget_bytes=args.budget, r=args.r)
     data = _load(args)
     model = Model.load(args.model_file) if args.model_file else None
-    baseline_cfg = GreedyConfig(budget_bytes=args.budget, r=args.r) if model is None else None
     wanted = set(args.sets.split(",")) if args.sets else None
     records = []
     for x, _ in data:
         if wanted is not None and x.set_id not in wanted:
             continue
-        y = _summarize_one(x, args, model, baseline_cfg)
+        y = _summarize_one(x, args, model, greedy_cfg)
         print(f"# {x.set_id}")
         for sid in y.selected:
             print(x.sentences[sid].text)

@@ -18,13 +18,17 @@ summarized in the README's "Dataset format" section.
 Tokens are interned per load: one ``load_dataset`` call tokenizes each
 distinct whitespace chunk once, and equal chunks in all of its documents and
 references share one immutable ``Token``. Nothing is cached across calls.
+
+A ``DocumentSet`` holds sentences and their tokens only. The per-word
+statistics the features read (sentence and document frequency, counts,
+earliest position, capitalized and stopword flags) are derived from them as
+arrays by ``features.FeatureBank``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -109,7 +113,6 @@ class Token:
     normalized: str
     is_stopword: bool
     is_capitalized: bool
-    length: int
 
 
 class _TokenMemo(dict):
@@ -130,7 +133,6 @@ class _TokenMemo(dict):
                 normalized=normalized,
                 is_stopword=normalized in self.stopwords,
                 is_capitalized=core[:1].isupper(),
-                length=len(normalized),
             )
         self[chunk] = token
         return token
@@ -162,26 +164,12 @@ class Sentence:
 
 
 @dataclass
-class VocabStats:
-    """Per-word statistics over one document set."""
-
-    sentence_freq: int = 0
-    doc_freq: int = 0
-    total_count: int = 0
-    max_in_sentence: int = 0
-    earliest_position: int = 10 ** 9
-    ever_capitalized: bool = False
-    is_stopword: bool = False
-
-
-@dataclass
 class DocumentSet:
     """All sentences of one multi-document cluster. Immutable once built."""
 
     set_id: str
     sentences: tuple[Sentence, ...]
     num_docs: int
-    vocabulary: dict[str, VocabStats]
     budget_bytes: int | None = None
 
     @property
@@ -239,31 +227,10 @@ def _build_document_set(
     if not sentences:
         raise DatasetError(f"set {set_id!r} contains zero sentences")
 
-    # Words enter the vocabulary in order of first occurrence. Sentences come
-    # in document order, so a word's document count grows when its last
-    # document changes.
-    vocab: dict[str, VocabStats] = {}
-    last_doc: dict[str, int] = {}
-    for s in sentences:
-        for w, c in Counter([t.normalized for t in s.tokens]).items():
-            st = vocab.get(w)
-            if st is None:
-                st = vocab[w] = VocabStats(is_stopword=w in memo.stopwords)
-            st.total_count += c
-            st.sentence_freq += 1
-            st.max_in_sentence = max(st.max_in_sentence, c)
-            st.earliest_position = min(st.earliest_position, s.position_in_doc)
-            if last_doc.get(w) != s.doc_id:
-                last_doc[w] = s.doc_id
-                st.doc_freq += 1
-        for w in {t.normalized for t in s.tokens if t.is_capitalized}:
-            vocab[w].ever_capitalized = True
-
     return DocumentSet(
         set_id=set_id,
         sentences=tuple(sentences),
         num_docs=num_docs,
-        vocabulary=vocab,
         budget_bytes=budget_bytes,
     )
 

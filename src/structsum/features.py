@@ -147,6 +147,7 @@ class WordGroup:
     threshold: float = 0.0
 
 
+@lru_cache(maxsize=64)
 def cosine_groups(cfg: FeatureConfig) -> tuple[WordGroup, ...]:
     """The word-membership group variants, sorted by (group, variant)."""
     out: list[WordGroup] = []
@@ -236,10 +237,10 @@ class FeatureBank:
     """Every feature of one document set as arrays, built once per set.
 
     Holds the sorted vocabulary ``words``, the n x V term-count matrix (one
-    bincount over the tokens' word indices), the vocabulary statistics that
-    idf, the groups and the coverage features read, as arrays in ``words``
-    order, idf and one boolean vocabulary mask per group variant. The
-    pairwise stacks (``cosines``, ``codes``) and the coverage
+    bincount over the tokens' word indices), the word statistics that idf,
+    the groups and the coverage features read, derived from the two as
+    arrays in ``words`` order, idf and one boolean vocabulary mask per group
+    variant. The pairwise stacks (``cosines``, ``codes``) and the coverage
     ``word_features`` matrix are built on first use. sigma(w), omega(w),
     psi(y), phi(i, j) and phi(v) are all linear read-outs of these arrays;
     the last three are dense vectors in registry index order.
@@ -249,36 +250,52 @@ class FeatureBank:
         self.x = x
         self.cfg = cfg
         self.groups = cosine_groups(cfg)
-        self.words = sorted(x.vocabulary)
-        self.word_index = {w: k for k, w in enumerate(self.words)}
-        n, nv = x.num_sentences, len(self.words)
+        normalized = [t.normalized for s in x.sentences for t in s.tokens]
+        self.words = sorted(set(normalized))
+        self.word_index = dict(zip(self.words, range(len(self.words))))
+        n, nv, d = x.num_sentences, len(self.words), x.num_docs
         rows = np.repeat(np.arange(n), [len(s.tokens) for s in x.sentences])
-        cols = np.array([self.word_index[t.normalized] for s in x.sentences for t in s.tokens])
+        cols = np.fromiter(map(self.word_index.__getitem__, normalized), np.intp, len(normalized))
+        cells = rows * nv + cols
         # float weights make bincount return the float matrix without a copy
         self.counts = np.bincount(
-            rows * nv + cols, weights=np.ones(len(cols)), minlength=n * nv
+            cells, weights=np.ones(len(cells)), minlength=n * nv
         ).reshape(n, nv)
-        stats = [x.vocabulary[w] for w in self.words]
-        self.sentence_freq = np.array([s.sentence_freq for s in stats])
-        self.doc_freq = np.array([s.doc_freq for s in stats])
-        self.max_in_sentence = np.array([s.max_in_sentence for s in stats])
-        self.earliest_position = np.array([s.earliest_position for s in stats])
-        d = x.num_docs
+        # each occupied cell, that is each (sentence, word) pair, once
+        # (np.unique, without an overhead that dominates at this size)
+        pairs = np.sort(cells)
+        pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+        pair_rows, pair_cols = np.divmod(pairs, nv)
+        self.sentence_freq = np.bincount(pair_cols, minlength=nv)
+        max_in_sentence = np.zeros(nv)
+        np.maximum.at(max_in_sentence, pair_cols, self.counts.ravel()[pairs])
+        self.max_in_sentence = max_in_sentence.astype(np.intp)
+        position = np.array([s.position_in_doc for s in x.sentences])
+        self.earliest_position = np.full(nv, position.max())
+        np.minimum.at(self.earliest_position, pair_cols, position[pair_rows])
+        doc_id = np.array([s.doc_id for s in x.sentences])
+        in_doc = np.zeros((doc_id.max() + 1, nv), dtype=bool)
+        in_doc[doc_id[pair_rows], pair_cols] = True
+        self.doc_freq = np.count_nonzero(in_doc, axis=0)
         idf_of_df = [math.log((d + 1) / (df + 1)) + 1.0 for df in range(d + 1)]
         self.idf = np.array(idf_of_df)[self.doc_freq]
         # words are sorted, so a stable sort of the counts breaks ties alphabetically
-        by_count = np.argsort(-np.array([s.total_count for s in stats]), kind="stable")
-        capitalized = np.array([s.ever_capitalized for s in stats], dtype=bool)
-        stopword = np.array([s.is_stopword for s in stats], dtype=bool)
-        length = np.array([len(w) for w in self.words])
+        by_count = np.argsort(-np.bincount(cols, minlength=nv), kind="stable")
+        length = np.fromiter(map(len, self.words), np.intp, nv)
         self.masks = np.zeros((len(self.groups), nv), dtype=bool)
         for mask, g in zip(self.masks, self.groups):
             if g.kind == "all":
                 mask[:] = True
             elif g.kind == "cap":
-                mask[:] = capitalized
+                # one capitalized token makes its word capitalized
+                capitalized = {
+                    t.normalized for s in x.sentences for t in s.tokens if t.is_capitalized
+                }
+                mask[[self.word_index[w] for w in capitalized]] = True
             elif g.kind == "nonstop":
-                mask[:] = ~stopword
+                stopwords = {t.normalized for s in x.sentences for t in s.tokens if t.is_stopword}
+                mask[:] = True
+                mask[[self.word_index[w] for w in stopwords]] = False
             elif g.kind == "minlen":
                 mask[:] = length >= int(g.threshold)
             elif g.kind == "topk":

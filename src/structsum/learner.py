@@ -87,10 +87,6 @@ class Model:
                 f"weight vector has shape {self.w.shape}, registry expects ({dim},)"
             )
 
-    @property
-    def registry(self):
-        return registry_for(self.feature_config, self.model_kind)
-
     def to_json(self) -> str:
         payload = {
             "model_kind": self.model_kind,

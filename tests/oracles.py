@@ -14,10 +14,12 @@ array builds must reproduce bit for bit; and, last, the dict-based ROUGE
 path the package scored with before ``RougeGain`` became its only ROUGE
 implementation (``UnigramCounts`` through ``loss_delta``), kept verbatim as
 the slow oracle that every ``RougeGain`` read-out must equal exactly;
-and the per-call ``tokenize`` and per-token vocabulary loop of
-``build_document_set`` (``tokenize_reference`` and
-``build_document_set_reference``) the corpus used before it interned its
-tokens per load, which ``load_dataset`` must reproduce with ``==``.
+and the per-call ``tokenize`` and sentence loop of ``build_document_set``
+(``tokenize_reference`` and ``build_document_set_reference``) the corpus
+used before it interned its tokens per load, which ``load_dataset`` must
+reproduce with ``==``. ``vocabulary_reference`` is the per-token loop that
+filled a set's word statistics before ``FeatureBank`` derived them from its
+arrays; the bank's statistics must equal it with ``==``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from structsum.corpus import (
     ReferenceSet,
     Sentence,
     Token,
-    VocabStats,
     segment_sentences,
 )
 from structsum.features import FeatureBank, cosine_groups, registry_for
@@ -153,9 +154,9 @@ def exhaustive_maximize(x, objective, cfg, cost=None):
     return best
 
 
-def _variants(x, cfg):
+def _variants(x, cfg, vocab):
     """(group, variant, member words) for every enabled word-group variant."""
-    vocab, n, d = x.vocabulary, x.num_sentences, x.num_docs
+    n, d = x.num_sentences, x.num_docs
     out = []
     if "basic" in cfg.enabled_groups:
         out.append(("basic", "all", set(vocab)))
@@ -182,13 +183,13 @@ def _position_bin(cfg, p):
     return sum(1 for edge in cfg.position_bin_edges if p >= edge)
 
 
-def _weighted(x, k, members, scheme):
+def _weighted(x, vocab, k, members, scheme):
     """Sentence k's term counts over the member words, times idf for tf-idf."""
     counts = Counter(t.normalized for t in x.sentences[k].tokens if t.normalized in members)
     if scheme == "raw":
         return {w: float(c) for w, c in counts.items()}
     d = x.num_docs
-    idf = {w: math.log((d + 1) / (x.vocabulary[w].doc_freq + 1)) + 1.0 for w in counts}
+    idf = {w: math.log((d + 1) / (vocab[w].doc_freq + 1)) + 1.0 for w in counts}
     return {w: c * idf[w] for w, c in counts.items()}
 
 
@@ -196,10 +197,11 @@ def pair_features_brute(x, i, j, cfg):
     """phi(i, j) as a {feature name: value} dict, straight from the definitions
     in docs/features.md over the set's vocabulary statistics."""
     bins = cfg.similarity_bins
+    vocab = vocabulary_reference(x)
     out = {}
-    for group, variant, members in _variants(x, cfg):
+    for group, variant, members in _variants(x, cfg, vocab):
         for scheme in cfg.weightings:
-            a, b = (_weighted(x, k, members, scheme) for k in (i, j))
+            a, b = (_weighted(x, vocab, k, members, scheme) for k in (i, j))
             na, nb = sum(v * v for v in a.values()), sum(v * v for v in b.values())
             dot = sum(v * b.get(w, 0.0) for w, v in a.items())
             cos = dot / math.sqrt(na * nb) if na and nb else 0.0
@@ -216,10 +218,11 @@ def pair_features_brute(x, i, j, cfg):
 def word_features_brute(x, v, cfg):
     """phi(v) as a {feature name: value} dict, straight from the definitions
     in docs/features.md over the set's vocabulary statistics."""
-    st = x.vocabulary[v]
+    vocab = vocabulary_reference(x)
+    st = vocab[v]
     sf = st.sentence_freq / x.num_sentences
     out = {}
-    for group, variant, members in _variants(x, cfg):
+    for group, variant, members in _variants(x, cfg, vocab):
         if v in members:
             for a, b in cfg.coverage_levels:
                 if st.max_in_sentence >= a and sf >= b:
@@ -524,15 +527,15 @@ class CoordinateAscentWorkingSet:
         return self.dual_objective()
 
 
-def top_k_words(x, k: int) -> frozenset:
-    """The k most frequent words of the set; ties broken alphabetically."""
-    ranked = sorted(x.vocabulary.items(), key=lambda kv: (-kv[1].total_count, kv[0]))
+def top_k_words(vocab, k: int) -> frozenset:
+    """The k most frequent words of a vocabulary; ties broken alphabetically."""
+    ranked = sorted(vocab.items(), key=lambda kv: (-kv[1].total_count, kv[0]))
     return frozenset(w for w, _ in ranked[:k])
 
 
-def group_members(g, x) -> frozenset:
-    """The words of word group ``g`` in set ``x``, one predicate per kind."""
-    vocab = x.vocabulary
+def group_members(g, x, vocab) -> frozenset:
+    """The words of word group ``g`` in set ``x`` (whose
+    ``vocabulary_reference`` is ``vocab``), one predicate per kind."""
     if g.kind == "all":
         return frozenset(vocab)
     if g.kind == "cap":
@@ -543,7 +546,7 @@ def group_members(g, x) -> frozenset:
         n = int(g.threshold)
         return frozenset(w for w in vocab if len(w) >= n)
     if g.kind == "topk":
-        return top_k_words(x, int(g.threshold))
+        return top_k_words(vocab, int(g.threshold))
     if g.kind == "sentfrac":
         n = x.num_sentences
         return frozenset(
@@ -566,7 +569,8 @@ class FeatureBankReference(FeatureBank):
         self.x = x
         self.cfg = cfg
         self.groups = cosine_groups(cfg)
-        self.words = sorted(x.vocabulary)
+        self.vocab = vocabulary_reference(x)
+        self.words = sorted(self.vocab)
         self.word_index = {w: k for k, w in enumerate(self.words)}
         self.counts = np.zeros((x.num_sentences, len(self.words)))
         for i, s in enumerate(x.sentences):
@@ -574,11 +578,11 @@ class FeatureBankReference(FeatureBank):
                 self.counts[i, self.word_index[w]] = c
         d = x.num_docs
         self.idf = np.array(
-            [math.log((d + 1) / (x.vocabulary[w].doc_freq + 1)) + 1.0 for w in self.words]
+            [math.log((d + 1) / (self.vocab[w].doc_freq + 1)) + 1.0 for w in self.words]
         )
         self.masks = np.zeros((len(self.groups), len(self.words)), dtype=bool)
         for mask, g in zip(self.masks, self.groups):
-            members = group_members(g, x)
+            members = group_members(g, x, self.vocab)
             mask[:] = [w in members for w in self.words]
         # one cosine layer per (group variant, scheme), in registry order
         self._stems = [
@@ -608,7 +612,7 @@ class FeatureBankReference(FeatureBank):
     @cached_property
     def word_features(self) -> np.ndarray:
         cfg, reg = self.cfg, registry_for(self.cfg, "coverage")
-        stats = [self.x.vocabulary[w] for w in self.words]
+        stats = [self.vocab[w] for w in self.words]
         max_in = np.array([s.max_in_sentence for s in stats])
         sf = np.array([s.sentence_freq for s in stats]) / self.x.num_sentences
         edges = np.array(cfg.importance_bucket_edges, dtype=float)
@@ -839,7 +843,6 @@ def tokenize_reference(raw_sentence: str, stopword_list: frozenset[str] = frozen
                 normalized=normalized,
                 is_stopword=normalized in stopword_list,
                 is_capitalized=core[:1].isupper(),
-                length=len(normalized),
             )
         )
     return out
@@ -880,10 +883,33 @@ def build_document_set_reference(
     if not sentences:
         raise DatasetError(f"set {set_id!r} contains zero sentences")
 
+    return DocumentSet(
+        set_id=set_id,
+        sentences=tuple(sentences),
+        num_docs=num_docs,
+        budget_bytes=budget_bytes,
+    )
+
+
+@dataclass
+class VocabStats:
+    """Per-word statistics over one document set."""
+
+    sentence_freq: int = 0
+    doc_freq: int = 0
+    total_count: int = 0
+    max_in_sentence: int = 0
+    earliest_position: int = 10 ** 9
+    ever_capitalized: bool = False
+    is_stopword: bool = False
+
+
+def vocabulary_reference(x: DocumentSet) -> dict[str, VocabStats]:
+    """Every word of ``x`` with its statistics, in order of first occurrence,
+    from one loop over the tokens of each sentence."""
     vocab: dict[str, VocabStats] = {}
     seen_in_doc: dict[str, set[int]] = {}
-    for s in sentences:
-        counts = word_counts(s)
+    for s in x.sentences:
         for t in s.tokens:
             st = vocab.get(t.normalized)
             if st is None:
@@ -892,7 +918,7 @@ def build_document_set_reference(
             st.total_count += 1
             if t.is_capitalized:
                 st.ever_capitalized = True
-        for w, c in counts.items():
+        for w, c in word_counts(s).items():
             st = vocab[w]
             st.sentence_freq += 1
             st.max_in_sentence = max(st.max_in_sentence, c)
@@ -900,11 +926,4 @@ def build_document_set_reference(
             seen_in_doc[w].add(s.doc_id)
     for w, docs in seen_in_doc.items():
         vocab[w].doc_freq = len(docs)
-
-    return DocumentSet(
-        set_id=set_id,
-        sentences=tuple(sentences),
-        num_docs=num_docs,
-        vocabulary=vocab,
-        budget_bytes=budget_bytes,
-    )
+    return vocab

@@ -4,10 +4,16 @@ and the dict ROUGE path kept in tests/oracles.py: bit for bit, on generated
 sets."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from structsum.corpus import ReferenceSet, build_document_set, load_stopwords, tokenize
+from structsum.corpus import (
+    DatasetError,
+    ReferenceSet,
+    build_document_set,
+    load_stopwords,
+    tokenize,
+)
 from structsum.experiments import evaluate_predictions, extractive_ceiling, human_agreement
 from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig, greedy_maximize
@@ -24,6 +30,7 @@ from oracles import (
     rouge1_f,
     rouge_count_arrays_reference,
     summary_counts,
+    vocabulary_reference,
 )
 
 STOPWORDS = load_stopwords()
@@ -80,6 +87,42 @@ def test_feature_bank_matches_former_loops(xy):
         assert got.words == want.words
         for name in ("counts", "idf", "masks", "cosines", "codes", "word_features"):
             assert same(getattr(got, name), getattr(want, name)), name
+
+
+# a document is blank (skipped), punctuation only (counted, but without
+# sentences, so the document ids of the set skip it) or sentences, some of
+# which tokenize to nothing and only shift the positions after them
+raw_document = st.one_of(
+    st.sampled_from(["", "   ", "$$$ !!"]),
+    st.lists(st.one_of(sentence.map(sentence_text), st.just("--.")), min_size=1, max_size=4)
+    .map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(raw_document, min_size=1, max_size=5))
+@example(["Ox pea. The ox.", "", "Pea ox bean."])  # a blank document in the middle
+@example(["$$$ !!", "Ox ox pea.", "--- !!", "--. Pea bean."])  # doc ids 1 and 3
+@example(["The Maple pea. The maple bean. A maple."])  # "maple" capitalized once
+@example(["Lantern."])  # one sentence
+def test_bank_statistics_equal_vocabulary_reference(raw_documents):
+    """The bank's word statistics, derived from its token-id arrays, equal
+    the per-token loop of ``vocabulary_reference``."""
+    try:
+        x = build_document_set("v", raw_documents, STOPWORDS)
+    except DatasetError:
+        return
+    vocab = vocabulary_reference(x)
+    for cfg in CONFIGS:
+        bank = FeatureBank(x, cfg)
+        assert bank.words == sorted(vocab)
+        stats = [vocab[w] for w in bank.words]
+        for name in ("sentence_freq", "doc_freq", "max_in_sentence", "earliest_position"):
+            assert same(getattr(bank, name), np.array([getattr(s, name) for s in stats])), name
+        assert same(bank.counts.sum(axis=0), np.array([float(s.total_count) for s in stats]))
+        masks = {g.kind: m for g, m in zip(bank.groups, bank.masks)}
+        assert list(masks["cap"]) == [s.ever_capitalized for s in stats]
+        assert list(masks["nonstop"]) == [not s.is_stopword for s in stats]
 
 
 @settings(max_examples=150, deadline=None)

@@ -402,6 +402,22 @@ class TestInputContract:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--budget", "-5", "budget_bytes must be >= 0"),
+        ("--r", "0", "r must be in (0, 1]"),
+        ("--r", "1.5", "r must be in (0, 1]"),
+    ])
+    def test_bad_greedy_config_fails_with_model_file(self, capsys, tmp_path, flag, value,
+                                                      message):
+        # the model's own greedy config decides, which must not hide a bad value
+        out = tmp_path / "summaries.json"
+        rc, stdout, stderr = run(capsys, "summarize", "--dataset", DATASET, "--model-file",
+                                 str(SMALL_MODEL), flag, value, "--out", str(out))
+        assert rc == 1
+        assert stderr == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["curve", "ablate"])
     def test_empty_test_split_fails(self, capsys, tmp_path, command):
         out = tmp_path / "out.json"

@@ -13,9 +13,16 @@ from structsum.corpus import (
     segment_sentences,
     tokenize,
 )
+from structsum.features import FeatureBank, FeatureConfig
 
 from conftest import FIXTURE_JSONL
 from oracles import build_document_set_reference, tokenize_reference
+
+
+def _group_mask(bank, kind):
+    """The bank's word mask of the one group variant of ``kind``."""
+    (mask,) = [m for m, g in zip(bank.masks, bank.groups) if g.kind == kind]
+    return mask
 
 
 class TestSegmentation:
@@ -92,7 +99,7 @@ class TestTokenize:
 
     def test_length_counts_normalized_form(self):
         (token,) = tokenize("Hello,")
-        assert token.length == 5
+        assert len(token.normalized) == 5
         assert token.surface == "Hello,"
 
     @settings(max_examples=100, deadline=None)
@@ -139,17 +146,19 @@ class TestBuildDocumentSet:
 
     def test_vocabulary_stats(self, make_docset):
         x = make_docset(["Apple apple pear. Apple kiwi.", "Pear kiwi. 9 kiwi plum."])
-        stats = x.vocabulary["apple"]
-        assert stats.total_count == 3
-        assert stats.sentence_freq == 2
-        assert stats.doc_freq == 1
-        assert stats.max_in_sentence == 2
-        assert stats.ever_capitalized is True
-        kiwi = x.vocabulary["kiwi"]
-        assert kiwi.doc_freq == 2
-        assert kiwi.sentence_freq == 3
-        assert kiwi.max_in_sentence == 1
-        assert kiwi.ever_capitalized is False
+        bank = FeatureBank(x, FeatureConfig())
+        capitalized = _group_mask(bank, "cap")
+        apple = bank.word_index["apple"]
+        assert bank.counts[:, apple].sum() == 3
+        assert bank.sentence_freq[apple] == 2
+        assert bank.doc_freq[apple] == 1
+        assert bank.max_in_sentence[apple] == 2
+        assert capitalized[apple]
+        kiwi = bank.word_index["kiwi"]
+        assert bank.doc_freq[kiwi] == 2
+        assert bank.sentence_freq[kiwi] == 3
+        assert bank.max_in_sentence[kiwi] == 1
+        assert not capitalized[kiwi]
 
     def test_abbreviation_table_blocks_split(self, make_docset):
         # "fig." reads as the figure abbreviation, so no boundary after it
@@ -158,9 +167,11 @@ class TestBuildDocumentSet:
 
     def test_earliest_position(self, make_docset):
         x = make_docset(["Lead word here. Plum arrived late.", "Plum first here."])
-        assert x.vocabulary["plum"].earliest_position == 0
-        assert x.vocabulary["lead"].earliest_position == 0
-        assert x.vocabulary["late"].earliest_position == 1
+        bank = FeatureBank(x, FeatureConfig())
+        earliest = dict(zip(bank.words, bank.earliest_position))
+        assert earliest["plum"] == 0
+        assert earliest["lead"] == 0
+        assert earliest["late"] == 1
 
     def test_budget_recorded(self, make_docset):
         assert make_docset(["One thing."], budget=123).budget_bytes == 123
@@ -294,7 +305,7 @@ def _tokens_of(data):
 
 class TestMatchesReference:
     """``tokenize``, ``build_document_set`` and ``load_dataset`` against the
-    per-call tokenizer and per-token vocabulary loop they replaced."""
+    per-call tokenizer and sentence loop they replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(documents=_documents, use_stopwords=st.booleans())
@@ -303,8 +314,6 @@ class TestMatchesReference:
         x = _built(build_document_set, documents, sw)
         expected = _built(build_document_set_reference, documents, sw)
         assert x == expected
-        if not isinstance(x, str):
-            assert list(x.vocabulary) == list(expected.vocabulary)
         for raw in documents:
             assert tokenize(raw, sw) == tokenize_reference(raw, sw)
 
@@ -314,7 +323,6 @@ class TestMatchesReference:
         assert len(data) == len(expected)
         for (x, Y), (x_ref, refs) in zip(data, expected):
             assert x == x_ref
-            assert list(x.vocabulary) == list(x_ref.vocabulary)
             assert (Y.set_id, Y.references) == (x.set_id, refs)
 
     def test_multi_set_file(self, tmp_path, stopwords):
@@ -359,8 +367,8 @@ class TestTokenMemoScope:
             for t in _tokens_of(data):
                 assert t.is_stopword == (t.normalized in sw)
             for x, _ in data:
-                for w, stats in x.vocabulary.items():
-                    assert stats.is_stopword == (w in sw)
+                bank = FeatureBank(x, FeatureConfig(enabled_groups=("cap_stop_len",)))
+                assert list(_group_mask(bank, "nonstop")) == [w not in sw for w in bank.words]
 
     def test_loads_share_no_tokens(self, tmp_path, stopwords):
         path = self._write(tmp_path)

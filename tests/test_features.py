@@ -25,6 +25,7 @@ from oracles import (
     pair_features_brute,
     pairwise_score_brute,
     split_score_brute,
+    vocabulary_reference,
     word_counts,
     word_features_brute,
 )
@@ -155,7 +156,7 @@ class TestPairwiseFeatures:
         x = make_docset(["Same word here. Same word there."], with_stopwords=False)
         bank = FeatureBank(x, FeatureConfig(enabled_groups=("basic",)))
         d = x.num_docs
-        for word, stats in x.vocabulary.items():
+        for word, stats in vocabulary_reference(x).items():
             expected = math.log((d + 1) / (stats.doc_freq + 1)) + 1.0
             assert bank.idf[bank.word_index[word]] == pytest.approx(expected)
 
@@ -412,7 +413,7 @@ class TestBankAgainstOracle:
         reg = registry_for(cfg, "coverage")
         for x in _random_bank_sets(stopwords, 6, seed=19):
             bank = FeatureBank(x, cfg)
-            for v in x.vocabulary:
+            for v in vocabulary_reference(x):
                 fv = bank.word(v)
                 got = {reg.names[k]: fv[k] for k in np.flatnonzero(fv)}
                 assert got == word_features_brute(x, v, cfg)
@@ -451,7 +452,10 @@ class TestBankAgainstOracle:
         reg = registry_for(cfg, "coverage")
         for x in _random_bank_sets(stopwords, 6, seed=37):
             bank = FeatureBank(x, cfg)
-            phi = {v: _oracle_dense(word_features_brute(x, v, cfg), reg) for v in x.vocabulary}
+            phi = {
+                v: _oracle_dense(word_features_brute(x, v, cfg), reg)
+                for v in vocabulary_reference(x)
+            }
             w = np.array([rng.uniform(-1, 1) for _ in range(reg.dimension)])
             omega = dict(zip(bank.words, bank.omega(w)))
             for v, f in phi.items():

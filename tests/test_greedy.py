@@ -14,6 +14,7 @@ from oracles import (
     coverage_score_brute,
     exhaustive_maximize,
     greedy_scan_reference,
+    vocabulary_reference,
     word_counts,
 )
 
@@ -237,7 +238,7 @@ class TestExhaustive:
             n = rng.randint(2, 8)
             x = flat_set(n)
             sentence_words = [set(word_counts(s)) for s in x.sentences]
-            weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
+            weights = {w: rng.uniform(0, 2) for w in vocabulary_reference(x)}
             costs = [rng.randint(1, 4) for _ in range(n)]
             budget = rng.randint(1, sum(costs))
 

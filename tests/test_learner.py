@@ -33,6 +33,7 @@ from oracles import (
     loss_delta,
     pairwise_score_brute,
     split_score_brute,
+    vocabulary_reference,
     word_counts,
 )
 from qp_reference import solve_dual_reference
@@ -238,7 +239,7 @@ def toy_example(stopwords, seed=0, n_docs=2, per_doc=3):
     rng = random.Random(seed)
     docs = random_documents(rng, n_docs, per_doc)
     x = build_document_set(f"toy{seed}", docs, stopwords)
-    words = sorted(x.vocabulary)
+    words = sorted(vocabulary_reference(x))
     refs = []
     for _ in range(2):
         refs.append(tuple(tokenize(" ".join(rng.sample(words, k=min(5, len(words)))))))

@@ -19,6 +19,7 @@ from oracles import (
     coverage_score_brute,
     pairwise_score_brute,
     split_score_brute,
+    vocabulary_reference,
     word_counts,
 )
 
@@ -171,7 +172,7 @@ class TestCoverageScore:
         for trial in range(30):
             docs = random_documents(rng, 2, 3)
             x = build_document_set(f"b{trial}", docs, stopwords)
-            weights = {w: rng.uniform(-1, 2) for w in x.vocabulary}
+            weights = {w: rng.uniform(-1, 2) for w in vocabulary_reference(x)}
             state = coverage_state(x, weights.__getitem__)
             n = x.num_sentences
             ids = tuple(rng.sample(range(n), k=rng.randint(0, n)))
@@ -220,7 +221,7 @@ class TestMarginalGain:
                 def score(ids):
                     return split_score_brute(n, cross, red, ids)
             else:
-                weights = {w: rng.uniform(-1, 2) for w in x.vocabulary}
+                weights = {w: rng.uniform(-1, 2) for w in vocabulary_reference(x)}
                 state = coverage_state(x, weights.__getitem__)
 
                 def score(ids):
@@ -252,7 +253,7 @@ class TestGainState:
                 mr = sigma_matrix(n, random_sigma(rng, n, -1.0, 0.0))
                 state, reference = SplitGainState(mc, mr), PairwiseGainReference(mc, mr=mr)
             else:
-                weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
+                weights = {w: rng.uniform(0, 2) for w in vocabulary_reference(x)}
                 state = coverage_state(x, weights.__getitem__)
                 reference = CoverageGainReference(sentence_words(x), weights)
             selected: list[int] = []
@@ -292,7 +293,7 @@ def test_coverage_submodular_and_monotone_with_nonnegative_omega(data):
     docs = random_documents(rng, 2, 3)
     x = build_document_set("h", docs, frozenset())
     n = x.num_sentences
-    weights = {w: rng.uniform(0, 2) for w in x.vocabulary}
+    weights = {w: rng.uniform(0, 2) for w in vocabulary_reference(x)}
     bank = FeatureBank(x, FeatureConfig())
     members = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
     split_at = data.draw(st.integers(0, len(members)))
