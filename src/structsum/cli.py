@@ -3,6 +3,13 @@
 Subcommands: train, summarize, evaluate, bounds, curve, ablate. All of them
 exit non-zero on error, write files atomically, and produce byte-identical
 output for identical inputs and seeds.
+
+Each subcommand accepts only the flags it reads. Flags that several
+subcommands read are declared once, in argparse parent parsers: data
+(--dataset, --stopwords, --out), greedy (--budget, --r), lambda (--lambda),
+loss (--aggregation, --rouge-drop-stopwords), training (greedy, lambda and
+loss, plus --model, --groups, --C, --epsilon, --max-iters) and split
+(--train-ids, --test-ids, --test-count, --seed).
 """
 
 from __future__ import annotations
@@ -32,93 +39,53 @@ from .scoring import PairwiseScorer, Summary, gain_state
 from .util import atomic_write_text
 
 
-def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
+def _parse_list(text: str | None, flag: str) -> list[str] | None:
+    """Values of a comma list flag; None when absent, an error when it names none."""
+    if text is None:
+        return None
+    values = [v for v in text.split(",") if v != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
+
+
+def _parse_ids(text: str | None, n_sets: int, flag: str, allow_empty=True) -> list[int] | None:
     """Comma list of set indexes, each in range(n_sets); None when absent."""
     if text is None:
         return None
     ids = [int(v) for v in text.split(",") if v != ""]
+    if not ids and not allow_empty:
+        raise ValueError(f"{flag} needs at least one value")
     bad = [i for i in ids if not 0 <= i < n_sets]
     if bad:
         raise ValueError(f"{flag}: set indexes {bad} out of range for {n_sets} sets")
     return ids
 
 
-def _parse_grid(text: str) -> list[float]:
-    grid = [float(v) for v in text.split(",") if v != ""]
-    if not grid:
-        raise ValueError("--C needs at least one value")
-    return grid
+def _greedy_cfg(args) -> GreedyConfig:
+    return GreedyConfig(budget_bytes=args.budget, r=args.r)
 
 
-def _single_c_trainer(args) -> TrainerConfig:
-    """The trainer config of a command that trains at one C."""
-    grid = _parse_grid(args.C)
-    if len(grid) > 1:
+def _loss_cfg(args) -> LossConfig:
+    return LossConfig(multi_ref_aggregation=args.aggregation,
+                      rouge_stopword_removal=args.rouge_drop_stopwords)
+
+
+def _training_cfgs(args):
+    """Feature, loss and greedy configs of a training command, and the fixed
+    lambda of its model kind (only ``pairwise`` has one)."""
+    groups = _parse_list(args.groups, "--groups") or GROUPS
+    lam = args.lam if args.model == "pairwise" else None
+    return FeatureConfig(enabled_groups=tuple(groups)), _loss_cfg(args), _greedy_cfg(args), lam
+
+
+def _trainer(args) -> tuple[list[float], TrainerConfig]:
+    """The --C grid and the trainer config at its first C; only train selects
+    among a grid, the study commands train at one C."""
+    grid = [float(v) for v in _parse_list(args.C, "--C")]
+    if len(grid) > 1 and args.command != "train":
         raise ValueError(f"{args.command} trains at one C; --C {args.C} is a grid")
-    return TrainerConfig(C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters)
-
-
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True, help="JSON-lines dataset path")
-    p.add_argument(
-        "--model",
-        choices=("pairwise", "pairwise-split", "coverage"),
-        default="pairwise",
-        help="model kind (default: pairwise)",
-    )
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=665,
-        help="summary budget in bytes when a record carries none (default: 665)",
-    )
-    p.add_argument("--r", type=float, default=0.3, help="greedy cost exponent (default: 0.3)")
-    p.add_argument(
-        "--C", default="10.0", help="regularization; a comma list is a validation grid"
-    )
-    p.add_argument("--epsilon", type=float, default=1e-3, help="constraint tolerance")
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=4.0,
-        help="pairwise redundancy trade-off (default: 4.0)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for any split sampling")
-    p.add_argument(
-        "--single-reference",
-        action="store_true",
-        help="build training targets and losses from the first reference only",
-    )
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--stopwords", default=None, help="stopword list path (default: packaged)")
-    p.add_argument(
-        "--groups",
-        default=None,
-        help=f"comma list of enabled feature groups (default: all of {','.join(GROUPS)})",
-    )
-    p.add_argument(
-        "--aggregation",
-        choices=AGGREGATIONS,
-        default="mean-f",
-        help="multi-reference aggregation mode",
-    )
-    p.add_argument(
-        "--rouge-drop-stopwords",
-        action="store_true",
-        help="drop stopwords from unigram counts before scoring",
-    )
-
-
-def _configs(args):
-    groups = tuple(args.groups.split(",")) if args.groups else GROUPS
-    feature_cfg = FeatureConfig(enabled_groups=groups)
-    greedy_cfg = GreedyConfig(budget_bytes=args.budget, r=args.r)
-    loss_cfg = LossConfig(
-        multi_ref_aggregation=args.aggregation,
-        rouge_stopword_removal=args.rouge_drop_stopwords,
-    )
-    return feature_cfg, greedy_cfg, loss_cfg
+    return grid, TrainerConfig(C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters)
 
 
 def _load(args):
@@ -126,13 +93,16 @@ def _load(args):
     return load_dataset(args.dataset, stopwords)
 
 
-def _auto_split(args, n_sets: int, test_count: int):
+def _auto_split(args, n_sets: int):
     train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
     test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids")
     if train_ids is not None and test_ids is not None:
         return train_ids, test_ids
     if train_ids is not None or test_ids is not None:
         raise ValueError("give both --train-ids and --test-ids, or neither")
+    test_count = args.test_count
+    if test_count < 1:
+        raise ValueError(f"--test-count must be at least 1, got {test_count}")
     if test_count >= n_sets:
         raise ValueError(f"--test-count {test_count} leaves no training sets (n={n_sets})")
     (tr, _, te), = sample_splits(
@@ -149,14 +119,11 @@ def cmd_train(args) -> int:
     if not args.out:
         raise ValueError("train needs --out to save the model")
     data = _load(args)
-    feature_cfg, greedy_cfg, loss_cfg = _configs(args)
-    train_ids = _parse_ids(args.train_ids, len(data), "--train-ids") or list(range(len(data)))
+    feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
+    train_ids = (_parse_ids(args.train_ids, len(data), "--train-ids", allow_empty=False)
+                 or list(range(len(data))))
     val_ids = _parse_ids(args.val_ids, len(data), "--val-ids") or []
-    grid = _parse_grid(args.C)
-    trainer_cfg = TrainerConfig(
-        C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters
-    )
-    lam = args.lam if args.model == "pairwise" else None
+    grid, trainer_cfg = _trainer(args)
     c_table = None
     log_lines: list[str] = []
 
@@ -206,10 +173,10 @@ def cmd_summarize(args) -> int:
         raise ValueError("give exactly one of --model-file or --baseline")
     # built in both modes so that a bad --budget or --r always fails; a
     # model summarizes under the greedy config it was trained with
-    greedy_cfg = GreedyConfig(budget_bytes=args.budget, r=args.r)
+    greedy_cfg = _greedy_cfg(args)
     data = _load(args)
     model = Model.load(args.model_file) if args.model_file else None
-    wanted = set(args.sets.split(",")) if args.sets else None
+    wanted = _parse_list(args.sets, "--sets")
     records = []
     for x, _ in data:
         if wanted is not None and x.set_id not in wanted:
@@ -227,7 +194,7 @@ def cmd_summarize(args) -> int:
             }
         )
     if wanted is not None:
-        missing = wanted - {r["set_id"] for r in records}
+        missing = set(wanted) - {r["set_id"] for r in records}
         if missing:
             raise ValueError(f"dataset has no sets named {sorted(missing)}")
     if args.out:
@@ -265,7 +232,7 @@ def _load_predictions(path: str, data) -> dict[str, Summary]:
 
 def cmd_evaluate(args) -> int:
     data = _load(args)
-    _, _, loss_cfg = _configs(args)
+    loss_cfg = _loss_cfg(args)
     preds = _load_predictions(args.predictions, data)
     report = evaluate_predictions(data, preds, loss_cfg)
     print("set_id\tprecision\trecall\tf")
@@ -297,7 +264,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bounds(args) -> int:
     data = _load(args)
-    _, greedy_cfg, loss_cfg = _configs(args)
+    greedy_cfg, loss_cfg = _greedy_cfg(args), _loss_cfg(args)
     model = Model.load(args.model_file)
     train_ids = _parse_ids(args.train_ids, len(data), "--train-ids")
     test_ids = _parse_ids(args.test_ids, len(data), "--test-ids")
@@ -314,13 +281,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_curve(args) -> int:
     data = _load(args)
-    feature_cfg, greedy_cfg, loss_cfg = _configs(args)
-    train_ids, test_ids = _auto_split(args, len(data), args.test_count)
+    feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
+    train_ids, test_ids = _auto_split(args, len(data))
     sizes = [int(v) for v in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes: training sizes must be positive, got {sizes}")
-    trainer_cfg = _single_c_trainer(args)
-    lam = args.lam if args.model == "pairwise" else None
+    _, trainer_cfg = _trainer(args)
     rows = learning_curve(
         data, sizes, train_ids, test_ids, args.model,
         feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, lam=lam,
@@ -336,11 +302,10 @@ def cmd_curve(args) -> int:
 
 def cmd_ablate(args) -> int:
     data = _load(args)
-    feature_cfg, greedy_cfg, loss_cfg = _configs(args)
-    train_ids, test_ids = _auto_split(args, len(data), args.test_count)
-    trainer_cfg = _single_c_trainer(args)
-    lam = args.lam if args.model == "pairwise" else None
-    rows = args.rows.split(",") if args.rows else None
+    feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
+    train_ids, test_ids = _auto_split(args, len(data))
+    _, trainer_cfg = _trainer(args)
+    rows = _parse_list(args.rows, "--rows")
     table = ablation_table(
         data, train_ids, test_ids, args.model,
         feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, lam=lam, rows=rows,
@@ -362,54 +327,77 @@ def build_parser() -> argparse.ArgumentParser:
                         default="warning", help="least severe message logged to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model with cutting planes")
-    _add_shared(p)
+    def group(*parents):  # a parent parser: one group of flags, declared once
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    data = group()
+    data.add_argument("--dataset", required=True, help="JSON-lines dataset path")
+    data.add_argument("--stopwords", default=None, help="stopword list path (default: packaged)")
+    data.add_argument("--out", default=None, help="output file path")
+    greedy = group()
+    greedy.add_argument("--budget", type=int, default=665, help="summary budget in bytes "
+                        "when a record carries none (default: 665)")
+    greedy.add_argument("--r", type=float, default=0.3, help="greedy cost exponent (default: 0.3)")
+    lam = group()
+    lam.add_argument("--lambda", dest="lam", type=float, default=4.0,
+                     help="pairwise redundancy trade-off (default: 4.0)")
+    loss = group()
+    loss.add_argument("--aggregation", choices=AGGREGATIONS, default="mean-f",
+                      help="multi-reference aggregation mode")
+    loss.add_argument("--rouge-drop-stopwords", action="store_true",
+                      help="drop stopwords from unigram counts before scoring")
+    training = group(greedy, lam, loss)
+    training.add_argument("--model", choices=("pairwise", "pairwise-split", "coverage"),
+                          default="pairwise", help="model kind (default: pairwise)")
+    training.add_argument("--groups", default=None, help="comma list of enabled feature "
+                          f"groups (default: all of {','.join(GROUPS)})")
+    training.add_argument("--C", default="10.0",
+                          help="regularization; a comma list is a validation grid")
+    training.add_argument("--epsilon", type=float, default=1e-3, help="constraint tolerance")
+    training.add_argument("--max-iters", type=int, default=100)
+    split = group()
+    split.add_argument("--train-ids", default=None)
+    split.add_argument("--test-ids", default=None)
+    split.add_argument("--test-count", type=int, default=5)
+    split.add_argument("--seed", type=int, default=0, help="seed for the sampled split")
+
+    p = sub.add_parser("train", parents=[data, training], help="train a model with cutting planes")
+    p.add_argument("--single-reference", action="store_true",
+                   help="build training targets and losses from the first reference only")
     p.add_argument("--train-ids", default=None, help="comma list of set indexes (default: all)")
     p.add_argument("--val-ids", default=None, help="validation set indexes for a C grid")
-    p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--log", default=None, help="training log path (default: OUT.log.jsonl)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("summarize", help="produce summaries for every set")
-    _add_shared(p)
+    p = sub.add_parser("summarize", parents=[data, greedy, lam],
+                       help="produce summaries for every set")
     p.add_argument("--model-file", default=None, help="trained model JSON")
     p.add_argument("--baseline", action="store_true", help="hand-tuned tf-idf cosine scorer")
     p.add_argument("--sets", default=None, help="comma list of set ids to summarize")
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("evaluate", help="score prediction files against references")
-    _add_shared(p)
+    p = sub.add_parser("evaluate", parents=[data, loss],
+                       help="score prediction files against references")
     p.add_argument("--predictions", required=True, help="JSON written by summarize --out")
     p.add_argument("--compare", default=None, help="second prediction file for a sign test")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bounds", help="human/extractive/fit/prediction table")
-    _add_shared(p)
+    p = sub.add_parser("bounds", parents=[data, greedy, loss],
+                       help="human/extractive/fit/prediction table")
     p.add_argument("--model-file", required=True)
     p.add_argument("--train-ids", required=True)
     p.add_argument("--test-ids", required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("curve", help="learning curve over training sizes")
-    _add_shared(p)
+    p = sub.add_parser("curve", parents=[data, training, split],
+                       help="learning curve over training sizes")
     p.add_argument("--sizes", default="1,2,5,10,20,40")
-    p.add_argument("--train-ids", default=None)
-    p.add_argument("--test-ids", default=None)
-    p.add_argument("--test-count", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=100)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("ablate", help="retrain with one feature group removed per row")
-    _add_shared(p)
-    p.add_argument("--train-ids", default=None)
-    p.add_argument("--test-ids", default=None)
-    p.add_argument("--test-count", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument(
-        "--rows",
-        default=None,
-        help="comma list of rows among: " + ", ".join(label for label, _ in ABLATION_ROWS),
-    )
+    p = sub.add_parser("ablate", parents=[data, training, split],
+                       help="retrain with one feature group removed per row")
+    p.add_argument("--rows", default=None, help="comma list of rows among: "
+                   + ", ".join(label for label, _ in ABLATION_ROWS))
     p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -125,13 +125,6 @@ class FeatureConfig:
         kept = tuple(g for g in self.enabled_groups if g != group)
         return replace(self, enabled_groups=kept)
 
-    def position_bin(self, position: int) -> int:
-        b = 0
-        for edge in self.position_bin_edges:
-            if position >= edge:
-                b += 1
-        return b
-
     @property
     def num_position_bins(self) -> int:
         return len(self.position_bin_edges) + 1
@@ -223,7 +216,7 @@ def _coverage_names(cfg: FeatureConfig) -> list[str]:
 
 
 def _position_bins(cfg: FeatureConfig, positions) -> np.ndarray:
-    """``cfg.position_bin`` of every position: the number of edges <= p."""
+    """The position bin of every position p: the number of edges <= p."""
     edges = np.array(cfg.position_bin_edges, dtype=np.intp)
     return np.searchsorted(edges, positions, side="right")
 

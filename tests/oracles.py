@@ -604,7 +604,7 @@ class FeatureBankReference(FeatureBank):
             nb = range(cfg.num_position_bins)
             index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
                               for a in nb])
-            pb = np.array([cfg.position_bin(s.position_in_doc) for s in self.x.sentences])
+            pb = np.array([_position_bin(cfg, s.position_in_doc) for s in self.x.sentences])
             out[-1] = index[pb[:, None], pb[None, :]]
             np.fill_diagonal(out[-1], reg.dimension)
         return out
@@ -627,7 +627,7 @@ class FeatureBankReference(FeatureBank):
             for q in range(len(edges) + 1):
                 f[:, reg.index[f"cov:imp:{stem}:q{q}"]] |= mask & (bucket == q)
         if "location" in cfg.enabled_groups:
-            loc = [reg.index[f"cov:loc:bin{cfg.position_bin(s.earliest_position)}"]
+            loc = [reg.index[f"cov:loc:bin{_position_bin(cfg, s.earliest_position)}"]
                    for s in stats]
             f[np.arange(len(stats)), loc] = True
         return f.astype(float)

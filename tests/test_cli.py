@@ -1,5 +1,6 @@
 """End-to-end command line tests driving cli.main with real fixture files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import structsum
 from structsum import experiments
-from structsum.cli import main
+from structsum.cli import build_parser, main
 from structsum.learner import Model
 
 from conftest import FIXTURE_JSONL, GOLDEN_BASELINE, GOLDEN_SUMMARIES, SMALL_MODEL
@@ -374,6 +375,38 @@ class TestInputContract:
         assert stderr.startswith("error: --C needs at least one value")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, argv, flag", [
+        ("summarize", ["--model-file", str(SMALL_MODEL), "--sets="], "--sets"),
+        ("ablate", ["--train-ids", "0", "--test-ids", "1", "--rows="], "--rows"),
+        ("train", ["--train-ids="], "--train-ids"),
+        ("train", ["--train-ids", "0", "--groups="], "--groups"),
+    ])
+    def test_empty_list_flag_fails(self, capsys, tmp_path, monkeypatch, command, argv, flag):
+        # an empty list used to mean "all": every set, row or feature group
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "out.json"
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv,
+                                 "--out", str(out))
+        assert rc == 1
+        assert stderr == f"error: {flag} needs at least one value\n"
+        assert stdout == "" and trained == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, count", [("curve", "-1"), ("ablate", "0")])
+    def test_test_count_below_one_fails_before_training(
+        self, capsys, tmp_path, monkeypatch, command, count
+    ):
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "out.json"
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, "--test-count", count,
+                                 "--out", str(out))
+        assert rc == 1
+        assert stderr == f"error: --test-count must be at least 1, got {count}\n"
+        assert stdout == "" and trained == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, argv", [
         ("curve", ["--sizes", "1", "--test-count", "2"]),
         ("ablate", ["--train-ids", "0", "--test-ids", "1"]),
@@ -563,6 +596,49 @@ class TestAblate:
         )
         assert rc == 1
         assert "bogus" in stderr and "none" in stderr
+
+
+DATA = {"--dataset", "--stopwords", "--out"}
+GREEDY = {"--budget", "--r"}
+LAMBDA = {"--lambda"}
+LOSS = {"--aggregation", "--rouge-drop-stopwords"}
+TRAINING = GREEDY | LAMBDA | LOSS | {"--model", "--groups", "--C", "--epsilon", "--max-iters"}
+SPLIT = {"--train-ids", "--test-ids", "--test-count", "--seed"}
+COMMAND_FLAGS = {
+    "train": DATA | TRAINING | {"--single-reference", "--train-ids", "--val-ids", "--log"},
+    "summarize": DATA | GREEDY | LAMBDA | {"--model-file", "--baseline", "--sets"},
+    "evaluate": DATA | LOSS | {"--predictions", "--compare"},
+    "bounds": DATA | GREEDY | LOSS | {"--model-file", "--train-ids", "--test-ids"},
+    "curve": DATA | TRAINING | SPLIT | {"--sizes"},
+    "ablate": DATA | TRAINING | SPLIT | {"--rows"},
+}
+
+
+class TestFlagGroups:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == COMMAND_FLAGS
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--single-reference"],
+        ["ablate", "--single-reference"],
+        ["train", "--seed", "1"],
+        ["summarize", "--C", "3"],
+        ["evaluate", "--predictions", "p.json", "--budget", "5"],
+        ["bounds", "--model-file", "m.json", "--train-ids", "0", "--test-ids", "1",
+         "--groups", "basic"],
+    ])
+    def test_a_flag_the_command_ignores_is_rejected(self, capsys, argv):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--dataset", DATASET, *rest])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrorsAndEntryPoint:

@@ -10,6 +10,7 @@ from structsum.features import (
     GROUPS,
     FeatureConfig,
     FeatureBank,
+    _position_bins,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
     registry_for,
@@ -51,7 +52,7 @@ class TestFeatureConfig:
 
     def test_position_bins(self):
         cfg = FeatureConfig()
-        assert [cfg.position_bin(p) for p in (0, 1, 2, 3, 4, 5, 6, 40)] == [
+        assert _position_bins(cfg, [0, 1, 2, 3, 4, 5, 6, 40]).tolist() == [
             0, 1, 2, 3, 3, 3, 4, 4,
         ]
         assert cfg.num_position_bins == 5
