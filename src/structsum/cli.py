@@ -95,7 +95,7 @@ def _load(args):
 
 def _auto_split(args, n_sets: int):
     train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
-    test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids")
+    test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids", allow_empty=False)
     if train_ids is not None and test_ids is not None:
         return train_ids, test_ids
     if train_ids is not None or test_ids is not None:
@@ -283,7 +283,7 @@ def cmd_curve(args) -> int:
     data = _load(args)
     feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
     train_ids, test_ids = _auto_split(args, len(data))
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = [int(v) for v in _parse_list(args.sizes, "--sizes")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes: training sizes must be positive, got {sizes}")
     _, trainer_cfg = _trainer(args)

@@ -163,7 +163,7 @@ class Sentence:
     cost: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DocumentSet:
     """All sentences of one multi-document cluster. Immutable once built."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import DocumentSet, ReferenceSet
-from .features import FeatureBank, FeatureConfig
+from .features import FeatureConfig, bank_for
 from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, PreparedSet, TrainerConfig, TrainResult, train
 from .rouge import LossConfig, RougeGain, f_score
@@ -284,7 +284,7 @@ def ablation_table(
 
 
 def _with_features(sets: list[PreparedSet], cfg: FeatureConfig) -> list[PreparedSet]:
-    return [s if s.bank.cfg == cfg else replace(s, bank=FeatureBank(s.x, cfg)) for s in sets]
+    return [s if s.bank.cfg == cfg else replace(s, bank=bank_for(s.x, cfg)) for s in sets]
 
 
 def select_c(

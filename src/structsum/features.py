@@ -32,7 +32,8 @@ in at least fraction b of the sentences.
 
 The registry assigns indices by sorting feature names, so a configuration
 always yields the same index layout. ``FeatureBank`` computes all of the
-above for one document set as arrays (see docs/features.md).
+above for one document set as arrays (see docs/features.md), and
+``bank_for`` shares the last bank built across calls.
 """
 
 from __future__ import annotations
@@ -439,6 +440,26 @@ class FeatureBank:
         return self.word_features[self.counts[list(ids)].any(axis=0)].sum(axis=0)
 
 
+# the bank bank_for built last; its reference to bank.x keeps that set alive,
+# so no other set can take its id while it sits here
+_last_bank: FeatureBank | None = None
+
+
+def bank_for(x: DocumentSet, cfg: FeatureConfig) -> FeatureBank:
+    """The bank of ``x`` under ``cfg``, shared across calls: the last bank
+    built here when it is of this very set object under an equal config,
+    otherwise a new one. The previous bank is let go before the build, so
+    this keeps at most one bank alive."""
+    global _last_bank
+    # one read of the slot, so a caller never returns a bank another
+    # thread put there meanwhile
+    bank = _last_bank
+    if bank is None or bank.x is not x or bank.cfg != cfg:
+        _last_bank = bank = None
+        bank = _last_bank = FeatureBank(x, cfg)
+    return bank
+
+
 def _summary_ids(y) -> tuple[int, ...]:
     if isinstance(y, Summary):
         return y.selected
@@ -459,7 +480,7 @@ def joint_feature_map_pairwise(
     times the sum over ordered inside pairs. Split form: the same two sums
     concatenated into disjoint blocks (cross block first), lam unused.
     """
-    cross, red = (ctx or FeatureBank(x, cfg)).pair_psi(_summary_ids(y))
+    cross, red = (ctx or bank_for(x, cfg)).pair_psi(_summary_ids(y))
     if split:
         return np.concatenate([cross, red])
     return cross - lam * red
@@ -469,4 +490,4 @@ def joint_feature_map_coverage(
     x: DocumentSet, y, cfg: FeatureConfig, ctx: FeatureBank | None = None
 ) -> np.ndarray:
     """Sum of word features over the distinct words the summary covers."""
-    return (ctx or FeatureBank(x, cfg)).coverage_psi(_summary_ids(y))
+    return (ctx or bank_for(x, cfg)).coverage_psi(_summary_ids(y))

@@ -39,6 +39,7 @@ from .corpus import DocumentSet, ReferenceSet
 from .features import (
     FeatureBank,
     FeatureConfig,
+    bank_for,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
     registry_for,
@@ -370,7 +371,7 @@ class PreparedSet:
 
     @classmethod
     def build(cls, x, Y, feature_config, loss_config, greedy_config) -> "PreparedSet":
-        return cls(x, Y, FeatureBank(x, feature_config), RougeGain(x, Y, loss_config),
+        return cls(x, Y, bank_for(x, feature_config), RougeGain(x, Y, loss_config),
                    greedy_config.for_set(x))
 
     def with_target(self) -> "PreparedSet":
@@ -461,7 +462,7 @@ def _predict(bank: FeatureBank, model: Model) -> Summary:
 
 def predict(x: DocumentSet, model: Model) -> Summary:
     """Greedy inference under the learned weights (clamped by default)."""
-    return _predict(FeatureBank(x, model.feature_config), model)
+    return _predict(bank_for(x, model.feature_config), model)
 
 
 @dataclass

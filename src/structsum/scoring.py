@@ -143,10 +143,10 @@ class PairwiseScorer:
     @staticmethod
     def tfidf_baseline(x: DocumentSet, lam: float = 4.0) -> "PairwiseScorer":
         """The hand-tuned baseline: tf-idf cosine over all words."""
-        from .features import FeatureBank, FeatureConfig
+        from .features import FeatureConfig, bank_for
 
         cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
-        return PairwiseScorer(FeatureBank(x, cfg).cosines[0], lam)
+        return PairwiseScorer(bank_for(x, cfg).cosines[0], lam)
 
 
 def gain_state(x: DocumentSet, scorer: PairwiseScorer) -> PairwiseGainState:

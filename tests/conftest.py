@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structsum import features
 from structsum.corpus import (
     ReferenceSet, build_document_set, load_dataset, load_stopwords, tokenize,
 )
@@ -16,6 +17,13 @@ EXPECTED_RESULTS = FIXTURE_DIR / "expected_results.json"
 SMALL_MODEL = FIXTURE_DIR / "model_small.json"
 GOLDEN_SUMMARIES = FIXTURE_DIR / "golden_summaries.txt"
 GOLDEN_BASELINE = FIXTURE_DIR / "golden_baseline.txt"
+
+
+@pytest.fixture(autouse=True)
+def empty_bank_slot():
+    """Start every test with no shared bank (``features.bank_for``), so bank
+    build counts do not depend on which test ran before."""
+    features._last_bank = None
 
 
 @pytest.fixture(scope="session")

@@ -380,6 +380,7 @@ class TestInputContract:
         ("ablate", ["--train-ids", "0", "--test-ids", "1", "--rows="], "--rows"),
         ("train", ["--train-ids="], "--train-ids"),
         ("train", ["--train-ids", "0", "--groups="], "--groups"),
+        ("curve", ["--train-ids", "0", "--test-ids", "1", "--sizes="], "--sizes"),
     ])
     def test_empty_list_flag_fails(self, capsys, tmp_path, monkeypatch, command, argv, flag):
         # an empty list used to mean "all": every set, row or feature group
@@ -452,12 +453,16 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["curve", "ablate"])
-    def test_empty_test_split_fails(self, capsys, tmp_path, command):
+    def test_empty_test_split_fails(self, capsys, tmp_path, monkeypatch, command):
+        # rejected before training, not after it with nothing to evaluate
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
         out = tmp_path / "out.json"
         rc, _, stderr = run(capsys, command, "--dataset", DATASET, "--train-ids", "0",
                             "--test-ids", "", "--max-iters", "1", "--out", str(out))
         assert rc == 1
-        assert stderr.startswith("error: no predictions to evaluate")
+        assert stderr == "error: --test-ids needs at least one value\n"
+        assert trained == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command, argv, message", [

@@ -337,9 +337,10 @@ class TestTargetsBuiltOncePerDriverCall:
         )
         assert seen == [row["C"] for row in table] == [0.1, 1.0, 10.0]
         # one preparation per training set and per validation set for the
-        # whole grid; set 1 is both, and is prepared once as each
+        # whole grid; set 1 is both, the last training set and the first
+        # validation set, so the validation set reuses its bank
         assert sorted(target_calls) == self._set_ids(fixture_data, train_ids)
-        assert sorted(bank_builds) == self._set_ids(fixture_data, train_ids + val_ids)
+        assert sorted(bank_builds) == self._set_ids(fixture_data, [0, 1, 3, 4])
 
     def test_learning_curve_builds_the_largest_prefix_once(
         self, fixture_data, target_calls, bank_builds

@@ -1,14 +1,16 @@
 import json
 import math
 import random
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.experiments import prepare_sets
-from structsum.features import FeatureConfig, FeatureBank, registry_for
+from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
 from structsum.greedy import GreedyConfig
 from structsum.learner import (
     Constraint,
@@ -18,13 +20,14 @@ from structsum.learner import (
     TrainerConfig,
     WorkingSet,
     _oracle_from_state,
+    _predict,
     predict,
     psi,
     train,
     violation,
 )
 from structsum.rouge import LossConfig
-from structsum.scoring import Summary
+from structsum.scoring import PairwiseScorer, Summary
 
 from conftest import random_documents
 from oracles import (
@@ -508,3 +511,88 @@ class TestTrain:
                        GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0), lam=4.0)
         assert predict(data[0][0], result.model).total_cost <= 30
         assert predict(data[1][0], result.model).total_cost <= 60
+
+
+class TestBankSlot:
+    """``bank_for`` hands back the last bank it built for the same set object
+    under an equal config, and keeps no other bank alive."""
+
+    KINDS = (("pairwise", 4.0), ("pairwise-split", None), ("coverage", None))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Set ids of every bank built and of every cosines stack computed."""
+        banks, stacks = [], []
+        init, cosines = FeatureBank.__init__, FeatureBank.cosines.func
+
+        def counting_init(bank, x, cfg):
+            banks.append(x.set_id)
+            init(bank, x, cfg)
+
+        def counting_cosines(bank):
+            stacks.append(bank.x.set_id)
+            return cosines(bank)
+
+        counted = cached_property(counting_cosines)
+        counted.__set_name__(FeatureBank, "cosines")
+        monkeypatch.setattr(FeatureBank, "__init__", counting_init)
+        monkeypatch.setattr(FeatureBank, "cosines", counted)
+        return banks, stacks
+
+    def _models(self, seed=0):
+        """One model per kind, each with its own equal default config."""
+        rng = np.random.default_rng(seed)
+        return [
+            Model(kind, rng.standard_normal(registry_for(FeatureConfig(), kind).dimension),
+                  FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=100, r=0.3), lam)
+            for kind, lam in self.KINDS
+        ]
+
+    def test_every_kind_of_one_config_shares_one_bank(self, fixture_data, builds):
+        x = fixture_data[0][0]
+        for model in self._models():
+            predict(x, model)
+        assert builds == ([x.set_id], [x.set_id])
+        # the tf-idf baseline's config differs: one bank and one stack more
+        PairwiseScorer.tfidf_baseline(x)
+        assert builds == ([x.set_id] * 2, [x.set_id] * 2)
+
+    def test_other_set_or_unequal_config_builds_anew(self, fixture_data, builds):
+        (x0, _), (x1, _) = fixture_data[:2]
+        first = bank_for(x0, FeatureConfig())
+        assert bank_for(x0, FeatureConfig()) is first
+        # an equal copy of the set is another set
+        copy = bank_for(replace(x0), FeatureConfig())
+        other_set = bank_for(x1, FeatureConfig())
+        other_cfg = bank_for(x1, FeatureConfig().without_group("location"))
+        assert len({id(first), id(copy), id(other_set), id(other_cfg)}) == 4
+        assert builds[0] == [x0.set_id, x0.set_id, x1.set_id, x1.set_id]
+
+    def test_previous_bank_is_released_before_the_next_build(self, fixture_data, monkeypatch):
+        (x0, _), (x1, _) = fixture_data[:2]
+        previous = weakref.ref(bank_for(x0, FeatureConfig()))
+        assert previous() is not None
+        alive_at_build = []
+        init = FeatureBank.__init__
+
+        def recording(bank, x, cfg):
+            alive_at_build.append(previous() is not None)
+            init(bank, x, cfg)
+
+        monkeypatch.setattr(FeatureBank, "__init__", recording)
+        bank_for(x1, FeatureConfig())
+        assert alive_at_build == [False]
+        assert previous() is None
+
+    def test_document_sets_are_frozen(self, fixture_data):
+        # the slot keys on the set object, which must not change under it
+        with pytest.raises(FrozenInstanceError):
+            fixture_data[0][0].sentences = ()
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reverse"])
+    def test_predict_equals_prediction_from_a_fresh_bank(self, fixture_data, step):
+        models = self._models()
+        for x, _ in fixture_data[::step]:
+            for model in models:
+                fresh = FeatureBank(x, model.feature_config)
+                assert predict(x, model) == _predict(fresh, model)
