@@ -94,7 +94,7 @@ def _load(args):
 
 
 def _auto_split(args, n_sets: int):
-    train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
+    train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids", allow_empty=False)
     test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids", allow_empty=False)
     if train_ids is not None and test_ids is not None:
         return train_ids, test_ids

@@ -466,28 +466,19 @@ def _summary_ids(y) -> tuple[int, ...]:
     return tuple(y)
 
 
-def joint_feature_map_pairwise(
-    x: DocumentSet,
-    y,
-    cfg: FeatureConfig,
-    lam: float,
-    split: bool = False,
-    ctx: FeatureBank | None = None,
-) -> np.ndarray:
-    """Map a summary to feature space, in registry index order.
+def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = False) -> np.ndarray:
+    """Map a summary of the bank's set to feature space, in registry index order.
 
     Fixed-lambda form: sum of phi over (outside, inside) pairs minus lam
     times the sum over ordered inside pairs. Split form: the same two sums
     concatenated into disjoint blocks (cross block first), lam unused.
     """
-    cross, red = (ctx or bank_for(x, cfg)).pair_psi(_summary_ids(y))
+    cross, red = bank.pair_psi(_summary_ids(y))
     if split:
         return np.concatenate([cross, red])
     return cross - lam * red
 
 
-def joint_feature_map_coverage(
-    x: DocumentSet, y, cfg: FeatureConfig, ctx: FeatureBank | None = None
-) -> np.ndarray:
+def joint_feature_map_coverage(bank: FeatureBank, y) -> np.ndarray:
     """Sum of word features over the distinct words the summary covers."""
-    return (ctx or bank_for(x, cfg)).coverage_psi(_summary_ids(y))
+    return bank.coverage_psi(_summary_ids(y))

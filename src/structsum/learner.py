@@ -14,7 +14,8 @@ oracle, the train-F tracking and the scores read its bank and ``RougeGain``.
 The restricted dual, min 0.5 a'Ka - loss'a over a >= 0 with each example's
 sum capped at C / n (K the Gram matrix of the dpsi vectors, w = sum a dpsi),
 is solved exactly by an active-set method warm-started from the last
-optimum; ``add`` grows K by one row of sparse dot products. Each iteration
+optimum; every product with a dpsi runs over its nonzeros, in the one
+class ``WorkingSet``, so their rounding is decided there. Each iteration
 solves the KKT system [K_FF E; E' 0] of the free alphas, held caps as
 equalities, by least squares. If K_FF is singular (more constraints than
 dimensions, a zero dpsi) and the residual (the free alphas' gradient the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,21 +178,12 @@ class Model:
 @dataclass
 class Constraint:
     """One cutting plane: the oracle's summary for one training example,
-    with its dense dpsi and that vector's nonzero indices and values."""
+    its loss and its dense dpsi = psi(target) - psi(y_hat)."""
 
     example_index: int
     y_hat: Summary
     loss: float
     delta_psi: np.ndarray
-    idx: np.ndarray = field(init=False)
-    val: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.idx = np.flatnonzero(self.delta_psi)
-        self.val = self.delta_psi[self.idx]
-
-    def w_dot_delta(self, w: np.ndarray) -> float:
-        return float(w[self.idx] @ self.val)
 
 
 @dataclass(frozen=True)
@@ -213,11 +205,13 @@ class TrainerConfig:
 
 
 class WorkingSet:
-    """Per-example constraint lists with their dual variables.
+    """The constraints added so far and their dual variables.
 
-    The solver's state is flat, in the order of ``add``: the duals, losses
-    and example indices, ``K`` and the working set (alphas held at zero,
-    examples held at their cap); ``alpha`` is its per-example view.
+    Everything is flat, in the order of ``add``: each dpsi's nonzero indices
+    and values, the duals, losses and example indices, ``K`` and the working
+    set (alphas held at zero, examples held at their cap); ``alpha`` is the
+    per-example view of the duals. Every product with a dpsi (the new row of
+    ``K``, ``xi``, ``violation``, w) is a dot over that dpsi's nonzeros.
     Invariants: alphas non-negative, per-example sums never above C / n,
     and w equal to sum(alpha * dpsi) (re-accumulated after each solve).
     """
@@ -229,11 +223,11 @@ class WorkingSet:
         self.C = C
         self.cap = C / n_examples
         self.dimension = dimension
-        self.constraints: list[list[Constraint]] = [[] for _ in range(n_examples)]
         self.w = np.zeros(dimension)
         self.K = np.zeros((0, 0))
         self.last_iterations = 0
-        self._added: list[Constraint] = []
+        self._idx: list[np.ndarray] = []
+        self._val: list[np.ndarray] = []
         self._alpha = np.zeros(0)
         self._loss = np.zeros(0)
         self._example = np.zeros(0, dtype=np.int64)
@@ -242,28 +236,32 @@ class WorkingSet:
 
     @property
     def total_constraints(self) -> int:
-        return len(self._added)
+        return len(self._idx)
 
     @property
     def alpha(self) -> list[list[float]]:
         return [self._alpha[self._example == i].tolist() for i in range(self.n_examples)]
 
     def add(self, con: Constraint) -> None:
-        self.constraints[con.example_index].append(con)
-        self._added.append(con)
+        idx = np.flatnonzero(con.delta_psi)
+        self._idx.append(idx)
+        self._val.append(con.delta_psi[idx])
         self.K = np.pad(self.K, (0, 1))
-        self.K[-1] = self.K[:, -1] = [con.delta_psi[c.idx] @ c.val for c in self._added]
+        self.K[-1] = self.K[:, -1] = [con.delta_psi[i] @ v for i, v in zip(self._idx, self._val)]
         self._alpha = np.append(self._alpha, 0.0)
         self._loss = np.append(self._loss, con.loss)
         self._example = np.append(self._example, con.example_index)
         self._at_zero = np.append(self._at_zero, True)
 
     def xi(self, i: int) -> float:
-        cons = self.constraints[i]
-        if not cons:
-            return 0.0
-        worst = max(c.loss - c.w_dot_delta(self.w) for c in cons)
-        return max(0.0, worst)
+        worst = max((self._loss[k] - self.w[self._idx[k]] @ self._val[k]
+                     for k in np.flatnonzero(self._example == i)), default=0.0)
+        return max(0.0, float(worst))
+
+    def violation(self, con: Constraint) -> float:
+        """loss - w . dpsi - xi_i; positive means ``con`` is violated."""
+        idx = np.flatnonzero(con.delta_psi)
+        return con.loss - float(self.w[idx] @ con.delta_psi[idx]) - self.xi(con.example_index)
 
     def dual_objective(self) -> float:
         return float(self._alpha @ self._loss - 0.5 * (self.w @ self.w))
@@ -274,9 +272,9 @@ class WorkingSet:
 
     def _refresh_w(self) -> None:
         self.w = np.zeros(self.dimension)
-        for con, a in zip(self._added, self._alpha):
+        for idx, val, a in zip(self._idx, self._val, self._alpha):
             if a != 0.0:
-                self.w[con.idx] += a * con.val
+                self.w[idx] += a * val
 
     def solve(self, cfg: TrainerConfig) -> float:
         """Active-set solve (see the module docstring), warm-started from the
@@ -311,7 +309,8 @@ class WorkingSet:
             growth = np.bincount(ex[free], weights=step, minlength=n)
             grow = np.flatnonzero((growth > 0.0) & ~tight)
             room = np.maximum(self.cap - np.bincount(ex, weights=alpha, minlength=n)[grow], 0.0)
-            blocks = np.concatenate([alpha[free[shrink]] / -step[shrink], room / growth[grow]])
+            blocks = np.concatenate([_ratios(alpha[free[shrink]], -step[shrink]),
+                                     _ratios(room, growth[grow])])
             k = int(np.argmin(blocks)) if len(blocks) else -1
             if k >= 0 and blocks[k] < t:
                 alpha[free] = np.maximum(alpha[free] + blocks[k] * step, 0.0)
@@ -348,9 +347,10 @@ class WorkingSet:
         return self.dual_objective()
 
 
-def violation(constraint: Constraint, model: Model, xi_i: float) -> float:
-    """loss - w . dpsi - xi_i; positive means the constraint is violated."""
-    return constraint.loss - constraint.w_dot_delta(model.w) - xi_i
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den (num >= 0, den > 0), inf without a warning where it overflows."""
+    return np.divide(num, den, out=np.full(len(num), np.inf),
+                     where=den > num / np.finfo(float).max)
 
 
 @dataclass
@@ -386,13 +386,13 @@ class PreparedSet:
         return self.rouge.load(_predict(self.bank, model).selected).current_f()
 
 
-def psi(x: DocumentSet, y, model: Model, bank: FeatureBank | None = None) -> np.ndarray:
-    """Joint feature map in the model's index space."""
+def psi(bank: FeatureBank, y, model: Model) -> np.ndarray:
+    """Joint feature map of a summary of the bank's set, in model index space."""
     if model.model_kind == "coverage":
-        return joint_feature_map_coverage(x, y, model.feature_config, ctx=bank)
+        return joint_feature_map_coverage(bank, y)
     if model.model_kind == "pairwise-split":
-        return joint_feature_map_pairwise(x, y, model.feature_config, 0.0, split=True, ctx=bank)
-    return joint_feature_map_pairwise(x, y, model.feature_config, model.lam, ctx=bank)
+        return joint_feature_map_pairwise(bank, y, 0.0, split=True)
+    return joint_feature_map_pairwise(bank, y, model.lam)
 
 
 def _score_state(bank: FeatureBank, model: Model, clamp: bool):
@@ -451,7 +451,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
         example_index=index,
         y_hat=y_hat,
         loss=loss,
-        delta_psi=psi_target - psi(state.x, y_hat, model, bank=state.bank),
+        delta_psi=psi_target - psi(state.bank, y_hat, model),
     )
 
 
@@ -497,7 +497,7 @@ def train(
     if any(s.bank.cfg != feature_config or s.rouge.cfg != loss_config for s in sets):
         raise ValueError("training sets were prepared under other feature or loss configs")
     model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
-    psi_targets = [psi(s.x, s.with_target().target, model, bank=s.bank) for s in sets]
+    psi_targets = [psi(s.bank, s.with_target().target, model) for s in sets]
     ws = WorkingSet(len(sets), trainer_config.C, model.w.shape[0])
     iterations: list[dict] = []
     dual_history: list[float] = []
@@ -511,7 +511,7 @@ def train(
         for i, state in enumerate(sets):
             model.w = ws.w
             con = _oracle_from_state(state, i, psi_targets[i], model)
-            v = violation(con, model, ws.xi(i))
+            v = ws.violation(con)
             max_violation = max(max_violation, v)
             if v > trainer_config.epsilon:
                 ws.add(con)

@@ -380,11 +380,26 @@ class CoverageGainReference:
         self.covered.update(self.words[k])
 
 
+class _Plane:
+    """A constraint's loss and dense dpsi, with that vector's nonzero
+    indices and values, over which every product with it runs."""
+
+    def __init__(self, con):
+        self.loss = con.loss
+        self.delta_psi = con.delta_psi
+        self.idx = np.flatnonzero(con.delta_psi)
+        self.val = con.delta_psi[self.idx]
+
+    def w_dot_delta(self, w: np.ndarray) -> float:
+        return float(w[self.idx] @ self.val)
+
+
 class CoordinateAscentWorkingSet:
     """The package's former dual solver: clipped coordinate ascent with
     paired transfer moves between two constraints of a capped example. Same
-    constraint and alpha layout as ``WorkingSet``; squared norms and cross
-    products of dpsi are computed here from the constraints' arrays.
+    alpha layout as ``WorkingSet``; each added constraint is kept as a
+    ``_Plane``, and squared norms and cross products of dpsi are computed
+    here from its arrays.
 
     Invariants kept by every update: alphas non-negative, per-example sums
     never exceed C / n, and w equals sum(alpha * dpsi) (re-accumulated after
@@ -408,7 +423,7 @@ class CoordinateAscentWorkingSet:
         return sum(len(c) for c in self.constraints)
 
     def add(self, con) -> None:
-        self.constraints[con.example_index].append(con)
+        self.constraints[con.example_index].append(_Plane(con))
         self.alpha[con.example_index].append(0.0)
 
     def xi(self, i: int) -> float:

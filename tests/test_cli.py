@@ -381,6 +381,8 @@ class TestInputContract:
         ("train", ["--train-ids="], "--train-ids"),
         ("train", ["--train-ids", "0", "--groups="], "--groups"),
         ("curve", ["--train-ids", "0", "--test-ids", "1", "--sizes="], "--sizes"),
+        ("curve", ["--train-ids=", "--test-ids", "1", "--sizes", "1"], "--train-ids"),
+        ("ablate", ["--train-ids=", "--test-ids", "1"], "--train-ids"),
     ])
     def test_empty_list_flag_fails(self, capsys, tmp_path, monkeypatch, command, argv, flag):
         # an empty list used to mean "all": every set, row or feature group

@@ -1,6 +1,7 @@
 """The active-set dual solver: a duality-gap certificate after every solve,
 never a worse dual than the retained coordinate-ascent solver, a Gram cache
-equal to the dense D D^T, and no solve that runs into its iteration cap.
+equal to the dense D D^T (and bit for bit to the dots over each dpsi's
+nonzeros, as are the slacks), and no solve that runs into its iteration cap.
 
 Random problems cover singular Gram matrices (more constraints than
 dimensions, repeated and zero dpsi vectors), caps tight enough that mass has
@@ -60,7 +61,7 @@ def assert_gram_is_dense_product(K, cons, d):
     """K equals D D^T, D holding the dpsi vectors in the order they were added."""
     D = np.zeros((len(cons), d))
     for k, con in enumerate(cons):
-        D[k, con.idx] = con.val
+        D[k] = con.delta_psi
     gram = D @ D.T
     assert np.abs(K - gram).max() <= 1e-12 * max(1.0, np.abs(gram).max())
 
@@ -93,6 +94,10 @@ def coordinate_ascent_dual(n_examples, C, dimension, cons, cfg):
                        (0, 1.0, (3.0, 2.0, 2.0)), (0, 0.0, (0.0, 0.0, 0.0))]))
 # found by hypothesis: a subnormal Gram entry overflowed the step
 @example((1, 1, 0.01, [(0, 1.0, (1.411946047064502e-157,))]))
+# found by hypothesis: a subnormal loss over a cap's growth overflowed the ratio test
+@example((2, 1, 0.01, [(1, 2.225073858507e-311, (1.0,)), (0, 0.5, (-1.0,)),
+                       (0, 0.0, (0.0,)), (0, 0.0, (0.0,)), (0, 1.0, (0.0,)),
+                       (0, 0.0, (0.0,))]))
 def test_random_problems_certify_and_match_the_oracle(problem):
     # The multiplier tolerance bounds the gap by about C * qp_tol, and
     # hypothesis draws losses as small as the default 1e-10, so these
@@ -207,3 +212,30 @@ def test_recorded_solves_certify_match_the_oracle_and_never_cycle(recorded_solve
         assert cold_dual == pytest.approx(dual, rel=1e-12, abs=1e-12)
         oracle = coordinate_ascent_dual(ws.n_examples, ws.C, ws.dimension, cons, cfg)
         assert dual >= oracle - 1e-12 * max(1.0, abs(oracle))
+
+
+def nonzero_products(cons, w, n_examples):
+    """The Gram matrix and the slacks at w as dots over each dpsi's nonzeros:
+    entry (a, b) gathers the later of the two dpsi at the earlier one's
+    nonzeros, as ``WorkingSet.add`` builds each new row."""
+    nz = [np.flatnonzero(c.delta_psi) for c in cons]
+
+    def entry(a, b):
+        early, late = min(a, b), max(a, b)
+        return cons[late].delta_psi[nz[early]] @ cons[early].delta_psi[nz[early]]
+
+    K = np.array([[entry(a, b) for b in range(len(cons))] for a in range(len(cons))])
+    xi = [max(0.0, max((c.loss - float(w[i] @ c.delta_psi[i])
+                        for c, i in zip(cons, nz) if c.example_index == e), default=0.0))
+          for e in range(n_examples)]
+    return K, np.array(xi)
+
+
+def test_recorded_gram_and_slacks_are_nonzero_products_bit_for_bit(recorded_solves):
+    # a dense product (D @ dpsi for the new row, D @ w for the slacks)
+    # rounds differently and changes the training logs
+    final = {id(ws): (ws, cons) for ws, cons, *_ in recorded_solves}
+    for ws, cons in final.values():
+        K, xi = nonzero_products(cons, ws.w, ws.n_examples)
+        assert np.array_equal(ws.K, K)
+        assert np.array_equal([ws.xi(e) for e in range(ws.n_examples)], xi)

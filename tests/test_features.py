@@ -260,7 +260,7 @@ class TestJointFeatureMap:
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_pairwise(x, y, cfg, lam, ctx=bank)
+            psi = joint_feature_map_pairwise(bank, y, lam)
             want = pairwise_score_brute(x.num_sentences, sigma, lam, ids)
             assert psi @ w == pytest.approx(want, abs=1e-9)
 
@@ -284,7 +284,7 @@ class TestJointFeatureMap:
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_pairwise(x, y, cfg, lam=0.0, split=True, ctx=bank)
+            psi = joint_feature_map_pairwise(bank, y, lam=0.0, split=True)
             want = split_score_brute(x.num_sentences, cross, red, ids)
             assert psi @ w == pytest.approx(want, abs=1e-9)
 
@@ -303,15 +303,16 @@ class TestJointFeatureMap:
 
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             y = Summary(tuple(ids), 0)
-            psi = joint_feature_map_coverage(x, y, cfg, ctx=bank)
+            psi = joint_feature_map_coverage(bank, y)
             words = [set(word_counts(s)) for s in x.sentences]
             assert psi @ w == pytest.approx(coverage_score_brute(words, omega, ids), abs=1e-9)
 
     def test_empty_summary_maps_to_zero(self, stopwords):
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
-        assert not np.any(joint_feature_map_pairwise(x, Summary.empty(), cfg, 4.0))
-        assert not np.any(joint_feature_map_coverage(x, Summary.empty(), cfg))
+        bank = FeatureBank(x, cfg)
+        assert not np.any(joint_feature_map_pairwise(bank, Summary.empty(), 4.0))
+        assert not np.any(joint_feature_map_coverage(bank, Summary.empty()))
 
 
 class _ScanGain:
@@ -441,9 +442,9 @@ class TestBankAgainstOracle:
             red = sum((f for (i, j), f in phi.items() if i in inside and j in inside),
                       np.zeros(reg.dimension))
             lam = rng.uniform(0.0, 5.0)
-            got = joint_feature_map_pairwise(x, tuple(inside), cfg, lam, ctx=bank)
+            got = joint_feature_map_pairwise(bank, tuple(inside), lam)
             np.testing.assert_allclose(got, cross - lam * red, rtol=0, atol=1e-9)
-            got = joint_feature_map_pairwise(x, tuple(inside), cfg, 0.0, split=True, ctx=bank)
+            got = joint_feature_map_pairwise(bank, tuple(inside), 0.0, split=True)
             want = np.concatenate([cross, red])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -464,7 +465,7 @@ class TestBankAgainstOracle:
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             covered = {t.normalized for sid in ids for t in x.sentences[sid].tokens}
             want = sum((phi[v] for v in covered), np.zeros(reg.dimension))
-            got = joint_feature_map_coverage(x, tuple(ids), cfg, ctx=bank)
+            got = joint_feature_map_coverage(bank, tuple(ids))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 

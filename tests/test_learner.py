@@ -24,7 +24,6 @@ from structsum.learner import (
     predict,
     psi,
     train,
-    violation,
 )
 from structsum.rouge import LossConfig
 from structsum.scoring import PairwiseScorer, Summary
@@ -103,14 +102,16 @@ class TestQPAgainstDense:
     def test_representer_identity(self):
         rng = np.random.default_rng(9)
         ws = WorkingSet(n_examples=2, C=4.0, dimension=5)
+        cons = []
         for c in range(6):
             vec = rng.normal(size=5)
-            ws.add(Constraint(c % 2, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            cons.append(Constraint(c % 2, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            ws.add(cons[-1])
         ws.solve(TrainerConfig(C=4.0))
         rebuilt = np.zeros(5)
-        for i, cons_list in enumerate(ws.constraints):
-            for c, con in enumerate(cons_list):
-                rebuilt[con.idx] += ws.alpha[i][c] * con.val
+        for i in range(2):
+            for a, con in zip(ws.alpha[i], [con for con in cons if con.example_index == i]):
+                rebuilt += a * con.delta_psi
         assert np.allclose(rebuilt, ws.w, atol=1e-8)
 
     def test_caps_respected_and_duality_gap(self):
@@ -134,13 +135,15 @@ class TestQPAgainstDense:
     def test_no_stored_constraint_violated_after_solve(self):
         rng = np.random.default_rng(23)
         ws = WorkingSet(n_examples=3, C=6.0, dimension=6)
+        cons = []
         for c in range(12):
             vec = rng.normal(size=6)
-            ws.add(Constraint(c % 3, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            cons.append(Constraint(c % 3, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            ws.add(cons[-1])
         ws.solve(TrainerConfig(C=6.0, qp_tol=1e-14, qp_max_passes=100_000))
-        for i, cons_list in enumerate(ws.constraints):
-            for con in cons_list:
-                assert con.loss - con.w_dot_delta(ws.w) - ws.xi(i) <= 1e-6
+        for con in cons:
+            assert con.loss - ws.w @ con.delta_psi - ws.xi(con.example_index) <= 1e-6
+            assert ws.violation(con) <= 1e-6
 
 
 class TestModelIO:
@@ -284,7 +287,7 @@ class TestPsiConsistency:
                     n, lambda i, j: bank.pair(i, j) @ model.w, lam, ids
                 )
             y = Summary(ids, 0)
-            assert psi(x, y, model, bank=bank) @ model.w == pytest.approx(want, abs=1e-9)
+            assert psi(bank, y, model) @ model.w == pytest.approx(want, abs=1e-9)
 
 
 class TestSeparationOracle:
@@ -299,7 +302,7 @@ class TestSeparationOracle:
 
     @staticmethod
     def _oracle(state, model):
-        return _oracle_from_state(state, 0, psi(state.x, state.target, model, state.bank), model)
+        return _oracle_from_state(state, 0, psi(state.bank, state.target, model), model)
 
     def test_constraint_internally_consistent(self, stopwords):
         rng = random.Random(43)
@@ -311,28 +314,31 @@ class TestSeparationOracle:
             assert con.loss == pytest.approx(
                 loss_delta(Y, state.target, con.y_hat, x, model.loss_config), abs=1e-12
             )
-            want_delta = psi(x, state.target, model) - psi(x, con.y_hat, model)
+            want_delta = psi(state.bank, state.target, model) - psi(state.bank, con.y_hat, model)
             assert np.allclose(con.delta_psi, want_delta, atol=1e-12)
             budget = x.budget_bytes if x.budget_bytes is not None else model.greedy_config.budget_bytes
             assert con.y_hat.total_cost <= budget
 
     def test_constraint_arrays_are_nonzeros_of_dense_delta(self, stopwords):
-        """idx/val are flatnonzero of dpsi = psi(target) - psi(y_hat) and its
-        values there; entries equal in both psis, and signed zeros, drop out,
-        and no nonzero is too small to keep."""
-        con = Constraint(0, Summary.empty(), 1.0, np.array([0.0, -0.0, 2.5, 0.0, -1.0, 1e-300]))
-        assert con.idx.tolist() == [2, 4, 5] and con.val.tolist() == [2.5, -1.0, 1e-300]
+        """The working set keeps flatnonzero of dpsi = psi(target) - psi(y_hat)
+        and its values there; entries equal in both psis, and signed zeros,
+        drop out, and no nonzero is too small to keep."""
+        ws = WorkingSet(1, 1.0, 6)
+        ws.add(Constraint(0, Summary.empty(), 1.0, np.array([0.0, -0.0, 2.5, 0.0, -1.0, 1e-300])))
+        assert ws._idx[0].tolist() == [2, 4, 5] and ws._val[0].tolist() == [2.5, -1.0, 1e-300]
         rng = random.Random(53)
         for kind in ("pairwise", "pairwise-split", "coverage"):
             for seed in range(4):
                 state, model = self._prep(stopwords, seed, kind=kind)
                 model.w = np.array([rng.uniform(-0.5, 0.5) for _ in range(model.w.shape[0])])
                 con = self._oracle(state, model)
-                want = psi(state.x, state.target, model) - psi(state.x, con.y_hat, model)
+                want = psi(state.bank, state.target, model) - psi(state.bank, con.y_hat, model)
                 assert np.array_equal(con.delta_psi, want)
-                assert np.array_equal(con.idx, np.flatnonzero(want))
-                assert np.array_equal(con.val, want[np.flatnonzero(want)])
-                assert np.all(con.val != 0.0)
+                ws = WorkingSet(1, 1.0, len(want))
+                ws.add(con)
+                assert np.array_equal(ws._idx[0], np.flatnonzero(want))
+                assert np.array_equal(ws._val[0], want[np.flatnonzero(want)])
+                assert np.all(ws._val[0] != 0.0)
 
     def test_zero_weights_oracle_padded_in_id_order(self, stopwords):
         state, model = self._prep(stopwords, seed=3)
@@ -365,7 +371,8 @@ class TestSeparationOracle:
             con = self._oracle(state, model)
 
             def augmented(y):
-                return psi(x, y, model) @ model.w + loss_delta(Y, target, y, x, model.loss_config)
+                return (psi(state.bank, y, model) @ model.w
+                        + loss_delta(Y, target, y, x, model.loss_config))
 
             best = exhaustive_maximize(x, augmented, gcfg)
             base = augmented(Summary.empty())
@@ -378,17 +385,18 @@ class TestSeparationOracle:
 
 class TestViolation:
     def test_formula(self):
-        d = 4
+        # example 0's stored constraint has zero dpsi, so its slack is its
+        # loss 0.25; example 1's larger slack does not count
+        ws = WorkingSet(2, 1.0, 4)
+        ws.w = np.array([0.0, 0.1, 0.0, 0.0])
+        cons = [Constraint(0, Summary.empty(), 0.25, np.zeros(4)),
+                Constraint(1, Summary.empty(), 0.9, np.zeros(4))]
+        for con in cons:
+            ws.add(con)
+        assert ws.xi(0) == 0.25 and ws.xi(1) == 0.9
         con = Constraint(0, Summary.empty(), 0.8, np.array([0.0, 2.0, 0.0, 0.0]))
-        model = Model.zeros("pairwise", FeatureConfig(), LossConfig(),
-                            GreedyConfig(budget_bytes=10), lam=4.0)
-        w = np.zeros(model.w.shape[0])
-        w[1] = 0.1
-        model.w = w
-        dpsi = np.zeros(model.w.shape[0])
-        dpsi[1] = 2.0
-        con2 = Constraint(0, Summary.empty(), 0.8, dpsi)
-        assert violation(con2, model, xi_i=0.25) == pytest.approx(0.8 - 0.2 - 0.25)
+        assert ws.violation(con) == pytest.approx(0.8 - 0.2 - 0.25)
+        assert ws.total_constraints == len(cons)
 
 
 class TestTrain:
