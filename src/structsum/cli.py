@@ -49,12 +49,13 @@ def _parse_list(text: str | None, flag: str) -> list[str] | None:
     return values
 
 
-def _parse_ids(text: str | None, n_sets: int, flag: str, allow_empty=True) -> list[int] | None:
-    """Comma list of set indexes, each in range(n_sets); None when absent."""
+def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
+    """Non-empty comma list of set indexes, each in range(n_sets); None when
+    absent."""
     if text is None:
         return None
     ids = [int(v) for v in text.split(",") if v != ""]
-    if not ids and not allow_empty:
+    if not ids:
         raise ValueError(f"{flag} needs at least one value")
     bad = [i for i in ids if not 0 <= i < n_sets]
     if bad:
@@ -94,8 +95,8 @@ def _load(args):
 
 
 def _auto_split(args, n_sets: int):
-    train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids", allow_empty=False)
-    test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids", allow_empty=False)
+    train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
+    test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids")
     if train_ids is not None and test_ids is not None:
         return train_ids, test_ids
     if train_ids is not None or test_ids is not None:
@@ -120,8 +121,7 @@ def cmd_train(args) -> int:
         raise ValueError("train needs --out to save the model")
     data = _load(args)
     feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
-    train_ids = (_parse_ids(args.train_ids, len(data), "--train-ids", allow_empty=False)
-                 or list(range(len(data))))
+    train_ids = _parse_ids(args.train_ids, len(data), "--train-ids") or list(range(len(data)))
     val_ids = _parse_ids(args.val_ids, len(data), "--val-ids") or []
     grid, trainer_cfg = _trainer(args)
     c_table = None
@@ -268,8 +268,6 @@ def cmd_bounds(args) -> int:
     model = Model.load(args.model_file)
     train_ids = _parse_ids(args.train_ids, len(data), "--train-ids")
     test_ids = _parse_ids(args.test_ids, len(data), "--test-ids")
-    if not train_ids or not test_ids:
-        raise ValueError("bounds needs --train-ids and --test-ids")
     rows = bounds_table(data, model, train_ids, test_ids, loss_cfg, greedy_cfg)
     print("bound\tmean_f")
     for name, value in rows:

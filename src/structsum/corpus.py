@@ -19,10 +19,11 @@ Tokens are interned per load: one ``load_dataset`` call tokenizes each
 distinct whitespace chunk once, and equal chunks in all of its documents and
 references share one immutable ``Token``. Nothing is cached across calls.
 
-A ``DocumentSet`` holds sentences and their tokens only. The per-word
-statistics the features read (sentence and document frequency, counts,
-earliest position, capitalized and stopword flags) are derived from them as
-arrays by ``features.FeatureBank``.
+A ``DocumentSet`` holds sentences and their tokens only, plus the greedy's
+cache of their byte costs (``cost_scales``). The per-word statistics the
+features read (sentence and document frequency, counts, earliest position,
+capitalized and stopword flags) are derived from them as arrays by
+``features.FeatureBank``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -175,6 +177,12 @@ class DocumentSet:
     @property
     def num_sentences(self) -> int:
         return len(self.sentences)
+
+    @cached_property
+    def cost_scales(self) -> dict:
+        """The greedy's byte costs and cost**r scales, filled once per r by
+        ``greedy.greedy_maximize``; a cache, so not part of the set's value."""
+        return {}
 
 
 @dataclass

@@ -32,8 +32,9 @@ in at least fraction b of the sentences.
 
 The registry assigns indices by sorting feature names, so a configuration
 always yields the same index layout. ``FeatureBank`` computes all of the
-above for one document set as arrays (see docs/features.md), and
-``bank_for`` shares the last bank built across calls.
+above for one document set as arrays (see docs/features.md),
+``bank_for`` shares the last bank built across calls, and ``tfidf_cosines``
+reads the tf-idf baseline's matrix off that bank when it can.
 """
 
 from __future__ import annotations
@@ -260,6 +261,9 @@ class FeatureBank:
         pairs = np.sort(cells)
         pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
         pair_rows, pair_cols = np.divmod(pairs, nv)
+        # the pairs are sorted, so each sentence's words are one ascending run
+        self._pair_cols = pair_cols
+        self._row_ends = np.cumsum(np.bincount(pair_rows, minlength=n))
         self.sentence_freq = np.bincount(pair_cols, minlength=nv)
         max_in_sentence = np.zeros(nv)
         np.maximum.at(max_in_sentence, pair_cols, self.counts.ravel()[pairs])
@@ -306,7 +310,7 @@ class FeatureBank:
     @cached_property
     def sentence_word_ids(self) -> list[np.ndarray]:
         """Each sentence's distinct word indices, ascending (so its words sorted)."""
-        return [np.flatnonzero(row) for row in self.counts]
+        return np.split(self._pair_cols, self._row_ends[:-1])
 
     @cached_property
     def padded_word_ids(self) -> np.ndarray:
@@ -368,12 +372,13 @@ class FeatureBank:
         """n x n learned similarity w . phi(i, j) for pairwise-registry
         weights w; zero diagonal."""
         values = np.append(w, 0.0)
-        # one n x n layer at a time, in order, never a K x n x n gather
-        indicators = np.zeros(self.codes.shape[1:])
-        for layer in self.codes:
-            indicators += values[layer]
+        codes = self.codes
+        # one flat take per layer, in order, never a K x n x n gather
+        indicators = np.zeros(codes[0].size)
+        for layer in codes.reshape(len(codes), -1):
+            indicators += values.take(layer)
         m = np.tensordot(w[self._cos_index], self.cosines, axes=1)
-        m += indicators
+        m += indicators.reshape(m.shape)
         return m
 
     def _block_sum(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -458,6 +463,25 @@ def bank_for(x: DocumentSet, cfg: FeatureConfig) -> FeatureBank:
         _last_bank = bank = None
         bank = _last_bank = FeatureBank(x, cfg)
     return bank
+
+
+# the baseline's only cosine layer, tf-idf over all words; it depends on the
+# set alone, so any bank whose config has it holds the same matrix
+_BASELINE_CFG = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
+_BASELINE_STEM = "basic:all:tfidf"
+
+
+def tfidf_cosines(x: DocumentSet) -> np.ndarray:
+    """The n x n tf-idf cosines of ``x`` over all its words. When the bank
+    ``bank_for`` holds is of this set and has already built a cosine stack
+    with that layer, this is a view of the layer; otherwise it is the one
+    layer of a bank built through ``bank_for`` for it alone."""
+    bank = _last_bank
+    # cached_property keeps a built stack in the instance dict
+    built = bank is not None and bank.x is x and "cosines" in vars(bank)
+    if built and _BASELINE_STEM in bank._stems:
+        return bank.cosines[bank._stems.index(_BASELINE_STEM)]
+    return bank_for(x, _BASELINE_CFG).cosines[0]
 
 
 def _summary_ids(y) -> tuple[int, ...]:

@@ -75,6 +75,28 @@ def _cost_fn(x: DocumentSet, cost) -> Callable[[int], int]:
     raise TypeError(f"cost must be a callable or sequence, not {type(cost).__name__}")
 
 
+def _costs(cost: Callable[[int], int], n: int, r: float):
+    """The costs of sentences 0..n-1 as a tuple and an array, and their
+    cost**r scales (Python powers, so the same bits on every CPU); read-only,
+    since a cached copy is shared by every later call."""
+    costs = tuple(cost(sid) for sid in range(n))
+    for sid, c in enumerate(costs):
+        if c <= 0:
+            raise ValueError(f"sentence {sid} has non-positive cost {c}")
+    cost_arr, scale = np.array(costs), np.array([c ** r for c in costs])
+    cost_arr.flags.writeable = scale.flags.writeable = False
+    return costs, cost_arr, scale
+
+
+def _byte_costs(x: DocumentSet, r: float):
+    """``_costs`` of x's byte costs, computed once per (set, r) and kept on
+    the set."""
+    cached = x.cost_scales.get(r)
+    if cached is None:
+        cached = x.cost_scales[r] = _costs(_cost_fn(x, None), x.num_sentences, r)
+    return cached
+
+
 def greedy_maximize(
     x: DocumentSet,
     gain: Callable,
@@ -88,17 +110,15 @@ def greedy_maximize(
     when it exposes a ``commit(candidate_id)`` method, the method is
     invoked exactly once per accepted candidate, in acceptance order.
     ``cost`` maps a sentence id to a positive cost (a callable or a
-    sequence) and defaults to the byte costs of ``x``.
+    sequence) and defaults to the byte costs of ``x``, whose arrays are
+    computed once per (set, r) and kept on the set.
     """
     if cfg is None:
         raise ValueError("greedy_maximize requires a GreedyConfig")
-    cost = _cost_fn(x, cost)
-    costs = [cost(sid) for sid in range(x.num_sentences)]
-    for sid, c in enumerate(costs):
-        if c <= 0:
-            raise ValueError(f"sentence {sid} has non-positive cost {c}")
-    cost_arr = np.array(costs)
-    scale = np.array([c ** cfg.r for c in costs])
+    if cost is None:
+        costs, cost_arr, scale = _byte_costs(x, cfg.r)
+    else:
+        costs, cost_arr, scale = _costs(_cost_fn(x, cost), x.num_sentences, cfg.r)
     gains = getattr(gain, "gains", None)
     ids = np.arange(len(costs))
     selected: list[int] = []

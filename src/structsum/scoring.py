@@ -143,10 +143,9 @@ class PairwiseScorer:
     @staticmethod
     def tfidf_baseline(x: DocumentSet, lam: float = 4.0) -> "PairwiseScorer":
         """The hand-tuned baseline: tf-idf cosine over all words."""
-        from .features import FeatureConfig, bank_for
+        from .features import tfidf_cosines
 
-        cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
-        return PairwiseScorer(bank_for(x, cfg).cosines[0], lam)
+        return PairwiseScorer(tfidf_cosines(x), lam)
 
 
 def gain_state(x: DocumentSet, scorer: PairwiseScorer) -> PairwiseGainState:

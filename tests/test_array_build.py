@@ -89,6 +89,26 @@ def test_feature_bank_matches_former_loops(xy):
             assert same(getattr(got, name), getattr(want, name)), name
 
 
+def assert_word_ids_are_nonzero_columns(bank):
+    want = [np.flatnonzero(row) for row in bank.counts]
+    got = bank.sentence_word_ids
+    assert len(got) == len(want)
+    assert all(same(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(document_sets())
+def test_sentence_word_ids_are_the_nonzero_count_columns(xy):
+    """Read off the sorted (sentence, word) pairs, each sentence's word ids
+    equal its count row's nonzero columns, dtype included."""
+    assert_word_ids_are_nonzero_columns(FeatureBank(xy[0], FeatureConfig()))
+
+
+def test_sentence_word_ids_on_fixture(fixture_data):
+    for x, _ in fixture_data:
+        assert_word_ids_are_nonzero_columns(FeatureBank(x, FeatureConfig()))
+
+
 # a document is blank (skipped), punctuation only (counted, but without
 # sentences, so the document ids of the set skip it) or sentences, some of
 # which tokenize to nothing and only shift the positions after them

@@ -383,6 +383,11 @@ class TestInputContract:
         ("curve", ["--train-ids", "0", "--test-ids", "1", "--sizes="], "--sizes"),
         ("curve", ["--train-ids=", "--test-ids", "1", "--sizes", "1"], "--train-ids"),
         ("ablate", ["--train-ids=", "--test-ids", "1"], "--train-ids"),
+        ("bounds", ["--model-file", str(SMALL_MODEL), "--train-ids=", "--test-ids", "1"],
+         "--train-ids"),
+        ("bounds", ["--model-file", str(SMALL_MODEL), "--train-ids", "0", "--test-ids="],
+         "--test-ids"),
+        ("train", ["--train-ids", "0", "--val-ids="], "--val-ids"),
     ])
     def test_empty_list_flag_fails(self, capsys, tmp_path, monkeypatch, command, argv, flag):
         # an empty list used to mean "all": every set, row or feature group

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,25 @@ class TestGreedyMechanics:
         with pytest.raises(ValueError):
             greedy_maximize(x, lambda y, k: 1.0, cost=[0, 1],
                             cfg=GreedyConfig(budget_bytes=5, r=1.0))
+
+    def test_cached_byte_costs_equal_explicit_costs(self, fixture_data):
+        """With cost=None the byte costs and their cost**r scales are computed
+        once per (set, r); the summaries equal those of the explicit costs."""
+        for x, _ in fixture_data:
+            x = replace(x)  # a copy with an empty cache
+            assert x.cost_scales == {}
+            for r in (0.3, 1.0):
+                cfg = GreedyConfig(budget_bytes=200, r=r).for_set(x)
+
+                def gain():
+                    return coverage_state(x, lambda w: 1.0 + len(w) % 5)
+
+                want = greedy_maximize(x, gain(), cost=[s.cost for s in x.sentences], cfg=cfg)
+                assert greedy_maximize(x, gain(), cfg=cfg) == want
+                cached = x.cost_scales[r]
+                assert greedy_maximize(x, gain(), cfg=cfg) == want
+                assert x.cost_scales[r] is cached
+            assert list(x.cost_scales) == [0.3, 1.0]
 
     def test_commit_called_only_on_acceptance(self):
         x = flat_set(3)

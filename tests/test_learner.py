@@ -8,7 +8,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from structsum.corpus import ReferenceSet, build_document_set, tokenize
+from perfbench.gen import write_corpus
+from structsum.corpus import ReferenceSet, build_document_set, load_dataset, tokenize
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
 from structsum.greedy import GreedyConfig
@@ -39,6 +40,9 @@ from oracles import (
     word_counts,
 )
 from qp_reference import solve_dual_reference
+
+# the tf-idf baseline's own bank: tf-idf cosines over all words
+BASELINE_CFG = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
 
 
 def single_constraint_ws(cap, loss=1.0, vec=(1.0, 0.0)):
@@ -561,9 +565,45 @@ class TestBankSlot:
         for model in self._models():
             predict(x, model)
         assert builds == ([x.set_id], [x.set_id])
-        # the tf-idf baseline's config differs: one bank and one stack more
+        # the tf-idf baseline reads its layer off the held stack
+        PairwiseScorer.tfidf_baseline(x)
+        assert builds == ([x.set_id], [x.set_id])
+
+    def test_baseline_builds_its_own_bank_when_the_held_one_has_no_stack(
+            self, fixture_data, builds):
+        x = fixture_data[0][0]
+        coverage = self._models()[2]
+        predict(x, coverage)
+        held = bank_for(x, coverage.feature_config)
+        PairwiseScorer.tfidf_baseline(x)
+        # one bank and its one-layer stack more; the held bank builds no stack
+        assert builds == ([x.set_id] * 2, [x.set_id])
+        assert "cosines" not in vars(held)
+        assert bank_for(x, BASELINE_CFG).cosines.shape[0] == 1
+
+    @pytest.mark.parametrize("cfg", [FeatureConfig().without_group("basic"),
+                                     FeatureConfig(weightings=("raw",))],
+                             ids=["no-basic", "no-tfidf"])
+    def test_baseline_builds_its_own_bank_without_the_tfidf_layer(
+            self, fixture_data, builds, cfg):
+        x = fixture_data[0][0]
+        w = np.random.default_rng(0).standard_normal(registry_for(cfg, "pairwise").dimension)
+        predict(x, Model("pairwise", w, cfg, LossConfig(), GreedyConfig(budget_bytes=100), 4.0))
         PairwiseScorer.tfidf_baseline(x)
         assert builds == ([x.set_id] * 2, [x.set_id] * 2)
+        assert bank_for(x, BASELINE_CFG).cosines.shape[0] == 1
+
+    def test_baseline_read_off_a_model_bank_equals_its_own_bank(self, fixture_data, tmp_path):
+        """After predict with a default-config model, the baseline is a view
+        of that bank's stack, bit for bit its own one-layer bank's matrix."""
+        duc = load_dataset(write_corpus(tmp_path / "duc.jsonl", "duc", 12, 1, eval_sets=1))
+        model = self._models()[0]
+        for x, _ in fixture_data + duc:
+            predict(x, model)
+            held = bank_for(x, model.feature_config).cosines
+            m = PairwiseScorer.tfidf_baseline(x).m
+            assert np.shares_memory(m, held)
+            assert np.array_equal(m, FeatureBank(x, BASELINE_CFG).cosines[0])
 
     def test_other_set_or_unequal_config_builds_anew(self, fixture_data, builds):
         (x0, _), (x1, _) = fixture_data[:2]
