@@ -19,8 +19,9 @@ Tokens are interned per load: one ``load_dataset`` call tokenizes each
 distinct whitespace chunk once, and equal chunks in all of its documents and
 references share one immutable ``Token``. Nothing is cached across calls.
 
-A ``DocumentSet`` holds sentences and their tokens only, plus the greedy's
-cache of their byte costs (``cost_scales``). The per-word statistics the
+A ``DocumentSet`` holds sentences and their tokens only, plus read-only
+arrays of their byte costs and the greedy's ``cost ** r`` scales, computed
+on first use (``costs``, ``cost_scales(r)``). The per-word statistics the
 features read (sentence and document frequency, counts, earliest position,
 capitalized and stopword flags) are derived from them as arrays by
 ``features.FeatureBank``.
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 
 class DatasetError(ValueError):
@@ -167,7 +170,8 @@ class Sentence:
 
 @dataclass(frozen=True)
 class DocumentSet:
-    """All sentences of one multi-document cluster. Immutable once built."""
+    """All sentences of one multi-document cluster. Immutable once built;
+    its cost arrays are read-only caches."""
 
     set_id: str
     sentences: tuple[Sentence, ...]
@@ -179,10 +183,28 @@ class DocumentSet:
         return len(self.sentences)
 
     @cached_property
-    def cost_scales(self) -> dict:
-        """The greedy's byte costs and cost**r scales, filled once per r by
-        ``greedy.greedy_maximize``; a cache, so not part of the set's value."""
+    def costs(self) -> np.ndarray:
+        """The sentences' byte costs as a read-only array, built once."""
+        return _read_only(np.array([s.cost for s in self.sentences], dtype=int))
+
+    def cost_scales(self, r: float) -> np.ndarray:
+        """``costs ** r`` as a read-only array, built once per r with Python
+        powers (numpy's may differ by an ulp across CPUs)."""
+        scales = self._cost_scales.get(r)
+        if scales is None:
+            scales = self._cost_scales[r] = _read_only(
+                np.array([c ** r for c in self.costs.tolist()], dtype=float))
+        return scales
+
+    @cached_property
+    def _cost_scales(self) -> dict[float, np.ndarray]:
+        # a cache, so not part of the set's value
         return {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass

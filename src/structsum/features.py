@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .corpus import DocumentSet
-from .scoring import Summary, pad_word_ids
+from .scoring import Summary
 
 GROUPS = ("basic", "cap_stop_len", "location", "minmax", "sent_doc")
 WEIGHTINGS = ("raw", "tfidf")
@@ -260,10 +260,9 @@ class FeatureBank:
         # (np.unique, without an overhead that dominates at this size)
         pairs = np.sort(cells)
         pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+        # sorted, so each sentence's words are one ascending run
+        self._pairs = pairs
         pair_rows, pair_cols = np.divmod(pairs, nv)
-        # the pairs are sorted, so each sentence's words are one ascending run
-        self._pair_cols = pair_cols
-        self._row_ends = np.cumsum(np.bincount(pair_rows, minlength=n))
         self.sentence_freq = np.bincount(pair_cols, minlength=nv)
         max_in_sentence = np.zeros(nv)
         np.maximum.at(max_in_sentence, pair_cols, self.counts.ravel()[pairs])
@@ -307,32 +306,59 @@ class FeatureBank:
             f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
         ]
 
+    def _word_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (sentence, word) pairs as sentence and word indices, and each
+        sentence's number of distinct words."""
+        rows, cols = np.divmod(self._pairs, len(self.words))
+        return rows, cols, np.bincount(rows, minlength=self.x.num_sentences)
+
     @cached_property
     def sentence_word_ids(self) -> list[np.ndarray]:
         """Each sentence's distinct word indices, ascending (so its words sorted)."""
-        return np.split(self._pair_cols, self._row_ends[:-1])
+        _, cols, lengths = self._word_runs()
+        return np.split(cols, np.cumsum(lengths)[:-1])
 
     @cached_property
     def padded_word_ids(self) -> np.ndarray:
-        """``sentence_word_ids`` padded with the vocabulary size, the index
-        matrix every coverage gain state of this set shares."""
-        return pad_word_ids(self.sentence_word_ids, len(self.words))
+        """The index matrix every coverage gain state of this set shares:
+        row k holds ``sentence_word_ids[k]`` left-aligned, then the
+        vocabulary size."""
+        rows, cols, lengths = self._word_runs()
+        padded = np.full((len(lengths), lengths.max(initial=0)), len(self.words), dtype=np.intp)
+        padded[rows, np.arange(len(cols)) - (np.cumsum(lengths) - lengths)[rows]] = cols
+        return padded
 
     @cached_property
     def cosines(self) -> np.ndarray:
         """K x n x n cosines, one layer per stem; the diagonal is zero."""
         n = self.x.num_sentences
         out = np.zeros((len(self._stems), n, n))
-        layers = ((mask, scheme) for mask in self.masks for scheme in sorted(self.cfg.weightings))
-        for cos, (mask, scheme) in zip(out, layers):
-            v = self.counts[:, mask] * (self.idf[mask] if scheme == "tfidf" else 1.0)
-            dot = v @ v.T
-            norm_sq = np.diag(dot).copy()
-            # one sqrt of the product keeps rational cosines such as
-            # 1/sqrt(2*2) exact at bin edges
-            denom = np.sqrt(np.outer(norm_sq, norm_sq))
-            np.divide(dot, denom, out=cos, where=denom > 0.0)
-            np.fill_diagonal(cos, 0.0)
+        layers = iter(out)
+        # raw dot products sum products of word counts, integers that stay
+        # exact in float64 in any order while sentences have under 2**26
+        # tokens; so a raw layer may take the all-words dot minus that of
+        # its complement, the same bits, when the complement is smaller
+        exact = max((len(s.tokens) for s in self.x.sentences), default=0) < 2**26
+        all_raw = None
+        for mask in self.masks:
+            counts = self.counts[:, mask]
+            for scheme, cos in zip(sorted(self.cfg.weightings), layers):
+                if scheme == "tfidf":
+                    v = counts * self.idf[mask]
+                    dot = v @ v.T
+                elif all_raw is not None and 2 * np.count_nonzero(mask) > len(mask):
+                    rest = self.counts[:, ~mask]
+                    dot = all_raw - rest @ rest.T
+                else:
+                    dot = counts @ counts.T
+                    if exact and mask.all():
+                        all_raw = dot
+                norm_sq = np.diag(dot).copy()
+                # one sqrt of the product keeps rational cosines such as
+                # 1/sqrt(2*2) exact at bin edges
+                denom = np.sqrt(np.outer(norm_sq, norm_sq))
+                np.divide(dot, denom, out=cos, where=denom > 0.0)
+                np.fill_diagonal(cos, 0.0)
         return out
 
     @cached_property
@@ -475,7 +501,10 @@ def tfidf_cosines(x: DocumentSet) -> np.ndarray:
     """The n x n tf-idf cosines of ``x`` over all its words. When the bank
     ``bank_for`` holds is of this set and has already built a cosine stack
     with that layer, this is a view of the layer; otherwise it is the one
-    layer of a bank built through ``bank_for`` for it alone."""
+    layer of a bank built through ``bank_for`` for it alone. The view is
+    taken only when the baseline follows a pairwise ``predict`` on the same
+    set, as when one process compares models with the baseline set by set;
+    the CLI's ``summarize --baseline`` always builds the small bank."""
     bank = _last_bank
     # cached_property keeps a built stack in the instance dict
     built = bank is not None and bank.x is x and "cosines" in vars(bank)

@@ -75,26 +75,20 @@ def _cost_fn(x: DocumentSet, cost) -> Callable[[int], int]:
     raise TypeError(f"cost must be a callable or sequence, not {type(cost).__name__}")
 
 
-def _costs(cost: Callable[[int], int], n: int, r: float):
-    """The costs of sentences 0..n-1 as a tuple and an array, and their
-    cost**r scales (Python powers, so the same bits on every CPU); read-only,
-    since a cached copy is shared by every later call."""
-    costs = tuple(cost(sid) for sid in range(n))
-    for sid, c in enumerate(costs):
-        if c <= 0:
-            raise ValueError(f"sentence {sid} has non-positive cost {c}")
-    cost_arr, scale = np.array(costs), np.array([c ** r for c in costs])
-    cost_arr.flags.writeable = scale.flags.writeable = False
-    return costs, cost_arr, scale
-
-
-def _byte_costs(x: DocumentSet, r: float):
-    """``_costs`` of x's byte costs, computed once per (set, r) and kept on
-    the set."""
-    cached = x.cost_scales.get(r)
-    if cached is None:
-        cached = x.cost_scales[r] = _costs(_cost_fn(x, None), x.num_sentences, r)
-    return cached
+def _costs(x: DocumentSet, cost, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The costs of x's sentences and their cost**r scales (Python powers,
+    so the same bits on every CPU). The byte costs (``cost=None``) read the
+    set's own arrays, built once per (set, r)."""
+    if cost is None:
+        cost_arr = x.costs
+    else:
+        fn = _cost_fn(x, cost)
+        cost_arr = np.array([fn(sid) for sid in range(x.num_sentences)])
+    bad = np.flatnonzero(cost_arr <= 0)
+    if len(bad):
+        raise ValueError(f"sentence {bad[0]} has non-positive cost {cost_arr[bad[0]]}")
+    scale = x.cost_scales(r) if cost is None else np.array([c ** r for c in cost_arr.tolist()])
+    return cost_arr, scale
 
 
 def greedy_maximize(
@@ -110,17 +104,14 @@ def greedy_maximize(
     when it exposes a ``commit(candidate_id)`` method, the method is
     invoked exactly once per accepted candidate, in acceptance order.
     ``cost`` maps a sentence id to a positive cost (a callable or a
-    sequence) and defaults to the byte costs of ``x``, whose arrays are
-    computed once per (set, r) and kept on the set.
+    sequence) and defaults to the byte costs of ``x``, whose arrays the set
+    builds once per r (``DocumentSet.costs``, ``cost_scales``).
     """
     if cfg is None:
         raise ValueError("greedy_maximize requires a GreedyConfig")
-    if cost is None:
-        costs, cost_arr, scale = _byte_costs(x, cfg.r)
-    else:
-        costs, cost_arr, scale = _costs(_cost_fn(x, cost), x.num_sentences, cfg.r)
+    cost_arr, scale = _costs(x, cost, cfg.r)
     gains = getattr(gain, "gains", None)
-    ids = np.arange(len(costs))
+    ids = np.arange(len(cost_arr))
     selected: list[int] = []
     total = 0
     while True:
@@ -140,7 +131,7 @@ def greedy_maximize(
             break
         sid = int(ids[best])
         selected.append(sid)
-        total += costs[sid]
+        total += cost_arr[sid].item()
         if hasattr(gain, "commit"):
             gain.commit(sid)
         ids = np.delete(ids, best)

@@ -94,21 +94,12 @@ class SplitGainState:
         self.sel_red += self.mr[k]
 
 
-def pad_word_ids(word_ids, pad: int) -> np.ndarray:
-    """Matrix whose row k holds ``word_ids[k]`` left-aligned, then ``pad``."""
-    width = max((len(ws) for ws in word_ids), default=0)
-    padded = np.full((len(word_ids), width), pad, dtype=np.intp)
-    for row, ws in zip(padded, word_ids):
-        row[: len(ws)] = ws
-    return padded
-
-
 class CoverageGainState:
     """Coverage gains over word indices.
 
-    ``padded`` is ``pad_word_ids(word_ids, len(values))``, where
-    ``word_ids[k]`` lists sentence k's distinct word indices in ascending
-    order, and ``values[v]`` is word v's value. A gain adds the values of
+    Row k of ``padded`` holds sentence k's distinct word indices in
+    ascending order, left-aligned, then ``len(values)`` (as in
+    ``FeatureBank.padded_word_ids``), and ``values[v]`` is word v's value. A gain adds the values of
     the sentence's uncovered words left to right, one column of the padded
     matrix at a time, so every candidate sums in the same order as a scalar
     loop over its words. The matrix is shared, not copied.

@@ -577,8 +577,9 @@ def group_members(g, x, vocab) -> frozenset:
 
 class FeatureBankReference(FeatureBank):
     """``FeatureBank`` with the package's former per-word and per-pair
-    loops for the vocabulary arrays, ``codes`` and ``word_features``;
-    ``cosines`` and the read-outs are inherited."""
+    loops for the vocabulary arrays, ``codes`` and ``word_features``, and
+    its former ``cosines``, one product per layer over the layer's own
+    columns; the read-outs are inherited."""
 
     def __init__(self, x, cfg):
         self.x = x
@@ -603,6 +604,20 @@ class FeatureBankReference(FeatureBank):
         self._stems = [
             f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
         ]
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        n = self.x.num_sentences
+        out = np.zeros((len(self._stems), n, n))
+        layers = ((mask, scheme) for mask in self.masks for scheme in sorted(self.cfg.weightings))
+        for cos, (mask, scheme) in zip(out, layers):
+            v = self.counts[:, mask] * (self.idf[mask] if scheme == "tfidf" else 1.0)
+            dot = v @ v.T
+            norm_sq = np.diag(dot).copy()
+            denom = np.sqrt(np.outer(norm_sq, norm_sq))
+            np.divide(dot, denom, out=cos, where=denom > 0.0)
+            np.fill_diagonal(cos, 0.0)
+        return out
 
     @cached_property
     def codes(self) -> np.ndarray:

@@ -89,18 +89,32 @@ def test_feature_bank_matches_former_loops(xy):
             assert same(getattr(got, name), getattr(want, name)), name
 
 
+def test_feature_bank_matches_former_loops_on_fixture(fixture_data):
+    """The fixture's sets are larger than the generated ones, with more
+    words per mask for the cosine products to sum."""
+    for x, _ in fixture_data:
+        got, want = FeatureBank(x, FeatureConfig()), FeatureBankReference(x, FeatureConfig())
+        for name in ("cosines", "codes"):
+            assert same(getattr(got, name), getattr(want, name)), (x.set_id, name)
+
+
 def assert_word_ids_are_nonzero_columns(bank):
     want = [np.flatnonzero(row) for row in bank.counts]
     got = bank.sentence_word_ids
     assert len(got) == len(want)
     assert all(same(g, w) for g, w in zip(got, want))
+    padded = np.full((len(want), max(map(len, want), default=0)), len(bank.words), np.intp)
+    for row, ids in zip(padded, want):
+        row[:len(ids)] = ids
+    assert same(bank.padded_word_ids, padded)
 
 
 @settings(max_examples=150, deadline=None)
 @given(document_sets())
 def test_sentence_word_ids_are_the_nonzero_count_columns(xy):
     """Read off the sorted (sentence, word) pairs, each sentence's word ids
-    equal its count row's nonzero columns, dtype included."""
+    equal its count row's nonzero columns, dtype included, and the padded
+    matrix holds them left-aligned, then the vocabulary size."""
     assert_word_ids_are_nonzero_columns(FeatureBank(xy[0], FeatureConfig()))
 
 

@@ -189,11 +189,11 @@ class TestGreedyMechanics:
                             cfg=GreedyConfig(budget_bytes=5, r=1.0))
 
     def test_cached_byte_costs_equal_explicit_costs(self, fixture_data):
-        """With cost=None the byte costs and their cost**r scales are computed
-        once per (set, r); the summaries equal those of the explicit costs."""
+        """With cost=None the byte costs and their cost**r scales are the
+        set's own arrays, built once per (set, r); the summaries equal those
+        of the explicit costs."""
         for x, _ in fixture_data:
-            x = replace(x)  # a copy with an empty cache
-            assert x.cost_scales == {}
+            x = replace(x)  # a copy with empty caches
             for r in (0.3, 1.0):
                 cfg = GreedyConfig(budget_bytes=200, r=r).for_set(x)
 
@@ -202,10 +202,13 @@ class TestGreedyMechanics:
 
                 want = greedy_maximize(x, gain(), cost=[s.cost for s in x.sentences], cfg=cfg)
                 assert greedy_maximize(x, gain(), cfg=cfg) == want
-                cached = x.cost_scales[r]
+                scales = x.cost_scales(r)
                 assert greedy_maximize(x, gain(), cfg=cfg) == want
-                assert x.cost_scales[r] is cached
-            assert list(x.cost_scales) == [0.3, 1.0]
+                assert x.cost_scales(r) is scales
+                assert scales.tolist() == [s.cost ** r for s in x.sentences]
+                assert not scales.flags.writeable
+            assert x.costs.tolist() == [s.cost for s in x.sentences]
+            assert not x.costs.flags.writeable
 
     def test_commit_called_only_on_acceptance(self):
         x = flat_set(3)

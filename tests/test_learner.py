@@ -4,11 +4,11 @@ import random
 import weakref
 from dataclasses import FrozenInstanceError, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perfbench.gen import write_corpus
 from structsum.corpus import ReferenceSet, build_document_set, load_dataset, tokenize
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
@@ -593,9 +593,15 @@ class TestBankSlot:
         assert builds == ([x.set_id] * 2, [x.set_id] * 2)
         assert bank_for(x, BASELINE_CFG).cosines.shape[0] == 1
 
-    def test_baseline_read_off_a_model_bank_equals_its_own_bank(self, fixture_data, tmp_path):
+    def test_baseline_read_off_a_model_bank_equals_its_own_bank(
+            self, fixture_data, tmp_path, monkeypatch):
         """After predict with a default-config model, the baseline is a view
         of that bank's stack, bit for bit its own one-layer bank's matrix."""
+        # the benchmark's corpus generator lives at the repository root,
+        # outside the package
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.gen import write_corpus
+
         duc = load_dataset(write_corpus(tmp_path / "duc.jsonl", "duc", 12, 1, eval_sets=1))
         model = self._models()[0]
         for x, _ in fixture_data + duc:
