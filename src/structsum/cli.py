@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
     train_ids = _parse_ids(args.train_ids, len(data), "--train-ids") or list(range(len(data)))
     val_ids = _parse_ids(args.val_ids, len(data), "--val-ids") or []
     grid, trainer_cfg = _trainer(args)
+    if val_ids and len(grid) == 1:
+        raise ValueError("--val-ids needs a C grid (give --C two or more values)")
     c_table = None
     log_lines: list[str] = []
 

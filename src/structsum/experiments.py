@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import DocumentSet, ReferenceSet
 from .features import FeatureConfig, bank_for
 from .greedy import GreedyConfig, greedy_maximize
-from .learner import Model, PreparedSet, TrainerConfig, TrainResult, train
+from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
 
@@ -93,14 +93,16 @@ def train_on(
     single_reference: bool = False,
     log_callback=None,
     sets: list[PreparedSet] | None = None,
+    shared: SharedPrefix | None = None,
 ) -> TrainResult:
-    """Prepare ``data[i] for i in ids`` (unless given as ``sets``) and train once."""
+    """Prepare ``data[i] for i in ids`` (unless given as ``sets``) and train
+    once, from the prefix ``shared`` holds, if any (see ``learner.train``)."""
     if sets is None:
         sets = prepare_sets(data, ids, feature_config, loss_config, greedy_config, single_reference)
     elif len(sets) != len(ids):
         raise ValueError(f"{len(sets)} prepared sets for {len(ids)} training ids")
     return train(sets, model_kind, feature_config, loss_config, greedy_config, trainer_config,
-                 lam=lam, log_callback=log_callback)
+                 lam=lam, log_callback=log_callback, shared=shared)
 
 
 @dataclass
@@ -301,7 +303,9 @@ def select_c(
     single_reference: bool = False,
 ) -> tuple[float, list[dict]]:
     """Pick the grid point with the best validation F (ties: smaller C),
-    preparing the training and validation sets once for every C."""
+    preparing the training and validation sets once for every C. Each C
+    starts from the previous, smaller C's run where that run's cap first
+    acted (``learner.SharedPrefix``); every result equals a run from w = 0."""
     best_c, table, _ = _select_c(
         data, train_ids, val_ids, c_grid, model_kind, feature_config, loss_config,
         greedy_config, trainer_config, lam, single_reference,
@@ -324,12 +328,14 @@ def _select_c(
     val_sets = prepare_sets(data, val_ids, *configs)
     table = []
     best_c, best_f, best_result = None, -1.0, None
-    # one train_on call per C: perfbench records the C grid's trainings by
-    # wrapping train_on
+    # in ascending C, each C continues the previous C's run up to its first
+    # capped solve; one train_on call per C: perfbench records the C grid's
+    # trainings by wrapping train_on
+    shared = SharedPrefix()
     for cfg in trainer_configs:
         result = train_on(
             data, list(train_ids), model_kind, *configs, cfg, lam=lam,
-            single_reference=single_reference, sets=train_sets,
+            single_reference=single_reference, sets=train_sets, shared=shared,
         )
         fs = _f_values(val_sets, result.model)
         c, f = cfg.C, sum(fs) / len(fs)

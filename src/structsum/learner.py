@@ -25,14 +25,30 @@ at a blocking constraint, which joins the working set. After a full step the
 most negative multiplier (nu_i of a held cap, g_c + nu_i of an alpha at
 zero) leaves it if below -qp_tol, else the solve ends. So qp_tol bounds the
 KKT residuals in gradient units; qp_max_passes caps one solve's iterations.
+
+The cap C / n enters a solve at three points only: the cap ratios of the
+blocking test, the held caps (which exist only after a cap ratio blocked a
+step), and the final scale-back that divides each alpha by max(sum / cap, 1).
+A larger C only raises the cap ratios, and the shrink ratios come first in
+the test, so its argmin picks the same step unless a cap ratio was picked;
+the scale-back divides by exactly 1.0 unless a sum exceeded its cap. So until
+a solve in which a cap ratio chose a step or the scale-back divided by more
+than 1 (``WorkingSet.capped``), a run at any larger C does the same
+arithmetic; outside the solves C enters only each log entry's primal and
+gap. A C grid therefore trains each C from where the previous, smaller C's
+run first felt its cap, or takes that run whole if its cap never acted
+(``SharedPrefix``), and every model and log stays bit-identical to a run
+from w = 0. A change to the solve must keep C out of everything but these
+three points, or flag every solve in which C may matter.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,6 +230,12 @@ class WorkingSet:
     ``K``, ``xi``, ``violation``, w) is a dot over that dpsi's nonzeros.
     Invariants: alphas non-negative, per-example sums never above C / n,
     and w equal to sum(alpha * dpsi) (re-accumulated after each solve).
+
+    ``solve`` sets ``capped`` when C / n acted on it: a cap ratio chose a
+    step, the final scale-back divided by more than 1, or it logged a
+    warning. A solve that did not set it gives the same bits at any larger
+    C from the same state (see the module docstring); that is what lets a
+    C grid share a run's prefix, so a change here must keep it true.
     """
 
     def __init__(self, n_examples: int, C: float, dimension: int):
@@ -226,6 +248,7 @@ class WorkingSet:
         self.w = np.zeros(dimension)
         self.K = np.zeros((0, 0))
         self.last_iterations = 0
+        self.capped = False
         self._idx: list[np.ndarray] = []
         self._val: list[np.ndarray] = []
         self._alpha = np.zeros(0)
@@ -233,6 +256,18 @@ class WorkingSet:
         self._example = np.zeros(0, dtype=np.int64)
         self._at_zero = np.zeros(0, dtype=bool)
         self._tight = np.zeros(n_examples, dtype=bool)
+
+    def copy(self, C: float) -> "WorkingSet":
+        """This working set at ``C``, with the arrays a solve writes copied
+        and the append-only lists sliced, so that later ``add``s and solves
+        on either side leave the other alone (``add`` replaces ``K`` and the
+        per-constraint arrays rather than writing into them)."""
+        other = copy.copy(self)
+        other.C, other.cap = C, C / self.n_examples
+        other._idx, other._val = list(self._idx), list(self._val)
+        other.w, other._alpha, other._at_zero, other._tight = (
+            a.copy() for a in (self.w, self._alpha, self._at_zero, self._tight))
+        return other
 
     @property
     def total_constraints(self) -> int:
@@ -266,9 +301,12 @@ class WorkingSet:
     def dual_objective(self) -> float:
         return float(self._alpha @ self._loss - 0.5 * (self.w @ self.w))
 
+    def primal_parts(self) -> tuple[float, float]:
+        """(0.5 w.w, the sum of the slacks): the C-free parts of the primal."""
+        return 0.5 * (self.w @ self.w), sum(self.xi(i) for i in range(self.n_examples))
+
     def primal_objective(self) -> float:
-        slack = sum(self.xi(i) for i in range(self.n_examples))
-        return float(0.5 * (self.w @ self.w) + self.cap * slack)
+        return _primal(self.cap, *self.primal_parts())
 
     def _refresh_w(self) -> None:
         self.w = np.zeros(self.dimension)
@@ -283,7 +321,7 @@ class WorkingSet:
             raise ValueError("working set is empty")
         alpha, at_zero, tight, n = self._alpha, self._at_zero, self._tight, self.n_examples
         loss, ex = self._loss, self._example
-        iteration = 0
+        iteration, capped = 0, False
         for iteration in range(1, cfg.qp_max_passes + 1):
             free = np.flatnonzero(~at_zero)
             tight &= np.bincount(ex[free], minlength=n) > 0
@@ -319,10 +357,12 @@ class WorkingSet:
                     at_zero[free[shrink[k]]] = True
                 else:
                     tight[grow[k - len(shrink)]] = True
+                    capped = True
                 continue
             if not np.isfinite(t):
                 # unreachable while caps are finite: every ray meets a bound
                 logger.warning("QP solve stopped on an unblocked descent ray")
+                capped = True
                 break
             alpha[free] = np.maximum(alpha[free] + step, 0.0)
             # full step: release the most negative multiplier, if any
@@ -340,11 +380,20 @@ class WorkingSet:
                 at_zero[zero[k - len(held)]] = False
         else:
             logger.warning("QP solve stopped at qp_max_passes=%d", cfg.qp_max_passes)
+            capped = True
         # rounding in the KKT solves can leave a held cap a few ulps over
-        alpha /= np.maximum(np.bincount(ex, weights=alpha, minlength=n) / self.cap, 1.0)[ex]
+        scale = np.maximum(np.bincount(ex, weights=alpha, minlength=n) / self.cap, 1.0)
+        alpha /= scale[ex]
+        # a warning counts as the cap acting, so that every C logs its own
+        self.capped = capped or bool(scale.max() > 1.0)
         self.last_iterations = iteration
         self._refresh_w()
         return self.dual_objective()
+
+
+def _primal(cap: float, half_ww: float, slack: float) -> float:
+    """0.5 w.w + (C / n) sum xi, from ``WorkingSet.primal_parts``."""
+    return float(half_ww + cap * slack)
 
 
 def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -477,6 +526,70 @@ class TrainResult:
         return self.iterations[-1]["max_violation"] if self.iterations else 0.0
 
 
+@dataclass
+class _Run:
+    """A training run between two steps of its loop: its working set; its
+    position (outer iteration ``it``, set ``i`` and ``pending``, the
+    oracle's constraint at set ``i`` when it was violated but not yet added)
+    with that iteration's counters; its logs (the entries, their C-free
+    primal parts, the dual after every solve); and its best train-F weights."""
+
+    ws: WorkingSet
+    best_w: np.ndarray
+    entries: list[dict] = field(default_factory=list)
+    parts: list[tuple[float, float]] = field(default_factory=list)
+    duals: list[float] = field(default_factory=list)
+    it: int = 0
+    i: int = 0
+    pending: Constraint | None = None
+    added: int = 0
+    max_violation: float = 0.0
+    qp_iters: int = 0
+    best_score: float = -1.0
+    converged: bool = False
+
+    def snapshot(self, C: float) -> "_Run":
+        """A copy at ``C`` that neither run's later steps touch."""
+        return replace(self, ws=self.ws.copy(C), entries=self.entries[:],
+                       parts=self.parts[:], duals=self.duals[:])
+
+
+class SharedPrefix:
+    """What a run of a C grid hands the next, larger C: its state just
+    before its first solve whose cap acted (``WorkingSet.capped``), or its
+    end state if none did. Until then a run at a larger C does the same
+    arithmetic (see the module docstring), so ``train`` given the holder
+    continues from there instead of from w = 0, and refills it. The gain is
+    the share of solves before the cap first acts: large when the caps act
+    late or never, small for a grid of C << 1, whose caps act from the first
+    solves. It holds copies of a working set, so its owner, the grid's
+    driver, drops it with the grid; a ``TrainResult`` never keeps it."""
+
+    def __init__(self):
+        self._run: _Run | None = None
+        self._sets: list[PreparedSet] = []
+        self._of: tuple = ()
+        self._trainer: TrainerConfig | None = None
+        self._solves = 0
+
+    def _start(self, sets, of: tuple, trainer_config: TrainerConfig) -> _Run | None:
+        """The state to continue from, checked to come from the same
+        training at a C no larger; None for the grid's first C."""
+        if self._run is None:
+            return None
+        prev = self._trainer
+        if (len(sets) != len(self._sets) or any(a is not b for a, b in zip(sets, self._sets))
+                or of != self._of or replace(trainer_config, C=prev.C) != prev
+                or trainer_config.C < prev.C):
+            raise ValueError("a shared prefix continues only the same training at a larger C")
+        return self._run
+
+    def _keep(self, run: _Run, sets, of: tuple, trainer_config: TrainerConfig,
+              solves: int) -> None:
+        self._run, self._sets, self._of = run, list(sets), of
+        self._trainer, self._solves = trainer_config, solves
+
+
 def train(
     sets: list[PreparedSet],
     model_kind: str,
@@ -486,73 +599,113 @@ def train(
     trainer_config: TrainerConfig = TrainerConfig(),
     lam: float | None = None,
     log_callback=None,
+    shared: SharedPrefix | None = None,
 ) -> TrainResult:
     """Cutting-plane training loop over sets prepared under the same feature
     and loss configs; each set's target is computed on first use and kept.
     Returns the model with per-iteration statistics and the dual objective
     after every QP solve. If the iteration cap is hit, the weights with the
-    best training score seen are returned and a warning is logged."""
+    best training score seen are returned and a warning is logged.
+
+    Given ``shared``, filled by the same training at a smaller C, the run
+    continues from the state it holds: the entries up to there are logged
+    again, with this C's primal and gap, and the result is bit-identical to
+    a run from w = 0. The holder is then refilled for the next C."""
     if not sets:
         raise ValueError("no training data")
     if any(s.bank.cfg != feature_config or s.rouge.cfg != loss_config for s in sets):
         raise ValueError("training sets were prepared under other feature or loss configs")
     model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
     psi_targets = [psi(s.bank, s.with_target().target, model) for s in sets]
-    ws = WorkingSet(len(sets), trainer_config.C, model.w.shape[0])
-    iterations: list[dict] = []
-    dual_history: list[float] = []
-    best_score = -1.0
-    best_w = model.w.copy()
-    converged = False
-    for it in range(trainer_config.max_outer_iters):
-        added = 0
-        max_violation = 0.0
-        qp_iters = 0
-        for i, state in enumerate(sets):
-            model.w = ws.w
-            con = _oracle_from_state(state, i, psi_targets[i], model)
-            v = ws.violation(con)
-            max_violation = max(max_violation, v)
-            if v > trainer_config.epsilon:
-                ws.add(con)
-                added += 1
-                dual_history.append(ws.solve(trainer_config))
-                qp_iters += ws.last_iterations
-        model.w = ws.w
-        dual = dual_history[-1] if dual_history else 0.0
-        primal = ws.primal_objective()
-        entry = {
-            "iteration": it,
-            "constraints_total": ws.total_constraints,
-            "constraints_added": added,
-            "dual_objective": dual,
-            "primal": primal,
-            "gap": primal - dual,
-            "qp_iters": qp_iters,
-            "max_violation": max_violation,
-        }
-        if trainer_config.track_train_rouge:
-            entry["train_rouge1f"] = _mean_train_rouge(sets, model)
-            if entry["train_rouge1f"] > best_score:
-                best_score = entry["train_rouge1f"]
-                best_w = ws.w.copy()
-        iterations.append(entry)
+    C = trainer_config.C
+    of = (model_kind, feature_config, loss_config, greedy_config, lam)
+    start = shared._start(sets, of, trainer_config) if shared is not None else None
+    if start is None:
+        run = _Run(WorkingSet(len(sets), C, model.w.shape[0]), best_w=model.w.copy())
+        if shared is not None:
+            logger.debug("C=%g starts from w = 0", C)
+    else:
+        run = start.snapshot(C)
+        prev_c, n_shared, n_prev = shared._trainer.C, len(start.duals), shared._solves
+        if n_shared == n_prev:
+            logger.debug("C=%g takes the C=%g run whole (%d of %d solves shared)",
+                         C, prev_c, n_shared, n_prev)
+        else:
+            logger.debug("C=%g starts from the C=%g run at iteration %d, set %d "
+                         "(%d of %d solves shared)", C, prev_c, start.it, start.i,
+                         n_shared, n_prev)
+    ws = run.ws
+
+    def emit(entry: dict) -> None:
+        run.entries.append(entry)
         logger.info("train %s", json.dumps(entry, sort_keys=True))
         if log_callback is not None:
             log_callback(entry)
-        if added == 0:
-            converged = True
-            break
+
+    # the shared entries again, at this C (none on a run from w = 0)
+    shared_entries, run.entries = run.entries, []
+    for entry, (half_ww, slack) in zip(shared_entries, run.parts):
+        primal = _primal(ws.cap, half_ww, slack)
+        emit(dict(entry, primal=primal, gap=primal - entry["dual_objective"]))
+    capped_from = None  # the state before this run's first solve whose cap acted
+    while not run.converged and run.it < trainer_config.max_outer_iters:
+        while run.i < len(sets):
+            if run.pending is None:
+                model.w = ws.w
+                con = _oracle_from_state(sets[run.i], run.i, psi_targets[run.i], model)
+                v = ws.violation(con)
+                run.max_violation = max(run.max_violation, v)
+                if v > trainer_config.epsilon:
+                    run.pending = con
+            if run.pending is not None:
+                before = run.snapshot(C) if shared is not None and capped_from is None else None
+                ws.add(run.pending)
+                run.pending = None
+                run.added += 1
+                run.duals.append(ws.solve(trainer_config))
+                run.qp_iters += ws.last_iterations
+                if before is not None and ws.capped:
+                    capped_from = before
+            run.i += 1
+        model.w = ws.w
+        dual = run.duals[-1] if run.duals else 0.0
+        half_ww, slack = ws.primal_parts()
+        run.parts.append((half_ww, slack))
+        primal = _primal(ws.cap, half_ww, slack)
+        entry = {
+            "iteration": run.it,
+            "constraints_total": ws.total_constraints,
+            "constraints_added": run.added,
+            "dual_objective": dual,
+            "primal": primal,
+            "gap": primal - dual,
+            "qp_iters": run.qp_iters,
+            "max_violation": run.max_violation,
+        }
+        if trainer_config.track_train_rouge:
+            entry["train_rouge1f"] = _mean_train_rouge(sets, model)
+            if entry["train_rouge1f"] > run.best_score:
+                run.best_score = entry["train_rouge1f"]
+                run.best_w = ws.w.copy()
+        emit(entry)
+        if run.added == 0:
+            run.converged = True
+        else:
+            run.it, run.i, run.added, run.max_violation, run.qp_iters = run.it + 1, 0, 0, 0.0, 0
     model.w = ws.w
-    if not converged:
+    if not run.converged:
         logger.warning(
             "training stopped at max_outer_iters=%d with violations above epsilon; "
             "returning best weights seen",
             trainer_config.max_outer_iters,
         )
         if trainer_config.track_train_rouge:
-            model.w = best_w
-    return TrainResult(model=model, iterations=iterations, dual_history=dual_history, converged=converged)
+            model.w = run.best_w
+    if shared is not None:
+        end = run.snapshot(C) if capped_from is None else capped_from
+        shared._keep(end, sets, of, trainer_config, len(run.duals))
+    return TrainResult(model=model, iterations=run.entries, dual_history=run.duals,
+                       converged=run.converged)
 
 
 def _mean_train_rouge(sets: list[PreparedSet], model: Model) -> float:

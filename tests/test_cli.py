@@ -122,12 +122,35 @@ class TestTrain:
             )
 
         monkeypatch.setattr(experiments, "train", counted)
+        val_ids = ["--val-ids", "2,3"] if "," in grid else []
         rc, _, _ = run(
             capsys, "train", "--dataset", DATASET, "--train-ids", "0,1",
-            "--val-ids", "2,3", "--C", grid, "--out", str(tmp_path / "m.json"),
+            *val_ids, "--C", grid, "--out", str(tmp_path / "m.json"),
         )
         assert rc == 0
         assert sorted(trained) == sorted(float(c) for c in grid.split(","))
+
+    def test_c_grid_log_equals_a_single_c_run(self, capsys, tmp_path, monkeypatch):
+        # the grid's validation F is made to rise with C, so that the chosen
+        # C=100 is a run that took the C=1 run whole and logged its entries
+        # again, with its own primal and gap
+        scores = []
+        monkeypatch.setattr(experiments, "_f_values",
+                            lambda sets, model: scores.append(len(scores)) or scores[-1:])
+        common = ["train", "--dataset", DATASET, "--model", "coverage", "--train-ids", "0,1,2",
+                  "--max-iters", "2"]
+        rc, grid_out, _ = run(capsys, *common, "--C", "0.01,1,100", "--val-ids", "3,4,5",
+                              "--out", str(tmp_path / "grid.json"))
+        assert rc == 0
+        assert "selected C=100.0" in grid_out
+        rc, single_out, _ = run(capsys, *common, "--C", "100", "--out", str(tmp_path / "one.json"))
+        assert rc == 0
+        grid_log = (tmp_path / "grid.json.log.jsonl").read_text()
+        assert grid_log == (tmp_path / "one.json.log.jsonl").read_text()
+        assert {json.loads(line)["gap"] for line in grid_log.splitlines()} != {0.0}
+        assert [line for line in grid_out.splitlines() if line.startswith("iter ")] == \
+            [line for line in single_out.splitlines() if line.startswith("iter ")]
+        assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
     @pytest.mark.parametrize("grid, message", [
         ("10,1,10", "C grid repeats a value: [1.0, 10.0, 10.0]"),
@@ -361,6 +384,18 @@ class TestInputContract:
         assert rc == 1
         assert stderr.startswith(f"error: {flag}: set indexes [{value}] out of range")
         assert not (tmp_path / "m.json").exists()
+
+    def test_validation_ids_need_a_c_grid(self, capsys, tmp_path, monkeypatch):
+        # one C leaves nothing to select on the validation sets
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        rc, stdout, stderr = run(capsys, "train", "--dataset", DATASET, "--train-ids", "0,1",
+                                 "--val-ids", "2", "--C", "1", "--out", str(tmp_path / "m.json"))
+        assert rc == 1
+        assert stderr == "error: --val-ids needs a C grid (give --C two or more values)\n"
+        assert stdout == ""
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, argv", [
         ("train", ["--train-ids", "0"]),

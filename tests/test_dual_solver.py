@@ -1,7 +1,9 @@
 """The active-set dual solver: a duality-gap certificate after every solve,
 never a worse dual than the retained coordinate-ascent solver, a Gram cache
 equal to the dense D D^T (and bit for bit to the dots over each dpsi's
-nonzeros, as are the slacks), and no solve that runs into its iteration cap.
+nonzeros, as are the slacks), no solve that runs into its iteration cap,
+and no solve that leaves ``capped`` unset but would give other bits at a
+larger C.
 
 Random problems cover singular Gram matrices (more constraints than
 dimensions, repeated and zero dpsi vectors), caps tight enough that mass has
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from structsum import learner
@@ -165,6 +167,42 @@ def test_unblocked_ray_stops_with_a_warning(caplog):
     with caplog.at_level("WARNING", logger="structsum.learner"):
         ws.solve(TrainerConfig())
     assert "unblocked descent ray" in caplog.text
+
+
+def solve_with_larger_caps(problem) -> int:
+    """Add and solve ``problem``'s constraints one at a time; each solve is
+    repeated from the same start at 2 C and 10 C (``WorkingSet.copy``). A
+    solve that leaves ``capped`` unset must give those the same alpha and w
+    bits, and leave their flag unset too. Returns how many solves set it."""
+    n_ex, d, cap, rows = problem
+    cfg = TrainerConfig(C=cap * n_ex, qp_tol=1e-14)
+    ws, capped = WorkingSet(n_ex, cfg.C, d), 0
+    for ex, loss, vec in rows:
+        larger = [ws.copy(cfg.C * factor) for factor in (2, 10)]
+        for one in [ws, *larger]:
+            one.add(constraint(ex, loss, vec))
+            one.solve(cfg)
+        if ws.capped:
+            capped += 1
+            continue
+        for one in larger:
+            assert not one.capped
+            assert one._alpha.tobytes() == ws._alpha.tobytes()
+            assert one.w.tobytes() == ws.w.tobytes()
+    return capped
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems())
+def test_a_solve_the_cap_left_alone_is_the_same_at_larger_caps(problem):
+    # the exactness a C grid's shared prefix rests on (learner's docstring)
+    solve_with_larger_caps(problem)
+
+
+def test_some_problems_set_the_cap_flag_and_some_do_not():
+    # both branches of the flag occur, within one problem
+    find(problems(), lambda p: 0 < solve_with_larger_caps(p) < len(p[3]),
+         settings=settings(deadline=None, database=None))
 
 
 @pytest.fixture(scope="module")

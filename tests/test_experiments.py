@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -428,6 +429,66 @@ class TestSelectCMatchesIndependentRuns:
         with pytest.raises(ValueError, match="2 prepared sets for 3 training ids"):
             train_on(data, [0, 1, 2], "coverage", trainer_config=TrainerConfig(), sets=sets,
                      **self.KW)
+
+
+class TestSelectCSharesPrefixes:
+    """Each C of a grid continues the previous, smaller C's run from where
+    that run's cap first acted, or takes it whole; each result must equal,
+    bit for bit, a cold ``train`` at its C. The grid spans all three resume
+    points: a cap acting at the first solve, one first acting at an outer
+    iteration >= 1, and caps that never act."""
+
+    KW = TestTargetsBuiltOncePerDriverCall.KW
+    GRID = (0.0001, 0.001, 0.007, 0.01, 1.0, 10.0)
+    TRAINER = TrainerConfig(max_outer_iters=5)
+
+    @staticmethod
+    def bits(result):
+        return (result.model.w.tobytes(), repr(result.iterations),
+                [d.hex() for d in result.dual_history], result.converged)
+
+    @pytest.mark.parametrize("kind, lam, train_ids", [
+        ("pairwise", 4.0, [0, 1, 2, 3]),
+        ("pairwise-split", None, [0, 1, 2]),
+        ("coverage", None, [0, 1, 2, 3]),
+    ])
+    def test_each_c_equals_a_cold_run(self, fixture_data, monkeypatch, caplog,
+                                      kind, lam, train_ids):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(train_on(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "train_on", recording)
+        with caplog.at_level("DEBUG", logger="structsum.learner"):
+            select_c(fixture_data, train_ids, [4, 5], self.GRID, kind,
+                     trainer_config=self.TRAINER, lam=lam, **self.KW)
+        monkeypatch.undo()
+        starts = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(starts) == len(self.GRID)
+        assert starts[0] == "C=0.0001 starts from w = 0"
+        assert any("at iteration 0, set 0 (0 of" in line for line in starts)
+        assert any(re.search(r"at iteration [1-9]", line) for line in starts)
+        assert any("run whole" in line for line in starts)
+        # the same entries were logged again at info level, for every C
+        infos = [r for r in caplog.records if r.levelname == "INFO"]
+        assert len(infos) == sum(len(r.iterations) for r in results)
+        for c, result in zip(self.GRID, results):
+            cold = train_on(fixture_data, train_ids, kind,
+                            trainer_config=replace(self.TRAINER, C=c), lam=lam, **self.KW)
+            assert self.bits(result) == self.bits(cold), f"C={c}"
+
+    def test_a_holder_continues_only_the_same_training_at_a_larger_c(self, fixture_data):
+        sets = prepare_sets(fixture_data, [0, 1], **self.KW)
+        shared = learner.SharedPrefix()
+        learner.train(sets, "coverage", trainer_config=TrainerConfig(C=1.0), shared=shared,
+                      **self.KW)
+        for trainer, kind in [(TrainerConfig(C=0.5), "coverage"),
+                              (TrainerConfig(C=2.0, epsilon=0.1), "coverage"),
+                              (TrainerConfig(C=2.0), "pairwise-split")]:
+            with pytest.raises(ValueError, match="same training at a larger C"):
+                learner.train(sets, kind, trainer_config=trainer, shared=shared, **self.KW)
 
 
 class TestSignTest:
