@@ -167,7 +167,7 @@ def _summarize_one(x, args, model, greedy_cfg) -> Summary:
     if model is not None:
         return predict(x, model)
     scorer = PairwiseScorer.tfidf_baseline(x, lam=args.lam)
-    return greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=greedy_cfg.for_set(x))
+    return greedy_maximize(x, gain_state(x, scorer), cfg=greedy_cfg.for_set(x))
 
 
 def cmd_summarize(args) -> int:

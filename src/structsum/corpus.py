@@ -184,8 +184,13 @@ class DocumentSet:
 
     @cached_property
     def costs(self) -> np.ndarray:
-        """The sentences' byte costs as a read-only array, built once."""
-        return _read_only(np.array([s.cost for s in self.sentences], dtype=int))
+        """The sentences' byte costs as a read-only array, built once;
+        ValueError if one is not positive."""
+        costs = np.array([s.cost for s in self.sentences], dtype=int)
+        bad = np.flatnonzero(costs <= 0)
+        if len(bad):
+            raise ValueError(f"sentence {bad[0]} has non-positive cost {costs[bad[0]]}")
+        return _read_only(costs)
 
     def cost_scales(self, r: float) -> np.ndarray:
         """``costs ** r`` as a read-only array, built once per r with Python

@@ -172,7 +172,7 @@ def extractive_ceiling(
     for i in ids:
         x, Y = data[i]
         gain = RougeGain(x, Y, loss_cfg)
-        greedy_maximize(x, gain, cost=None, cfg=greedy_cfg.for_set(x))
+        greedy_maximize(x, gain, cfg=greedy_cfg.for_set(x))
         total += gain.current_f()
     return total / len(ids)
 

@@ -40,13 +40,14 @@ reads the tf-idf baseline's matrix off that bank when it can.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .corpus import DocumentSet
 from .scoring import Summary
+from .util import json_value
 
 GROUPS = ("basic", "cap_stop_len", "location", "minmax", "sent_doc")
 WEIGHTINGS = ("raw", "tfidf")
@@ -93,32 +94,21 @@ class FeatureConfig:
                 raise ValueError(f"bad coverage level ({a}, {b})")
 
     def to_dict(self) -> dict:
-        return {
-            "enabled_groups": list(self.enabled_groups),
-            "weightings": list(self.weightings),
-            "length_cutoffs": list(self.length_cutoffs),
-            "minmax_top_ks": list(self.minmax_top_ks),
-            "sent_frac_thresholds": list(self.sent_frac_thresholds),
-            "doc_frac_thresholds": list(self.doc_frac_thresholds),
-            "similarity_bins": self.similarity_bins,
-            "position_bin_edges": list(self.position_bin_edges),
-            "coverage_levels": [list(lv) for lv in self.coverage_levels],
-            "importance_bucket_edges": list(self.importance_bucket_edges),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
         return cls(
-            enabled_groups=tuple(d["enabled_groups"]),
-            weightings=tuple(d["weightings"]),
-            length_cutoffs=tuple(int(v) for v in d["length_cutoffs"]),
-            minmax_top_ks=tuple(int(v) for v in d["minmax_top_ks"]),
-            sent_frac_thresholds=tuple(float(v) for v in d["sent_frac_thresholds"]),
-            doc_frac_thresholds=tuple(float(v) for v in d["doc_frac_thresholds"]),
-            similarity_bins=int(d["similarity_bins"]),
-            position_bin_edges=tuple(int(v) for v in d["position_bin_edges"]),
-            coverage_levels=tuple((int(a), float(b)) for a, b in d["coverage_levels"]),
-            importance_bucket_edges=tuple(float(v) for v in d["importance_bucket_edges"]),
+            enabled_groups=json_value(d, "enabled_groups", [str]),
+            weightings=json_value(d, "weightings", [str]),
+            length_cutoffs=json_value(d, "length_cutoffs", [int]),
+            minmax_top_ks=json_value(d, "minmax_top_ks", [int]),
+            sent_frac_thresholds=json_value(d, "sent_frac_thresholds", [float]),
+            doc_frac_thresholds=json_value(d, "doc_frac_thresholds", [float]),
+            similarity_bins=json_value(d, "similarity_bins", int),
+            position_bin_edges=json_value(d, "position_bin_edges", [int]),
+            coverage_levels=json_value(d, "coverage_levels", [(int, float)]),
+            importance_bucket_edges=json_value(d, "importance_bucket_edges", [float]),
         )
 
     def without_group(self, group: str) -> "FeatureConfig":

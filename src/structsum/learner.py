@@ -65,11 +65,12 @@ from .greedy import GreedyConfig, greedy_maximize
 from .rouge import LossConfig, RougeGain, greedy_target
 from .scoring import (
     CoverageGainState,
+    GainState,
     PairwiseGainState,
     SplitGainState,
     Summary,
 )
-from .util import atomic_write_text
+from .util import atomic_write_text, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -130,23 +131,22 @@ class Model:
             cfg = FeatureConfig.from_dict(d["feature_config"])
             loss_cfg = LossConfig.from_dict(d["loss_config"])
             greedy_cfg = GreedyConfig.from_dict(d["greedy_config"])
-            kind = d["model_kind"]
-            dim = int(d["dimension"])
+            kind = json_value(d, "model_kind", str)
+            dim = json_value(d, "dimension", int)
+            lam = None if d.get("lambda") is None else json_value(d, "lambda", float)
             weights = d["weights"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"model file missing or bad field: {exc}") from exc
-        if not isinstance(kind, str):
-            raise ModelError(f"model_kind must be a string, not {kind!r}")
-        lam = d.get("lambda")
-        if lam is not None and (type(lam) not in (int, float) or not math.isfinite(lam)):
-            raise ModelError(f"lambda must be a finite number or null, not {lam!r}")
         expected = registry_for(cfg, kind).dimension
         if dim != expected:
             raise ModelError(
                 f"model dimension {dim} does not match feature registry ({expected})"
             )
         try:
-            entries = [(int(i), float(v)) for i, v in weights.items()]
+            entries = [(int(i), v) for i, v in weights.items()]
+            bad = [v for _, v in entries if type(v) not in (int, float)]
+            if bad:
+                raise TypeError(f"weights must be numbers, not {bad[0]!r}")
         except (AttributeError, TypeError, ValueError) as exc:
             raise ModelError(f"model file has malformed weights: {exc}") from exc
         w = np.zeros(dim)
@@ -162,7 +162,7 @@ class Model:
             feature_config=cfg,
             loss_config=loss_cfg,
             greedy_config=greedy_cfg,
-            lam=float(lam) if lam is not None else None,
+            lam=lam,
         )
 
     @classmethod
@@ -464,7 +464,7 @@ def _score_state(bank: FeatureBank, model: Model, clamp: bool):
     return PairwiseGainState(m, model.lam)
 
 
-class _AugmentedGain:
+class _AugmentedGain(GainState):
     """Model score increment plus normalized-loss increment."""
 
     def __init__(self, score_state, rouge_state: RougeGain, raw_target_loss: float):
@@ -476,9 +476,6 @@ class _AugmentedGain:
         d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
         d_new = np.maximum(0.0, (1.0 - self.rouge_state.merged_f(ids)) - self.raw_target)
         return self.score_state.gains(ids) + (d_new - d_now)
-
-    def __call__(self, summary, k: int) -> float:
-        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         self.score_state.commit(k)
@@ -493,7 +490,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
         state.rouge.reset(),
         state.raw_target_loss,
     )
-    y_hat = greedy_maximize(state.x, gain, cost=None, cfg=state.greedy_cfg)
+    y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_cfg)
     # the greedy committed y_hat, so the gain state holds its counts
     loss = max(0.0, state.rouge.raw_loss() - state.raw_target_loss)
     return Constraint(
@@ -506,7 +503,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
 
 def _predict(bank: FeatureBank, model: Model) -> Summary:
     gain = _score_state(bank, model, clamp=True)
-    return greedy_maximize(bank.x, gain, cost=None, cfg=model.greedy_config.for_set(bank.x))
+    return greedy_maximize(bank.x, gain, cfg=model.greedy_config.for_set(bank.x))
 
 
 def predict(x: DocumentSet, model: Model) -> Summary:
@@ -532,10 +529,12 @@ class _Run:
     position (outer iteration ``it``, set ``i`` and ``pending``, the
     oracle's constraint at set ``i`` when it was violated but not yet added)
     with that iteration's counters; its logs (the entries, their C-free
-    primal parts, the dual after every solve); and its best train-F weights."""
+    primal parts, the dual after every solve); its best train-F weights; and
+    the targets' psi, computed once by the run from w = 0."""
 
     ws: WorkingSet
     best_w: np.ndarray
+    psi_targets: list[np.ndarray]
     entries: list[dict] = field(default_factory=list)
     parts: list[tuple[float, float]] = field(default_factory=list)
     duals: list[float] = field(default_factory=list)
@@ -616,12 +615,12 @@ def train(
     if any(s.bank.cfg != feature_config or s.rouge.cfg != loss_config for s in sets):
         raise ValueError("training sets were prepared under other feature or loss configs")
     model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
-    psi_targets = [psi(s.bank, s.with_target().target, model) for s in sets]
     C = trainer_config.C
     of = (model_kind, feature_config, loss_config, greedy_config, lam)
     start = shared._start(sets, of, trainer_config) if shared is not None else None
     if start is None:
-        run = _Run(WorkingSet(len(sets), C, model.w.shape[0]), best_w=model.w.copy())
+        psi_targets = [psi(s.bank, s.with_target().target, model) for s in sets]
+        run = _Run(WorkingSet(len(sets), C, model.w.shape[0]), model.w.copy(), psi_targets)
         if shared is not None:
             logger.debug("C=%g starts from w = 0", C)
     else:
@@ -652,7 +651,7 @@ def train(
         while run.i < len(sets):
             if run.pending is None:
                 model.w = ws.w
-                con = _oracle_from_state(sets[run.i], run.i, psi_targets[run.i], model)
+                con = _oracle_from_state(sets[run.i], run.i, run.psi_targets[run.i], model)
                 v = ws.violation(con)
                 run.max_violation = max(run.max_violation, v)
                 if v > trainer_config.epsilon:

@@ -21,14 +21,15 @@ target itself a zero-loss label.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import DocumentSet, ReferenceSet, Token
 from .greedy import GreedyConfig, greedy_maximize
-from .scoring import Summary
+from .scoring import GainState, Summary
+from .util import json_value
 
 logger = logging.getLogger(__name__)
 
@@ -47,16 +48,13 @@ class LossConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "multi_ref_aggregation": self.multi_ref_aggregation,
-            "rouge_stopword_removal": self.rouge_stopword_removal,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossConfig":
         return cls(
-            multi_ref_aggregation=d["multi_ref_aggregation"],
-            rouge_stopword_removal=bool(d["rouge_stopword_removal"]),
+            multi_ref_aggregation=json_value(d, "multi_ref_aggregation", str),
+            rouge_stopword_removal=json_value(d, "rouge_stopword_removal", bool),
         )
 
 
@@ -67,7 +65,7 @@ def f_score(overlap: int, candidate_total: int, reference_total: int) -> float:
     return 2.0 * overlap / denom
 
 
-class RougeGain:
+class RougeGain(GainState):
     """Incremental aggregated-F gains for one greedy run, and the F and raw
     loss of a candidate.
 
@@ -150,9 +148,6 @@ class RougeGain:
     def gains(self, ids) -> np.ndarray:
         return self.merged_f(ids) - self.current_f()
 
-    def __call__(self, summary, k: int) -> float:
-        return float(self.gains([k])[0])
-
     def commit(self, k: int) -> None:
         take = np.minimum(self.sentence_counts[k], self.room)
         self.room -= take
@@ -175,7 +170,7 @@ def _count_rows(rows: list[list[int]], width: int) -> np.ndarray:
 
 def greedy_target(x: DocumentSet, gain: RougeGain, greedy_cfg: GreedyConfig) -> Summary:
     """The greedy's summary on ``gain`` (which must be empty), warning if it is empty."""
-    target = greedy_maximize(x, gain, cost=None, cfg=greedy_cfg)
+    target = greedy_maximize(x, gain, cfg=greedy_cfg)
     if not target.selected:
         logger.warning("target for set %s is empty (budget %d bytes admits no sentence)",
                        x.set_id, greedy_cfg.budget_bytes)

@@ -12,7 +12,8 @@ objective:
   Monotone submodular whenever the word value is non-negative.
 
 ``gains(ids)`` returns the marginal gains of the given candidates as one
-array and ``commit(k)`` records an accepted sentence. Models fill the
+array and ``commit(k)`` records an accepted sentence; the ``GainState`` base
+also answers the greedy's one-candidate call. Models fill the
 states from their ``FeatureBank`` matrices; the hand-tuned baseline is
 ``gain_state(x, PairwiseScorer.tfidf_baseline(x))``.
 """
@@ -51,7 +52,16 @@ class Summary:
         return Summary((), 0)
 
 
-class PairwiseGainState:
+class GainState:
+    """Base of the gain states: a subclass defines ``gains(ids)``, and
+    calling the state as gain(summary, k) gives candidate k's gain alone,
+    for callers of the greedy's one-candidate protocol."""
+
+    def __call__(self, summary, k: int) -> float:
+        return float(self.gains([k])[0])
+
+
+class PairwiseGainState(GainState):
     """Incremental pairwise gains for one greedy run.
 
     Works from a materialized (symmetric, zero-diagonal) similarity matrix;
@@ -68,14 +78,11 @@ class PairwiseGainState:
     def gains(self, ids) -> np.ndarray:
         return self.total_row[ids] - (2.0 + 2.0 * self.lam) * self.sel[ids]
 
-    def __call__(self, summary, k: int) -> float:
-        return float(self.gains([k])[0])
-
     def commit(self, k: int) -> None:
         self.sel += self.m[k]
 
 
-class SplitGainState:
+class SplitGainState(GainState):
     def __init__(self, mc, mr):
         self.mc = mc
         self.mr = mr
@@ -86,15 +93,12 @@ class SplitGainState:
     def gains(self, ids) -> np.ndarray:
         return self.total_row[ids] - 2.0 * self.sel_cross[ids] + 2.0 * self.sel_red[ids]
 
-    def __call__(self, summary, k: int) -> float:
-        return float(self.gains([k])[0])
-
     def commit(self, k: int) -> None:
         self.sel_cross += self.mc[k]
         self.sel_red += self.mr[k]
 
 
-class CoverageGainState:
+class CoverageGainState(GainState):
     """Coverage gains over word indices.
 
     Row k of ``padded`` holds sentence k's distinct word indices in
@@ -116,9 +120,6 @@ class CoverageGainState:
         for column in self.padded[ids].T:
             out += self.values[column]
         return out
-
-    def __call__(self, summary, k: int) -> float:
-        return float(self.gains([k])[0])
 
     def commit(self, k: int) -> None:
         self.values[self.padded[k]] = 0.0

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
 
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see a
@@ -26,3 +29,26 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def json_value(d, key, kind, name: str | None = None):
+    """``d[key]`` as read from a JSON file, checked to have the shape
+    ``kind``: int, float, bool or str; ``[kind]`` for an array of that kind,
+    or a tuple of kinds for an array of exactly those items (arrays come
+    back as tuples). Else ValueError naming ``name or key``. Booleans are not
+    numbers, integers count as floats (returned as float), floats must be
+    finite, and tuples count as arrays, so that a config's ``asdict`` reads
+    back."""
+    value, name = d[key], name or key
+    if isinstance(kind, (list, tuple)):
+        array = type(value) in (list, tuple)
+        kinds = kind * len(value) if isinstance(kind, list) and array else kind
+        if not array or len(value) != len(kinds):
+            size = "" if isinstance(kind, list) else f" of {len(kind)} items"
+            raise ValueError(f"{name} must be an array{size}, not {value!r}")
+        return tuple(json_value(value, i, k, f"{name}[{i}]") for i, k in enumerate(kinds))
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,14 @@ def random_documents(rng: random.Random, n_docs=2, sentences_per_doc=3, vocab=No
             parts.append(" ".join(words).capitalize() + ".")
         docs.append(" ".join(parts))
     return docs
+
+
+def with_costs(x, costs):
+    """``x`` with sentence k's byte cost set to ``costs[k]``, as a new set
+    (so its cost arrays are built afresh)."""
+    if len(costs) != x.num_sentences:
+        raise ValueError(f"{len(costs)} costs for {x.num_sentences} sentences")
+    return replace(x, sentences=tuple(replace(s, cost=c) for s, c in zip(x.sentences, costs)))
 
 
 def words_set(set_id, cand_words, ref_word_lists):

@@ -129,22 +129,20 @@ def best_coverage_subset(sentence_words, omega_fn, costs, budget):
 _MAX_EXHAUSTIVE = 20
 
 
-def exhaustive_maximize(x, objective, cfg, cost=None):
-    """Score every budget-feasible subset with ``objective`` (a callable
-    from Summary to float) and return the best; a test-time oracle, guarded
-    to small instances. Ties keep the first subset in (size, lexicographic)
-    order, so the empty summary wins when everything scores zero."""
-    from structsum.greedy import _cost_fn
-
+def exhaustive_maximize(x, objective, cfg):
+    """Score every subset within the budget under the sentences' byte costs
+    with ``objective`` (a callable from Summary to float) and return the
+    best; a test-time oracle, guarded to small instances. Ties keep the
+    first subset in (size, lexicographic) order, so the empty summary wins
+    when everything scores zero."""
     n = x.num_sentences
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE}")
-    cost = _cost_fn(x, cost)
     best = Summary.empty()
     best_score = float(objective(best))
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
-            c = sum(cost(sid) for sid in combo)
+            c = sum(x.sentences[sid].cost for sid in combo)
             if c > cfg.budget_bytes:
                 continue
             y = Summary(combo, c)
@@ -234,15 +232,11 @@ def word_features_brute(x, v, cfg):
     return out
 
 
-def greedy_scan_reference(x, gain, cost=None, cfg=None):
-    """The budgeted greedy as a full scan: every round evaluates the whole
-    pool one candidate at a time and removes its best, accepted or not."""
-    from structsum.greedy import _cost_fn
-    from structsum.scoring import Summary
-
-    if cfg is None:
-        raise ValueError("greedy_maximize requires a GreedyConfig")
-    cost = _cost_fn(x, cost)
+def greedy_scan_reference(x, gain, cfg):
+    """The budgeted greedy as a full scan over the sentences' byte costs:
+    every round evaluates the whole pool one candidate at a time and removes
+    its best, accepted or not."""
+    cost = [s.cost for s in x.sentences]
     pool = list(range(x.num_sentences))
     selected: list[int] = []
     total = 0
@@ -253,15 +247,15 @@ def greedy_scan_reference(x, gain, cost=None, cfg=None):
         best_gain = 0.0
         for sid in pool:
             g = gain(current, sid)
-            c = cost(sid)
+            c = cost[sid]
             if c <= 0:
                 raise ValueError(f"sentence {sid} has non-positive cost {c}")
             ratio = g / c ** cfg.r
             if best_id < 0 or ratio > best_ratio:
                 best_id, best_ratio, best_gain = sid, ratio, g
-        if total + cost(best_id) <= cfg.budget_bytes and best_gain >= 0.0:
+        if total + cost[best_id] <= cfg.budget_bytes and best_gain >= 0.0:
             selected.append(best_id)
-            total += cost(best_id)
+            total += cost[best_id]
             if hasattr(gain, "commit"):
                 gain.commit(best_id)
         pool.remove(best_id)
@@ -828,7 +822,7 @@ def extractive_ceiling_reference(data, ids, greedy_cfg, loss_cfg):
         budget = x.budget_bytes if x.budget_bytes is not None else greedy_cfg.budget_bytes
         cfg = replace(greedy_cfg, budget_bytes=budget)
         gain = RougeGain(x, Y, loss_cfg)
-        y = greedy_maximize(x, gain, cost=None, cfg=cfg)
+        y = greedy_maximize(x, gain, cfg=cfg)
         _, _, f = rouge1_prf(summary_counts(x, y, loss_cfg), reference_counts(Y, loss_cfg))
         total += f
     return total / len(ids)

@@ -50,6 +50,7 @@ from conftest import (
     random_documents,
     random_sigma,
     sigma_matrix,
+    with_costs,
     words_set,
 )
 from oracles import best_coverage_subset, coverage_score_brute, loss_delta, rouge1_f_brute
@@ -126,7 +127,8 @@ def test_greedy_approximation(stopwords):
         values = {w: rng.random() for w in vocab}
         budget = rng.randint(1, n)
         cfg = GreedyConfig(budget_bytes=budget, r=1.0)
-        y = greedy_maximize(x, coverage_state(x, values.__getitem__), cost=[1] * n, cfg=cfg)
+        y = greedy_maximize(with_costs(x, [1] * n), coverage_state(x, values.__getitem__),
+                            cfg=cfg)
         sentence_words = [sorted({t.normalized for t in s.tokens}) for s in x.sentences]
         got = coverage_score_brute(sentence_words, values.__getitem__, y.selected)
         opt, _ = best_coverage_subset(sentence_words, values.__getitem__, [1] * n, budget)
@@ -325,7 +327,7 @@ def test_duc04_replication(stopwords):
         x, _ = data[i]
         cfg = gcfg.for_set(x)
         scorer = PairwiseScorer.tfidf_baseline(x, lam=4.0)
-        base_preds[x.set_id] = greedy_maximize(x, gain_state(x, scorer), cost=None, cfg=cfg)
+        base_preds[x.set_id] = greedy_maximize(x, gain_state(x, scorer), cfg=cfg)
     from structsum.experiments import evaluate_predictions
 
     baseline = evaluate_predictions([data[i] for i in te], base_preds, loss_cfg).mean_f

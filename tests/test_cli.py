@@ -537,6 +537,26 @@ class TestInputContract:
         assert rc == 1
         assert stderr.startswith("error: line 3: duplicate set_id 'set00' (first on line 1)")
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("loss_config", "rouge_stopword_removal", "false"),
+        ("greedy_config", "budget_bytes", 66.9),
+        ("greedy_config", "r", True),
+        ("feature_config", "similarity_bins", 10.5),
+        (None, "dimension", "279"),
+    ])
+    def test_mistyped_model_field_fails(self, capsys, tmp_path, section, field, value):
+        # each value would once have been coerced (bool("false") is True)
+        payload = json.loads(SMALL_MODEL.read_text(encoding="utf-8"))
+        (payload[section] if section else payload)[field] = value
+        model = tmp_path / "typed.json"
+        model.write_text(json.dumps(payload))
+        rc, stdout, stderr = run(
+            capsys, "summarize", "--dataset", DATASET, "--model-file", str(model)
+        )
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: model file missing or bad field: {field} must be ")
+
     def test_non_finite_model_weight_fails(self, capsys, tmp_path):
         payload = json.loads(SMALL_MODEL.read_text(encoding="utf-8"))
         payload["weights"][next(iter(payload["weights"]))] = float("nan")

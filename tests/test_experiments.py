@@ -28,7 +28,7 @@ from structsum.experiments import (
 )
 from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig
-from structsum.learner import Model, TrainerConfig, predict
+from structsum.learner import Model, TrainerConfig, predict, psi
 from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
@@ -478,6 +478,23 @@ class TestSelectCSharesPrefixes:
             cold = train_on(fixture_data, train_ids, kind,
                             trainer_config=replace(self.TRAINER, C=c), lam=lam, **self.KW)
             assert self.bits(result) == self.bits(cold), f"C={c}"
+
+    def test_targets_psi_computed_once_per_grid(self, fixture_data, monkeypatch):
+        # the run from w = 0 computes them; the runs that continue it read them
+        sets = prepare_sets(fixture_data, [0, 1, 2], **self.KW)
+        seen = []
+
+        def recording(bank, y, model):
+            seen.append(y)
+            return psi(bank, y, model)
+
+        monkeypatch.setattr(learner, "psi", recording)
+        shared = learner.SharedPrefix()
+        for c in (0.01, 1.0, 10.0):
+            learner.train(sets, "coverage", trainer_config=replace(self.TRAINER, C=c),
+                          shared=shared, **self.KW)
+        assert sum(any(y is s.target for s in sets) for y in seen) == len(sets)
+        assert len(seen) > len(sets)
 
     def test_a_holder_continues_only_the_same_training_at_a_larger_c(self, fixture_data):
         sets = prepare_sets(fixture_data, [0, 1], **self.KW)

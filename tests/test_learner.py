@@ -209,6 +209,21 @@ class TestModelIO:
         with pytest.raises(ModelError, match="malformed weights"):
             Model.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("bad", [True, "0.5", [1.0]])
+    def test_non_numeric_weight_rejected(self, bad):
+        # float() once read true as 1.0 and "0.5" as 0.5
+        payload = json.loads(self._model().to_json())
+        payload["weights"]["3"] = bad
+        with pytest.raises(ModelError, match="malformed weights"):
+            Model.from_json(json.dumps(payload))
+
+    def test_other_tie_rule_rejected(self):
+        payload = json.loads(self._model().to_json())
+        assert payload["greedy_config"]["tie_break"] == "lowest-id"
+        payload["greedy_config"]["tie_break"] = "random"
+        with pytest.raises(ModelError, match="only lowest-id tie breaking"):
+            Model.from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("bad", [[1], "nan", "Infinity", float("nan"), float("inf"), True])
     def test_non_finite_or_non_numeric_lambda_rejected(self, bad):
         payload = json.loads(self._model().to_json())
