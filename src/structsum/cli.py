@@ -31,7 +31,7 @@ from .experiments import (
     sign_test,
     train_on,
 )
-from .features import GROUPS, FeatureConfig
+from .features import GROUPS, MODEL_KINDS, FeatureConfig
 from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, ModelError, TrainerConfig, predict
 from .rouge import AGGREGATIONS, LossConfig
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     loss.add_argument("--rouge-drop-stopwords", action="store_true",
                       help="drop stopwords from unigram counts before scoring")
     training = group(greedy, lam, loss)
-    training.add_argument("--model", choices=("pairwise", "pairwise-split", "coverage"),
+    training.add_argument("--model", choices=MODEL_KINDS,
                           default="pairwise", help="model kind (default: pairwise)")
     training.add_argument("--groups", default=None, help="comma list of enabled feature "
                           f"groups (default: all of {','.join(GROUPS)})")

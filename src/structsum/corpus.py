@@ -288,11 +288,13 @@ def load_dataset(
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise DatasetError(f"line {lineno}: a record must be a JSON object")
             try:
                 set_id = record["set_id"]
                 documents = record["documents"]
                 references = record["references"]
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise DatasetError(f"line {lineno}: missing field {exc}") from exc
             if not references:
                 raise DatasetError(f"no references for set {set_id!r} (line {lineno})")

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import DocumentSet, ReferenceSet
 from .features import FeatureConfig, bank_for
 from .greedy import GreedyConfig, greedy_maximize
-from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, train
+from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, predict, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
 
@@ -124,7 +124,7 @@ def _stderr(values: list[float]) -> float:
 
 
 def evaluate_predictions(
-    data: Dataset, predictions: dict[str, Summary], loss_cfg: LossConfig = LossConfig()
+    data: Dataset, predictions: dict[str, Summary], loss_cfg: LossConfig
 ) -> EvalReport:
     """Per-set and mean unigram P/R/F against all references."""
     by_id = {x.set_id: (x, Y) for x, Y in data}
@@ -149,10 +149,10 @@ def evaluate_predictions(
 
 
 def mean_f(data: Dataset, ids, model: Model, loss_cfg: LossConfig) -> float:
-    """Mean F of the model's predictions on ``data[i] for i in ids``, each set once."""
-    sets = prepare_sets(data, ids, model.feature_config, loss_cfg, model.greedy_config)
-    fs = _f_values(sets, model)
-    return sum(fs) / len(fs)
+    """Mean F of the model's predictions on ``data[i] for i in ids``, each
+    set once, one set at a time (``predict`` keeps one bank alive)."""
+    predictions = {data[i][0].set_id: predict(data[i][0], model) for i in ids}
+    return evaluate_predictions(data, predictions, loss_cfg).mean_f
 
 
 def _f_values(sets: list[PreparedSet], model: Model) -> list[float]:

@@ -46,9 +46,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .corpus import DocumentSet
-from .scoring import Summary
 from .util import json_value
 
+MODEL_KINDS = ("pairwise", "pairwise-split", "coverage")
 GROUPS = ("basic", "cap_stop_len", "location", "minmax", "sent_doc")
 WEIGHTINGS = ("raw", "tfidf")
 
@@ -158,7 +158,7 @@ class FeatureRegistry:
     """Deterministic feature-name-to-index assignment for one model kind."""
 
     def __init__(self, cfg: FeatureConfig, model_kind: str):
-        if model_kind not in ("pairwise", "pairwise-split", "coverage"):
+        if model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {model_kind!r}")
         self.cfg = cfg
         self.model_kind = model_kind
@@ -296,24 +296,13 @@ class FeatureBank:
             f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
         ]
 
-    def _word_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (sentence, word) pairs as sentence and word indices, and each
-        sentence's number of distinct words."""
-        rows, cols = np.divmod(self._pairs, len(self.words))
-        return rows, cols, np.bincount(rows, minlength=self.x.num_sentences)
-
-    @cached_property
-    def sentence_word_ids(self) -> list[np.ndarray]:
-        """Each sentence's distinct word indices, ascending (so its words sorted)."""
-        _, cols, lengths = self._word_runs()
-        return np.split(cols, np.cumsum(lengths)[:-1])
-
     @cached_property
     def padded_word_ids(self) -> np.ndarray:
         """The index matrix every coverage gain state of this set shares:
-        row k holds ``sentence_word_ids[k]`` left-aligned, then the
-        vocabulary size."""
-        rows, cols, lengths = self._word_runs()
+        row k holds sentence k's distinct word indices in ascending order,
+        left-aligned, then the vocabulary size."""
+        rows, cols = np.divmod(self._pairs, len(self.words))
+        lengths = np.bincount(rows, minlength=self.x.num_sentences)
         padded = np.full((len(lengths), lengths.max(initial=0)), len(self.words), dtype=np.intp)
         padded[rows, np.arange(len(cols)) - (np.cumsum(lengths) - lengths)[rows]] = cols
         return padded
@@ -503,12 +492,6 @@ def tfidf_cosines(x: DocumentSet) -> np.ndarray:
     return bank_for(x, _BASELINE_CFG).cosines[0]
 
 
-def _summary_ids(y) -> tuple[int, ...]:
-    if isinstance(y, Summary):
-        return y.selected
-    return tuple(y)
-
-
 def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = False) -> np.ndarray:
     """Map a summary of the bank's set to feature space, in registry index order.
 
@@ -516,7 +499,7 @@ def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = F
     times the sum over ordered inside pairs. Split form: the same two sums
     concatenated into disjoint blocks (cross block first), lam unused.
     """
-    cross, red = bank.pair_psi(_summary_ids(y))
+    cross, red = bank.pair_psi(y.selected)
     if split:
         return np.concatenate([cross, red])
     return cross - lam * red
@@ -524,4 +507,4 @@ def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = F
 
 def joint_feature_map_coverage(bank: FeatureBank, y) -> np.ndarray:
     """Sum of word features over the distinct words the summary covers."""
-    return bank.coverage_psi(_summary_ids(y))
+    return bank.coverage_psi(y.selected)

@@ -68,7 +68,8 @@ def greedy_maximize(
     x: DocumentSet,
     gain: Callable,
     cost=None,
-    cfg: GreedyConfig | None = None,
+    *,
+    cfg: GreedyConfig,
 ) -> Summary:
     """Run the budgeted greedy loop over ``x``'s byte costs.
 
@@ -82,8 +83,6 @@ def greedy_maximize(
     """
     if cost is not None:
         raise TypeError("greedy_maximize reads its costs from the set; cost must be None")
-    if cfg is None:
-        raise ValueError("greedy_maximize requires a GreedyConfig")
     costs, scale = x.costs, x.cost_scales(cfg.r)
     gains = getattr(gain, "gains", None)
     ids = np.arange(len(costs))

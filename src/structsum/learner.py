@@ -8,6 +8,10 @@ most violated summary, adds a constraint
 
 when it is violated by more than epsilon, re-solves the dual of the
 restricted quadratic program, and stops after a full pass adds nothing.
+The oracle is that greedy, not an exact argmax over the budget, so a log
+entry's ``max_violation`` and a result's ``converged`` certify the margin
+only against the summaries the greedy finds: a summary it misses may still
+violate its constraint by more than epsilon.
 Each training set is a ``PreparedSet``, built once per study call: the
 oracle, the train-F tracking and the scores read its bank and ``RougeGain``.
 
@@ -54,6 +58,7 @@ import numpy as np
 
 from .corpus import DocumentSet, ReferenceSet
 from .features import (
+    MODEL_KINDS,
     FeatureBank,
     FeatureConfig,
     bank_for,
@@ -73,8 +78,6 @@ from .scoring import (
 from .util import atomic_write_text, json_value
 
 logger = logging.getLogger(__name__)
-
-MODEL_KINDS = ("pairwise", "pairwise-split", "coverage")
 
 
 class ModelError(ValueError):
@@ -180,15 +183,7 @@ class Model:
         lam: float | None = None,
     ) -> "Model":
         dim = registry_for(feature_config, model_kind).dimension
-        if model_kind == "pairwise" and lam is None:
-            lam = 4.0
         return cls(model_kind, np.zeros(dim), feature_config, loss_config, greedy_config, lam)
-
-    @classmethod
-    def uniform(cls, model_kind, feature_config, loss_config, greedy_config, lam=None) -> "Model":
-        m = cls.zeros(model_kind, feature_config, loss_config, greedy_config, lam)
-        m.w = np.ones_like(m.w)
-        return m
 
 
 @dataclass
@@ -304,9 +299,6 @@ class WorkingSet:
     def primal_parts(self) -> tuple[float, float]:
         """(0.5 w.w, the sum of the slacks): the C-free parts of the primal."""
         return 0.5 * (self.w @ self.w), sum(self.xi(i) for i in range(self.n_examples))
-
-    def primal_objective(self) -> float:
-        return _primal(self.cap, *self.primal_parts())
 
     def _refresh_w(self) -> None:
         self.w = np.zeros(self.dimension)
@@ -592,10 +584,10 @@ class SharedPrefix:
 def train(
     sets: list[PreparedSet],
     model_kind: str,
-    feature_config: FeatureConfig = FeatureConfig(),
-    loss_config: LossConfig = LossConfig(),
-    greedy_config: GreedyConfig = GreedyConfig(budget_bytes=665),
-    trainer_config: TrainerConfig = TrainerConfig(),
+    feature_config: FeatureConfig,
+    loss_config: LossConfig,
+    greedy_config: GreedyConfig,
+    trainer_config: TrainerConfig,
     lam: float | None = None,
     log_callback=None,
     shared: SharedPrefix | None = None,

@@ -79,7 +79,7 @@ class RougeGain(GainState):
     summed reference by reference, as ``current_f`` does.
     """
 
-    def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig = LossConfig()):
+    def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig):
         if not Y.references:
             raise ValueError(f"reference set {Y.set_id!r} has no references to score against")
         self.cfg = cfg

@@ -15,7 +15,7 @@ objective:
 array and ``commit(k)`` records an accepted sentence; the ``GainState`` base
 also answers the greedy's one-candidate call. Models fill the
 states from their ``FeatureBank`` matrices; the hand-tuned baseline is
-``gain_state(x, PairwiseScorer.tfidf_baseline(x))``.
+``gain_state(x, PairwiseScorer.tfidf_baseline(x, lam))``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DocumentSet
+from .features import tfidf_cosines
 
 
 @dataclass(frozen=True)
@@ -37,19 +38,6 @@ class Summary:
     def __post_init__(self):
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("summary contains duplicate sentence ids")
-
-    def __contains__(self, sid: int) -> bool:
-        return sid in self.selected
-
-    def __len__(self) -> int:
-        return len(self.selected)
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.selected)
-
-    @staticmethod
-    def empty() -> "Summary":
-        return Summary((), 0)
 
 
 class GainState:
@@ -133,10 +121,8 @@ class PairwiseScorer:
     lam: float
 
     @staticmethod
-    def tfidf_baseline(x: DocumentSet, lam: float = 4.0) -> "PairwiseScorer":
+    def tfidf_baseline(x: DocumentSet, lam: float) -> "PairwiseScorer":
         """The hand-tuned baseline: tf-idf cosine over all words."""
-        from .features import tfidf_cosines
-
         return PairwiseScorer(tfidf_cosines(x), lam)
 
 

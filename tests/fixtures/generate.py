@@ -12,13 +12,15 @@ Good sentences are similarity hubs in the capitalized-word variant (cosine
 0.5 to each of their supports) while noise sentences are near-duplicates of
 each other in the raw all-words variant, which traps a uniform-weight model.
 
-Run from the repo root:  PYTHONPATH=src python3 tests/fixtures/generate.py
+Run from the repo root:  PYTHONPATH=src python3 tests/fixtures/generate.py [OUT_DIR]
 It writes fixture.jsonl, expected_results.json, golden_summaries.txt and
-golden_baseline.txt; all are committed, and rerunning must reproduce them
-byte for byte. model_small.json is a frozen input, not an output: a pairwise
-model trained on SMALL_TRAIN_IDS when the fixture was made. The bounds table
-and the golden summaries are computed from it, and it is never rewritten, so
-a change to training cannot silently move the golden files.
+golden_baseline.txt into OUT_DIR (default: this directory); all are
+committed, and rerunning must reproduce them byte for byte.
+model_small.json is a frozen input, not an output: a pairwise model trained
+on SMALL_TRAIN_IDS when the fixture was made, always read from this
+directory. The bounds table and the golden summaries are computed from it,
+and it is never rewritten, so a change to training cannot silently move the
+golden files.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from structsum.corpus import load_dataset, load_stopwords
 from structsum.experiments import (
@@ -37,7 +41,7 @@ from structsum.experiments import (
     prepare_sets,
     train_on,
 )
-from structsum.features import FeatureConfig
+from structsum.features import FeatureConfig, registry_for
 from structsum.greedy import GreedyConfig
 from structsum.learner import Model, TrainerConfig, predict
 from structsum.rouge import LossConfig
@@ -94,13 +98,13 @@ def good_ids(x) -> set[int]:
     return {s.id for s in x.sentences if s.tokens[0].is_capitalized}
 
 
-def main() -> None:
+def main(out_dir: Path = FIXTURE_DIR) -> None:
     records = [make_record(k) for k in range(N_SETS)]
     jsonl = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
-    (FIXTURE_DIR / "fixture.jsonl").write_text(jsonl, encoding="utf-8")
+    (out_dir / "fixture.jsonl").write_text(jsonl, encoding="utf-8")
 
     stopwords = load_stopwords()
-    data = load_dataset(FIXTURE_DIR / "fixture.jsonl", stopwords)
+    data = load_dataset(out_dir / "fixture.jsonl", stopwords)
     assert len(data) == N_SETS
 
     feature_cfg = FeatureConfig()
@@ -132,7 +136,8 @@ def main() -> None:
           f"all {len(TRAIN_IDS)} predictions match targets")
 
     trained_f = mean_f(data, TEST_IDS, result.model, loss_cfg)
-    uniform = Model.uniform("pairwise", feature_cfg, loss_cfg, greedy_cfg, lam=4.0)
+    dim = registry_for(feature_cfg, "pairwise").dimension
+    uniform = Model("pairwise", np.ones(dim), feature_cfg, loss_cfg, greedy_cfg, lam=4.0)
     uniform_f = mean_f(data, TEST_IDS, uniform, loss_cfg)
     margin = round(trained_f - uniform_f - 0.02, 2)
     assert margin > 0.1, (trained_f, uniform_f)
@@ -178,7 +183,7 @@ def main() -> None:
         "bounds": [[n, v] for n, v in bounds],
         "ablation_probe": {r["removed"]: round(r["mean_f"], 10) for r in ablation},
     }
-    (FIXTURE_DIR / "expected_results.json").write_text(
+    (out_dir / "expected_results.json").write_text(
         json.dumps(expected, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -188,13 +193,13 @@ def main() -> None:
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "structsum.cli", "summarize",
-             "--dataset", str(FIXTURE_DIR / "fixture.jsonl"), *source],
+             "--dataset", str(out_dir / "fixture.jsonl"), *source],
             capture_output=True, text=True, check=True, cwd=REPO_ROOT,
         )
-        (FIXTURE_DIR / name).write_text(proc.stdout, encoding="utf-8")
+        (out_dir / name).write_text(proc.stdout, encoding="utf-8")
     print("wrote fixture.jsonl, expected_results.json, golden_summaries.txt, "
           "golden_baseline.txt")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE_DIR)

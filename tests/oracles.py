@@ -138,7 +138,7 @@ def exhaustive_maximize(x, objective, cfg):
     n = x.num_sentences
     if n > _MAX_EXHAUSTIVE:
         raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE}")
-    best = Summary.empty()
+    best = Summary((), 0)
     best_score = float(objective(best))
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -482,7 +482,13 @@ class CoordinateAscentWorkingSet:
         con2 = self.constraints[i][c2]
         alphas = self.alpha[i]
         g = (con1.loss - con2.loss) - (con1.w_dot_delta(self.w) - con2.w_dot_delta(self.w))
-        denom = (con1.val @ con1.val) + (con2.val @ con2.val) - 2.0 * self._cross_dot(i, c1, c2)
+        norms = (con1.val @ con1.val) + (con2.val @ con2.val)
+        denom = norms - 2.0 * self._cross_dot(i, c1, c2)
+        # curvature at rounding level (cancellation, or subnormal products of
+        # tiny entries) counts as zero, as the solver's least squares has it;
+        # dividing by it would overflow
+        if denom <= np.finfo(float).eps * max(1.0, norms):
+            denom = 0.0
         lo, hi = -alphas[c1], alphas[c2]
         if denom > 0.0:
             t = g / denom
@@ -495,7 +501,7 @@ class CoordinateAscentWorkingSet:
         t = min(max(t, lo), hi)
         if t == 0.0:
             return 0.0
-        improve = g * t - 0.5 * max(denom, 0.0) * t * t
+        improve = g * t - 0.5 * denom * t * t
         if improve <= 0.0:
             return 0.0
         alphas[c1] += t

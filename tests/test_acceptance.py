@@ -27,7 +27,7 @@ from structsum.experiments import (
     select_c,
     train_on,
 )
-from structsum.features import FeatureBank, FeatureConfig
+from structsum.features import FeatureBank, FeatureConfig, registry_for
 from structsum.greedy import GreedyConfig, greedy_maximize
 from structsum.learner import (
     Constraint,
@@ -163,7 +163,7 @@ def test_unigram_f_oracle():
     report = evaluate_predictions(data, predictions, LossConfig())
     worst = max(abs(row["f"] - want[row["set_id"]]) for row in report.rows)
     x, Y, y = words_set("hand", ["a", "b", "c"], [["a", "b", "d", "e"]])
-    hand = RougeGain(x, Y).load(y.selected).current_f()
+    hand = RougeGain(x, Y, LossConfig()).load(y.selected).current_f()
     _verdict(
         len(report.rows) == 500 and worst <= 1e-12 and hand == 4.0 / 7.0,
         f"unigram F oracle: max |got-brute| = {worst:.2e} over 500 multisets "
@@ -179,7 +179,7 @@ def test_dual_solver():
                            (100.0, 0.9, (2.0, 1.0)), (0.1, 1.3, (0.5, 0.5))]:
         d = len(vec)
         ws = WorkingSet(n_examples=1, C=cap, dimension=d)
-        ws.add(Constraint(0, Summary.empty(), loss, np.array(vec)))
+        ws.add(Constraint(0, Summary((), 0), loss, np.array(vec)))
         ws.solve(TrainerConfig(C=cap))
         want = min(cap, loss / sum(v * v for v in vec))
         analytic_err = max(analytic_err, abs(ws.alpha[0][0] - want))
@@ -196,7 +196,7 @@ def test_dual_solver():
             ex = int(rng.integers(0, n_ex))
             vec = rng.normal(size=d)
             loss = float(rng.uniform(0.0, 1.5))
-            ws.add(Constraint(ex, Summary.empty(), loss, vec.copy()))
+            ws.add(Constraint(ex, Summary((), 0), loss, vec.copy()))
             dpsis.append(vec.copy())
             losses.append(loss)
             groups.append(ex)
@@ -232,7 +232,7 @@ def test_cutting_plane_contract(stopwords):
     for s in prepared:
         y = predict(s.x, result.model)
         worst_loss = max(worst_loss, loss_delta(s.Y, s.target, y, s.x, loss_cfg))
-        all_match = all_match and y.as_set() == s.target.as_set()
+        all_match = all_match and frozenset(y.selected) == frozenset(s.target.selected)
     elapsed = time.perf_counter() - started
     _verdict(
         result.converged and result.final_max_violation <= 1e-3 and monotone
@@ -261,7 +261,9 @@ def test_learning_effect(stopwords):
     trained = mean_f(data, test_ids, result.model, loss_cfg)
     uniform = mean_f(
         data, test_ids,
-        Model.uniform("pairwise", FeatureConfig(), loss_cfg, gcfg, lam=4.0), loss_cfg,
+        Model("pairwise", np.ones(registry_for(FeatureConfig(), "pairwise").dimension),
+              FeatureConfig(), loss_cfg, gcfg, lam=4.0),
+        loss_cfg,
     )
     sizes = [1, max(expected["curve_sizes"])]
     curve = learning_curve(

@@ -100,7 +100,7 @@ def test_feature_bank_matches_former_loops_on_fixture(fixture_data):
 
 def assert_word_ids_are_nonzero_columns(bank):
     want = [np.flatnonzero(row) for row in bank.counts]
-    got = bank.sentence_word_ids
+    got = [row[row < len(bank.words)] for row in bank.padded_word_ids]
     assert len(got) == len(want)
     assert all(same(g, w) for g, w in zip(got, want))
     padded = np.full((len(want), max(map(len, want), default=0)), len(bank.words), np.intp)

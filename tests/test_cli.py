@@ -367,6 +367,14 @@ class TestInputContract:
         assert rc == 1
         assert stderr.startswith(f"error: line 2: {field}")
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"'])
+    def test_record_that_is_not_an_object_fails(self, capsys, tmp_path, line):
+        first = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[0]
+        dataset = self._dataset(tmp_path, [first, line])
+        rc, _, stderr = run(capsys, "summarize", "--dataset", dataset, "--baseline")
+        assert rc == 1
+        assert stderr == "error: line 2: a record must be a JSON object\n"
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--train-ids", "99"), ("train", "--train-ids", "-1"),
         ("train", "--val-ids", "40"), ("bounds", "--test-ids", "77"),

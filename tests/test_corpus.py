@@ -208,6 +208,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null", "true"])
+    def test_record_that_is_not_an_object(self, tmp_path, line):
+        path = self._write(tmp_path, [json.dumps(self._record()), line])
+        with pytest.raises(DatasetError, match=r"^line 2: .* must be a JSON object$"):
+            load_dataset(path)
+
     def test_missing_field(self, tmp_path):
         record = self._record()
         del record["references"]

@@ -12,6 +12,7 @@ to move between two constraints of one example, and warm starts after every
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def problems(draw):
 
 
 def constraint(ex, loss, vec):
-    return Constraint(ex, Summary.empty(), loss, np.array(vec, dtype=float))
+    return Constraint(ex, Summary((), 0), loss, np.array(vec, dtype=float))
 
 
 def assert_gram_is_dense_product(K, cons, d):
@@ -69,7 +70,8 @@ def assert_gram_is_dense_product(K, cons, d):
 
 
 def assert_certified(ws, dual, cfg):
-    primal = ws.primal_objective()
+    half, slack = ws.primal_parts()
+    primal = half + ws.cap * slack
     scale = max(1.0, abs(dual))
     assert primal - dual <= 1e-9 * scale
     assert primal - dual >= -1e-12 * scale
@@ -119,6 +121,21 @@ def test_random_problems_certify_and_match_the_oracle(problem):
     assert_gram_is_dense_product(ws.K, cons, d)
     oracle = coordinate_ascent_dual(n_ex, cfg.C, d, cons, TrainerConfig(C=cfg.C))
     assert prev >= oracle - 1e-12 * max(1.0, abs(oracle))
+
+
+def test_reference_pair_step_reads_rounding_curvature_as_zero():
+    # the pair step's curvature is the subnormal square of a tiny entry;
+    # dividing by it overflowed before the reference read it as zero
+    cons = [constraint(0, 1.0, (1.411946047064502e-157,)), constraint(0, 0.5, (2.8e-157,))]
+    ca, ws = CoordinateAscentWorkingSet(1, 0.01, 1), WorkingSet(1, 0.01, 1)
+    for con in cons:
+        ca.add(con)
+        ws.add(con)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dual = ca.solve(TrainerConfig(C=0.01))
+    assert math.isfinite(dual)
+    assert ws.solve(TrainerConfig(C=0.01, qp_tol=1e-14)) >= dual - 1e-12
 
 
 def test_capped_example_moves_mass_to_the_better_constraint():

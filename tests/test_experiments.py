@@ -98,7 +98,7 @@ class TestPrepareSets:
         assert Y == before
         assert s.target is not None
         assert s.x is x and s.Y is Y
-        assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
+        assert s.raw_target_loss == RougeGain(x, Y, LossConfig()).load(s.target.selected).raw_loss()
 
     def test_single_reference_uses_first_only(self, make_docset, stopwords):
         # Budget admits one sentence. Two of three references say "alpha
@@ -124,18 +124,18 @@ class TestPrepareSets:
 
 class TestEvaluatePredictions:
     def test_unknown_set_id_raises(self, fixture_data):
-        preds = {"nope": Summary.empty()}
+        preds = {"nope": Summary((), 0)}
         with pytest.raises(ValueError, match="nope"):
-            evaluate_predictions(fixture_data[:2], preds)
+            evaluate_predictions(fixture_data[:2], preds, LossConfig())
 
     def test_empty_predictions_raise(self, fixture_data):
         with pytest.raises(ValueError, match="no predictions"):
-            evaluate_predictions(fixture_data[:2], {})
+            evaluate_predictions(fixture_data[:2], {}, LossConfig())
 
     def test_rows_sorted_and_means_consistent(self, fixture_data):
         data = fixture_data[:3]
         model = Model.load(SMALL_MODEL)
-        report = evaluate_predictions(data, predictions(data, range(3), model))
+        report = evaluate_predictions(data, predictions(data, range(3), model), LossConfig())
         assert [r["set_id"] for r in report.rows] == ["set00", "set01", "set02"]
         fs = [r["f"] for r in report.rows]
         assert report.mean_f == pytest.approx(sum(fs) / 3)
@@ -150,14 +150,14 @@ class TestEvaluatePredictions:
         data = fixture_data[:3]
         model = Model.load(SMALL_MODEL)
         preds = predictions(data, range(3), model)
-        preds["set01"] = Summary.empty()
-        report = evaluate_predictions(data, preds)
+        preds["set01"] = Summary((), 0)
+        report = evaluate_predictions(data, preds, LossConfig())
         fs = [r["f"] for r in report.rows]
         assert report.stderr_f == pytest.approx(statistics.stdev(fs) / math.sqrt(3))
 
     def test_single_row_has_zero_stderr(self, fixture_data):
         data = fixture_data[:1]
-        report = evaluate_predictions(data, {"set00": Summary.empty()})
+        report = evaluate_predictions(data, {"set00": Summary((), 0)}, LossConfig())
         assert report.stderr_f == 0.0
         assert report.mean_f == 0.0
 
@@ -358,7 +358,8 @@ class TestTargetsBuiltOncePerDriverCall:
                               trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0,
                               **self.KW)
             report = evaluate_predictions(
-                [fixture_data[i] for i in [1, 2]], predictions(fixture_data, [1, 2], result.model)
+                [fixture_data[i] for i in [1, 2]], predictions(fixture_data, [1, 2], result.model),
+                LossConfig(),
             )
             assert (row["mean_f"], row["stderr_f"]) == (report.mean_f, report.stderr_f)
 
@@ -530,8 +531,9 @@ class TestSignTest:
 
 
 class TestMeanF:
-    """mean_f reads the prepared-set path and equals, with ==, the dict-path
-    evaluation of the model's predictions, each distinct set counted once."""
+    """mean_f equals, with ==, the dict-path evaluation of the model's
+    predictions, each distinct set counted once, and the scores the study
+    drivers read off prepared sets."""
 
     @pytest.mark.parametrize("loss_cfg", [
         LossConfig(),
@@ -545,12 +547,16 @@ class TestMeanF:
         model = Model.zeros(kind, FeatureConfig(), loss_cfg,
                             GreedyConfig(budget_bytes=66, r=0.3), lam=lam)
         model.w = rng.uniform(-1.0, 1.0, size=model.w.shape)
-        for ids in ([7, 0, 3, 12], [5, 2, 5, 9]):
+        for ids in ([7, 0, 3, 12], [5, 2, 5, 9], [30, 31, 32, 33, 34]):
             _, _, _, want = evaluate_reference(
                 [fixture_data[i] for i in ids], predictions(fixture_data, ids, model), loss_cfg
             )
             assert 0.0 < want < 1.0
-            assert mean_f(fixture_data, ids, model, loss_cfg) == want
+            got = mean_f(fixture_data, ids, model, loss_cfg)
+            assert got == want
+            sets = prepare_sets(fixture_data, ids, FeatureConfig(), loss_cfg, model.greedy_config)
+            fs = experiments._f_values(sets, model)
+            assert got == sum(fs) / len(fs)
 
 
 class TestTrainOnAndMeanF:

@@ -311,8 +311,8 @@ class TestJointFeatureMap:
         x = two_doc_set(stopwords)
         cfg = FeatureConfig()
         bank = FeatureBank(x, cfg)
-        assert not np.any(joint_feature_map_pairwise(bank, Summary.empty(), 4.0))
-        assert not np.any(joint_feature_map_coverage(bank, Summary.empty()))
+        assert not np.any(joint_feature_map_pairwise(bank, Summary((), 0), 4.0))
+        assert not np.any(joint_feature_map_coverage(bank, Summary((), 0)))
 
 
 class _ScanGain:
@@ -347,7 +347,7 @@ def test_tfidf_cosine_baseline_properties(fixture_data, stopwords):
     assert min(x.num_sentences for x in big) >= 40
     cfg = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
     for x in [x for x, _ in fixture_data] + big:
-        scorer = PairwiseScorer.tfidf_baseline(x)
+        scorer = PairwiseScorer.tfidf_baseline(x, 4.0)
         m, n = scorer.m, x.num_sentences
         assert np.array_equal(m, m.T)
         assert not np.diagonal(m).any()
@@ -442,9 +442,10 @@ class TestBankAgainstOracle:
             red = sum((f for (i, j), f in phi.items() if i in inside and j in inside),
                       np.zeros(reg.dimension))
             lam = rng.uniform(0.0, 5.0)
-            got = joint_feature_map_pairwise(bank, tuple(inside), lam)
+            y = Summary(tuple(inside), sum(x.sentences[i].cost for i in inside))
+            got = joint_feature_map_pairwise(bank, y, lam)
             np.testing.assert_allclose(got, cross - lam * red, rtol=0, atol=1e-9)
-            got = joint_feature_map_pairwise(bank, tuple(inside), 0.0, split=True)
+            got = joint_feature_map_pairwise(bank, y, 0.0, split=True)
             want = np.concatenate([cross, red])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -465,7 +466,8 @@ class TestBankAgainstOracle:
             ids = rng.sample(range(x.num_sentences), k=rng.randint(0, x.num_sentences))
             covered = {t.normalized for sid in ids for t in x.sentences[sid].tokens}
             want = sum((phi[v] for v in covered), np.zeros(reg.dimension))
-            got = joint_feature_map_coverage(bank, tuple(ids))
+            y = Summary(tuple(ids), sum(x.sentences[i].cost for i in ids))
+            got = joint_feature_map_coverage(bank, y)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 

@@ -106,7 +106,8 @@ def test_coverage(sets):
     for x, _ in sets:
         bank = FeatureBank(x, cfg)
         values = bank.omega(weights(rng, dim))
-        words = [[bank.words[v] for v in ids] for ids in bank.sentence_word_ids]
+        words = [[bank.words[v] for v in row if v < len(bank.words)]
+                 for row in bank.padded_word_ids]
         for budget in BUDGETS:
             for vals in (values, np.maximum(values, 0.0)):
                 reference = CoverageGainReference(words, dict(zip(bank.words, vals)))
@@ -178,9 +179,9 @@ def test_one_candidate_path_equals_the_vectorized_one(fixture_data, kind):
         raw_target = float(rng.uniform(0.0, 0.8))
         makers = [lambda: _score_state(bank, model, clamp=False),
                   lambda: _score_state(bank, model, clamp=True),
-                  lambda: RougeGain(x, Y),
+                  lambda: RougeGain(x, Y, LossConfig()),
                   lambda: _AugmentedGain(_score_state(bank, model, clamp=False),
-                                         RougeGain(x, Y), raw_target)]
+                                         RougeGain(x, Y, LossConfig()), raw_target)]
         for budget in BUDGETS:
             cfg = GreedyConfig(budget_bytes=budget)
             for make in makers:

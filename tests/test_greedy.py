@@ -108,7 +108,7 @@ class TestWorkedExample:
 class TestGreedyMechanics:
     def test_requires_config(self):
         x = flat_set(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             greedy_maximize(x, lambda y, k: 1.0)
 
     def test_zero_gain_still_accepted(self):
@@ -258,7 +258,7 @@ class TestExhaustive:
 
     def test_callable_objective(self):
         x = with_costs(flat_set(3), [1, 1, 1])
-        y = exhaustive_maximize(x, lambda y: len(y), GreedyConfig(budget_bytes=2, r=1.0))
+        y = exhaustive_maximize(x, lambda y: len(y.selected), GreedyConfig(budget_bytes=2, r=1.0))
         assert set(y.selected) == {0, 1}
 
     def test_matches_brute_oracle(self):

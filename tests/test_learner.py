@@ -47,7 +47,7 @@ BASELINE_CFG = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
 
 def single_constraint_ws(cap, loss=1.0, vec=(1.0, 0.0)):
     ws = WorkingSet(n_examples=1, C=cap, dimension=len(vec))
-    ws.add(Constraint(0, Summary.empty(), loss, np.array(vec, dtype=float)))
+    ws.add(Constraint(0, Summary((), 0), loss, np.array(vec, dtype=float)))
     return ws
 
 
@@ -95,7 +95,7 @@ class TestQPAgainstDense:
                 if rng.random() < 0.2:
                     vec[:] = 0.0
                 loss = float(rng.uniform(0.0, 1.5))
-                ws.add(Constraint(ex, Summary.empty(), loss, vec.copy()))
+                ws.add(Constraint(ex, Summary((), 0), loss, vec.copy()))
                 dpsis.append(vec.copy())
                 losses.append(loss)
                 groups.append(ex)
@@ -109,7 +109,7 @@ class TestQPAgainstDense:
         cons = []
         for c in range(6):
             vec = rng.normal(size=5)
-            cons.append(Constraint(c % 2, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            cons.append(Constraint(c % 2, Summary((), 0), float(rng.uniform(0, 1)), vec))
             ws.add(cons[-1])
         ws.solve(TrainerConfig(C=4.0))
         rebuilt = np.zeros(5)
@@ -126,13 +126,14 @@ class TestQPAgainstDense:
             ws = WorkingSet(n_examples=n_ex, C=cap * n_ex, dimension=4)
             for c in range(6):
                 vec = rng.normal(size=4)
-                ws.add(Constraint(c % n_ex, Summary.empty(), float(rng.uniform(0, 1.2)), vec))
+                ws.add(Constraint(c % n_ex, Summary((), 0), float(rng.uniform(0, 1.2)), vec))
             dual = ws.solve(TrainerConfig(C=cap * n_ex, qp_tol=1e-14, qp_max_passes=100_000))
             for i in range(n_ex):
                 s = sum(ws.alpha[i])
                 assert -1e-12 <= s <= cap + 1e-9
                 assert all(a >= -1e-12 for a in ws.alpha[i])
-            primal = ws.primal_objective()
+            half, slack = ws.primal_parts()
+            primal = half + ws.cap * slack
             assert primal >= dual - 1e-8
             assert primal - dual <= 1e-6 * (1.0 + abs(dual))
 
@@ -142,7 +143,7 @@ class TestQPAgainstDense:
         cons = []
         for c in range(12):
             vec = rng.normal(size=6)
-            cons.append(Constraint(c % 3, Summary.empty(), float(rng.uniform(0, 1)), vec))
+            cons.append(Constraint(c % 3, Summary((), 0), float(rng.uniform(0, 1)), vec))
             ws.add(cons[-1])
         ws.solve(TrainerConfig(C=6.0, qp_tol=1e-14, qp_max_passes=100_000))
         for con in cons:
@@ -242,6 +243,15 @@ class TestModelIO:
         with pytest.raises(ModelError, match="lambda"):
             Model("pairwise", np.zeros(registry_for(FeatureConfig(), "pairwise").dimension),
                   FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=10), lam=None)
+
+    def test_zeros_and_train_need_a_pairwise_lambda(self, fixture_data):
+        configs = (FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=66))
+        with pytest.raises(ModelError, match="lambda"):
+            Model.zeros("pairwise", *configs)
+        sets = prepare_sets(fixture_data, [0], *configs)
+        with pytest.raises(ModelError, match="lambda"):
+            train(sets, "pairwise", *configs, TrainerConfig())
+        assert sets[0].target is None  # refused before any training work
 
     def test_coverage_rejects_lambda(self):
         dim = registry_for(FeatureConfig(), "coverage").dimension
@@ -343,7 +353,7 @@ class TestSeparationOracle:
         and its values there; entries equal in both psis, and signed zeros,
         drop out, and no nonzero is too small to keep."""
         ws = WorkingSet(1, 1.0, 6)
-        ws.add(Constraint(0, Summary.empty(), 1.0, np.array([0.0, -0.0, 2.5, 0.0, -1.0, 1e-300])))
+        ws.add(Constraint(0, Summary((), 0), 1.0, np.array([0.0, -0.0, 2.5, 0.0, -1.0, 1e-300])))
         assert ws._idx[0].tolist() == [2, 4, 5] and ws._val[0].tolist() == [2.5, -1.0, 1e-300]
         rng = random.Random(53)
         for kind in ("pairwise", "pairwise-split", "coverage"):
@@ -394,7 +404,7 @@ class TestSeparationOracle:
                         + loss_delta(Y, target, y, x, model.loss_config))
 
             best = exhaustive_maximize(x, augmented, gcfg)
-            base = augmented(Summary.empty())
+            base = augmented(Summary((), 0))
             got = augmented(con.y_hat) - base
             opt = augmented(best) - base
             ratios.append(1.0 if opt <= 1e-12 else got / opt)
@@ -408,12 +418,12 @@ class TestViolation:
         # loss 0.25; example 1's larger slack does not count
         ws = WorkingSet(2, 1.0, 4)
         ws.w = np.array([0.0, 0.1, 0.0, 0.0])
-        cons = [Constraint(0, Summary.empty(), 0.25, np.zeros(4)),
-                Constraint(1, Summary.empty(), 0.9, np.zeros(4))]
+        cons = [Constraint(0, Summary((), 0), 0.25, np.zeros(4)),
+                Constraint(1, Summary((), 0), 0.9, np.zeros(4))]
         for con in cons:
             ws.add(con)
         assert ws.xi(0) == 0.25 and ws.xi(1) == 0.9
-        con = Constraint(0, Summary.empty(), 0.8, np.array([0.0, 2.0, 0.0, 0.0]))
+        con = Constraint(0, Summary((), 0), 0.8, np.array([0.0, 2.0, 0.0, 0.0]))
         assert ws.violation(con) == pytest.approx(0.8 - 0.2 - 0.25)
         assert ws.total_constraints == len(cons)
 
@@ -461,7 +471,7 @@ class TestTrain:
         sets = self._sets(self._mini_corpus(stopwords, n=1))
         with pytest.raises(ValueError, match="other feature or loss configs"):
             train(sets, "coverage", FeatureConfig().without_group("location"), LossConfig(),
-                  GreedyConfig(budget_bytes=60, r=0.3))
+                  GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig())
 
     def test_converges_and_dual_monotone(self, stopwords):
         data = self._mini_corpus(stopwords)
@@ -581,7 +591,7 @@ class TestBankSlot:
             predict(x, model)
         assert builds == ([x.set_id], [x.set_id])
         # the tf-idf baseline reads its layer off the held stack
-        PairwiseScorer.tfidf_baseline(x)
+        PairwiseScorer.tfidf_baseline(x, 4.0)
         assert builds == ([x.set_id], [x.set_id])
 
     def test_baseline_builds_its_own_bank_when_the_held_one_has_no_stack(
@@ -590,7 +600,7 @@ class TestBankSlot:
         coverage = self._models()[2]
         predict(x, coverage)
         held = bank_for(x, coverage.feature_config)
-        PairwiseScorer.tfidf_baseline(x)
+        PairwiseScorer.tfidf_baseline(x, 4.0)
         # one bank and its one-layer stack more; the held bank builds no stack
         assert builds == ([x.set_id] * 2, [x.set_id])
         assert "cosines" not in vars(held)
@@ -604,7 +614,7 @@ class TestBankSlot:
         x = fixture_data[0][0]
         w = np.random.default_rng(0).standard_normal(registry_for(cfg, "pairwise").dimension)
         predict(x, Model("pairwise", w, cfg, LossConfig(), GreedyConfig(budget_bytes=100), 4.0))
-        PairwiseScorer.tfidf_baseline(x)
+        PairwiseScorer.tfidf_baseline(x, 4.0)
         assert builds == ([x.set_id] * 2, [x.set_id] * 2)
         assert bank_for(x, BASELINE_CFG).cosines.shape[0] == 1
 
@@ -622,7 +632,7 @@ class TestBankSlot:
         for x, _ in fixture_data + duc:
             predict(x, model)
             held = bank_for(x, model.feature_config).cosines
-            m = PairwiseScorer.tfidf_baseline(x).m
+            m = PairwiseScorer.tfidf_baseline(x, 4.0).m
             assert np.shares_memory(m, held)
             assert np.array_equal(m, FeatureBank(x, BASELINE_CFG).cosines[0])
 

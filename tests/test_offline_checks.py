@@ -1,0 +1,60 @@
+"""The offline checks of the CI workflow, as tests: the golden summaries and
+byte-identical output files under one and four BLAS threads, and the
+fixture generator reproducing the committed fixtures."""
+
+import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import structsum
+
+from conftest import FIXTURE_DIR, FIXTURE_JSONL, GOLDEN_BASELINE, GOLDEN_SUMMARIES, SMALL_MODEL
+
+DATASET = str(FIXTURE_JSONL)
+
+
+def _env(**extra) -> dict:
+    """This environment, with the package this test imported first on the path."""
+    package_root = str(Path(structsum.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli(threads: int, *argv) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-m", "structsum.cli", *argv], capture_output=True, text=True,
+        env=_env(OPENBLAS_NUM_THREADS=str(threads)), check=True,
+    )
+    return proc.stdout
+
+
+def test_cli_outputs_match_the_goldens_and_each_other_across_blas_threads(tmp_path):
+    train = ["train", "--dataset", DATASET, "--train-ids", ",".join(map(str, range(30)))]
+    outputs = {}
+    for threads in (1, 4):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        baseline = _cli(threads, "summarize", "--dataset", DATASET, "--baseline")
+        assert baseline == GOLDEN_BASELINE.read_text(encoding="utf-8")
+        summaries = _cli(threads, "summarize", "--dataset", DATASET,
+                         "--model-file", str(SMALL_MODEL))
+        assert summaries == GOLDEN_SUMMARIES.read_text(encoding="utf-8")
+        _cli(threads, *train, "--out", str(out / "model.json"))
+        _cli(threads, "summarize", "--dataset", DATASET, "--model-file", str(out / "model.json"),
+             "--out", str(out / "preds.json"))
+        _cli(threads, *train, "--C", "0.1,1,10", "--val-ids", "30,31,32",
+             "--out", str(out / "grid.json"))
+        outputs[threads] = out
+    for name in ("model.json", "preds.json", "grid.json", "grid.json.cgrid.json"):
+        assert filecmp.cmp(outputs[1] / name, outputs[4] / name, shallow=False), name
+
+
+def test_generator_reproduces_the_committed_fixtures(tmp_path):
+    subprocess.run([sys.executable, str(FIXTURE_DIR / "generate.py"), str(tmp_path)],
+                   capture_output=True, env=_env(), check=True)
+    for name in ("fixture.jsonl", "expected_results.json", "golden_summaries.txt",
+                 "golden_baseline.txt"):
+        assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name

@@ -121,7 +121,7 @@ class TestFScore:
     def test_requires_references(self, make_docset):
         x = make_docset(["Alpha."], with_stopwords=False)
         with pytest.raises(ValueError):
-            RougeGain(x, ReferenceSet("r", ()))
+            RougeGain(x, ReferenceSet("r", ()), LossConfig())
 
 
 class TestLoss:
@@ -172,16 +172,17 @@ class TestLoss:
         (s,) = prepare_sets([(x, Y)], [0], FeatureConfig(), LossConfig(), gcfg)
         assert s.target is None and s.raw_target_loss is None
         s.with_target()
-        assert s.target == greedy_target(x, RougeGain(x, Y), gcfg)
-        assert s.raw_target_loss == RougeGain(x, Y).load(s.target.selected).raw_loss()
+        assert s.target == greedy_target(x, RougeGain(x, Y, LossConfig()), gcfg)
+        assert s.raw_target_loss == RougeGain(x, Y, LossConfig()).load(s.target.selected).raw_loss()
         assert loss_delta(Y, s.target, s.target, x, LossConfig()) == 0.0
 
     def test_normalized_loss_clamps_at_zero(self, make_docset):
         x, Y = self._xy(make_docset)
-        target = greedy_target(x, RougeGain(x, Y), GreedyConfig(budget_bytes=20, r=1.0))
+        target = greedy_target(x, RougeGain(x, Y, LossConfig()),
+                               GreedyConfig(budget_bytes=20, r=1.0))
         # the target itself never shows positive normalized loss
         assert loss_delta(Y, target, target, x, LossConfig()) == 0.0
-        worse = Summary.empty()
+        worse = Summary((), 0)
         assert loss_delta(Y, target, worse, x, LossConfig()) >= 0.0
 
     def test_stopword_removal_changes_loss(self, make_docset):
@@ -223,7 +224,7 @@ class TestRougeGain:
         x = make_docset(["Alpha beta. Alpha beta."], with_stopwords=False)
         Y = refset([["alpha", "beta"]])
         gain = RougeGain(x, Y, LossConfig())
-        first = gain(Summary.empty(), 0)
+        first = gain(Summary((), 0), 0)
         assert first == pytest.approx(1.0)
         gain.commit(0)
         second = gain(Summary((0,), 0), 1)
@@ -282,7 +283,7 @@ class TestMakeTarget:
         x = make_docset(["Alpha beta."], with_stopwords=False)
         Y = refset([["alpha", "beta"]])
         with caplog.at_level(logging.WARNING, logger="structsum.rouge"):
-            got = greedy_target(x, RougeGain(x, Y), GreedyConfig(budget_bytes=3))
+            got = greedy_target(x, RougeGain(x, Y, LossConfig()), GreedyConfig(budget_bytes=3))
         assert got.selected == ()
         assert any("empty" in m for m in caplog.messages)
 
@@ -304,7 +305,7 @@ def test_recall_monotone_in_summary_growth(data):
     split_at = data.draw(st.integers(0, len(members)))
     small = Summary(tuple(members[:split_at]), 0)
     large = Summary(tuple(members), 0)
-    gain = RougeGain(x, Y)
+    gain = RougeGain(x, Y, LossConfig())
     _, rec_small, _ = gain.load(small.selected).prf()
     _, rec_large, _ = gain.load(large.selected).prf()
     assert rec_large >= rec_small - 1e-12

@@ -81,13 +81,13 @@ def id_order_padding(x, budget):
 class TestSummary:
     def test_basic_container(self):
         y = Summary((2, 0), 21)
-        assert 2 in y and 1 not in y
-        assert len(y) == 2
-        assert y.as_set() == {0, 2}
+        assert 2 in y.selected and 1 not in y.selected
+        assert len(y.selected) == 2
+        assert frozenset(y.selected) == {0, 2}
 
     def test_empty(self):
-        y = Summary.empty()
-        assert len(y) == 0 and y.total_cost == 0
+        y = Summary((), 0)
+        assert len(y.selected) == 0 and y.total_cost == 0
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
