@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from .corpus import DatasetError, load_dataset, load_stopwords
@@ -50,8 +51,8 @@ def _parse_list(text: str | None, flag: str) -> list[str] | None:
 
 
 def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
-    """Non-empty comma list of set indexes, each in range(n_sets); None when
-    absent."""
+    """Non-empty comma list of distinct set indexes, each in range(n_sets);
+    None when absent."""
     if text is None:
         return None
     ids = [int(v) for v in text.split(",") if v != ""]
@@ -60,6 +61,9 @@ def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
     bad = [i for i in ids if not 0 <= i < n_sets]
     if bad:
         raise ValueError(f"{flag}: set indexes {bad} out of range for {n_sets} sets")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"{flag} repeats set indexes {repeated}")
     return ids
 
 
@@ -72,11 +76,19 @@ def _loss_cfg(args) -> LossConfig:
                       rouge_stopword_removal=args.rouge_drop_stopwords)
 
 
+def _lambda(args) -> float:
+    """--lambda, checked before any feature is built: a non-finite lambda
+    makes every gain non-finite."""
+    if not math.isfinite(args.lam):
+        raise ValueError(f"lambda must be finite, not {args.lam}")
+    return args.lam
+
+
 def _training_cfgs(args):
     """Feature, loss and greedy configs of a training command, and the fixed
     lambda of its model kind (only ``pairwise`` has one)."""
     groups = _parse_list(args.groups, "--groups") or GROUPS
-    lam = args.lam if args.model == "pairwise" else None
+    lam = _lambda(args) if args.model == "pairwise" else None
     return FeatureConfig(enabled_groups=tuple(groups)), _loss_cfg(args), _greedy_cfg(args), lam
 
 
@@ -173,9 +185,10 @@ def _summarize_one(x, args, model, greedy_cfg) -> Summary:
 def cmd_summarize(args) -> int:
     if (args.model_file is None) == (not args.baseline):
         raise ValueError("give exactly one of --model-file or --baseline")
-    # built in both modes so that a bad --budget or --r always fails; a
-    # model summarizes under the greedy config it was trained with
+    # built in both modes so that a bad --budget, --r or --lambda always
+    # fails; a model summarizes under the configs it was trained with
     greedy_cfg = _greedy_cfg(args)
+    _lambda(args)
     data = _load(args)
     model = Model.load(args.model_file) if args.model_file else None
     wanted = _parse_list(args.sets, "--sets")
@@ -206,7 +219,10 @@ def cmd_summarize(args) -> int:
 
 def _load_predictions(path: str, data) -> dict[str, Summary]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON ({exc})") from exc
     records = payload.get("summaries") if isinstance(payload, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"{path}: predictions need a 'summaries' list")

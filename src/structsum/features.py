@@ -30,11 +30,11 @@ group, and the positional bin. A coverage level (a, b) fires when some
 sentence of the set contains the word at least a times and the word occurs
 in at least fraction b of the sentences.
 
-The registry assigns indices by sorting feature names, so a configuration
-always yields the same index layout. ``FeatureBank`` computes all of the
-above for one document set as arrays (see docs/features.md),
-``bank_for`` shares the last bank built across calls, and ``tfidf_cosines``
-reads the tf-idf baseline's matrix off that bank when it can.
+``FeatureRegistry`` owns the index layout of these features.
+``FeatureBank`` computes all of them for one document set as arrays (see
+docs/features.md), ``bank_for`` shares the last bank built across calls,
+and ``tfidf_cosines`` reads the tf-idf baseline's matrix off that bank
+when it can.
 """
 
 from __future__ import annotations
@@ -155,56 +155,55 @@ def cosine_groups(cfg: FeatureConfig) -> tuple[WordGroup, ...]:
 
 
 class FeatureRegistry:
-    """Deterministic feature-name-to-index assignment for one model kind."""
+    """The feature names of one model kind and their indices, assigned by
+    sorting the names, so a config always yields the same layout. The
+    registry owns that layout: it is the only code that formats feature
+    names, and its read-only intp tables of base indices (into
+    ``base_names``) say where each ``FeatureBank`` read-out lands. Pairwise
+    kinds keep ``stems`` (each cosine layer's ``group:variant:scheme``, in
+    stack order), ``cos_index``, ``bin_index`` and ``loc_index``; coverage
+    keeps ``group_columns`` and ``loc_index``. docs/features.md lists them."""
 
     def __init__(self, cfg: FeatureConfig, model_kind: str):
         if model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {model_kind!r}")
         self.cfg = cfg
         self.model_kind = model_kind
+        groups = cosine_groups(cfg)
+        nb = range(cfg.num_position_bins if "location" in cfg.enabled_groups else 0)
         if model_kind == "coverage":
-            base = _coverage_names(cfg)
+            levels = [f"a{a}b{b:.2f}" for a, b in sorted(cfg.coverage_levels)]
+            buckets = range(len(cfg.importance_bucket_edges) + 1)
+            columns = [[f"cov:lvl:{g.group_id}:{g.variant}:{level}" for level in levels]
+                       + [f"cov:imp:{g.group_id}:{g.variant}:q{q}" for q in buckets]
+                       for g in groups]
+            loc = [f"cov:loc:bin{b}" for b in nb]
+            tables = {"group_columns": columns, "loc_index": loc}
+            base = [n for row in columns for n in row] + loc
         else:
-            base = _pairwise_names(cfg)
+            schemes = sorted(cfg.weightings)
+            self.stems = tuple(f"{g.group_id}:{g.variant}:{sc}" for g in groups for sc in schemes)
+            cos = [f"pair:cos:{stem}" for stem in self.stems]
+            bins = [[f"pair:bin:{stem}:{b:02d}" for b in range(cfg.similarity_bins)]
+                    for stem in self.stems]
+            loc = [[f"pair:loc:{min(p, q)}:{max(p, q)}" for q in nb] for p in nb]
+            tables = {"cos_index": cos, "bin_index": bins, "loc_index": loc}
+            base = cos + [n for row in bins for n in row] + [loc[p][q] for p in nb for q in nb[p:]]
+        if len(set(base)) < len(base):
+            raise ValueError("the feature config gives two features the same name")
         self.base_names = tuple(sorted(base))
         self.base_dimension = len(self.base_names)
-        if model_kind == "pairwise-split":
-            # sorted() keeps the cross block before the redundancy block
-            names = [f"cross:{n}" for n in self.base_names]
-            names += [f"red:{n}" for n in self.base_names]
-        else:
-            names = list(self.base_names)
-        self.names = tuple(names)
+        index = {n: i for i, n in enumerate(self.base_names)}
+        for attr, names in tables.items():  # a list of names, or of rows of names
+            table = np.array([index[n] if isinstance(n, str) else [index[m] for m in n]
+                              for n in names], dtype=np.intp)
+            table.flags.writeable = False
+            setattr(self, attr, table)
+        # sorted() keeps the cross block before the redundancy block
+        blocks = ("cross:", "red:") if model_kind == "pairwise-split" else ("",)
+        self.names = tuple(block + n for block in blocks for n in self.base_names)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.dimension = len(self.names)
-
-
-def _pairwise_names(cfg: FeatureConfig) -> list[str]:
-    names: list[str] = []
-    for g in cosine_groups(cfg):
-        for scheme in sorted(cfg.weightings):
-            names.append(f"pair:cos:{g.group_id}:{g.variant}:{scheme}")
-            for b in range(cfg.similarity_bins):
-                names.append(f"pair:bin:{g.group_id}:{g.variant}:{scheme}:{b:02d}")
-    if "location" in cfg.enabled_groups:
-        nb = cfg.num_position_bins
-        for b1 in range(nb):
-            for b2 in range(b1, nb):
-                names.append(f"pair:loc:{b1}:{b2}")
-    return names
-
-
-def _coverage_names(cfg: FeatureConfig) -> list[str]:
-    names: list[str] = []
-    for g in cosine_groups(cfg):
-        for a, b in sorted(cfg.coverage_levels):
-            names.append(f"cov:lvl:{g.group_id}:{g.variant}:a{a}b{b:.2f}")
-        for qi in range(len(cfg.importance_bucket_edges) + 1):
-            names.append(f"cov:imp:{g.group_id}:{g.variant}:q{qi}")
-    if "location" in cfg.enabled_groups:
-        for b in range(cfg.num_position_bins):
-            names.append(f"cov:loc:bin{b}")
-    return names
 
 
 def _position_bins(cfg: FeatureConfig, positions) -> np.ndarray:
@@ -228,7 +227,9 @@ class FeatureBank:
     variant. The pairwise stacks (``cosines``, ``codes``) and the coverage
     ``word_features`` matrix are built on first use. sigma(w), omega(w),
     psi(y), phi(i, j) and phi(v) are all linear read-outs of these arrays;
-    the last three are dense vectors in registry index order.
+    the last three are dense vectors in registry index order. The registry
+    owns that order: the bank places each read-out by the registry's index
+    tables and never formats a feature name.
     """
 
     def __init__(self, x: DocumentSet, cfg: FeatureConfig):
@@ -291,10 +292,6 @@ class FeatureBank:
                 mask[:] = self.sentence_freq / n >= g.threshold
             elif g.kind == "docfrac":
                 mask[:] = self.doc_freq / d >= g.threshold
-        # one cosine layer per (group variant, scheme), in registry order
-        self._stems = [
-            f"{g.group_id}:{g.variant}:{sc}" for g in self.groups for sc in sorted(cfg.weightings)
-        ]
 
     @cached_property
     def padded_word_ids(self) -> np.ndarray:
@@ -309,9 +306,10 @@ class FeatureBank:
 
     @cached_property
     def cosines(self) -> np.ndarray:
-        """K x n x n cosines, one layer per stem; the diagonal is zero."""
+        """K x n x n cosines, one layer per (group variant, scheme) in the
+        registry's stem order; the diagonal is zero."""
         n = self.x.num_sentences
-        out = np.zeros((len(self._stems), n, n))
+        out = np.zeros((len(self.masks) * len(self.cfg.weightings), n, n))
         layers = iter(out)
         # raw dot products sum products of word counts, integers that stay
         # exact in float64 in any order while sentences have under 2**26
@@ -341,11 +339,6 @@ class FeatureBank:
         return out
 
     @cached_property
-    def _cos_index(self) -> np.ndarray:
-        reg = registry_for(self.cfg, "pairwise")
-        return np.array([reg.index[f"pair:cos:{stem}"] for stem in self._stems], dtype=np.intp)
-
-    @cached_property
     def codes(self) -> np.ndarray:
         """Indicator layers holding the pairwise-registry index of the feature
         firing at (i, j): the similarity bin of each cosine layer, then the
@@ -355,21 +348,13 @@ class FeatureBank:
         n, nbins = self.x.num_sentences, cfg.similarity_bins
         location = "location" in cfg.enabled_groups
         dtype = np.min_scalar_type(reg.dimension)
-        out = np.empty((len(self._stems) + location, n, n), dtype=dtype)
-        for layer, stem, cos in zip(out, self._stems, self.cosines):
-            # bin b's feature is the b-th of the stem's contiguous bin block
-            base = reg.index[f"pair:bin:{stem}:00"]
-            block = [f"pair:bin:{stem}:{b:02d}" for b in range(nbins)]
-            if list(reg.names[base:base + nbins]) != block:
-                raise ValueError(f"similarity bins of {stem} are not contiguous in the registry")
+        out = np.empty((len(reg.stems) + location, n, n), dtype=dtype)
+        for layer, bins, cos in zip(out, reg.bin_index, self.cosines):
             b = np.minimum((cos * nbins).astype(np.intp), nbins - 1)
-            layer[:] = np.where(cos > 0.0, base + b, reg.dimension)
+            layer[:] = np.where(cos > 0.0, bins.take(b), reg.dimension)
         if location:
-            nb = range(cfg.num_position_bins)
-            index = np.array([[reg.index[f"pair:loc:{min(a, b)}:{max(a, b)}"] for b in nb]
-                              for a in nb])
             pb = _position_bins(cfg, [s.position_in_doc for s in self.x.sentences])
-            out[-1] = index[pb[:, None], pb[None, :]]
+            out[-1] = reg.loc_index[pb[:, None], pb[None, :]]
             np.fill_diagonal(out[-1], reg.dimension)
         return out
 
@@ -382,17 +367,16 @@ class FeatureBank:
         indicators = np.zeros(codes[0].size)
         for layer in codes.reshape(len(codes), -1):
             indicators += values.take(layer)
-        m = np.tensordot(w[self._cos_index], self.cosines, axes=1)
+        m = np.tensordot(w[registry_for(self.cfg, "pairwise").cos_index], self.cosines, axes=1)
         m += indicators.reshape(m.shape)
         return m
 
     def _block_sum(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense sum of phi(i, j) over i in rows, j in cols, i != j."""
-        dim = registry_for(self.cfg, "pairwise").dimension
+        reg = registry_for(self.cfg, "pairwise")
         codes = self.codes[:, :, cols][:, rows].ravel().astype(np.intp)
-        out = np.bincount(codes, minlength=dim + 1)[:dim]
-        out = out.astype(float)
-        out[self._cos_index] += self.cosines[:, :, cols][:, rows].sum(axis=(1, 2))
+        out = np.bincount(codes, minlength=reg.dimension + 1)[:reg.dimension].astype(float)
+        out[reg.cos_index] += self.cosines[:, :, cols][:, rows].sum(axis=(1, 2))
         return out
 
     def pair(self, i: int, j: int) -> np.ndarray:
@@ -425,14 +409,11 @@ class FeatureBank:
         importance = bucket[:, None] == np.arange(buckets)[None, :]
         per_group = np.concatenate([level, importance], axis=1)
         f = np.zeros((len(self.words), reg.dimension), dtype=bool)
-        for g, mask in zip(self.groups, self.masks):
-            stem = f"{g.group_id}:{g.variant}"
-            cols = [reg.index[f"cov:lvl:{stem}:a{a}b{b:.2f}"] for a, b in levels]
-            cols += [reg.index[f"cov:imp:{stem}:q{q}"] for q in range(buckets)]
-            f[:, cols] |= mask[:, None] & per_group
+        for columns, mask in zip(reg.group_columns, self.masks):
+            f[:, columns] |= mask[:, None] & per_group
         if "location" in cfg.enabled_groups:
-            loc = np.array([reg.index[f"cov:loc:bin{b}"] for b in range(cfg.num_position_bins)])
-            f[np.arange(len(self.words)), loc[_position_bins(cfg, self.earliest_position)]] = True
+            bins = _position_bins(cfg, self.earliest_position)
+            f[np.arange(len(self.words)), reg.loc_index[bins]] = True
         return f.astype(float)
 
     def omega(self, w: np.ndarray) -> np.ndarray:
@@ -473,7 +454,6 @@ def bank_for(x: DocumentSet, cfg: FeatureConfig) -> FeatureBank:
 # the baseline's only cosine layer, tf-idf over all words; it depends on the
 # set alone, so any bank whose config has it holds the same matrix
 _BASELINE_CFG = FeatureConfig(enabled_groups=("basic",), weightings=("tfidf",))
-_BASELINE_STEM = "basic:all:tfidf"
 
 
 def tfidf_cosines(x: DocumentSet) -> np.ndarray:
@@ -486,9 +466,11 @@ def tfidf_cosines(x: DocumentSet) -> np.ndarray:
     the CLI's ``summarize --baseline`` always builds the small bank."""
     bank = _last_bank
     # cached_property keeps a built stack in the instance dict
-    built = bank is not None and bank.x is x and "cosines" in vars(bank)
-    if built and _BASELINE_STEM in bank._stems:
-        return bank.cosines[bank._stems.index(_BASELINE_STEM)]
+    if bank is not None and bank.x is x and "cosines" in vars(bank):
+        (stem,) = registry_for(_BASELINE_CFG, "pairwise").stems
+        stems = registry_for(bank.cfg, "pairwise").stems
+        if stem in stems:
+            return bank.cosines[stems.index(stem)]
     return bank_for(x, _BASELINE_CFG).cosines[0]
 
 

@@ -101,6 +101,8 @@ class Model:
         if self.model_kind == "pairwise":
             if self.lam is None:
                 raise ModelError("pairwise models need a fixed lambda")
+            if not math.isfinite(self.lam):
+                raise ModelError(f"lambda must be finite, not {self.lam}")
         elif self.lam is not None:
             raise ModelError(f"{self.model_kind} models carry no lambda")
         dim = registry_for(self.feature_config, self.model_kind).dimension
@@ -130,14 +132,16 @@ class Model:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed model file: {exc.msg}") from exc
+        if type(d) is not dict:
+            raise ModelError("a model file must be a JSON object")
         try:
-            cfg = FeatureConfig.from_dict(d["feature_config"])
-            loss_cfg = LossConfig.from_dict(d["loss_config"])
-            greedy_cfg = GreedyConfig.from_dict(d["greedy_config"])
+            cfg = FeatureConfig.from_dict(json_value(d, "feature_config", dict))
+            loss_cfg = LossConfig.from_dict(json_value(d, "loss_config", dict))
+            greedy_cfg = GreedyConfig.from_dict(json_value(d, "greedy_config", dict))
             kind = json_value(d, "model_kind", str)
             dim = json_value(d, "dimension", int)
             lam = None if d.get("lambda") is None else json_value(d, "lambda", float)
-            weights = d["weights"]
+            weights = json_value(d, "weights", dict)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"model file missing or bad field: {exc}") from exc
         expected = registry_for(cfg, kind).dimension
@@ -150,7 +154,7 @@ class Model:
             bad = [v for _, v in entries if type(v) not in (int, float)]
             if bad:
                 raise TypeError(f"weights must be numbers, not {bad[0]!r}")
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ModelError(f"model file has malformed weights: {exc}") from exc
         w = np.zeros(dim)
         for idx, v in entries:

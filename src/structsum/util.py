@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string"}
+               str: "a string", dict: "an object"}
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see a
@@ -33,12 +33,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def json_value(d, key, kind, name: str | None = None):
     """``d[key]`` as read from a JSON file, checked to have the shape
-    ``kind``: int, float, bool or str; ``[kind]`` for an array of that kind,
-    or a tuple of kinds for an array of exactly those items (arrays come
-    back as tuples). Else ValueError naming ``name or key``. Booleans are not
-    numbers, integers count as floats (returned as float), floats must be
-    finite, and tuples count as arrays, so that a config's ``asdict`` reads
-    back."""
+    ``kind``: int, float, bool, str or dict (an object); ``[kind]`` for an
+    array of that kind, or a tuple of kinds for an array of exactly those
+    items (arrays come back as tuples). Else ValueError naming ``name or
+    key``. Booleans are not numbers, integers count as floats (returned as
+    float), floats must be finite, and tuples count as arrays, so that a
+    config's ``asdict`` reads back."""
     value, name = d[key], name or key
     if isinstance(kind, (list, tuple)):
         array = type(value) in (list, tuple)

@@ -579,7 +579,9 @@ class FeatureBankReference(FeatureBank):
     """``FeatureBank`` with the package's former per-word and per-pair
     loops for the vocabulary arrays, ``codes`` and ``word_features``, and
     its former ``cosines``, one product per layer over the layer's own
-    columns; the read-outs are inherited."""
+    columns; the read-outs are inherited. It finds every feature index by
+    looking its name up, not in the registry's index tables, so a bank
+    that equals it checks those tables."""
 
     def __init__(self, x, cfg):
         self.x = x

@@ -393,6 +393,63 @@ class TestInputContract:
         assert stderr.startswith(f"error: {flag}: set indexes [{value}] out of range")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command, flag, value, repeated", [
+        ("train", "--train-ids", "0,0,1", [0]), ("train", "--val-ids", "2,3,2", [2]),
+        ("bounds", "--test-ids", "4,4,4,5", [4]),
+    ])
+    def test_repeated_set_ids_fail(self, capsys, tmp_path, command, flag, value, repeated):
+        # a repeated test set once weighed twice in bounds' human and extractive
+        # rows; a repeated training set trained as two examples
+        argv = {
+            "train": ["--train-ids", "0,1", "--C", "1,10", "--val-ids", "2",
+                      "--out", str(tmp_path / "m.json")],
+            "bounds": ["--model-file", str(SMALL_MODEL), "--train-ids", "0", "--test-ids", "1"],
+        }[command]
+        argv[argv.index(flag) + 1] = value
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv)
+        assert rc == 1
+        assert stderr == f"error: {flag} repeats set indexes {repeated}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, value", [
+        (["train", "--train-ids", "0,1", "--out", "model.json"], "inf"),
+        (["summarize", "--baseline"], "nan"),
+    ])
+    def test_non_finite_lambda_fails_before_any_warning(self, tmp_path, argv, value):
+        # in a child process, so that numpy's warnings would reach stderr
+        argv = [a if a != "model.json" else str(tmp_path / a) for a in argv]
+        proc = run_module(*argv, "--dataset", DATASET, "--lambda", value)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: lambda must be finite, not {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [1, 2], "a model file must be a JSON object"),
+        (lambda d: "model", "a model file must be a JSON object"),
+        (lambda d: dict(d, feature_config=[1]),
+         "model file missing or bad field: feature_config must be an object, not [1]"),
+        (lambda d: dict(d, weights=[0.5]),
+         "model file missing or bad field: weights must be an object, not [0.5]"),
+    ], ids=["array", "string", "feature_config", "weights"])
+    def test_malformed_model_file_says_what_is_wrong(self, capsys, tmp_path, edit, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(edit(json.loads(SMALL_MODEL.read_text(encoding="utf-8")))))
+        rc, stdout, stderr = run(
+            capsys, "summarize", "--dataset", DATASET, "--model-file", str(model)
+        )
+        assert rc == 1
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+
+    def test_predictions_that_are_not_json_name_the_file(self, capsys, tmp_path):
+        preds = tmp_path / "preds.json"
+        preds.write_text("[\n")
+        rc, _, stderr = run(capsys, "evaluate", "--dataset", DATASET, "--predictions", str(preds))
+        assert rc == 1
+        assert stderr == (f"error: {preds}: malformed JSON "
+                          "(Expecting value: line 2 column 1 (char 2))\n")
+
     def test_validation_ids_need_a_c_grid(self, capsys, tmp_path, monkeypatch):
         # one C leaves nothing to select on the validation sets
         trained = []

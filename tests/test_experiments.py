@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import statistics
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from structsum import experiments, learner
-from structsum.corpus import ReferenceSet, tokenize
+from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.experiments import (
     ABLATION_ROWS,
     ablation_table,
@@ -32,7 +33,7 @@ from structsum.learner import Model, TrainerConfig, predict, psi
 from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
-from conftest import EXPECTED_RESULTS, SMALL_MODEL
+from conftest import EXPECTED_RESULTS, SMALL_MODEL, random_documents
 from oracles import evaluate_reference
 
 
@@ -557,6 +558,35 @@ class TestMeanF:
             sets = prepare_sets(fixture_data, ids, FeatureConfig(), loss_cfg, model.greedy_config)
             fs = experiments._f_values(sets, model)
             assert got == sum(fs) / len(fs)
+
+
+    @pytest.mark.parametrize("kind, lam", [
+        ("pairwise", 4.0), ("pairwise-split", None), ("coverage", None),
+    ])
+    def test_scores_with_the_loss_config_it_is_given(self, stopwords, kind, lam):
+        """On sets with stopwords in their sentences and references, dropping
+        stopwords changes F, so a mean_f that scored under another loss config
+        than its own would fail here (the fixture has no stopwords)."""
+        rng = random.Random(5)
+        data = []
+        for k in range(4):
+            x = build_document_set(f"sw{k}", random_documents(rng, 3, 4), stopwords)
+            refs = tuple(tuple(tokenize(" ".join(random_documents(rng, 1, 3)), stopwords))
+                         for _ in range(2))
+            data.append((x, ReferenceSet(x.set_id, refs)))
+        ids = [2, 0, 3, 1]
+        got = {}
+        for drop in (False, True):
+            loss_cfg = LossConfig(rouge_stopword_removal=drop)
+            model = Model.zeros(kind, FeatureConfig(), loss_cfg,
+                                GreedyConfig(budget_bytes=66, r=0.3), lam=lam)
+            model.w = np.random.default_rng(11).uniform(-1.0, 1.0, size=model.w.shape)
+            _, _, _, want = evaluate_reference(
+                [data[i] for i in ids], predictions(data, ids, model), loss_cfg
+            )
+            got[drop] = mean_f(data, ids, model, loss_cfg)
+            assert got[drop] == want
+        assert got[False] != got[True]
 
 
 class TestTrainOnAndMeanF:

@@ -11,6 +11,7 @@ from structsum.features import (
     FeatureConfig,
     FeatureBank,
     _position_bins,
+    cosine_groups,
     joint_feature_map_coverage,
     joint_feature_map_pairwise,
     registry_for,
@@ -20,6 +21,7 @@ from structsum.scoring import PairwiseScorer, Summary, gain_state
 
 from conftest import random_documents
 from oracles import (
+    FeatureBankReference,
     PairwiseGainReference,
     coverage_score_brute,
     greedy_scan_reference,
@@ -84,6 +86,37 @@ class TestRegistry:
         cov_names = registry_for(cfg, "coverage").names
         assert all(n.startswith("pair:") for n in pair_names)
         assert all(n.startswith("cov:") for n in cov_names)
+
+    @pytest.mark.parametrize("cfg", [FeatureConfig(), FeatureConfig(enabled_groups=("location",))])
+    def test_tables_index_the_read_outs_by_name(self, cfg):
+        """Each table entry is the index of the name its read-out stands for;
+        the tables are read-only."""
+        pair, cov = registry_for(cfg, "pairwise"), registry_for(cfg, "coverage")
+        nb = range(cfg.num_position_bins if "location" in cfg.enabled_groups else 0)
+        assert pair.stems == tuple(f"{g.group_id}:{g.variant}:{sc}" for g in cosine_groups(cfg)
+                                   for sc in sorted(cfg.weightings))
+        for k, stem in enumerate(pair.stems):
+            assert pair.names[pair.cos_index[k]] == f"pair:cos:{stem}"
+            assert [pair.names[i] for i in pair.bin_index[k]] == [
+                f"pair:bin:{stem}:{b:02d}" for b in range(cfg.similarity_bins)]
+        assert [[pair.names[i] for i in row] for row in pair.loc_index] == [
+            [f"pair:loc:{min(p, q)}:{max(p, q)}" for q in nb] for p in nb]
+        levels = [f"a{a}b{b:.2f}" for a, b in sorted(cfg.coverage_levels)]
+        buckets = range(len(cfg.importance_bucket_edges) + 1)
+        for g, row in zip(cosine_groups(cfg), cov.group_columns):
+            stem = f"{g.group_id}:{g.variant}"
+            assert [cov.names[i] for i in row] == [f"cov:lvl:{stem}:{lv}" for lv in levels] + [
+                f"cov:imp:{stem}:q{q}" for q in buckets]
+        assert [cov.names[i] for i in cov.loc_index] == [f"cov:loc:bin{b}" for b in nb]
+        for table in (pair.cos_index, pair.bin_index, pair.loc_index, cov.group_columns):
+            assert table.dtype == np.intp and not table.flags.writeable
+
+    def test_names_must_be_distinct(self):
+        """Two thresholds that format alike would give two features one name."""
+        cfg = FeatureConfig(doc_frac_thresholds=(0.5, 0.501))
+        for kind in ("pairwise", "coverage"):
+            with pytest.raises(ValueError, match="two features the same name"):
+                registry_for(cfg, kind)
 
     def test_group_removal_shrinks(self):
         full = registry_for(FeatureConfig(), "pairwise").dimension
@@ -481,7 +514,7 @@ def test_sigma_equals_gather_and_sum(cfg, fixture_data):
         bank = FeatureBank(x, cfg)
         for _ in range(3):
             w = rng.normal(size=reg.dimension) * 10.0 ** rng.uniform(-3, 3, size=reg.dimension)
-            want = np.tensordot(w[bank._cos_index], bank.cosines, axes=1)
+            want = np.tensordot(w[reg.cos_index], bank.cosines, axes=1)
             want += np.append(w, 0.0)[bank.codes.astype(np.intp)].sum(axis=0)
             assert np.array_equal(bank.sigma(w), want)
 
@@ -501,11 +534,13 @@ def test_raw_cosine_bins_at_tenths(shared, make_docset):
     assert fv[reg.index[f"pair:bin:basic:all:raw:{min(shared, 9):02d}"]] != 0.0
 
 
-def test_codes_reject_bins_that_do_not_sort_in_order(make_docset):
-    """codes reads bin b at the first bin's registry index plus b; past 100
-    bins the names stop sorting in bin order and the build says so."""
-    x = make_docset(["Alpha beta gamma. Beta gamma delta."], with_stopwords=False)
-    cfg = FeatureConfig(enabled_groups=("basic",), weightings=("raw",))
-    assert FeatureBank(x, replace(cfg, similarity_bins=100)).codes.shape == (1, 2, 2)
-    with pytest.raises(ValueError, match="not contiguous"):
-        FeatureBank(x, replace(cfg, similarity_bins=101)).codes
+@pytest.mark.parametrize("bins", [101, 150])
+def test_codes_past_100_bins_equal_the_reference(bins, fixture_data):
+    """Past 100 bins the bin names no longer sort in bin order; codes read
+    bin b of a layer off the registry's table, so they still equal the
+    reference's per-name lookups."""
+    cfg = replace(FeatureConfig(), similarity_bins=bins)
+    for x, _ in fixture_data[:3]:
+        got, want = FeatureBank(x, cfg), FeatureBankReference(x, cfg)
+        assert np.array_equal(got.codes, want.codes)
+        assert got.codes.dtype == want.codes.dtype

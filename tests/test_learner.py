@@ -412,6 +412,47 @@ class TestSeparationOracle:
         assert sum(r >= 0.5 for r in ratios) >= math.ceil(0.95 * trials)
 
 
+class TestOracleAudit:
+    """What ``converged`` certifies: the margin against the greedy oracle
+    only. Each kind is trained to convergence on eight sets small enough for
+    exhaustive search (3 documents x 4 sentences, a 60-byte budget, r = 1,
+    lambda = 2, C = 10). On each set H(y) = loss(y) - w . dpsi(y) of the
+    exhaustive argmax is compared with H of the greedy oracle's summary.
+    The largest gap per kind is pinned, so an oracle or QP change that
+    moves the true largest violation shows up here."""
+
+    LARGEST_GAP = {
+        "pairwise": 0.8454141397463977,
+        "pairwise-split": 0.24715620975799363,
+        "coverage": 0.19247426948011218,
+    }
+
+    @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
+    def test_largest_gap_to_exhaustive_search_is_pinned(self, stopwords, kind):
+        gcfg = GreedyConfig(budget_bytes=60, r=1.0)
+        sets = [
+            PreparedSet.build(*toy_example(stopwords, seed=seed, n_docs=3, per_doc=4),
+                              FeatureConfig(), LossConfig(), gcfg)
+            for seed in range(8)
+        ]
+        assert all(s.x.num_sentences == 12 for s in sets)
+        result = train(sets, kind, FeatureConfig(), LossConfig(), gcfg, TrainerConfig(C=10.0),
+                       lam=2.0 if kind == "pairwise" else None)
+        assert result.converged
+        model, gaps = result.model, []
+        for i, state in enumerate(sets):
+            psi_target = psi(state.bank, state.target, model)
+
+            def h(y):
+                loss = loss_delta(state.Y, state.target, y, state.x, model.loss_config)
+                return loss - model.w @ (psi_target - psi(state.bank, y, model))
+
+            greedy = _oracle_from_state(state, i, psi_target, model).y_hat
+            gaps.append(h(exhaustive_maximize(state.x, h, gcfg)) - h(greedy))
+        assert min(gaps) >= 0.0
+        assert max(gaps) == pytest.approx(self.LARGEST_GAP[kind], abs=1e-6)
+
+
 class TestViolation:
     def test_formula(self):
         # example 0's stored constraint has zero dpsi, so its slack is its

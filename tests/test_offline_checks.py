@@ -3,6 +3,7 @@ byte-identical output files under one and four BLAS threads, and the
 fixture generator reproducing the committed fixtures."""
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,10 @@ import structsum
 from conftest import FIXTURE_DIR, FIXTURE_JSONL, GOLDEN_BASELINE, GOLDEN_SUMMARIES, SMALL_MODEL
 
 DATASET = str(FIXTURE_JSONL)
+REPO_ROOT = FIXTURE_DIR.parents[1]
+# four small sets from the benchmark's corpus generator, run from the repo root
+STUDY_CORPUS = ("import sys; from perfbench.gen import write_corpus; "
+                "write_corpus(sys.argv[1], 'small', 4, 3)")
 
 
 def _env(**extra) -> dict:
@@ -50,6 +55,26 @@ def test_cli_outputs_match_the_goldens_and_each_other_across_blas_threads(tmp_pa
         outputs[threads] = out
     for name in ("model.json", "preds.json", "grid.json", "grid.json.cgrid.json"):
         assert filecmp.cmp(outputs[1] / name, outputs[4] / name, shallow=False), name
+
+
+def test_study_outputs_match_across_blas_threads(tmp_path):
+    """ablate and curve, which train under non-default feature configs end to
+    end, write the same bytes under one and four BLAS threads. The sets are
+    generated ones that the models fit only in part, so the tables carry
+    distinct F values rather than the fixture's 1.0 everywhere."""
+    dataset = str(tmp_path / "study.jsonl")
+    subprocess.run([sys.executable, "-c", STUDY_CORPUS, dataset], cwd=REPO_ROOT, check=True)
+    split = ["--dataset", dataset, "--train-ids", "0,1", "--test-ids", "2,3", "--max-iters", "2"]
+    for threads in (1, 4):
+        _cli(threads, "ablate", *split, "--rows", "none,basic,all except basic",
+             "--out", str(tmp_path / f"ablate{threads}.json"))
+        _cli(threads, "curve", *split, "--sizes", "1,2",
+             "--out", str(tmp_path / f"curve{threads}.json"))
+    for name in ("ablate", "curve"):
+        assert filecmp.cmp(tmp_path / f"{name}1.json", tmp_path / f"{name}4.json",
+                           shallow=False), name
+        rows = json.loads((tmp_path / f"{name}1.json").read_text(encoding="utf-8"))
+        assert len({row["mean_f"] for row in rows}) == len(rows), name
 
 
 def test_generator_reproduces_the_committed_fixtures(tmp_path):
