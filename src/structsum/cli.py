@@ -2,7 +2,8 @@
 
 Subcommands: train, summarize, evaluate, bounds, curve, ablate. All of them
 exit non-zero on error, write files atomically, and produce byte-identical
-output for identical inputs and seeds.
+output for identical inputs and seeds on the same numpy build and BLAS
+thread count (see the README).
 
 Each subcommand accepts only the flags it reads. Flags that several
 subcommands read are declared once, in argparse parent parsers: data
@@ -40,24 +41,31 @@ from .scoring import PairwiseScorer, Summary, gain_state
 from .util import atomic_write_text
 
 
-def _parse_list(text: str | None, flag: str) -> list[str] | None:
-    """Values of a comma list flag; None when absent, an error when it names none."""
+def _parse_list(text: str | None, flag: str, kind=str) -> list | None:
+    """Values of a comma list flag, each read as ``kind`` (str, int or
+    float); None when absent, an error naming the flag when it names none
+    or a value is not of that kind."""
     if text is None:
         return None
     values = [v for v in text.split(",") if v != ""]
     if not values:
         raise ValueError(f"{flag} needs at least one value")
-    return values
+    out = []
+    for v in values:
+        try:
+            out.append(kind(v))
+        except ValueError:
+            name = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag}: {v!r} is not {name}") from None
+    return out
 
 
 def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
     """Non-empty comma list of distinct set indexes, each in range(n_sets);
     None when absent."""
-    if text is None:
+    ids = _parse_list(text, flag, int)
+    if ids is None:
         return None
-    ids = [int(v) for v in text.split(",") if v != ""]
-    if not ids:
-        raise ValueError(f"{flag} needs at least one value")
     bad = [i for i in ids if not 0 <= i < n_sets]
     if bad:
         raise ValueError(f"{flag}: set indexes {bad} out of range for {n_sets} sets")
@@ -95,7 +103,7 @@ def _training_cfgs(args):
 def _trainer(args) -> tuple[list[float], TrainerConfig]:
     """The --C grid and the trainer config at its first C; only train selects
     among a grid, the study commands train at one C."""
-    grid = [float(v) for v in _parse_list(args.C, "--C")]
+    grid = _parse_list(args.C, "--C", float)
     if len(grid) > 1 and args.command != "train":
         raise ValueError(f"{args.command} trains at one C; --C {args.C} is a grid")
     return grid, TrainerConfig(C=grid[0], epsilon=args.epsilon, max_outer_iters=args.max_iters)
@@ -299,7 +307,7 @@ def cmd_curve(args) -> int:
     data = _load(args)
     feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
     train_ids, test_ids = _auto_split(args, len(data))
-    sizes = [int(v) for v in _parse_list(args.sizes, "--sizes")]
+    sizes = _parse_list(args.sizes, "--sizes", int)
     if min(sizes) < 1:
         raise ValueError(f"--sizes: training sizes must be positive, got {sizes}")
     _, trainer_cfg = _trainer(args)

@@ -409,8 +409,10 @@ class FeatureBank:
         importance = bucket[:, None] == np.arange(buckets)[None, :]
         per_group = np.concatenate([level, importance], axis=1)
         f = np.zeros((len(self.words), reg.dimension), dtype=bool)
-        for columns, mask in zip(reg.group_columns, self.masks):
-            f[:, columns] |= mask[:, None] & per_group
+        # V x groups x per-group columns; the reshape keeps a config without
+        # word groups, whose table is empty, two-dimensional
+        columns = reg.group_columns.reshape(len(self.masks), per_group.shape[1])
+        f[:, columns] = self.masks.T[:, :, None] & per_group[:, None, :]
         if "location" in cfg.enabled_groups:
             bins = _position_bins(cfg, self.earliest_position)
             f[np.arange(len(self.words)), reg.loc_index[bins]] = True
@@ -428,7 +430,10 @@ class FeatureBank:
 
     def coverage_psi(self, ids) -> np.ndarray:
         """Dense sum of phi(v) over the distinct words the selection covers."""
-        return self.word_features[self.counts[list(ids)].any(axis=0)].sum(axis=0)
+        covered = np.zeros(len(self.words) + 1)
+        covered[self.padded_word_ids[list(ids)]] = 1.0
+        # 0/1 products summed as integers, exact in any order
+        return covered[:-1] @ self.word_features
 
 
 # the bank bank_for built last; its reference to bank.x keeps that set alive,

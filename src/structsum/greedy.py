@@ -85,11 +85,13 @@ def greedy_maximize(
         raise TypeError("greedy_maximize reads its costs from the set; cost must be None")
     costs, scale = x.costs, x.cost_scales(cfg.r)
     gains = getattr(gain, "gains", None)
-    ids = np.arange(len(costs))
+    commit = getattr(gain, "commit", None)
+    every = np.arange(len(costs))
+    fits = costs <= cfg.budget_bytes  # still unselected and within the remaining budget
     selected: list[int] = []
     total = 0
     while True:
-        ids = ids[total + costs[ids] <= cfg.budget_bytes]
+        ids = every[fits]
         if not len(ids):
             break
         if gains is not None:
@@ -97,16 +99,17 @@ def greedy_maximize(
         else:
             current = Summary(tuple(selected), total)
             g = np.array([gain(current, sid) for sid in ids.tolist()], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(g))
-        if len(bad):
-            raise ValueError(f"sentence {ids[bad[0]]} has non-finite gain {g[bad[0]]}")
-        best = int(np.argmax(g / scale[ids]))
+        if not np.isfinite(g).all():
+            bad = np.isfinite(g).argmin()
+            raise ValueError(f"sentence {ids[bad]} has non-finite gain {g[bad]}")
+        best = int((g / scale[ids]).argmax())
         if g[best] < 0.0:
             break
         sid = int(ids[best])
         selected.append(sid)
         total += costs[sid].item()
-        if hasattr(gain, "commit"):
-            gain.commit(sid)
-        ids = np.delete(ids, best)
+        if commit is not None:
+            commit(sid)
+        fits &= costs <= cfg.budget_bytes - total
+        fits[sid] = False
     return Summary(tuple(selected), total)

@@ -29,6 +29,10 @@ at a blocking constraint, which joins the working set. After a full step the
 most negative multiplier (nu_i of a held cap, g_c + nu_i of an alpha at
 zero) leaves it if below -qp_tol, else the solve ends. So qp_tol bounds the
 KKT residuals in gradient units; qp_max_passes caps one solve's iterations.
+The working set keeps its last KKT matrix and that matrix's factorization,
+and reuses them when the next matrix has the same bytes: the first
+iteration after an ``add`` sees the previous solve's final matrix, since
+the new alpha starts at zero and the free and held sets stay as they were.
 
 The cap C / n enters a solve at three points only: the cap ratios of the
 blocking test, the held caps (which exist only after a cap ratio blocked a
@@ -255,6 +259,8 @@ class WorkingSet:
         self._example = np.zeros(0, dtype=np.int64)
         self._at_zero = np.zeros(0, dtype=bool)
         self._tight = np.zeros(n_examples, dtype=bool)
+        # the bytes of the last KKT matrix solve factored, and its eigh
+        self._kkt, self._eig = None, None
 
     def copy(self, C: float) -> "WorkingSet":
         """This working set at ``C``, with the arrays a solve writes copied
@@ -323,13 +329,16 @@ class WorkingSet:
             tight &= np.bincount(ex[free], minlength=n) > 0
             held, nf = np.flatnonzero(tight), len(free)
             A = np.zeros((nf + len(held),) * 2)
-            A[:nf, :nf] = self.K[np.ix_(free, free)]
+            A[:nf, :nf] = self.K[free[:, None], free]
             A[:nf, nf:] = ex[free][:, None] == held[None, :]
             A[nf:, :nf] = A[:nf, nf:].T
             b = np.concatenate([loss[free] - self.K[free] @ alpha, np.zeros(len(held))])
             # least squares; eigenvalues below eps * size * max(1, |A|) count
             # as zero, so that a tiny K reads as zero curvature
-            lam, V = np.linalg.eigh(A)
+            key = A.tobytes()
+            if key != self._kkt:
+                self._kkt, self._eig = key, np.linalg.eigh(A)
+            lam, V = self._eig
             zero_tol = np.finfo(float).eps * len(b) * max(1.0, np.abs(lam).max(initial=0.0))
             keep = np.abs(lam) > zero_tol
             sol = V[:, keep] @ ((V[:, keep].T @ b) / lam[keep])
@@ -467,15 +476,17 @@ class _AugmentedGain(GainState):
         self.score_state = score_state
         self.rouge_state = rouge_state
         self.raw_target = raw_target_loss
+        # the normalized loss of the committed summary, read once per commit
+        self.d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
 
     def gains(self, ids) -> np.ndarray:
-        d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
         d_new = np.maximum(0.0, (1.0 - self.rouge_state.merged_f(ids)) - self.raw_target)
-        return self.score_state.gains(ids) + (d_new - d_now)
+        return self.score_state.gains(ids) + (d_new - self.d_now)
 
     def commit(self, k: int) -> None:
         self.score_state.commit(k)
         self.rouge_state.commit(k)
+        self.d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
 
 
 def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model) -> Constraint:

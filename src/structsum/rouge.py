@@ -75,8 +75,9 @@ class RougeGain(GainState):
     per-reference clipped overlaps. Merging sentence counts ``a`` adds
     ``sum(min(a, room))`` to a reference's overlap, for all references in
     one array op. ``gains(ids)`` merges each candidate sentence without
-    mutating state; the overlap increments are exact integers and F is
-    summed reference by reference, as ``current_f`` does.
+    mutating state; the overlap increments are exact integers, and F is
+    summed reference by reference by one ``np.add.accumulate``, in the order
+    of ``current_f``'s loop.
     """
 
     def __init__(self, x: DocumentSet, Y: ReferenceSet, cfg: LossConfig):
@@ -140,10 +141,8 @@ class RougeGain(GainState):
         overlap = 2.0 * (extra + self.overlaps)
         denom = (self.cand_total + self.sentence_totals[ids])[:, None] + self.ref_totals
         f = np.divide(overlap, denom, out=np.zeros(overlap.shape), where=denom != 0)
-        total = np.zeros(len(f))
-        for column in f.T:
-            total += column
-        return total / len(self.ref_totals)
+        # F >= 0, so adding from the first reference is the loop from +0.0
+        return np.add.accumulate(f, axis=1)[:, -1] / len(self.ref_totals)
 
     def gains(self, ids) -> np.ndarray:
         return self.merged_f(ids) - self.current_f()

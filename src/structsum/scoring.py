@@ -92,9 +92,11 @@ class CoverageGainState(GainState):
     Row k of ``padded`` holds sentence k's distinct word indices in
     ascending order, left-aligned, then ``len(values)`` (as in
     ``FeatureBank.padded_word_ids``), and ``values[v]`` is word v's value. A gain adds the values of
-    the sentence's uncovered words left to right, one column of the padded
-    matrix at a time, so every candidate sums in the same order as a scalar
-    loop over its words. The matrix is shared, not copied.
+    the sentence's uncovered words left to right, as one ``np.add.accumulate``
+    along its padded row, so every candidate sums in the same order as a
+    scalar loop over its words. A loop from +0.0 would differ only where
+    every term is -0.0, in the sign of a zero gain. The matrix is shared,
+    not copied.
     """
 
     def __init__(self, padded: np.ndarray, values):
@@ -104,10 +106,7 @@ class CoverageGainState(GainState):
         self.padded = padded
 
     def gains(self, ids) -> np.ndarray:
-        out = np.zeros(len(ids))
-        for column in self.padded[ids].T:
-            out += self.values[column]
-        return out
+        return np.add.accumulate(self.values[self.padded[ids]], axis=1)[:, -1]
 
     def commit(self, k: int) -> None:
         self.values[self.padded[k]] = 0.0

@@ -14,7 +14,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see a
     partial file and failed writes leave the old content in place."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    except OSError as exc:
+        # the error names the temporary sibling; name the path asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

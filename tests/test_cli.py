@@ -412,6 +412,32 @@ class TestInputContract:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, argv, message", [
+        ("bounds", ["--model-file", str(SMALL_MODEL), "--train-ids", "0", "--test-ids", "4,x"],
+         "--test-ids: 'x' is not an integer"),
+        ("curve", ["--train-ids", "0", "--test-ids", "1", "--sizes", "1,y"],
+         "--sizes: 'y' is not an integer"),
+        ("train", ["--train-ids", "0", "--C", "1,z"], "--C: 'z' is not a number"),
+    ])
+    def test_list_values_that_are_not_numbers_name_the_flag(self, capsys, tmp_path, monkeypatch,
+                                                            command, argv, message):
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "out.json"
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv, "--out", str(out))
+        assert rc == 1
+        assert stderr == f"error: {message}\n"
+        assert stdout == "" and trained == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_a_missing_directory_names_the_path(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "m.json"
+        rc, _, stderr = run(capsys, "train", "--dataset", DATASET, "--train-ids", "0",
+                            "--max-iters", "1", "--out", str(out))
+        assert rc == 1
+        assert stderr.splitlines()[-1] == f"error: [Errno 2] No such file or directory: '{out}'"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, value", [
         (["train", "--train-ids", "0,1", "--out", "model.json"], "inf"),
         (["summarize", "--baseline"], "nan"),

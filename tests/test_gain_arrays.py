@@ -20,6 +20,7 @@ from oracles import (
     CoverageGainReference,
     PairwiseGainReference,
     RougeGainReference,
+    greedy_scan_reference,
     word_counts,
 )
 
@@ -191,3 +192,86 @@ def test_one_candidate_path_equals_the_vectorized_one(fixture_data, kind):
                 assert one.committed == every.committed == list(y.selected)
                 accepted += len(y.selected)
     assert accepted > 8 * len(fixture_data)
+
+
+def coverage_rows(rows, width):
+    """A padded index matrix of ``rows`` (each ascending word ids), padded
+    with the vocabulary size ``width``."""
+    padded = np.full((len(rows), max(map(len, rows))), width, dtype=np.intp)
+    for row, words in zip(padded, rows):
+        row[:len(words)] = words
+    return padded
+
+
+def assert_coverage_equal(padded, values, order):
+    """Commit ``order`` one sentence at a time; before each commit every
+    candidate's gain equals the reference's, as values, and carries no
+    sign other than the reference's except on a zero."""
+    width = len(values)
+    state = CoverageGainState(padded, values)
+    words = [[v for v in row if v < width] for row in padded.tolist()]
+    reference = CoverageGainReference(words, dict(enumerate(values)))
+    ids = np.arange(len(padded))
+    for k in list(order) + [None]:
+        got = state.gains(ids)
+        want = [reference(i) for i in ids.tolist()]
+        assert got.tolist() == want
+        if k is not None:
+            state.commit(k)
+            reference.commit(k)
+
+
+def test_coverage_with_one_candidate():
+    padded = coverage_rows([[0, 2, 3]], 4)
+    assert_coverage_equal(padded, [0.5, 7.0, -1.25, 0.1], [0])
+    assert CoverageGainState(padded, [0.5, 7.0, -1.25, 0.1]).gains(np.array([0])).shape == (1,)
+
+
+def test_coverage_with_rows_of_width_one():
+    padded = coverage_rows([[1], [0], [1], [2]], 3)
+    assert padded.shape == (4, 1)
+    assert_coverage_equal(padded, [0.25, -3.0, 2.0], [1, 0, 2])
+
+
+def test_coverage_with_negative_zero_values():
+    # a row summed from its first value ends in -0.0 where a loop from +0.0
+    # ends in +0.0; only the sign of a zero gain differs, and no comparison
+    # of the greedy sees it
+    values = [-0.0, -0.0, 1.5, -0.0]
+    padded = coverage_rows([[0, 1], [0, 3], [1, 2], [3]], 4)
+    assert_coverage_equal(padded, values, [2, 0])
+    got = CoverageGainState(padded, values).gains(np.arange(4))
+    loop = np.zeros(4)
+    for column in padded.T:
+        loop += np.append(values, 0.0)[column]
+    assert got.tolist() == loop.tolist()
+    # row 3 ends in its padding, a +0.0
+    assert np.signbit(got).tolist() == [True, True, False, False]
+    assert not np.signbit(loop).any()
+    x = one_word_sentences(4)
+    cfg = GreedyConfig(budget_bytes=100, r=1.0)
+    want = greedy_scan_reference(x, CoverageGainState(padded, values), cfg)
+    assert greedy_maximize(x, CoverageGainState(padded, values), cfg=cfg) == want
+    assert want.selected == (2, 0, 1, 3)
+
+
+def one_word_sentences(n):
+    """A set of ``n`` one-word sentences of equal byte cost."""
+    text = " ".join(f"Word{i:02d}." for i in range(n))
+    return build_document_set(f"flat{n}", [text], frozenset())
+
+
+def test_rouge_with_all_stopword_reference_and_sentence(stopwords):
+    # under stopword removal the first reference and the first sentence are
+    # empty, so F divides by zero for that reference until a sentence with
+    # kept words is committed
+    x = build_document_set("sw", ["The of and. Harbor signal the copper. Of a meadow."],
+                           stopwords)
+    refs = ("the and of a", "harbor copper meadow lantern")
+    Y = ReferenceSet("sw", tuple(tuple(tokenize(r, stopwords)) for r in refs))
+    cfg = LossConfig(rouge_stopword_removal=True)
+    gain = RougeGain(x, Y, cfg)
+    assert gain.ref_totals[0] == 0 and gain.sentence_totals[0] == 0
+    for budget in (0, 20, 400):
+        run(x, RougeGain(x, Y, cfg), RougeGainReference(x, Y, cfg), budget)
+    assert RougeGain(x, Y, cfg).gains(np.array([0])).tolist() == [0.0]

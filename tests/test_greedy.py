@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from structsum.corpus import build_document_set
 from structsum.greedy import GreedyConfig, greedy_maximize
+from structsum.scoring import CoverageGainState
 
 from conftest import coverage_state, with_costs
 from oracles import (
@@ -387,3 +388,40 @@ def test_matches_full_scan_reference(data):
         gain = new()
         assert greedy_maximize(x, gain, cfg=cfg) == want
         assert gain.committed == want_gain.committed
+
+
+class _OneAtATime:
+    """A gain state seen through the one-candidate protocol only."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __call__(self, y, k):
+        return self.state(y, k)
+
+    def commit(self, k):
+        self.state.commit(k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_coverage_state_matches_full_scan_reference(data):
+    """``CoverageGainState`` through both greedy paths selects what the full
+    scan selects. The draws give ties (few costs and values), zero and
+    negative gains (values 0.0, -0.0 and -1.0), a zero budget and sentences
+    that never fit (cost 30 against budgets of at most 25)."""
+    n = data.draw(st.integers(1, 8))
+    costs = data.draw(st.lists(st.sampled_from([1, 2, 5, 9, 30]), min_size=n, max_size=n))
+    x = with_costs(flat_set(n), costs)
+    cfg = GreedyConfig(budget_bytes=data.draw(st.sampled_from([0, 3, 7, 12, 25])),
+                       r=data.draw(st.sampled_from([0.3, 1.0])))
+    rows = data.draw(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4),
+                              min_size=n, max_size=n))
+    values = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 2.0]),
+                                min_size=6, max_size=6))
+    padded = np.full((n, max(map(len, rows))), 6, dtype=np.intp)
+    for row, words in zip(padded, rows):
+        row[:len(words)] = sorted(words)
+    want = greedy_scan_reference(x, CoverageGainState(padded, values), cfg=cfg)
+    assert greedy_maximize(x, CoverageGainState(padded, values), cfg=cfg) == want
+    assert greedy_maximize(x, _OneAtATime(CoverageGainState(padded, values)), cfg=cfg) == want

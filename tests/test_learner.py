@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structsum import experiments
 from structsum.corpus import ReferenceSet, build_document_set, load_dataset, tokenize
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
@@ -589,6 +590,89 @@ class TestTrain:
                        GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0), lam=4.0)
         assert predict(data[0][0], result.model).total_cost <= 30
         assert predict(data[1][0], result.model).total_cost <= 60
+
+
+class TestFactorizationReuse:
+    """``WorkingSet.solve`` keeps its last KKT matrix and that matrix's
+    ``eigh`` and reuses them when the next matrix has the same bytes, as at
+    the first iteration after every ``add``. On a fixture C grid the reused
+    decompositions must be exactly those of the reused matrices, and a run
+    with the reuse defeated must give the same bits."""
+
+    GRID = (0.0001, 0.01, 1.0)
+    KW = dict(feature_config=FeatureConfig(), loss_config=LossConfig(),
+              greedy_config=GreedyConfig(budget_bytes=66, r=0.3))
+
+    def grid_run(self, fixture_data, monkeypatch, kind, lam, reuse: bool):
+        """Per solve: the cached matrix bytes before it (None when the reuse
+        is defeated), the bytes of every matrix factored during it, its
+        iteration count and its alphas and w after it; and per C the bits of
+        the model, the log entries and the duals."""
+        factored = {}  # id of an eigh result -> bytes of the matrix it factored
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            out = eigh(a)
+            factored[id(out)] = a.tobytes()
+            calls.append(a.tobytes())
+            return out
+
+        solve = WorkingSet.solve
+        solves = []
+
+        def recording_solve(ws, cfg):
+            if not reuse:
+                ws._kkt = None  # test-only: every iteration factors its matrix
+            before = ws._kkt
+            if before is not None:
+                assert factored[id(ws._eig)] == before
+            first = len(calls)
+            dual = solve(ws, cfg)
+            solves.append((before, calls[first:], ws.last_iterations,
+                           ws._alpha.tobytes(), ws.w.tobytes()))
+            return dual
+
+        results = []
+        train_on = experiments.train_on
+
+        def recording_train_on(*args, **kwargs):
+            results.append(train_on(*args, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", recording_eigh)
+            m.setattr(WorkingSet, "solve", recording_solve)
+            m.setattr(experiments, "train_on", recording_train_on)
+            experiments.select_c(fixture_data, list(range(12)), [30, 31], self.GRID, kind,
+                                 trainer_config=TrainerConfig(max_outer_iters=6), lam=lam,
+                                 **self.KW)
+        models = [(r.model.w.tobytes(), json.dumps(r.iterations, sort_keys=True),
+                   [d.hex() for d in r.dual_history]) for r in results]
+        return solves, models
+
+    @pytest.mark.parametrize("kind, lam", [("coverage", None), ("pairwise", 4.0)])
+    def test_reused_decompositions_are_of_the_same_bytes(self, fixture_data, monkeypatch,
+                                                         kind, lam):
+        cached, cached_models = self.grid_run(fixture_data, monkeypatch, kind, lam, reuse=True)
+        fresh, fresh_models = self.grid_run(fixture_data, monkeypatch, kind, lam, reuse=False)
+        assert len(cached) == len(fresh) > 20
+        reused = 0
+        for (before, calls, iters, alpha, w), (_, all_calls, iters_f, alpha_f, w_f) in zip(
+                cached, fresh):
+            assert (iters, alpha, w) == (iters_f, alpha_f, w_f)
+            assert len(all_calls) == iters
+            if len(calls) < iters:
+                # only the first iteration may reuse, and it reused the
+                # decomposition of exactly its own matrix
+                assert len(calls) == iters - 1 and calls == all_calls[1:]
+                assert all_calls[0] == before
+                reused += 1
+            else:
+                assert calls == all_calls
+        assert sum(len(c) for _, c, *_ in cached) == sum(len(c) for _, c, *_ in fresh) - reused
+        assert reused > len(cached) // 2
+        assert cached_models == fresh_models
 
 
 class TestBankSlot:
