@@ -8,7 +8,7 @@ thread count (see the README).
 Each subcommand accepts only the flags it reads. Flags that several
 subcommands read are declared once, in argparse parent parsers: data
 (--dataset, --stopwords, --out), greedy (--budget, --r), lambda (--lambda),
-loss (--aggregation, --rouge-drop-stopwords), training (greedy, lambda and
+loss (--rouge-drop-stopwords), training (greedy, lambda and
 loss, plus --model, --groups, --C, --epsilon, --max-iters) and split
 (--train-ids, --test-ids, --test-count, --seed).
 """
@@ -16,9 +16,11 @@ loss, plus --model, --groups, --C, --epsilon, --max-iters) and split
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
+import os
 import sys
 
 from .corpus import DatasetError, load_dataset, load_stopwords
@@ -36,7 +38,7 @@ from .experiments import (
 from .features import GROUPS, MODEL_KINDS, FeatureConfig
 from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, ModelError, TrainerConfig, predict
-from .rouge import AGGREGATIONS, LossConfig
+from .rouge import LossConfig
 from .scoring import PairwiseScorer, Summary, gain_state
 from .util import atomic_write_text
 
@@ -80,15 +82,15 @@ def _greedy_cfg(args) -> GreedyConfig:
 
 
 def _loss_cfg(args) -> LossConfig:
-    return LossConfig(multi_ref_aggregation=args.aggregation,
-                      rouge_stopword_removal=args.rouge_drop_stopwords)
+    return LossConfig(rouge_stopword_removal=args.rouge_drop_stopwords)
 
 
 def _lambda(args) -> float:
     """--lambda, checked before any feature is built: a non-finite lambda
-    makes every gain non-finite."""
-    if not math.isfinite(args.lam):
-        raise ValueError(f"lambda must be finite, not {args.lam}")
+    makes every gain non-finite, and lambda is a redundancy penalty, not a
+    reward."""
+    if not 0.0 <= args.lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, not {args.lam}")
     return args.lam
 
 
@@ -366,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     lam.add_argument("--lambda", dest="lam", type=float, default=4.0,
                      help="pairwise redundancy trade-off (default: 4.0)")
     loss = group()
-    loss.add_argument("--aggregation", choices=AGGREGATIONS, default="mean-f",
-                      help="multi-reference aggregation mode")
     loss.add_argument("--rouge-drop-stopwords", action="store_true",
                       help="drop stopwords from unigram counts before scoring")
     training = group(greedy, lam, loss)
@@ -432,6 +432,10 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     logging.getLogger("structsum").setLevel(args.log_level.upper())
     try:
+        # a missing output directory fails before any work, not after it
+        for path in (args.out, getattr(args, "log", None)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return args.func(args)
     except (DatasetError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

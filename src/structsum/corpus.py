@@ -312,7 +312,10 @@ def load_dataset(
                 raise DatasetError(
                     f"line {lineno}: budget_bytes must be a non-negative integer, got {budget!r}"
                 )
-            x = _build_document_set(set_id, documents, memo, budget)
+            try:
+                x = _build_document_set(set_id, documents, memo, budget)
+            except DatasetError as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from None
             refs = tuple(memo.tokens(r) for r in references)
             if any(not r for r in refs):
                 raise DatasetError(f"empty reference for set {set_id!r} (line {lineno})")

@@ -386,14 +386,6 @@ class FeatureBank:
             raise ValueError(f"bad sentence pair ({i}, {j}) for n={n}")
         return self._block_sum(np.array([i]), np.array([j]))
 
-    def pair_psi(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Dense pair-feature sums of a selection over (outside, inside)
-        pairs and over ordered inside pairs."""
-        inside = np.zeros(self.x.num_sentences, dtype=bool)
-        inside[list(ids)] = True
-        ins = np.flatnonzero(inside)
-        return self._block_sum(np.flatnonzero(~inside), ins), self._block_sum(ins, ins)
-
     @cached_property
     def word_features(self) -> np.ndarray:
         """V x d 0/1 matrix; row k is phi(words[k]) in the coverage registry."""
@@ -427,13 +419,6 @@ class FeatureBank:
         if v not in self.word_index:
             raise KeyError(f"word {v!r} not in document set {self.x.set_id!r}")
         return self.word_features[self.word_index[v]].copy()
-
-    def coverage_psi(self, ids) -> np.ndarray:
-        """Dense sum of phi(v) over the distinct words the selection covers."""
-        covered = np.zeros(len(self.words) + 1)
-        covered[self.padded_word_ids[list(ids)]] = 1.0
-        # 0/1 products summed as integers, exact in any order
-        return covered[:-1] @ self.word_features
 
 
 # the bank bank_for built last; its reference to bank.x keeps that set alive,
@@ -486,7 +471,10 @@ def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = F
     times the sum over ordered inside pairs. Split form: the same two sums
     concatenated into disjoint blocks (cross block first), lam unused.
     """
-    cross, red = bank.pair_psi(y.selected)
+    inside = np.zeros(bank.x.num_sentences, dtype=bool)
+    inside[list(y.selected)] = True
+    ins = np.flatnonzero(inside)
+    cross, red = bank._block_sum(np.flatnonzero(~inside), ins), bank._block_sum(ins, ins)
     if split:
         return np.concatenate([cross, red])
     return cross - lam * red
@@ -494,4 +482,7 @@ def joint_feature_map_pairwise(bank: FeatureBank, y, lam: float, split: bool = F
 
 def joint_feature_map_coverage(bank: FeatureBank, y) -> np.ndarray:
     """Sum of word features over the distinct words the summary covers."""
-    return bank.coverage_psi(y.selected)
+    covered = np.zeros(len(bank.words) + 1)
+    covered[bank.padded_word_ids[list(y.selected)]] = 1.0
+    # 0/1 products summed as integers, exact in any order
+    return covered[:-1] @ bank.word_features

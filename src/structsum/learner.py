@@ -8,6 +8,8 @@ most violated summary, adds a constraint
 
 when it is violated by more than epsilon, re-solves the dual of the
 restricted quadratic program, and stops after a full pass adds nothing.
+The loss is the target-normalized 1 - F of ``rouge``; the oracle's gain
+state holds it once the greedy has committed y_hat.
 The oracle is that greedy, not an exact argmax over the budget, so a log
 entry's ``max_violation`` and a result's ``converged`` certify the margin
 only against the summaries the greedy finds: a summary it misses may still
@@ -105,8 +107,8 @@ class Model:
         if self.model_kind == "pairwise":
             if self.lam is None:
                 raise ModelError("pairwise models need a fixed lambda")
-            if not math.isfinite(self.lam):
-                raise ModelError(f"lambda must be finite, not {self.lam}")
+            if not 0.0 <= self.lam < math.inf:
+                raise ModelError(f"lambda must be finite and >= 0, not {self.lam}")
         elif self.lam is not None:
             raise ModelError(f"{self.model_kind} models carry no lambda")
         dim = registry_for(self.feature_config, self.model_kind).dimension
@@ -470,13 +472,15 @@ def _score_state(bank: FeatureBank, model: Model, clamp: bool):
 
 
 class _AugmentedGain(GainState):
-    """Model score increment plus normalized-loss increment."""
+    """Model score increment plus normalized-loss increment. ``d_now``, set
+    at construction and at each commit, is the committed summary's
+    normalized loss max(0, (1 - F) - raw target loss); 1 - F is never
+    negative (``RougeGain.raw_loss``), so it is the oracle's constraint loss."""
 
     def __init__(self, score_state, rouge_state: RougeGain, raw_target_loss: float):
         self.score_state = score_state
         self.rouge_state = rouge_state
         self.raw_target = raw_target_loss
-        # the normalized loss of the committed summary, read once per commit
         self.d_now = max(0.0, (1.0 - self.rouge_state.current_f()) - self.raw_target)
 
     def gains(self, ids) -> np.ndarray:
@@ -498,12 +502,10 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
         state.raw_target_loss,
     )
     y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_cfg)
-    # the greedy committed y_hat, so the gain state holds its counts
-    loss = max(0.0, state.rouge.raw_loss() - state.raw_target_loss)
     return Constraint(
         example_index=index,
         y_hat=y_hat,
-        loss=loss,
+        loss=gain.d_now,  # the greedy committed y_hat, so this is its loss
         delta_psi=psi_target - psi(state.bank, y_hat, model),
     )
 

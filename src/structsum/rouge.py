@@ -3,14 +3,14 @@
 The score is clipped-unigram F: per reference, overlap is the sum over
 words of min(candidate count, reference count); precision and recall
 divide by the candidate and reference totals and F is their harmonic mean,
-which reduces to 2 * overlap / (candidate_total + reference_total). Multi
-reference aggregation defaults to the mean of per-reference F.
+which reduces to 2 * overlap / (candidate_total + reference_total). Against
+several references the score is the mean of the per-reference F.
 
 ``RougeGain`` is the one implementation: int64 count arrays of every
 sentence and reference, built once per set, from which the greedy's gains,
 the training losses and F and every evaluation number are read.
 
-The raw training loss of a candidate is max(0, 1 - F). Because no
+The raw training loss of a candidate is 1 - F. Because no
 extractive summary reaches F = 1 in general, the loss used for training is
 normalized against the best extractive target found by the greedy
 algorithm (``greedy_target``, which ``PreparedSet.with_target`` calls once
@@ -33,29 +33,22 @@ from .util import json_value
 
 logger = logging.getLogger(__name__)
 
-AGGREGATIONS = ("mean-f", "per-ref-loss")
-
 
 @dataclass(frozen=True)
 class LossConfig:
-    multi_ref_aggregation: str = "mean-f"
     rouge_stopword_removal: bool = False
 
-    def __post_init__(self):
-        if self.multi_ref_aggregation not in AGGREGATIONS:
-            raise ValueError(
-                f"unknown aggregation {self.multi_ref_aggregation!r}; valid: {AGGREGATIONS}"
-            )
-
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the mean of per-reference F is the one aggregation, written for the record
+        return {"multi_ref_aggregation": "mean-f", **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossConfig":
-        return cls(
-            multi_ref_aggregation=json_value(d, "multi_ref_aggregation", str),
-            rouge_stopword_removal=json_value(d, "rouge_stopword_removal", bool),
-        )
+        # a legacy "per-ref-loss", the mean of 1 - F_r, is the same loss as 1 - mean F
+        mode = json_value(d, "multi_ref_aggregation", str)
+        if mode not in ("mean-f", "per-ref-loss"):
+            raise ValueError(f"multi_ref_aggregation must be mean-f, not {mode!r}")
+        return cls(rouge_stopword_removal=json_value(d, "rouge_stopword_removal", bool))
 
 
 def f_score(overlap: int, candidate_total: int, reference_total: int) -> float:
@@ -125,15 +118,10 @@ class RougeGain(GainState):
         return ps / n, rs / n, fs / n
 
     def raw_loss(self) -> float:
-        """max(0, 1 - F): one minus the mean F (``mean-f``) or the mean of
-        the per-reference losses (``per-ref-loss``). Equal as real numbers,
-        the two round differently and can differ in the last bit."""
-        if self.cfg.multi_ref_aggregation == "per-ref-loss":
-            total = 0.0
-            for o, ref_total in zip(self.overlaps, self.ref_totals):
-                total += max(0.0, 1.0 - f_score(o, self.cand_total, ref_total))
-            return total / len(self.ref_totals)
-        return max(0.0, 1.0 - self.current_f())
+        """1 - F, never negative: a clipped overlap exceeds neither token
+        total, so each per-reference F, and under rounding their mean, is at
+        most 1."""
+        return 1.0 - self.current_f()
 
     def merged_f(self, ids) -> np.ndarray:
         """Aggregated F of the candidate plus each sentence in ``ids``."""

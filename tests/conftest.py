@@ -48,6 +48,18 @@ def fixture_data(stopwords):
     return load_dataset(FIXTURE_JSONL, stopwords)
 
 
+@pytest.fixture(scope="session")
+def duc_data(stopwords, tmp_path_factory):
+    """Three DUC-shaped sets (10 documents of 20 sentences, 4 references)
+    from the benchmark's corpus generator, seed 7."""
+    # the generator lives at the repository root, outside the package
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.gen import write_corpus
+    return load_dataset(write_corpus(tmp_path_factory.mktemp("duc") / "duc.jsonl", "duc", 3, 7),
+                        stopwords)
+
+
 _WORDS = [
     "harbor", "signal", "velvet", "copper", "meadow", "lantern", "timber",
     "anchor", "ripple", "summit", "gravel", "cinder", "hollow", "marble",

@@ -772,24 +772,14 @@ def reference_counts(Y: ReferenceSet, cfg: LossConfig = LossConfig()) -> list[Un
 def loss_delta_r(
     Y: ReferenceSet, y, x: DocumentSet, cfg: LossConfig = LossConfig()
 ) -> float:
-    """Raw loss max(0, 1 - F), aggregated per the configured mode.
+    """Raw loss max(0, 1 - F), one minus the mean per-reference F.
 
-    ``mean-f`` is one minus the mean per-reference F, ``per-ref-loss`` the
-    mean of the per-reference losses 1 - F_r. F never exceeds 1, so the two
-    are equal as real numbers, but they round differently and can differ in
-    the last bit: a summary matching one of three one-word references loses
-    1 - 1/3 under ``mean-f`` and 2/3 under ``per-ref-loss``, one ulp apart.
-    Both paths stay selectable, each with its own formula.
+    F never exceeds 1, so the clamp never acts, and the mean of the
+    per-reference losses 1 - F_r is the same loss as a real number; it
+    rounds differently, though: a summary matching one of three one-word
+    references loses 1 - 1/3 here and 2/3 as that mean, one ulp apart.
     """
-    cand = summary_counts(x, y, cfg)
-    refs = reference_counts(Y, cfg)
-    if cfg.multi_ref_aggregation == "per-ref-loss":
-        total = 0.0
-        for ref in refs:
-            f = f_score(clipped_overlap(cand, ref), cand.total, ref.total)
-            total += max(0.0, 1.0 - f)
-        return total / len(refs)
-    return max(0.0, 1.0 - rouge1_f(cand, refs))
+    return max(0.0, 1.0 - rouge1_f(summary_counts(x, y, cfg), reference_counts(Y, cfg)))
 
 
 def loss_delta(

@@ -17,7 +17,7 @@ from structsum.corpus import (
 from structsum.experiments import evaluate_predictions, extractive_ceiling, human_agreement
 from structsum.features import FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig, greedy_maximize
-from structsum.rouge import AGGREGATIONS, LossConfig, RougeGain
+from structsum.rouge import LossConfig, RougeGain
 from structsum.scoring import Summary
 
 from oracles import (
@@ -175,14 +175,14 @@ def test_rouge_counts_match_former_loop(xy):
 
 
 def loss_configs():
-    return [LossConfig(mode, drop) for mode in AGGREGATIONS for drop in (False, True)]
+    return [LossConfig(rouge_stopword_removal=drop) for drop in (False, True)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(document_sets(), st.data())
 def test_read_outs_equal_dict_path(xy, data):
     """``load`` then ``raw_loss`` / ``current_f`` equal ``loss_delta_r`` and
-    the dict F exactly, in both aggregation modes; so do commits in any
+    the dict F exactly, with and without stopwords; so do commits in any
     order, and the state a greedy run leaves behind."""
     x, Y = xy
     n = x.num_sentences

@@ -438,17 +438,46 @@ class TestInputContract:
         assert stderr.splitlines()[-1] == f"error: [Errno 2] No such file or directory: '{out}'"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--log"), ("ablate", "--out"),
+    ])
+    def test_out_in_a_missing_directory_fails_before_any_work(self, capsys, tmp_path, command,
+                                                              flag):
+        # no iteration line, no iteration-cap warning: nothing was trained
+        out = {"--out": tmp_path / "m.json", "--log": tmp_path / "m.log"}
+        out[flag] = tmp_path / "missing" / out[flag].name
+        argv = ["--train-ids", "0", "--max-iters", "1", "--out", str(out["--out"])]
+        if command == "train":
+            argv += ["--log", str(out["--log"])]
+        else:
+            argv += ["--test-ids", "1", "--rows", "none"]
+        rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr == f"error: [Errno 2] No such file or directory: '{out[flag]}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, value", [
         (["train", "--train-ids", "0,1", "--out", "model.json"], "inf"),
         (["summarize", "--baseline"], "nan"),
+        (["train", "--train-ids", "0,1", "--out", "model.json"], "-0.5"),
     ])
     def test_non_finite_lambda_fails_before_any_warning(self, tmp_path, argv, value):
         # in a child process, so that numpy's warnings would reach stderr
         argv = [a if a != "model.json" else str(tmp_path / a) for a in argv]
         proc = run_module(*argv, "--dataset", DATASET, "--lambda", value)
         assert proc.returncode == 1
-        assert proc.stderr == f"error: lambda must be finite, not {value}\n"
+        assert proc.stderr == f"error: lambda must be finite and >= 0, not {value}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("documents", [[], ["", "  "], ["!!! ...", "?"]])
+    def test_set_without_sentences_names_its_line(self, capsys, tmp_path, documents):
+        first, second = FIXTURE_JSONL.read_text(encoding="utf-8").splitlines()[:2]
+        record = dict(json.loads(second), documents=documents)
+        dataset = self._dataset(tmp_path, [first, json.dumps(record)])
+        rc, _, stderr = run(capsys, "summarize", "--dataset", dataset, "--baseline")
+        assert rc == 1
+        assert stderr == f"error: line 2: set {record['set_id']!r} contains zero sentences\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: [1, 2], "a model file must be a JSON object"),
@@ -457,7 +486,10 @@ class TestInputContract:
          "model file missing or bad field: feature_config must be an object, not [1]"),
         (lambda d: dict(d, weights=[0.5]),
          "model file missing or bad field: weights must be an object, not [0.5]"),
-    ], ids=["array", "string", "feature_config", "weights"])
+        (lambda d: dict(d, **{"lambda": -1}), "lambda must be finite and >= 0, not -1.0"),
+        (lambda d: dict(d, loss_config=dict(d["loss_config"], multi_ref_aggregation="max-f")),
+         "model file missing or bad field: multi_ref_aggregation must be mean-f, not 'max-f'"),
+    ], ids=["array", "string", "feature_config", "weights", "negative-lambda", "aggregation"])
     def test_malformed_model_file_says_what_is_wrong(self, capsys, tmp_path, edit, message):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(edit(json.loads(SMALL_MODEL.read_text(encoding="utf-8")))))
@@ -467,6 +499,18 @@ class TestInputContract:
         assert rc == 1
         assert stdout == ""
         assert stderr == f"error: {message}\n"
+
+    def test_legacy_per_ref_loss_model_summarizes_as_before(self, capsys, tmp_path):
+        """"per-ref-loss" names the one loss, which prediction does not read."""
+        payload = json.loads(SMALL_MODEL.read_text(encoding="utf-8"))
+        payload["loss_config"]["multi_ref_aggregation"] = "per-ref-loss"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        rc, stdout, stderr = run(
+            capsys, "summarize", "--dataset", DATASET, "--model-file", str(model)
+        )
+        assert (rc, stderr) == (0, "")
+        assert stdout == GOLDEN_SUMMARIES.read_text(encoding="utf-8")
 
     def test_predictions_that_are_not_json_name_the_file(self, capsys, tmp_path):
         preds = tmp_path / "preds.json"
@@ -759,7 +803,7 @@ class TestAblate:
 DATA = {"--dataset", "--stopwords", "--out"}
 GREEDY = {"--budget", "--r"}
 LAMBDA = {"--lambda"}
-LOSS = {"--aggregation", "--rouge-drop-stopwords"}
+LOSS = {"--rouge-drop-stopwords"}
 TRAINING = GREEDY | LAMBDA | LOSS | {"--model", "--groups", "--C", "--epsilon", "--max-iters"}
 SPLIT = {"--train-ids", "--test-ids", "--test-count", "--seed"}
 COMMAND_FLAGS = {
@@ -790,6 +834,11 @@ class TestFlagGroups:
         ["evaluate", "--predictions", "p.json", "--budget", "5"],
         ["bounds", "--model-file", "m.json", "--train-ids", "0", "--test-ids", "1",
          "--groups", "basic"],
+        # 1 - mean F is the one training loss: no command takes --aggregation
+        *([command, "--aggregation", "mean-f"] for command in ("train", "curve", "ablate")),
+        ["bounds", "--model-file", "m.json", "--train-ids", "0", "--test-ids", "1",
+         "--aggregation", "mean-f"],
+        ["evaluate", "--predictions", "p.json", "--aggregation", "mean-f"],
     ])
     def test_a_flag_the_command_ignores_is_rejected(self, capsys, argv):
         command, *rest = argv
@@ -797,6 +846,7 @@ class TestFlagGroups:
             build_parser().parse_args([command, "--dataset", DATASET, *rest])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
 
 
 class TestErrorsAndEntryPoint:

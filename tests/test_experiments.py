@@ -538,7 +538,7 @@ class TestMeanF:
 
     @pytest.mark.parametrize("loss_cfg", [
         LossConfig(),
-        LossConfig(multi_ref_aggregation="per-ref-loss", rouge_stopword_removal=True),
+        LossConfig(rouge_stopword_removal=True),
     ])
     @pytest.mark.parametrize("kind, lam", [
         ("pairwise", 4.0), ("pairwise-split", None), ("coverage", None),

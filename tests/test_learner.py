@@ -454,6 +454,45 @@ class TestOracleAudit:
         assert max(gaps) == pytest.approx(self.LARGEST_GAP[kind], abs=1e-6)
 
 
+class TestOracleLoss:
+    @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
+    def test_constraint_loss_is_the_normalized_loss_of_y_hat(self, fixture_data, duc_data,
+                                                             kind):
+        """The constraint loss the oracle reads off its gain state equals,
+        with ==, max(0, raw(y_hat) - raw(target)) recomputed on the set's
+        ``RougeGain`` and by the dict-path reference, on fixture and
+        DUC-shaped sets, with and without stopwords, under zero, small and
+        large random weights and under the model trained on the fixture sets,
+        scaled up so that its score outweighs the loss: its oracle then finds
+        summaries as good as the target, whose loss is +0.0."""
+        rng = np.random.default_rng(17)
+        data = fixture_data[:8] + duc_data
+        gcfg = GreedyConfig(budget_bytes=665)
+        lam = 4.0 if kind == "pairwise" else None
+        losses = []
+        for drop in (False, True):
+            loss_cfg = LossConfig(rouge_stopword_removal=drop)
+            sets = prepare_sets(data, range(len(data)), FeatureConfig(), loss_cfg, gcfg)
+            models = [train(sets[:8], kind, FeatureConfig(), loss_cfg, gcfg,
+                            TrainerConfig(max_outer_iters=10), lam=lam).model]
+            models[0].w *= 1000.0
+            for scale in (0.0, 0.01, 1.0):
+                models.append(Model.zeros(kind, FeatureConfig(), loss_cfg, gcfg, lam=lam))
+                models[-1].w = scale * rng.uniform(-1.0, 1.0, size=models[-1].w.shape)
+            for model in models:
+                for i, state in enumerate(sets):
+                    state.with_target()
+                    con = _oracle_from_state(state, i, psi(state.bank, state.target, model),
+                                             model)
+                    raw = state.rouge.load(con.y_hat.selected).raw_loss()
+                    assert con.loss == max(0.0, raw - state.raw_target_loss)
+                    assert con.loss == loss_delta(state.Y, state.target, con.y_hat, state.x,
+                                                  loss_cfg)
+                    assert math.copysign(1.0, con.loss) == 1.0
+                    losses.append(con.loss)
+        assert 0.0 in losses and max(losses) > 0.1
+
+
 class TestViolation:
     def test_formula(self):
         # example 0's stored constraint has zero dpsi, so its slack is its
