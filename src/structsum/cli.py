@@ -5,12 +5,12 @@ exit non-zero on error, write files atomically, and produce byte-identical
 output for identical inputs and seeds on the same numpy build and BLAS
 thread count (see the README).
 
-Each subcommand accepts only the flags it reads. Flags that several
-subcommands read are declared once, in argparse parent parsers: data
-(--dataset, --stopwords, --out), greedy (--budget, --r), lambda (--lambda),
-loss (--rouge-drop-stopwords), training (greedy, lambda and
-loss, plus --model, --groups, --C, --epsilon, --max-iters) and split
-(--train-ids, --test-ids, --test-count, --seed).
+Each subcommand accepts only the flags it reads, spelled in full (argparse's
+prefix matching is off). Flags that several subcommands read are declared
+once, in argparse parent parsers: data (--dataset, --stopwords, --out),
+greedy (--budget, --r), lambda (--lambda), loss (--rouge-drop-stopwords),
+training (greedy, lambda and loss, plus --model, --groups, --C, --epsilon,
+--max-iters) and split (--train-ids, --test-ids, --test-count, --seed).
 """
 
 from __future__ import annotations
@@ -316,7 +316,6 @@ def cmd_curve(args) -> int:
     rows = learning_curve(
         data, sizes, train_ids, test_ids, args.model,
         feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, lam=lam,
-        warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
     )
     print("size\tmean_f\tstderr_f")
     for row in rows:
@@ -346,7 +345,7 @@ def cmd_ablate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="structsum",
+        prog="structsum", allow_abbrev=False,
         description="Budgeted submodular extractive summarization with large-margin training.",
     )
     parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
@@ -385,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--test-count", type=int, default=5)
     split.add_argument("--seed", type=int, default=0, help="seed for the sampled split")
 
-    p = sub.add_parser("train", parents=[data, training], help="train a model with cutting planes")
+    p = sub.add_parser("train", parents=[data, training], allow_abbrev=False,
+                       help="train a model with cutting planes")
     p.add_argument("--single-reference", action="store_true",
                    help="build training targets and losses from the first reference only")
     p.add_argument("--train-ids", default=None, help="comma list of set indexes (default: all)")
@@ -393,32 +393,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="training log path (default: OUT.log.jsonl)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("summarize", parents=[data, greedy, lam],
+    p = sub.add_parser("summarize", parents=[data, greedy, lam], allow_abbrev=False,
                        help="produce summaries for every set")
     p.add_argument("--model-file", default=None, help="trained model JSON")
     p.add_argument("--baseline", action="store_true", help="hand-tuned tf-idf cosine scorer")
     p.add_argument("--sets", default=None, help="comma list of set ids to summarize")
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("evaluate", parents=[data, loss],
+    p = sub.add_parser("evaluate", parents=[data, loss], allow_abbrev=False,
                        help="score prediction files against references")
     p.add_argument("--predictions", required=True, help="JSON written by summarize --out")
     p.add_argument("--compare", default=None, help="second prediction file for a sign test")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bounds", parents=[data, greedy, loss],
+    p = sub.add_parser("bounds", parents=[data, greedy, loss], allow_abbrev=False,
                        help="human/extractive/fit/prediction table")
     p.add_argument("--model-file", required=True)
     p.add_argument("--train-ids", required=True)
     p.add_argument("--test-ids", required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("curve", parents=[data, training, split],
+    p = sub.add_parser("curve", parents=[data, training, split], allow_abbrev=False,
                        help="learning curve over training sizes")
     p.add_argument("--sizes", default="1,2,5,10,20,40")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("ablate", parents=[data, training, split],
+    p = sub.add_parser("ablate", parents=[data, training, split], allow_abbrev=False,
                        help="retrain with one feature group removed per row")
     p.add_argument("--rows", default=None, help="comma list of rows among: "
                    + ", ".join(label for label, _ in ABLATION_ROWS))

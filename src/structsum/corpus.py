@@ -43,18 +43,18 @@ class DatasetError(ValueError):
     """A dataset file violates the expected schema."""
 
 
-def _load_wordlist(name: str) -> frozenset[str]:
-    text = resources.files("structsum.data").joinpath(name).read_text("utf-8")
-    words = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return frozenset(words)
+def _wordlist(text: str) -> list[str]:
+    """The stripped lines of a word list, without blank lines and # comments."""
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _packaged(name: str) -> str:
+    return resources.files("structsum.data").joinpath(name).read_text("utf-8")
 
 
 #: Chunks ending in a period that do not terminate a sentence.
-ABBREVIATIONS: frozenset[str] = _load_wordlist("abbreviations.txt")
+ABBREVIATIONS: frozenset[str] = frozenset(_wordlist(_packaged("abbreviations.txt")))
 
 # Characters stripped from both ends of a whitespace-delimited chunk before
 # normalization. Interior punctuation (hyphens, periods in acronyms) stays.
@@ -68,15 +68,9 @@ _BOUNDARY = re.compile(r"([.!?])(\s+)(?=[A-Z0-9])")
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword list; ``None`` selects the packaged default."""
-    if path is None:
-        return _load_wordlist("stopwords.txt")
-    words = []
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line.lower())
-    return frozenset(words)
+    """Load a stopword list, lowercased; ``None`` selects the packaged default."""
+    text = _packaged("stopwords.txt") if path is None else Path(path).read_text("utf-8")
+    return frozenset(w.lower() for w in _wordlist(text))
 
 
 def _is_abbreviation(text: str, period_end: int) -> bool:
@@ -296,13 +290,13 @@ def load_dataset(
                 references = record["references"]
             except KeyError as exc:
                 raise DatasetError(f"line {lineno}: missing field {exc}") from exc
-            if not references:
-                raise DatasetError(f"no references for set {set_id!r} (line {lineno})")
             if not isinstance(set_id, str):
                 raise DatasetError(f"line {lineno}: set_id must be a string, got {set_id!r}")
             for name, texts in (("documents", documents), ("references", references)):
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                     raise DatasetError(f"line {lineno}: {name} must be a list of strings")
+            if not references:
+                raise DatasetError(f"line {lineno}: no references for set {set_id!r}")
             if set_id in first_line:
                 raise DatasetError(f"line {lineno}: duplicate set_id {set_id!r} "
                                    f"(first on line {first_line[set_id]})")
@@ -318,7 +312,7 @@ def load_dataset(
                 raise DatasetError(f"line {lineno}: {exc}") from None
             refs = tuple(memo.tokens(r) for r in references)
             if any(not r for r in refs):
-                raise DatasetError(f"empty reference for set {set_id!r} (line {lineno})")
+                raise DatasetError(f"line {lineno}: empty reference for set {set_id!r}")
             out.append((x, ReferenceSet(set_id=set_id, references=refs)))
     if not out:
         raise DatasetError(f"{path}: dataset is empty")

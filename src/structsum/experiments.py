@@ -8,6 +8,7 @@ once. Sampling is seeded, so reruns reproduce the numbers.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass, replace
@@ -20,6 +21,8 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, predict, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
+
+logger = logging.getLogger(__name__)
 
 Dataset = list[tuple[DocumentSet, ReferenceSet]]
 
@@ -95,14 +98,17 @@ def train_on(
     sets: list[PreparedSet] | None = None,
     shared: SharedPrefix | None = None,
 ) -> TrainResult:
-    """Prepare ``data[i] for i in ids`` (unless given as ``sets``) and train
-    once, from the prefix ``shared`` holds, if any (see ``learner.train``)."""
+    """Train once on ``data[i] for i in ids``, prepared here or given as ``sets``
+    under these configs, from the prefix ``shared`` holds (``learner.train``)."""
+    configs = (feature_config, loss_config, greedy_config)
     if sets is None:
-        sets = prepare_sets(data, ids, feature_config, loss_config, greedy_config, single_reference)
+        sets = prepare_sets(data, ids, *configs, single_reference)
     elif len(sets) != len(ids):
         raise ValueError(f"{len(sets)} prepared sets for {len(ids)} training ids")
-    return train(sets, model_kind, feature_config, loss_config, greedy_config, trainer_config,
-                 lam=lam, log_callback=log_callback, shared=shared)
+    elif any(s.configs != configs for s in sets):
+        raise ValueError("training sets were prepared under other configs")
+    return train(sets, model_kind, trainer_config, lam=lam, log_callback=log_callback,
+                 shared=shared)
 
 
 @dataclass
@@ -226,7 +232,6 @@ def learning_curve(
     greedy_config: GreedyConfig,
     trainer_config: TrainerConfig,
     lam: float | None = None,
-    warn=None,
 ) -> list[dict]:
     """Train on prefixes of ``train_ids``; evaluate each on ``test_ids``."""
     rows = []
@@ -236,10 +241,10 @@ def learning_curve(
     test_sets = prepare_sets(data, test_ids, *configs)
     for size in sizes:
         if size > len(train_ids):
-            if warn is not None:
-                warn(f"curve size {size} exceeds {len(train_ids)} available training sets; skipped")
+            logger.warning("curve size %d exceeds %d available training sets; skipped",
+                           size, len(train_ids))
             continue
-        result = train(prepared[:size], model_kind, *configs, trainer_config, lam=lam)
+        result = train(prepared[:size], model_kind, trainer_config, lam=lam)
         fs = _f_values(test_sets, result.model)
         rows.append({"size": size, "mean_f": sum(fs) / len(fs), "stderr_f": _stderr(fs)})
     return rows
@@ -278,8 +283,7 @@ def ablation_table(
             cfg = replace(feature_config, enabled_groups=("basic",))
         else:
             cfg = feature_config.without_group(spec)
-        result = train(_with_features(prepared, cfg), model_kind, cfg, loss_config,
-                       greedy_config, trainer_config, lam=lam)
+        result = train(_with_features(prepared, cfg), model_kind, trainer_config, lam=lam)
         fs = _f_values(_with_features(test_sets, cfg), result.model)
         out.append({"removed": label, "mean_f": sum(fs) / len(fs)})
     return out
@@ -333,10 +337,8 @@ def _select_c(
     # trainings by wrapping train_on
     shared = SharedPrefix()
     for cfg in trainer_configs:
-        result = train_on(
-            data, list(train_ids), model_kind, *configs, cfg, lam=lam,
-            single_reference=single_reference, sets=train_sets, shared=shared,
-        )
+        result = train_on(data, list(train_ids), model_kind, *configs, cfg, lam=lam,
+                          sets=train_sets, shared=shared)
         fs = _f_values(val_sets, result.model)
         c, f = cfg.C, sum(fs) / len(fs)
         table.append({"C": c, "val_f": f})

@@ -15,7 +15,8 @@ entry's ``max_violation`` and a result's ``converged`` certify the margin
 only against the summaries the greedy finds: a summary it misses may still
 violate its constraint by more than epsilon.
 Each training set is a ``PreparedSet``, built once per study call: the
-oracle, the train-F tracking and the scores read its bank and ``RougeGain``.
+oracle, the train-F tracking and the scores read its bank, ``RougeGain`` and
+greedy config, and the trained model records the configs of its sets.
 
 The restricted dual, min 0.5 a'Ka - loss'a over a >= 0 with each example's
 sum capped at C / n (K the Gram matrix of the dpsi vectors, w = sum a dpsi),
@@ -413,26 +414,31 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 class PreparedSet:
     """One set prepared once per study call for all its trainings and scores:
     ``x``, the references ``Y`` it is scored against, its bank, its one
-    ``RougeGain`` and its greedy config with the set's budget. ``with_target``
-    computes the ROUGE target (same greedy, same ``RougeGain``) and its raw
-    loss once; ``replace`` copies keep both. Evaluation sets never need it."""
+    ``RougeGain`` and the greedy config it was prepared with, which its model
+    records. ``with_target`` computes the ROUGE target (same greedy under
+    ``x``'s budget, same ``RougeGain``) and its raw loss once; ``replace``
+    copies keep both. Evaluation sets never need it."""
 
     x: DocumentSet
     Y: ReferenceSet
     bank: FeatureBank
     rouge: RougeGain
-    greedy_cfg: GreedyConfig
+    greedy_config: GreedyConfig
     target: Summary | None = None
     raw_target_loss: float | None = None
 
     @classmethod
     def build(cls, x, Y, feature_config, loss_config, greedy_config) -> "PreparedSet":
-        return cls(x, Y, bank_for(x, feature_config), RougeGain(x, Y, loss_config),
-                   greedy_config.for_set(x))
+        return cls(x, Y, bank_for(x, feature_config), RougeGain(x, Y, loss_config), greedy_config)
+
+    @property
+    def configs(self) -> tuple[FeatureConfig, LossConfig, GreedyConfig]:
+        return self.bank.cfg, self.rouge.cfg, self.greedy_config
 
     def with_target(self) -> "PreparedSet":
         if self.target is None:
-            self.target = greedy_target(self.x, self.rouge.reset(), self.greedy_cfg)
+            self.target = greedy_target(self.x, self.rouge.reset(),
+                                        self.greedy_config.for_set(self.x))
         if self.raw_target_loss is None:
             self.raw_target_loss = self.rouge.load(self.target.selected).raw_loss()
         return self
@@ -501,7 +507,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
         state.rouge.reset(),
         state.raw_target_loss,
     )
-    y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_cfg)
+    y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_config.for_set(state.x))
     return Constraint(
         example_index=index,
         y_hat=y_hat,
@@ -601,19 +607,16 @@ class SharedPrefix:
 def train(
     sets: list[PreparedSet],
     model_kind: str,
-    feature_config: FeatureConfig,
-    loss_config: LossConfig,
-    greedy_config: GreedyConfig,
     trainer_config: TrainerConfig,
     lam: float | None = None,
     log_callback=None,
     shared: SharedPrefix | None = None,
 ) -> TrainResult:
-    """Cutting-plane training loop over sets prepared under the same feature
-    and loss configs; each set's target is computed on first use and kept.
-    Returns the model with per-iteration statistics and the dual objective
-    after every QP solve. If the iteration cap is hit, the weights with the
-    best training score seen are returned and a warning is logged.
+    """Cutting-plane training loop over sets prepared under the same feature,
+    loss and greedy configs, which the model records; each set's target is
+    computed on first use and kept. Returns the model, per-iteration
+    statistics and the dual after every QP solve. If the iteration cap is
+    hit, it logs a warning and returns the best training score's weights.
 
     Given ``shared``, filled by the same training at a smaller C, the run
     continues from the state it holds: the entries up to there are logged
@@ -621,11 +624,11 @@ def train(
     a run from w = 0. The holder is then refilled for the next C."""
     if not sets:
         raise ValueError("no training data")
-    if any(s.bank.cfg != feature_config or s.rouge.cfg != loss_config for s in sets):
-        raise ValueError("training sets were prepared under other feature or loss configs")
-    model = Model.zeros(model_kind, feature_config, loss_config, greedy_config, lam=lam)
+    if len({s.configs for s in sets}) > 1:
+        raise ValueError("training sets were prepared under different configs")
+    model = Model.zeros(model_kind, *sets[0].configs, lam=lam)
     C = trainer_config.C
-    of = (model_kind, feature_config, loss_config, greedy_config, lam)
+    of = (model_kind, lam)  # the sets, checked by identity, fix the configs
     start = shared._start(sets, of, trainer_config) if shared is not None else None
     if start is None:
         psi_targets = [psi(s.bank, s.with_target().target, model) for s in sets]

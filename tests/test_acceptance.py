@@ -221,9 +221,7 @@ def test_cutting_plane_contract(stopwords):
     loss_cfg = LossConfig()
     prepared = prepare_sets(data, range(len(data)), FeatureConfig(), loss_cfg, gcfg)
     result = train(
-        prepared, "pairwise",
-        feature_config=FeatureConfig(), loss_config=loss_cfg, greedy_config=gcfg,
-        trainer_config=TrainerConfig(C=10.0, epsilon=1e-3), lam=4.0,
+        prepared, "pairwise", trainer_config=TrainerConfig(C=10.0, epsilon=1e-3), lam=4.0,
     )
     duals = [it["dual_objective"] for it in result.iterations]
     monotone = all(b >= a - 1e-12 for a, b in zip(duals, duals[1:]))

@@ -115,11 +115,9 @@ class TestTrain:
         trained = []
         real_train = experiments.train
 
-        def counted(sets, model_kind, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, **kwargs):
+        def counted(sets, model_kind, trainer_cfg, **kwargs):
             trained.append(trainer_cfg.C)
-            return real_train(
-                sets, model_kind, feature_cfg, loss_cfg, greedy_cfg, trainer_cfg, **kwargs
-            )
+            return real_train(sets, model_kind, trainer_cfg, **kwargs)
 
         monkeypatch.setattr(experiments, "train", counted)
         val_ids = ["--val-ids", "2,3"] if "," in grid else []
@@ -751,18 +749,24 @@ class TestBounds:
         assert "--train-ids" in stderr
 
 
+def run_curve(*log_level):
+    # a child process: in-process, pytest's own log capture takes the warning
+    proc = run_module(*log_level, "curve", "--dataset", DATASET, "--sizes", "1,2,50",
+                      "--train-ids", "0,1", "--test-ids", "2,3")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "size\tmean_f\tstderr_f", "1\t1.00000\t0.00000", "2\t1.00000\t0.00000",
+    ]
+    return proc.stderr
+
+
 class TestCurve:
-    def test_explicit_splits(self, capsys):
-        rc, stdout, stderr = run(
-            capsys, "curve", "--dataset", DATASET, "--sizes", "1,2,50",
-            "--train-ids", "0,1", "--test-ids", "2,3",
-        )
-        assert rc == 0
-        lines = stdout.splitlines()
-        assert lines[0] == "size\tmean_f\tstderr_f"
-        assert lines[1] == "1\t1.00000\t0.00000"
-        assert lines[2] == "2\t1.00000\t0.00000"
-        assert "warning:" in stderr and "50" in stderr
+    def test_explicit_splits(self):
+        # the skipped size is logged like every other warning, without a prefix
+        assert run_curve() == "curve size 50 exceeds 2 available training sets; skipped\n"
+
+    def test_log_level_error_silences_the_skipped_size(self):
+        assert run_curve("--log-level", "error") == ""
 
     @pytest.mark.parametrize("sizes", ["-1,2", "0"])
     def test_non_positive_size_fails(self, capsys, sizes):
@@ -839,6 +843,16 @@ class TestFlagGroups:
         ["bounds", "--model-file", "m.json", "--train-ids", "0", "--test-ids", "1",
          "--aggregation", "mean-f"],
         ["evaluate", "--predictions", "p.json", "--aggregation", "mean-f"],
+        # a prefix of a flag is not that flag (required flags are given in
+        # full, or argparse reports them missing first)
+        ["train", "--rouge", "--lam", "-2", "--max", "3", "--single"],
+        ["evaluate", "--predictions", "p.json", "--comp", "q"],
+        ["evaluate", "--pred", "p.json", "--predictions", "p.json"],
+        ["summarize", "--baseline", "--budg", "5"],
+        ["curve", "--size", "1"],
+        ["ablate", "--row", "none"],
+        ["bounds", "--model", "m.json", "--model-file", "m.json", "--train-ids", "0",
+         "--test-ids", "1"],
     ])
     def test_a_flag_the_command_ignores_is_rejected(self, capsys, argv):
         command, *rest = argv

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsum.corpus import (
+    ABBREVIATIONS,
     DatasetError,
     build_document_set,
     load_dataset,
@@ -223,12 +224,12 @@ class TestLoadDataset:
 
     def test_no_references(self, tmp_path):
         path = self._write(tmp_path, [json.dumps(self._record(references=[]))])
-        with pytest.raises(DatasetError, match="no references"):
+        with pytest.raises(DatasetError, match="^line 1: no references for set 's1'$"):
             load_dataset(path)
 
     def test_empty_reference_text(self, tmp_path):
         path = self._write(tmp_path, [json.dumps(self._record(references=["..."]))])
-        with pytest.raises(DatasetError, match="empty reference"):
+        with pytest.raises(DatasetError, match="^line 1: empty reference for set 's1'$"):
             load_dataset(path)
 
     def test_empty_file(self, tmp_path):
@@ -252,6 +253,17 @@ def test_stopword_loader_custom(tmp_path):
     path = tmp_path / "sw.txt"
     path.write_text("# comment\nfoo\nbar\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
+def test_stopword_loader_strips_skips_and_lowercases(tmp_path):
+    # the packaged lists and a user's list are read by the same rules; only
+    # the stopwords are lowercased, since abbreviations match case-sensitively
+    path = tmp_path / "sw.txt"
+    path.write_text("# A Comment\n\n  The  \n\t\n  # indented comment\nOF\r\nand\n#\nfoo#bar\n",
+                    encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"the", "of", "and", "foo#bar"})
+    assert len(load_stopwords()) == 128
+    assert len(ABBREVIATIONS) == 70 and "Mr." in ABBREVIATIONS and "mr." not in ABBREVIATIONS
 
 
 # Chunks that exercise every tokenizer and segmenter rule: capitalized and

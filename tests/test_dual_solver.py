@@ -248,8 +248,7 @@ def recorded_solves(fixture_data):
         mp.setattr(learner.WorkingSet, "solve", recording_solve)
         for kind, lam in (("pairwise", 4.0), ("pairwise-split", None), ("coverage", None)):
             for C in (0.1, 100.0):
-                train(prepared, kind, FeatureConfig(), LossConfig(), gcfg,
-                      TrainerConfig(C=C, track_train_rouge=False), lam=lam)
+                train(prepared, kind, TrainerConfig(C=C, track_train_rouge=False), lam=lam)
     return records
 
 

@@ -119,7 +119,8 @@ class TestPrepareSets:
         # cfg allows both sentences but the record's own 12 bytes does not
         x, Y = self._pair(make_docset, stopwords, ["alpha beta gamma delta."])
         s = self._prepared((x, Y), 1000)
-        assert s.greedy_cfg.budget_bytes == 12
+        assert s.greedy_config == GreedyConfig(budget_bytes=1000, r=1.0)
+        assert s.greedy_config.for_set(x).budget_bytes == 12
         assert s.with_target().target.total_cost <= 12
 
 
@@ -224,17 +225,15 @@ class TestLearningCurve:
             assert row["mean_f"] == pytest.approx(1.0)
             assert row["stderr_f"] == pytest.approx(0.0)
 
-    def test_oversized_size_is_skipped_with_warning(self, fixture_data):
-        warnings = []
-        rows = learning_curve(
-            fixture_data, [1, 50], [0, 1], [2],
-            "pairwise", FeatureConfig(), LossConfig(),
-            GreedyConfig(budget_bytes=66, r=0.3), TrainerConfig(), lam=4.0,
-            warn=warnings.append,
-        )
+    def test_oversized_size_is_skipped_with_warning(self, fixture_data, caplog):
+        with caplog.at_level("WARNING", logger="structsum.experiments"):
+            rows = learning_curve(
+                fixture_data, [1, 50], [0, 1], [2],
+                "pairwise", FeatureConfig(), LossConfig(),
+                GreedyConfig(budget_bytes=66, r=0.3), TrainerConfig(), lam=4.0,
+            )
         assert [r["size"] for r in rows] == [1]
-        assert len(warnings) == 1
-        assert "50" in warnings[0]
+        assert caplog.messages == ["curve size 50 exceeds 2 available training sets; skipped"]
 
 
 class TestAblationTable:
@@ -432,6 +431,18 @@ class TestSelectCMatchesIndependentRuns:
             train_on(data, [0, 1, 2], "coverage", trainer_config=TrainerConfig(), sets=sets,
                      **self.KW)
 
+    @pytest.mark.parametrize("other", [
+        dict(feature_config=FeatureConfig().without_group("basic")),
+        dict(loss_config=LossConfig(rouge_stopword_removal=True)),
+        dict(greedy_config=GreedyConfig(budget_bytes=400, r=1.0)),
+    ], ids=["features", "loss", "greedy"])
+    def test_train_on_refuses_sets_prepared_under_other_configs(self, data, other):
+        sets = prepare_sets(data, [0, 1], **self.KW)
+        with pytest.raises(ValueError, match="prepared under other configs"):
+            train_on(data, [0, 1], "coverage", trainer_config=TrainerConfig(), sets=sets,
+                     **{**self.KW, **other})
+        assert all(s.target is None for s in sets)  # refused before any training work
+
 
 class TestSelectCSharesPrefixes:
     """Each C of a grid continues the previous, smaller C's run from where
@@ -493,21 +504,19 @@ class TestSelectCSharesPrefixes:
         monkeypatch.setattr(learner, "psi", recording)
         shared = learner.SharedPrefix()
         for c in (0.01, 1.0, 10.0):
-            learner.train(sets, "coverage", trainer_config=replace(self.TRAINER, C=c),
-                          shared=shared, **self.KW)
+            learner.train(sets, "coverage", replace(self.TRAINER, C=c), shared=shared)
         assert sum(any(y is s.target for s in sets) for y in seen) == len(sets)
         assert len(seen) > len(sets)
 
     def test_a_holder_continues_only_the_same_training_at_a_larger_c(self, fixture_data):
         sets = prepare_sets(fixture_data, [0, 1], **self.KW)
         shared = learner.SharedPrefix()
-        learner.train(sets, "coverage", trainer_config=TrainerConfig(C=1.0), shared=shared,
-                      **self.KW)
+        learner.train(sets, "coverage", TrainerConfig(C=1.0), shared=shared)
         for trainer, kind in [(TrainerConfig(C=0.5), "coverage"),
                               (TrainerConfig(C=2.0, epsilon=0.1), "coverage"),
                               (TrainerConfig(C=2.0), "pairwise-split")]:
             with pytest.raises(ValueError, match="same training at a larger C"):
-                learner.train(sets, kind, trainer_config=trainer, shared=shared, **self.KW)
+                learner.train(sets, kind, trainer, shared=shared)
 
 
 class TestSignTest:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structsum import experiments
+from structsum import experiments, learner
 from structsum.corpus import ReferenceSet, build_document_set, load_dataset, tokenize
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
@@ -251,7 +251,7 @@ class TestModelIO:
             Model.zeros("pairwise", *configs)
         sets = prepare_sets(fixture_data, [0], *configs)
         with pytest.raises(ModelError, match="lambda"):
-            train(sets, "pairwise", *configs, TrainerConfig())
+            train(sets, "pairwise", TrainerConfig())
         assert sets[0].target is None  # refused before any training work
 
     def test_coverage_rejects_lambda(self):
@@ -437,8 +437,7 @@ class TestOracleAudit:
             for seed in range(8)
         ]
         assert all(s.x.num_sentences == 12 for s in sets)
-        result = train(sets, kind, FeatureConfig(), LossConfig(), gcfg, TrainerConfig(C=10.0),
-                       lam=2.0 if kind == "pairwise" else None)
+        result = train(sets, kind, TrainerConfig(C=10.0), lam=2.0 if kind == "pairwise" else None)
         assert result.converged
         model, gaps = result.model, []
         for i, state in enumerate(sets):
@@ -473,8 +472,7 @@ class TestOracleLoss:
         for drop in (False, True):
             loss_cfg = LossConfig(rouge_stopword_removal=drop)
             sets = prepare_sets(data, range(len(data)), FeatureConfig(), loss_cfg, gcfg)
-            models = [train(sets[:8], kind, FeatureConfig(), loss_cfg, gcfg,
-                            TrainerConfig(max_outer_iters=10), lam=lam).model]
+            models = [train(sets[:8], kind, TrainerConfig(max_outer_iters=10), lam=lam).model]
             models[0].w *= 1000.0
             for scale in (0.0, 0.01, 1.0):
                 models.append(Model.zeros(kind, FeatureConfig(), loss_cfg, gcfg, lam=lam))
@@ -543,22 +541,45 @@ class TestTrain:
         before = replace(Y)
         sets = self._sets([(x, Y)])
         assert sets[0].target is None
-        train(sets, "pairwise", FeatureConfig(), LossConfig(),
-              GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=1.0), lam=4.0)
+        train(sets, "pairwise", TrainerConfig(C=1.0), lam=4.0)
         assert sets[0].target is not None and sets[0].raw_target_loss is not None
         assert Y == before
 
     def test_rejects_sets_prepared_under_other_configs(self, stopwords):
-        sets = self._sets(self._mini_corpus(stopwords, n=1))
-        with pytest.raises(ValueError, match="other feature or loss configs"):
-            train(sets, "coverage", FeatureConfig().without_group("location"), LossConfig(),
-                  GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig())
+        # sets of two prepare_sets calls whose feature, loss or greedy configs differ
+        data = self._mini_corpus(stopwords, n=2)
+        gcfg = GreedyConfig(budget_bytes=60, r=0.3)
+        for other in [(FeatureConfig().without_group("location"), LossConfig(), gcfg),
+                      (FeatureConfig(), LossConfig(rouge_stopword_removal=True), gcfg),
+                      (FeatureConfig(), LossConfig(), replace(gcfg, r=1.0))]:
+            sets = self._sets(data[:1]) + prepare_sets(data, [1], *other)
+            with pytest.raises(ValueError, match="prepared under different configs"):
+                train(sets, "coverage", TrainerConfig())
+            assert all(s.target is None for s in sets)  # refused before any training work
+
+    def test_model_records_the_config_its_sets_were_prepared_with(self, fixture_data,
+                                                                  monkeypatch):
+        """Fixture sets carry a 66-byte budget, which overrides the config's
+        665 wherever the greedy runs; the model records the 665 it was given."""
+        oracle_costs = []
+
+        def recording(*args):
+            con = _oracle_from_state(*args)
+            oracle_costs.append(con.y_hat.total_cost)
+            return con
+
+        monkeypatch.setattr(learner, "_oracle_from_state", recording)
+        gcfg = GreedyConfig(budget_bytes=665)
+        sets = prepare_sets(fixture_data, range(4), FeatureConfig(), LossConfig(), gcfg)
+        result = train(sets, "coverage", TrainerConfig(max_outer_iters=3))
+        assert result.model.greedy_config == gcfg and all(s.greedy_config is gcfg for s in sets)
+        assert all(s.x.budget_bytes == 66 for s in sets)
+        assert all(0 < s.target.total_cost <= 66 for s in sets)
+        assert oracle_costs and max(oracle_costs) <= 66
 
     def test_converges_and_dual_monotone(self, stopwords):
         data = self._mini_corpus(stopwords)
-        result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
-                       GreedyConfig(budget_bytes=60, r=0.3),
-                       TrainerConfig(C=10.0, epsilon=1e-3), lam=4.0)
+        result = train(self._sets(data), "pairwise", TrainerConfig(C=10.0, epsilon=1e-3), lam=4.0)
         assert result.converged
         assert result.final_max_violation <= 1e-3
         duals = result.dual_history
@@ -577,9 +598,7 @@ class TestTrain:
             return dual
 
         monkeypatch.setattr(WorkingSet, "solve", counting)
-        result = train(self._sets(self._mini_corpus(stopwords)), "coverage",
-                       FeatureConfig(), LossConfig(),
-                       GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0))
+        result = train(self._sets(self._mini_corpus(stopwords)), "coverage", TrainerConfig(C=10.0))
         start = 0
         for entry in result.iterations:
             # deterministic fields only: reruns must write identical logs
@@ -598,8 +617,7 @@ class TestTrain:
 
         data = self._mini_corpus(stopwords)
         with caplog.at_level(logging.WARNING, logger="structsum.learner"):
-            result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
-                           GreedyConfig(budget_bytes=60, r=0.3),
+            result = train(self._sets(data), "pairwise",
                            TrainerConfig(C=10.0, max_outer_iters=1), lam=4.0)
         assert not result.converged
         assert any("max_outer_iters" in m or "truncat" in m for m in caplog.messages)
@@ -607,16 +625,14 @@ class TestTrain:
     def test_log_callback_sees_every_iteration(self, stopwords):
         data = self._mini_corpus(stopwords)
         seen = []
-        train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
-              GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0),
-              lam=4.0, log_callback=seen.append)
+        train(self._sets(data), "pairwise", TrainerConfig(C=10.0), lam=4.0,
+              log_callback=seen.append)
         assert [e["iteration"] for e in seen] == list(range(len(seen)))
 
     @pytest.mark.parametrize("kind", ["pairwise-split", "coverage"])
     def test_other_model_kinds_train(self, kind, stopwords):
         data = self._mini_corpus(stopwords, n=3)
-        result = train(self._sets(data), kind, FeatureConfig(), LossConfig(),
-                       GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0))
+        result = train(self._sets(data), kind, TrainerConfig(C=10.0))
         assert result.converged
         for x, Y in data:
             y = predict(x, result.model)
@@ -625,8 +641,7 @@ class TestTrain:
     def test_per_record_budget_respected(self, stopwords):
         data = self._mini_corpus(stopwords, n=2)
         object.__setattr__(data[0][0], "budget_bytes", 30)
-        result = train(self._sets(data), "pairwise", FeatureConfig(), LossConfig(),
-                       GreedyConfig(budget_bytes=60, r=0.3), TrainerConfig(C=10.0), lam=4.0)
+        result = train(self._sets(data), "pairwise", TrainerConfig(C=10.0), lam=4.0)
         assert predict(data[0][0], result.model).total_cost <= 30
         assert predict(data[1][0], result.model).total_cost <= 60
 
