@@ -11,6 +11,10 @@ once, in argparse parent parsers: data (--dataset, --stopwords, --out),
 greedy (--budget, --r), lambda (--lambda), loss (--rouge-drop-stopwords),
 training (greedy, lambda and loss, plus --model, --groups, --C, --epsilon,
 --max-iters) and split (--train-ids, --test-ids, --test-count, --seed).
+
+Before any work, ``_parse_list`` checks every comma list flag (repeats too)
+and ``util.json_value`` every JSON field of an input file; a bad input exits
+1 with no stdout and one ``error:`` line that quotes it short (``quoted``).
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, ModelError, TrainerConfig, predict
 from .rouge import LossConfig
 from .scoring import PairwiseScorer, Summary, gain_state
-from .util import atomic_write_text
+from .util import atomic_write_text, json_value, quoted
 
 
 def _parse_list(text: str | None, flag: str, kind=str) -> list | None:
-    """Values of a comma list flag, each read as ``kind`` (str, int or
-    float); None when absent, an error naming the flag when it names none
-    or a value is not of that kind."""
+    """Distinct values of a comma list flag, each read as ``kind`` (str, int
+    or float); None when absent, an error naming the flag when it names
+    none, a value is not of that kind or a value repeats."""
     if text is None:
         return None
     values = [v for v in text.split(",") if v != ""]
@@ -58,7 +62,10 @@ def _parse_list(text: str | None, flag: str, kind=str) -> list | None:
             out.append(kind(v))
         except ValueError:
             name = "an integer" if kind is int else "a number"
-            raise ValueError(f"{flag}: {v!r} is not {name}") from None
+            raise ValueError(f"{flag}: {quoted(v)} is not {name}") from None
+    repeated = sorted({v for v in out if out.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{flag} repeats {quoted(repeated)}")
     return out
 
 
@@ -66,14 +73,9 @@ def _parse_ids(text: str | None, n_sets: int, flag: str) -> list[int] | None:
     """Non-empty comma list of distinct set indexes, each in range(n_sets);
     None when absent."""
     ids = _parse_list(text, flag, int)
-    if ids is None:
-        return None
-    bad = [i for i in ids if not 0 <= i < n_sets]
+    bad = [i for i in ids or () if not 0 <= i < n_sets]
     if bad:
-        raise ValueError(f"{flag}: set indexes {bad} out of range for {n_sets} sets")
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    if repeated:
-        raise ValueError(f"{flag} repeats set indexes {repeated}")
+        raise ValueError(f"{flag}: set indexes {quoted(bad)} out of range for {n_sets} sets")
     return ids
 
 
@@ -202,6 +204,9 @@ def cmd_summarize(args) -> int:
     data = _load(args)
     model = Model.load(args.model_file) if args.model_file else None
     wanted = _parse_list(args.sets, "--sets")
+    missing = set(wanted or ()) - {x.set_id for x, _ in data}
+    if missing:
+        raise ValueError(f"dataset has no sets named {quoted(sorted(missing))}")
     records = []
     for x, _ in data:
         if wanted is not None and x.set_id not in wanted:
@@ -218,10 +223,6 @@ def cmd_summarize(args) -> int:
                 "sentences": [x.sentences[sid].text for sid in y.selected],
             }
         )
-    if wanted is not None:
-        missing = set(wanted) - {r["set_id"] for r in records}
-        if missing:
-            raise ValueError(f"dataset has no sets named {sorted(missing)}")
     if args.out:
         _write_json(args.out, {"summaries": records})
     return 0
@@ -238,53 +239,55 @@ def _load_predictions(path: str, data) -> dict[str, Summary]:
         raise ValueError(f"{path}: predictions need a 'summaries' list")
     by_id = {x.set_id: x for x, _ in data}
     out: dict[str, Summary] = {}
-    for n, rec in enumerate(records):
-        rec = rec if isinstance(rec, dict) else {}
-        set_id, ids = rec.get("set_id"), rec.get("sentence_ids")
-        if not (isinstance(set_id, str) and isinstance(ids, list)
-                and all(type(i) is int for i in ids)):
-            raise ValueError(
-                f"{path}: summaries[{n}] needs a string set_id and a list of integer sentence_ids"
-            )
+    for n in range(len(records)):
+        where = f"summaries[{n}]"
+        try:
+            rec = json_value(records, n, dict, where)
+            set_id = json_value(rec, "set_id", str, f"{where}.set_id")
+            ids = json_value(rec, "sentence_ids", [int], f"{where}.sentence_ids")
+        except KeyError as exc:
+            raise ValueError(f"{path}: {where} has no field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if set_id not in by_id:
-            raise ValueError(f"predictions name unknown set id {set_id!r}")
+            raise ValueError(f"{path}: {where}.set_id names unknown set {quoted(set_id)}")
         if set_id in out:
-            raise ValueError(f"predictions name set id {set_id!r} twice")
+            raise ValueError(f"{path}: {where}.set_id names set {quoted(set_id)} twice")
         x = by_id[set_id]
-        bad = [i for i in ids if not (0 <= i < x.num_sentences)]
+        bad = [i for i in ids if not 0 <= i < x.num_sentences]
         if bad:
-            raise ValueError(f"set {set_id!r}: sentence ids {bad} out of range")
-        out[set_id] = Summary(tuple(ids), sum(x.sentences[i].cost for i in ids))
+            raise ValueError(f"{path}: {where}.sentence_ids {quoted(bad)} out of range")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"{path}: {where}.sentence_ids repeats a sentence id")
+        out[set_id] = Summary(ids, sum(x.sentences[i].cost for i in ids))
     return out
 
 
 def cmd_evaluate(args) -> int:
     data = _load(args)
     loss_cfg = _loss_cfg(args)
-    preds = _load_predictions(args.predictions, data)
-    report = evaluate_predictions(data, preds, loss_cfg)
-    print("set_id\tprecision\trecall\tf")
-    for row in report.rows:
-        print(f"{row['set_id']}\t{row['precision']:.5f}\t{row['recall']:.5f}\t{row['f']:.5f}")
-    print(f"mean\t{report.mean_p:.5f}\t{report.mean_r:.5f}\t{report.mean_f:.5f}")
-    print(f"stderr_f\t\t\t{report.stderr_f:.5f}")
+    report = evaluate_predictions(data, _load_predictions(args.predictions, data), loss_cfg)
     payload = {
         "per_set": report.rows,
         "mean": {"precision": report.mean_p, "recall": report.mean_r, "f": report.mean_f},
         "stderr_f": report.stderr_f,
     }
-    if args.compare:
-        other = _load_predictions(args.compare, data)
-        other_report = evaluate_predictions(data, other, loss_cfg)
+    if args.compare:  # read and checked before anything is printed
+        other = evaluate_predictions(data, _load_predictions(args.compare, data), loss_cfg)
         ours = {r["set_id"]: r["f"] for r in report.rows}
-        theirs = {r["set_id"]: r["f"] for r in other_report.rows}
+        theirs = {r["set_id"]: r["f"] for r in other.rows}
         shared = sorted(set(ours) & set(theirs))
         if not shared:
             raise ValueError("no shared set ids between the two prediction files")
-        p = sign_test([ours[s] for s in shared], [theirs[s] for s in shared])
-        print(f"sign_test_p\t\t\t{p:.5f}")
-        payload["sign_test_p"] = p
+        payload["sign_test_p"] = sign_test([ours[s] for s in shared], [theirs[s] for s in shared])
         payload["compared_to"] = args.compare
+    print("set_id\tprecision\trecall\tf")
+    for row in report.rows:
+        print(f"{row['set_id']}\t{row['precision']:.5f}\t{row['recall']:.5f}\t{row['f']:.5f}")
+    print(f"mean\t{report.mean_p:.5f}\t{report.mean_r:.5f}\t{report.mean_f:.5f}")
+    print(f"stderr_f\t\t\t{report.stderr_f:.5f}")
+    if args.compare:
+        print(f"sign_test_p\t\t\t{payload['sign_test_p']:.5f}")
     if args.out:
         _write_json(args.out, payload)
     return 0
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", parents=[data, training, split], allow_abbrev=False,
                        help="retrain with one feature group removed per row")
     p.add_argument("--rows", default=None, help="comma list of rows among: "
-                   + ", ".join(label for label, _ in ABLATION_ROWS))
+                   + ", ".join(ABLATION_ROWS))
     p.set_defaults(func=cmd_ablate)
     return parser
 

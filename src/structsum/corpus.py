@@ -38,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .util import json_value, quoted
+
 
 class DatasetError(ValueError):
     """A dataset file violates the expected schema."""
@@ -254,7 +256,7 @@ def _build_document_set(
                 )
             )
     if not sentences:
-        raise DatasetError(f"set {set_id!r} contains zero sentences")
+        raise DatasetError(f"set {quoted(set_id)} contains zero sentences")
 
     return DocumentSet(
         set_id=set_id,
@@ -285,34 +287,29 @@ def load_dataset(
             if not isinstance(record, dict):
                 raise DatasetError(f"line {lineno}: a record must be a JSON object")
             try:
-                set_id = record["set_id"]
-                documents = record["documents"]
-                references = record["references"]
+                set_id = json_value(record, "set_id", str)
+                documents = json_value(record, "documents", [str])
+                references = json_value(record, "references", [str])
+                budget = record.get("budget_bytes")
+                if budget is not None and json_value(record, "budget_bytes", int) < 0:
+                    raise ValueError(f"budget_bytes must be >= 0, not {quoted(budget)}")
             except KeyError as exc:
                 raise DatasetError(f"line {lineno}: missing field {exc}") from exc
-            if not isinstance(set_id, str):
-                raise DatasetError(f"line {lineno}: set_id must be a string, got {set_id!r}")
-            for name, texts in (("documents", documents), ("references", references)):
-                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-                    raise DatasetError(f"line {lineno}: {name} must be a list of strings")
+            except ValueError as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from None
             if not references:
-                raise DatasetError(f"line {lineno}: no references for set {set_id!r}")
+                raise DatasetError(f"line {lineno}: no references for set {quoted(set_id)}")
             if set_id in first_line:
-                raise DatasetError(f"line {lineno}: duplicate set_id {set_id!r} "
+                raise DatasetError(f"line {lineno}: duplicate set_id {quoted(set_id)} "
                                    f"(first on line {first_line[set_id]})")
             first_line[set_id] = lineno
-            budget = record.get("budget_bytes")
-            if budget is not None and (type(budget) is not int or budget < 0):
-                raise DatasetError(
-                    f"line {lineno}: budget_bytes must be a non-negative integer, got {budget!r}"
-                )
             try:
                 x = _build_document_set(set_id, documents, memo, budget)
             except DatasetError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from None
             refs = tuple(memo.tokens(r) for r in references)
             if any(not r for r in refs):
-                raise DatasetError(f"line {lineno}: empty reference for set {set_id!r}")
+                raise DatasetError(f"line {lineno}: empty reference for set {quoted(set_id)}")
             out.append((x, ReferenceSet(set_id=set_id, references=refs)))
     if not out:
         raise DatasetError(f"{path}: dataset is empty")

@@ -21,20 +21,22 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, predict, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
+from .util import quoted
 
 logger = logging.getLogger(__name__)
 
 Dataset = list[tuple[DocumentSet, ReferenceSet]]
 
-ABLATION_ROWS = (
-    ("none", None),
-    ("basic", "basic"),
-    ("all except basic", "all-except-basic"),
-    ("location", "location"),
-    ("sent+doc", "sent_doc"),
-    ("cap+stop+len", "cap_stop_len"),
-    ("minmax", "minmax"),
-)
+# each ablation row's label and the feature groups it removes
+ABLATION_ROWS = {
+    "none": (),
+    "basic": ("basic",),
+    "all except basic": ("cap_stop_len", "location", "minmax", "sent_doc"),
+    "location": ("location",),
+    "sent+doc": ("sent_doc",),
+    "cap+stop+len": ("cap_stop_len",),
+    "minmax": ("minmax",),
+}
 
 
 def sample_splits(
@@ -262,27 +264,23 @@ def ablation_table(
     lam: float | None = None,
     rows=None,
 ) -> list[dict]:
-    """Retrain with one group removed per row; 'none' keeps everything and
-    'all except basic' keeps only the basic group."""
-    out = []
-    selected = rows if rows is not None else [label for label, _ in ABLATION_ROWS]
-    valid = {label: spec for label, spec in ABLATION_ROWS}
+    """Retrain once per row (default: every row of ``ABLATION_ROWS``) with
+    that row's groups removed from ``feature_config``; 'none' keeps every
+    group. Each row is checked before the first set is prepared."""
+    row_configs = []
+    for label in rows if rows is not None else ABLATION_ROWS:
+        if label not in ABLATION_ROWS:
+            raise ValueError(f"unknown ablation row {quoted(label)}; valid: {list(ABLATION_ROWS)}")
+        kept = tuple(g for g in feature_config.enabled_groups if g not in ABLATION_ROWS[label])
+        if not kept:
+            raise ValueError(f"ablation row {label!r} removes every enabled feature group")
+        row_configs.append((label, replace(feature_config, enabled_groups=kept)))
     configs = (feature_config, loss_config, greedy_config)
     # targets and RougeGains are shared by every row; only the banks change
     prepared = [s.with_target() for s in prepare_sets(data, train_ids, *configs)]
     test_sets = prepare_sets(data, test_ids, *configs)
-    for label in selected:
-        if label not in valid:
-            raise ValueError(
-                f"unknown ablation row {label!r}; valid rows: {[l for l, _ in ABLATION_ROWS]}"
-            )
-        spec = valid[label]
-        if spec is None:
-            cfg = feature_config
-        elif spec == "all-except-basic":
-            cfg = replace(feature_config, enabled_groups=("basic",))
-        else:
-            cfg = feature_config.without_group(spec)
+    out = []
+    for label, cfg in row_configs:
         result = train(_with_features(prepared, cfg), model_kind, trainer_config, lam=lam)
         fs = _f_values(_with_features(test_sets, cfg), result.model)
         out.append({"removed": label, "mean_f": sum(fs) / len(fs)})

@@ -40,13 +40,13 @@ when it can.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .corpus import DocumentSet
-from .util import json_value
+from .util import json_value, quoted
 
 MODEL_KINDS = ("pairwise", "pairwise-split", "coverage")
 GROUPS = ("basic", "cap_stop_len", "location", "minmax", "sent_doc")
@@ -72,12 +72,12 @@ class FeatureConfig:
     def __post_init__(self):
         unknown = set(self.enabled_groups) - set(GROUPS)
         if unknown:
-            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+            raise ValueError(f"unknown feature groups: {quoted(sorted(unknown))}")
         if not self.enabled_groups:
             raise ValueError("enabled_groups must not be empty")
         bad = set(self.weightings) - set(WEIGHTINGS)
         if bad:
-            raise ValueError(f"unknown weighting schemes: {sorted(bad)}")
+            raise ValueError(f"unknown weighting schemes: {quoted(sorted(bad))}")
         for t in self.length_cutoffs + self.minmax_top_ks:
             if t <= 0:
                 raise ValueError("thresholds must be strictly positive")
@@ -110,12 +110,6 @@ class FeatureConfig:
             coverage_levels=json_value(d, "coverage_levels", [(int, float)]),
             importance_bucket_edges=json_value(d, "importance_bucket_edges", [float]),
         )
-
-    def without_group(self, group: str) -> "FeatureConfig":
-        if group not in GROUPS:
-            raise ValueError(f"unknown feature group {group!r}; valid: {list(GROUPS)}")
-        kept = tuple(g for g in self.enabled_groups if g != group)
-        return replace(self, enabled_groups=kept)
 
     @property
     def num_position_bins(self) -> int:
@@ -166,7 +160,7 @@ class FeatureRegistry:
 
     def __init__(self, cfg: FeatureConfig, model_kind: str):
         if model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {model_kind!r}")
+            raise ValueError(f"unknown model kind {quoted(model_kind)}")
         self.cfg = cfg
         self.model_kind = model_kind
         groups = cosine_groups(cfg)

@@ -82,7 +82,7 @@ from .scoring import (
     SplitGainState,
     Summary,
 )
-from .util import atomic_write_text, json_value
+from .util import atomic_write_text, json_value, quoted
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,7 @@ class Model:
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
-            raise ModelError(f"unknown model kind {self.model_kind!r}")
+            raise ModelError(f"unknown model kind {quoted(self.model_kind)}")
         if self.model_kind == "pairwise":
             if self.lam is None:
                 raise ModelError("pairwise models need a fixed lambda")
@@ -156,20 +156,15 @@ class Model:
             raise ModelError(
                 f"model dimension {dim} does not match feature registry ({expected})"
             )
-        try:
-            entries = [(int(i), v) for i, v in weights.items()]
-            bad = [v for _, v in entries if type(v) not in (int, float)]
-            if bad:
-                raise TypeError(f"weights must be numbers, not {bad[0]!r}")
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"model file has malformed weights: {exc}") from exc
         w = np.zeros(dim)
-        for idx, v in entries:
-            if not (0 <= idx < dim):
-                raise ModelError(f"weight index {idx} out of range")
-            if not math.isfinite(v):
-                raise ModelError(f"weight {idx} is not finite ({v})")
-            w[idx] = v
+        for key in weights:
+            try:
+                idx, value = int(key), json_value(weights, key, float, f"weights[{quoted(key)}]")
+            except ValueError as exc:
+                raise ModelError(f"model file has malformed weights: {exc}") from exc
+            if not 0 <= idx < dim:
+                raise ModelError(f"weight index {quoted(idx)} out of range")
+            w[idx] = value
         return cls(
             model_kind=kind,
             w=w,

@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import DocumentSet, ReferenceSet, Token
 from .greedy import GreedyConfig, greedy_maximize
 from .scoring import GainState, Summary
-from .util import json_value
+from .util import json_value, quoted
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +47,7 @@ class LossConfig:
         # a legacy "per-ref-loss", the mean of 1 - F_r, is the same loss as 1 - mean F
         mode = json_value(d, "multi_ref_aggregation", str)
         if mode not in ("mean-f", "per-ref-loss"):
-            raise ValueError(f"multi_ref_aggregation must be mean-f, not {mode!r}")
+            raise ValueError(f"multi_ref_aggregation must be mean-f, not {quoted(mode)}")
         return cls(rouge_stopword_removal=json_value(d, "rouge_stopword_removal", bool))
 
 

@@ -10,6 +10,13 @@ from pathlib import Path
 _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object"}
 
+def quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters and
+    its length when longer: a bad input value cannot fill an error line."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see a
     partial file and failed writes leave the old content in place."""
@@ -40,19 +47,19 @@ def json_value(d, key, kind, name: str | None = None):
     ``kind``: int, float, bool, str or dict (an object); ``[kind]`` for an
     array of that kind, or a tuple of kinds for an array of exactly those
     items (arrays come back as tuples). Else ValueError naming ``name or
-    key``. Booleans are not numbers, integers count as floats (returned as
-    float), floats must be finite, and tuples count as arrays, so that a
-    config's ``asdict`` reads back."""
+    key`` and quoting the value (``quoted``). Booleans are not numbers,
+    integers count as floats (returned as float), floats must be finite, and
+    tuples count as arrays, so that a config's ``asdict`` reads back."""
     value, name = d[key], name or key
     if isinstance(kind, (list, tuple)):
         array = type(value) in (list, tuple)
         kinds = kind * len(value) if isinstance(kind, list) and array else kind
         if not array or len(value) != len(kinds):
             size = "" if isinstance(kind, list) else f" of {len(kind)} items"
-            raise ValueError(f"{name} must be an array{size}, not {value!r}")
+            raise ValueError(f"{name} must be an array{size}, not {quoted(value)}")
         return tuple(json_value(value, i, k, f"{name}[{i}]") for i, k in enumerate(kinds))
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind or kind is float and not math.isfinite(value):
-        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, not {value!r}")
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, not {quoted(value)}")
     return value

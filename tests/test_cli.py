@@ -151,8 +151,8 @@ class TestTrain:
         assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
     @pytest.mark.parametrize("grid, message", [
-        ("10,1,10", "C grid repeats a value: [1.0, 10.0, 10.0]"),
-        ("1,10,1.0", "C grid repeats a value: [1.0, 1.0, 10.0]"),
+        ("10,1,10", "--C repeats [10.0]"),
+        ("1,10,1.0", "--C repeats [1.0]"),
         ("1,10,nan", "C must be positive and finite, not nan"),
         ("1,10,inf", "C must be positive and finite, not inf"),
         ("1,10,0", "C must be positive and finite, not 0.0"),
@@ -217,12 +217,14 @@ class TestSummarize:
         assert headers == ["# set00", "# set05"]
 
     def test_unknown_set_filter_fails(self, capsys):
-        rc, _, stderr = run(
+        # every name is checked before the first summary is printed
+        rc, stdout, stderr = run(
             capsys, "summarize", "--dataset", DATASET,
-            "--model-file", str(SMALL_MODEL), "--sets", "setXX",
+            "--model-file", str(SMALL_MODEL), "--sets", "set00,setXX",
         )
         assert rc == 1
-        assert "setXX" in stderr
+        assert stderr == "error: dataset has no sets named ['setXX']\n"
+        assert stdout == ""
 
     def test_model_file_and_baseline_are_exclusive(self, capsys):
         rc, _, stderr = run(
@@ -393,21 +395,32 @@ class TestInputContract:
 
     @pytest.mark.parametrize("command, flag, value, repeated", [
         ("train", "--train-ids", "0,0,1", [0]), ("train", "--val-ids", "2,3,2", [2]),
-        ("bounds", "--test-ids", "4,4,4,5", [4]),
+        ("bounds", "--test-ids", "4,4,4,5", [4]), ("train", "--C", "1,10,1.0", [1.0]),
+        ("train", "--groups", "basic,minmax,basic", ["basic"]), ("curve", "--sizes", "1,1", [1]),
+        ("ablate", "--rows", "none,basic,none", ["none"]),
+        ("summarize", "--sets", "set00,set00", ["set00"]),
+        ("ablate", "--train-ids", "0,0", [0]), ("curve", "--test-ids", "1,1", [1]),
     ])
-    def test_repeated_set_ids_fail(self, capsys, tmp_path, command, flag, value, repeated):
-        # a repeated test set once weighed twice in bounds' human and extractive
-        # rows; a repeated training set trained as two examples
+    def test_repeated_set_ids_fail(self, capsys, tmp_path, monkeypatch, command, flag, value,
+                                   repeated):
+        # every comma list flag: a repeated test set once weighed twice in
+        # bounds' human and extractive rows, a repeated training set trained
+        # as two examples, and a repeated size or row trained twice
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
         argv = {
-            "train": ["--train-ids", "0,1", "--C", "1,10", "--val-ids", "2",
+            "train": ["--train-ids", "0,1", "--C", "1,10", "--val-ids", "2", "--groups", "basic",
                       "--out", str(tmp_path / "m.json")],
             "bounds": ["--model-file", str(SMALL_MODEL), "--train-ids", "0", "--test-ids", "1"],
+            "curve": ["--train-ids", "0", "--test-ids", "1", "--sizes", "1"],
+            "ablate": ["--train-ids", "0", "--test-ids", "1", "--rows", "none"],
+            "summarize": ["--baseline", "--sets", "set00"],
         }[command]
         argv[argv.index(flag) + 1] = value
         rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, *argv)
         assert rc == 1
-        assert stderr == f"error: {flag} repeats set indexes {repeated}\n"
-        assert stdout == ""
+        assert stderr == f"error: {flag} repeats {repeated}\n"
+        assert stdout == "" and trained == []
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, argv, message", [
@@ -700,7 +713,7 @@ class TestInputContract:
         )
         assert rc == 1
         assert stdout == ""
-        assert stderr.startswith("error:") and "not finite" in stderr
+        assert stderr.startswith("error:") and "must be a finite number, not nan" in stderr
 
 
 @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])
@@ -795,13 +808,17 @@ class TestAblate:
         assert rc == 0
         assert stdout.splitlines() == ["removed\tmean_f", "none\t1.00000"]
 
-    def test_unknown_row_fails(self, capsys):
-        rc, _, stderr = run(
-            capsys, "ablate", "--dataset", DATASET, "--rows", "bogus",
+    def test_unknown_row_fails(self, capsys, monkeypatch):
+        # every row is checked before the first one trains
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
+        rc, stdout, stderr = run(
+            capsys, "ablate", "--dataset", DATASET, "--rows", "none,bogus",
             "--train-ids", "0", "--test-ids", "1",
         )
         assert rc == 1
         assert "bogus" in stderr and "none" in stderr
+        assert stdout == "" and trained == []
 
 
 DATA = {"--dataset", "--stopwords", "--out"}

@@ -27,7 +27,7 @@ from structsum.experiments import (
     sign_test,
     train_on,
 )
-from structsum.features import FeatureBank, FeatureConfig
+from structsum.features import GROUPS, FeatureBank, FeatureConfig
 from structsum.greedy import GreedyConfig
 from structsum.learner import Model, TrainerConfig, predict, psi
 from structsum.rouge import LossConfig, RougeGain, greedy_target
@@ -237,13 +237,31 @@ class TestLearningCurve:
 
 
 class TestAblationTable:
-    def test_unknown_row_lists_valid_labels(self, fixture_data):
+    def test_unknown_row_lists_valid_labels(self, fixture_data, monkeypatch):
+        # every row is checked before the first set is prepared
+        prepared = []
+        monkeypatch.setattr(experiments, "prepare_sets", lambda *args, **kw: prepared.append(args))
         with pytest.raises(ValueError, match="cap\\+stop\\+len"):
             ablation_table(
                 fixture_data, [0], [1], "pairwise",
                 FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=66),
-                TrainerConfig(), lam=4.0, rows=["typo"],
+                TrainerConfig(), lam=4.0, rows=["none", "typo"],
             )
+        assert prepared == []
+
+    def test_row_that_removes_every_group_fails_before_any_work(self, fixture_data, monkeypatch):
+        # "all except basic" once trained on basic even where --groups left it out
+        prepared = []
+        monkeypatch.setattr(experiments, "prepare_sets", lambda *args, **kw: prepared.append(args))
+        with pytest.raises(ValueError, match="^ablation row 'all except basic' removes every "
+                                             "enabled feature group$"):
+            ablation_table(
+                fixture_data, [0], [1], "pairwise",
+                FeatureConfig(enabled_groups=("cap_stop_len",)), LossConfig(),
+                GreedyConfig(budget_bytes=66), TrainerConfig(), lam=4.0,
+                rows=["none", "all except basic"],
+            )
+        assert prepared == []
 
     def test_probe_rows_match_recorded_values(self, fixture_data, expected):
         rows = ablation_table(
@@ -258,10 +276,12 @@ class TestAblationTable:
             )
 
     def test_row_labels_cover_every_group(self):
-        labels = [label for label, _ in ABLATION_ROWS]
-        assert labels[0] == "none"
-        assert "all except basic" in labels
-        assert len(labels) == len(set(labels)) == 7
+        assert list(ABLATION_ROWS)[0] == "none" and ABLATION_ROWS["none"] == ()
+        singles = sorted(g for removed in ABLATION_ROWS.values() if len(removed) == 1
+                         for g in removed)
+        assert singles == sorted(GROUPS)
+        assert sorted(ABLATION_ROWS["all except basic"]) == sorted(set(GROUPS) - {"basic"})
+        assert len(ABLATION_ROWS) == 7
 
 
 class TestSelectC:
@@ -283,6 +303,15 @@ class TestSelectC:
         assert best == 1.0
         assert [row["C"] for row in table] == [1.0, 10.0]
         assert all(row["val_f"] == pytest.approx(1.0) for row in table)
+
+    def test_repeated_c_fails(self, fixture_data):
+        # library callers reach select_c without the CLI's list-flag check
+        with pytest.raises(ValueError, match=r"C grid repeats a value: \[1\.0, 10\.0, 10\.0\]"):
+            select_c(
+                fixture_data, [0, 1], [2], [10.0, 1.0, 10.0], "pairwise",
+                FeatureConfig(), LossConfig(), GreedyConfig(budget_bytes=66, r=0.3),
+                TrainerConfig(), lam=4.0,
+            )
 
 
 class TestTargetsBuiltOncePerDriverCall:
@@ -375,8 +404,8 @@ class TestTargetsBuiltOncePerDriverCall:
         # "none" keeps the prepared banks; "location" builds one per set
         assert sorted(bank_builds) == self._set_ids(fixture_data, [0, 1, 2, 3] * 2)
         kw = dict(self.KW)
-        for row, cfg in zip(rows, [kw.pop("feature_config"),
-                                   FeatureConfig().without_group("location")]):
+        no_location = FeatureConfig(enabled_groups=("basic", "cap_stop_len", "minmax", "sent_doc"))
+        for row, cfg in zip(rows, [kw.pop("feature_config"), no_location]):
             result = train_on(fixture_data, [0, 1], "pairwise", feature_config=cfg,
                               trainer_config=TrainerConfig(max_outer_iters=2), lam=4.0, **kw)
             assert row["mean_f"] == mean_f(fixture_data, [2, 3], result.model, LossConfig())
@@ -432,7 +461,8 @@ class TestSelectCMatchesIndependentRuns:
                      **self.KW)
 
     @pytest.mark.parametrize("other", [
-        dict(feature_config=FeatureConfig().without_group("basic")),
+        dict(feature_config=FeatureConfig(
+            enabled_groups=("cap_stop_len", "location", "minmax", "sent_doc"))),
         dict(loss_config=LossConfig(rouge_stopword_removal=True)),
         dict(greedy_config=GreedyConfig(budget_bytes=400, r=1.0)),
     ], ids=["features", "loss", "greedy"])

@@ -7,7 +7,6 @@ import pytest
 
 from structsum.corpus import build_document_set
 from structsum.features import (
-    GROUPS,
     FeatureConfig,
     FeatureBank,
     _position_bins,
@@ -38,15 +37,6 @@ class TestFeatureConfig:
     def test_defaults_roundtrip(self):
         cfg = FeatureConfig()
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_without_group(self):
-        cfg = FeatureConfig().without_group("minmax")
-        assert "minmax" not in cfg.enabled_groups
-        assert set(cfg.enabled_groups) < set(GROUPS)
-
-    def test_without_unknown_group_lists_names(self):
-        with pytest.raises(ValueError, match="basic"):
-            FeatureConfig().without_group("nope")
 
     def test_rejects_unknown_group(self):
         with pytest.raises(ValueError):
@@ -120,7 +110,8 @@ class TestRegistry:
 
     def test_group_removal_shrinks(self):
         full = registry_for(FeatureConfig(), "pairwise").dimension
-        less = registry_for(FeatureConfig().without_group("minmax"), "pairwise").dimension
+        no_minmax = FeatureConfig(enabled_groups=("basic", "cap_stop_len", "location", "sent_doc"))
+        less = registry_for(no_minmax, "pairwise").dimension
         assert less < full
 
 

@@ -2,9 +2,10 @@
 
 ``cli.main`` runs in-process on mutated dataset records, model files,
 prediction files and flag values. Every case must end in one of three ways:
-exit 0 with output that parses, exit 1 with exactly one ``error:`` line on
-stderr, or, for a flag that argparse itself types (an int, a float or a
-choice), argparse's usage error with exit 2. No exception may escape, and
+exit 0 with output that parses, exit 1 with nothing on stdout and exactly
+one ``error:`` line of at most 300 characters on stderr, or, for a flag that
+argparse itself types (an int, a float or a choice), argparse's usage error
+with exit 2. No exception may escape, and
 numpy's floating-point warnings count as escaping: a NaN that reaches a
 gain is a fault, not an output. The draws are derandomized, so every run
 tries the same cases.
@@ -18,7 +19,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from structsum.cli import main
@@ -33,9 +34,10 @@ CONTRACT = settings(derandomize=True, max_examples=80, deadline=None, database=N
                     suppress_health_check=[HealthCheck.too_slow])
 
 # JSON values that a field may be retyped to
+LONG = "word " * 4000  # an error line may quote only a short part of it
 VALUES = st.sampled_from([
     None, True, False, 0, 1, -1, 10**30, 1.5, -0.5, math.nan, math.inf, "", " ", "x",
-    "!!! ... ?", "word " * 4000, "Tok000. " * 300, [], [""], ["!?"], [1], [[0]], {}, {"a": 1},
+    "!!! ... ?", LONG, "Tok000. " * 300, [], [""], ["!?"], [1], [[0]], {}, {"a": 1},
 ])
 
 
@@ -54,7 +56,7 @@ def run_command(tmp: Path, argv, usage_ok: bool = False) -> int:
     """Run ``argv`` with ``--out`` in ``tmp`` and check how it ended;
     returns the exit code."""
     out = tmp / "out.json"
-    rc, _, stderr = cli([*argv, "--out", out])
+    rc, stdout, stderr = cli([*argv, "--out", out])
     if rc == 0:
         assert stderr == "", stderr
         json.loads(out.read_text("utf-8"))
@@ -63,6 +65,8 @@ def run_command(tmp: Path, argv, usage_ok: bool = False) -> int:
     if rc == 1:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+        assert len(lines[0]) <= 300, f"{len(lines[0])} characters: {lines[0][:300]}"
+        assert stdout == "", stdout
     else:
         assert rc == 2 and usage_ok, (rc, stderr)
         assert stderr.startswith("usage: structsum") and ": error: " in stderr, stderr
@@ -119,6 +123,7 @@ DATASET_PATHS += [(0, "documents", 0), (0, "references", 0), (2, "documents", 1)
 @CONTRACT
 @given(path=st.sampled_from(DATASET_PATHS), value=VALUES, drop=st.booleans(),
        command=st.sampled_from(list(commands(Path(), Path()))))
+@example(path=(1, "budget_bytes"), value=LONG, drop=False, command="summarize")
 def test_mutated_dataset_records(path, value, drop, command):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -154,6 +159,7 @@ def _model_paths():
 @CONTRACT
 @given(path=st.sampled_from(_model_paths()), value=VALUES, drop=st.booleans(),
        command=st.sampled_from(["summarize-model", "bounds"]))
+@example(path=("dimension",), value=LONG, drop=False, command="summarize-model")
 def test_mutated_model_files(path, value, drop, command):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -171,6 +177,7 @@ PREDICTION_PATHS = [("summaries",), ("summaries", 0), ("summaries", 0, "set_id")
 @CONTRACT
 @given(path=st.sampled_from(PREDICTION_PATHS), value=VALUES, drop=st.booleans(),
        compare=st.sampled_from([None, "valid", "mutated"]))
+@example(path=("summaries", 1, "set_id"), value=LONG, drop=False, compare="mutated")
 def test_mutated_prediction_files(path, value, drop, compare):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -204,7 +211,8 @@ FLAGS = {
 }
 FLAG_VALUES = ["", ",", ",,", " ", "x", "1,x", "-1", "-0", "0", "1", "2", "3", "1.5", "nan",
                "inf", "-inf", "1e309", "1,1", "0,0", "0,1,2", "999", "basic", "basic,basic",
-               "none", "none,none", "set00", "set00,set00", "coverage", "pairwise-split"]
+               "none", "none,none", "none,bogus", "set00", "set00,set00", "set00,nope", "coverage",
+               "pairwise-split"]
 
 
 @CONTRACT

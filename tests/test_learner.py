@@ -202,7 +202,7 @@ class TestModelIO:
     def test_non_finite_weight_rejected(self, bad):
         payload = json.loads(self._model().to_json())
         payload["weights"]["3"] = bad
-        with pytest.raises(ModelError, match="not finite"):
+        with pytest.raises(ModelError, match=r"weights\['3'\] must be a finite number"):
             Model.from_json(json.dumps(payload))
 
     def test_malformed_weights_rejected(self):
@@ -549,7 +549,8 @@ class TestTrain:
         # sets of two prepare_sets calls whose feature, loss or greedy configs differ
         data = self._mini_corpus(stopwords, n=2)
         gcfg = GreedyConfig(budget_bytes=60, r=0.3)
-        for other in [(FeatureConfig().without_group("location"), LossConfig(), gcfg),
+        no_location = FeatureConfig(enabled_groups=("basic", "cap_stop_len", "minmax", "sent_doc"))
+        for other in [(no_location, LossConfig(), gcfg),
                       (FeatureConfig(), LossConfig(rouge_stopword_removal=True), gcfg),
                       (FeatureConfig(), LossConfig(), replace(gcfg, r=1.0))]:
             sets = self._sets(data[:1]) + prepare_sets(data, [1], *other)
@@ -785,9 +786,10 @@ class TestBankSlot:
         assert "cosines" not in vars(held)
         assert bank_for(x, BASELINE_CFG).cosines.shape[0] == 1
 
-    @pytest.mark.parametrize("cfg", [FeatureConfig().without_group("basic"),
-                                     FeatureConfig(weightings=("raw",))],
-                             ids=["no-basic", "no-tfidf"])
+    @pytest.mark.parametrize("cfg", [
+        FeatureConfig(enabled_groups=("cap_stop_len", "location", "minmax", "sent_doc")),
+        FeatureConfig(weightings=("raw",)),
+    ], ids=["no-basic", "no-tfidf"])
     def test_baseline_builds_its_own_bank_without_the_tfidf_layer(
             self, fixture_data, builds, cfg):
         x = fixture_data[0][0]
@@ -822,7 +824,8 @@ class TestBankSlot:
         # an equal copy of the set is another set
         copy = bank_for(replace(x0), FeatureConfig())
         other_set = bank_for(x1, FeatureConfig())
-        other_cfg = bank_for(x1, FeatureConfig().without_group("location"))
+        other_cfg = bank_for(
+            x1, FeatureConfig(enabled_groups=("basic", "cap_stop_len", "minmax", "sent_doc")))
         assert len({id(first), id(copy), id(other_set), id(other_cfg)}) == 4
         assert builds[0] == [x0.set_id, x0.set_id, x1.set_id, x1.set_id]
 
