@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import os
+import random
 import sys
 
 from .corpus import DatasetError, load_dataset, load_stopwords
@@ -35,7 +36,6 @@ from .experiments import (
     bounds_table,
     evaluate_predictions,
     learning_curve,
-    sample_splits,
     sign_test,
     train_on,
 )
@@ -130,10 +130,9 @@ def _auto_split(args, n_sets: int):
         raise ValueError(f"--test-count must be at least 1, got {test_count}")
     if test_count >= n_sets:
         raise ValueError(f"--test-count {test_count} leaves no training sets (n={n_sets})")
-    (tr, _, te), = sample_splits(
-        n_sets, n_sets - test_count, 0, test_count, resamples=1, seed=args.seed
-    )
-    return list(tr), list(te)
+    order = list(range(n_sets))
+    random.Random(args.seed).shuffle(order)
+    return sorted(order[:-test_count]), sorted(order[-test_count:])
 
 
 def _write_json(path: str, payload) -> None:
@@ -191,7 +190,7 @@ def _summarize_one(x, args, model, greedy_cfg) -> Summary:
     if model is not None:
         return predict(x, model)
     scorer = PairwiseScorer.tfidf_baseline(x, lam=args.lam)
-    return greedy_maximize(x, gain_state(x, scorer), cfg=greedy_cfg.for_set(x))
+    return greedy_maximize(x, gain_state(x, scorer), cfg=greedy_cfg)
 
 
 def cmd_summarize(args) -> int:
@@ -235,8 +234,8 @@ def _load_predictions(path: str, data) -> dict[str, Summary]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON ({exc})") from exc
     records = payload.get("summaries") if isinstance(payload, dict) else None
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: predictions need a 'summaries' list")
+    if not isinstance(records, list) or not records:
+        raise ValueError(f"{path}: predictions need a non-empty 'summaries' list")
     by_id = {x.set_id: x for x, _ in data}
     out: dict[str, Summary] = {}
     for n in range(len(records)):

@@ -5,8 +5,8 @@ A dataset is a JSON-lines file. Each line describes one document set:
     {"set_id": "d30001", "documents": ["raw text", ...],
      "references": ["manual summary", ...], "budget_bytes": 665}
 
-``budget_bytes`` is optional; when present it overrides whatever budget the
-caller configured for that set (``GreedyConfig.for_set``).
+``budget_bytes`` is optional; when present, ``greedy_maximize`` budgets that
+set with it instead of the configured budget.
 
 ``documents`` and ``references`` must be lists of strings, set ids must be
 unique within a file, and ``budget_bytes`` must be a non-negative integer.

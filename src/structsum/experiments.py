@@ -1,16 +1,15 @@
-"""Experiment harness: splits, evaluation, bounds, curves, ablations.
+"""Experiment harness: evaluation, bounds, C grid, curves, ablations.
 
-Plain functions over loaded datasets, so the CLI stays a thin wrapper. The
-C grid, the curve and the ablation prepare each set once per call
-(``prepare_sets``) for all their trainings and scores; ``train_on`` trains
-once. Sampling is seeded, so reruns reproduce the numbers.
+Plain functions over loaded datasets and index splits, so the CLI stays a
+thin wrapper. The C grid, the curve and the ablation prepare each set once
+per call (``prepare_sets``) for all their trainings and scores;
+``train_on`` trains once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,32 +36,6 @@ ABLATION_ROWS = {
     "cap+stop+len": ("cap_stop_len",),
     "minmax": ("minmax",),
 }
-
-
-def sample_splits(
-    n_sets: int,
-    n_train: int,
-    n_val: int,
-    n_test: int,
-    resamples: int,
-    seed: int,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """Seeded resampled (train, val, test) index splits, disjoint within
-    each resample."""
-    if n_train + n_val + n_test > n_sets:
-        raise ValueError(
-            f"split sizes {n_train}+{n_val}+{n_test} exceed dataset size {n_sets}"
-        )
-    rng = random.Random(seed)
-    out = []
-    for _ in range(resamples):
-        order = list(range(n_sets))
-        rng.shuffle(order)
-        tr = tuple(sorted(order[:n_train]))
-        va = tuple(sorted(order[n_train:n_train + n_val]))
-        te = tuple(sorted(order[n_train + n_val:n_train + n_val + n_test]))
-        out.append((tr, va, te))
-    return tuple(out)
 
 
 def prepare_sets(
@@ -180,7 +153,7 @@ def extractive_ceiling(
     for i in ids:
         x, Y = data[i]
         gain = RougeGain(x, Y, loss_cfg)
-        greedy_maximize(x, gain, cfg=greedy_cfg.for_set(x))
+        greedy_maximize(x, gain, cfg=greedy_cfg)
         total += gain.current_f()
     return total / len(ids)
 

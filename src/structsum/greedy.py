@@ -1,12 +1,14 @@
 """Budget-constrained greedy selection with cost-scaled gains.
 
-Each round takes, among the sentences that still fit the byte budget, the
-one maximizing gain / cost**r (always the lowest id on ties), and accepts
-it when its gain is non-negative. The costs are the set's byte costs, read
-from arrays it builds once per r (``DocumentSet.costs``, ``cost_scales``).
-For monotone submodular objectives with unit costs and r = 1 this is the
-classic (1 - 1/e)-approximate greedy; r < 1 softens the cost scaling.
-Zero-gain candidates that fit are accepted.
+The byte budget is the set's own ``budget_bytes`` when it carries one, and
+the config's otherwise. Each round takes, among the sentences that still
+fit the budget, the one maximizing gain / cost**r (always the lowest id on
+ties), and accepts it when its gain is non-negative. The costs are the
+set's byte costs, read from arrays it builds once per r
+(``DocumentSet.costs``, ``cost_scales``). For monotone submodular
+objectives with unit costs and r = 1 this is the classic
+(1 - 1/e)-approximate greedy; r < 1 softens the cost scaling. Zero-gain
+candidates that fit are accepted.
 
 A gain object that has ``gains(ids)`` returns the marginal gains of all the
 given candidate ids as one array, so a round costs one call; any other
@@ -27,7 +29,7 @@ A non-finite gain raises ValueError; it would otherwise never win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,10 +50,6 @@ class GreedyConfig:
         if not (0.0 < self.r <= 1.0):
             raise ValueError("r must be in (0, 1]")
 
-    def for_set(self, x: DocumentSet) -> "GreedyConfig":
-        """This config under ``x``'s own budget, which overrides ours when set."""
-        return self if x.budget_bytes is None else replace(self, budget_bytes=x.budget_bytes)
-
     def to_dict(self) -> dict:
         # lowest-id is the one tie rule (see greedy_maximize), written for the record
         return {"budget_bytes": self.budget_bytes, "r": self.r, "tie_break": "lowest-id"}
@@ -71,7 +69,8 @@ def greedy_maximize(
     *,
     cfg: GreedyConfig,
 ) -> Summary:
-    """Run the budgeted greedy loop over ``x``'s byte costs.
+    """Run the budgeted greedy loop over ``x``'s byte costs, within the set's
+    own ``budget_bytes`` when it carries one and ``cfg.budget_bytes`` else.
 
     ``gain`` is called as gain(current_summary, candidate_id), or as
     gain.gains(ids) -> array when it has that method, and may carry state;
@@ -86,8 +85,9 @@ def greedy_maximize(
     costs, scale = x.costs, x.cost_scales(cfg.r)
     gains = getattr(gain, "gains", None)
     commit = getattr(gain, "commit", None)
+    budget = cfg.budget_bytes if x.budget_bytes is None else x.budget_bytes
     every = np.arange(len(costs))
-    fits = costs <= cfg.budget_bytes  # still unselected and within the remaining budget
+    fits = costs <= budget  # still unselected and within the remaining budget
     selected: list[int] = []
     total = 0
     while True:
@@ -110,6 +110,6 @@ def greedy_maximize(
         total += costs[sid].item()
         if commit is not None:
             commit(sid)
-        fits &= costs <= cfg.budget_bytes - total
+        fits &= costs <= budget - total
         fits[sid] = False
     return Summary(tuple(selected), total)

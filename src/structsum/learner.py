@@ -158,8 +158,13 @@ class Model:
             )
         w = np.zeros(dim)
         for key in weights:
+            # only the keys to_json writes: " 7", "07" and "0_7" alias 7
+            idx = int(key) if key.isascii() and key.isdigit() else None
+            if idx is None or str(idx) != key:
+                raise ModelError(f"model file has malformed weights: key {quoted(key)} "
+                                 "is not a weight index")
             try:
-                idx, value = int(key), json_value(weights, key, float, f"weights[{quoted(key)}]")
+                value = json_value(weights, key, float, f"weights[{quoted(key)}]")
             except ValueError as exc:
                 raise ModelError(f"model file has malformed weights: {exc}") from exc
             if not 0 <= idx < dim:
@@ -432,8 +437,7 @@ class PreparedSet:
 
     def with_target(self) -> "PreparedSet":
         if self.target is None:
-            self.target = greedy_target(self.x, self.rouge.reset(),
-                                        self.greedy_config.for_set(self.x))
+            self.target = greedy_target(self.x, self.rouge.reset(), self.greedy_config)
         if self.raw_target_loss is None:
             self.raw_target_loss = self.rouge.load(self.target.selected).raw_loss()
         return self
@@ -502,7 +506,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
         state.rouge.reset(),
         state.raw_target_loss,
     )
-    y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_config.for_set(state.x))
+    y_hat = greedy_maximize(state.x, gain, cfg=state.greedy_config)
     return Constraint(
         example_index=index,
         y_hat=y_hat,
@@ -513,7 +517,7 @@ def _oracle_from_state(state: PreparedSet, index: int, psi_target, model: Model)
 
 def _predict(bank: FeatureBank, model: Model) -> Summary:
     gain = _score_state(bank, model, clamp=True)
-    return greedy_maximize(bank.x, gain, cfg=model.greedy_config.for_set(bank.x))
+    return greedy_maximize(bank.x, gain, cfg=model.greedy_config)
 
 
 def predict(x: DocumentSet, model: Model) -> Summary:

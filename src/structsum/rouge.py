@@ -159,6 +159,6 @@ def greedy_target(x: DocumentSet, gain: RougeGain, greedy_cfg: GreedyConfig) -> 
     """The greedy's summary on ``gain`` (which must be empty), warning if it is empty."""
     target = greedy_maximize(x, gain, cfg=greedy_cfg)
     if not target.selected:
-        logger.warning("target for set %s is empty (budget %d bytes admits no sentence)",
-                       x.set_id, greedy_cfg.budget_bytes)
+        logger.warning("target for set %s is empty (its budget admits no sentence; the "
+                       "shortest is %d bytes)", x.set_id, x.costs.min())
     return target

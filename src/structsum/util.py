@@ -10,11 +10,11 @@ from pathlib import Path
 _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object"}
 
-def quoted(value, limit: int = 80) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters and
-    its length when longer: a bad input value cannot fill an error line."""
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, cut to 80 characters and its
+    length when longer: a bad input value cannot fill an error line."""
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -23,7 +23,6 @@ from structsum.experiments import (
     learning_curve,
     mean_f,
     prepare_sets,
-    sample_splits,
     select_c,
     train_on,
 )
@@ -312,7 +311,10 @@ def test_duc04_replication(stopwords):
     loss_cfg = LossConfig()
     gcfg = GreedyConfig(budget_bytes=665, r=0.3)
     held = max(2, len(data) // 5)
-    (tr, va, te), = sample_splits(len(data), len(data) - 2 * held, held, held, 1, seed=0)
+    order = list(range(len(data)))
+    random.Random(0).shuffle(order)
+    n_train = len(data) - 2 * held
+    tr, va, te = (sorted(ids) for ids in (order[:n_train], order[n_train:-held], order[-held:]))
     best_c, _ = select_c(
         data, tr, va, [0.1, 1.0, 10.0, 100.0], "pairwise",
         FeatureConfig(), loss_cfg, gcfg, TrainerConfig(epsilon=1e-3), lam=4.0,
@@ -325,9 +327,8 @@ def test_duc04_replication(stopwords):
     base_preds = {}
     for i in te:
         x, _ = data[i]
-        cfg = gcfg.for_set(x)
         scorer = PairwiseScorer.tfidf_baseline(x, lam=4.0)
-        base_preds[x.set_id] = greedy_maximize(x, gain_state(x, scorer), cfg=cfg)
+        base_preds[x.set_id] = greedy_maximize(x, gain_state(x, scorer), cfg=gcfg)
     from structsum.experiments import evaluate_predictions
 
     baseline = evaluate_predictions([data[i] for i in te], base_preds, loss_cfg).mean_f

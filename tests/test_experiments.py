@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from structsum import experiments, learner
+from structsum.cli import _auto_split, build_parser
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.experiments import (
     ABLATION_ROWS,
@@ -22,7 +23,6 @@ from structsum.experiments import (
     learning_curve,
     mean_f,
     prepare_sets,
-    sample_splits,
     select_c,
     sign_test,
     train_on,
@@ -33,7 +33,7 @@ from structsum.learner import Model, TrainerConfig, predict, psi
 from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
-from conftest import EXPECTED_RESULTS, SMALL_MODEL, random_documents
+from conftest import EXPECTED_RESULTS, FIXTURE_JSONL, SMALL_MODEL, random_documents
 from oracles import evaluate_reference
 
 
@@ -47,38 +47,52 @@ def predictions(data, ids, model):
     return {data[i][0].set_id: predict(data[i][0], model) for i in ids}
 
 
+def sampled_split(n_sets, test_count, seed):
+    """The split ``curve`` and ``ablate`` draw without ids: all but
+    ``--test-count`` sets, drawn with ``--seed``, train."""
+    args = build_parser().parse_args(["curve", "--dataset", str(FIXTURE_JSONL), "--test-count",
+                                      str(test_count), "--seed", str(seed)])
+    return _auto_split(args, n_sets)
+
+
+def all_but(*ids):
+    return [i for i in range(40) if i not in ids]
+
+
 class TestSampleSplits:
+    @pytest.mark.parametrize("test_count, seed, train, test", [
+        (1, 0, all_but(24), [24]),
+        (5, 0, all_but(2, 16, 24, 26, 32), [2, 16, 24, 26, 32]),
+        (5, 7, all_but(3, 4, 9, 20, 25), [3, 4, 9, 20, 25]),
+        (39, 1, [23], all_but(23)),
+    ])
+    def test_fixture_split_is_pinned(self, test_count, seed, train, test):
+        assert sampled_split(40, test_count, seed) == (train, test)
+
     def test_shapes_and_disjointness(self):
-        splits = sample_splits(20, n_train=10, n_val=4, n_test=5, resamples=7, seed=3)
-        assert len(splits) == 7
-        for tr, va, te in splits:
-            assert (len(tr), len(va), len(te)) == (10, 4, 5)
-            pooled = tr + va + te
-            assert len(set(pooled)) == len(pooled)
-            assert all(0 <= i < 20 for i in pooled)
-            assert list(tr) == sorted(tr)
-            assert list(va) == sorted(va)
-            assert list(te) == sorted(te)
+        for n_sets, test_count, seed in [(2, 1, 0), (20, 5, 3), (30, 6, 11), (40, 39, 1)]:
+            train, test = sampled_split(n_sets, test_count, seed)
+            assert (len(train), len(test)) == (n_sets - test_count, test_count)
+            assert not set(train) & set(test)
+            assert all(0 <= i < n_sets for i in train + test)
+            assert train == sorted(train) and test == sorted(test)
 
     def test_seed_determines_output(self):
-        a = sample_splits(30, 12, 6, 6, resamples=5, seed=11)
-        b = sample_splits(30, 12, 6, 6, resamples=5, seed=11)
-        c = sample_splits(30, 12, 6, 6, resamples=5, seed=12)
-        assert a == b
-        assert a != c
+        assert sampled_split(30, 6, 11) == sampled_split(30, 6, 11)
+        assert sampled_split(30, 6, 11) != sampled_split(30, 6, 12)
 
     def test_exact_partition_allowed(self):
-        (tr, va, te), = sample_splits(9, 4, 2, 3, resamples=1, seed=0)
-        assert sorted(tr + va + te) == list(range(9))
+        train, test = sampled_split(9, 3, 0)
+        assert sorted(train + test) == list(range(9))
 
     def test_oversized_request_raises(self):
-        with pytest.raises(ValueError, match="exceed"):
-            sample_splits(10, 6, 3, 3, resamples=1, seed=0)
+        with pytest.raises(ValueError, match=r"--test-count 10 leaves no training sets \(n=10\)"):
+            sampled_split(10, 10, 0)
 
 
 class TestPrepareSets:
-    def _pair(self, make_docset, stopwords, refs):
-        x = make_docset(["Alpha beta. Gamma delta."], budget=12)
+    def _pair(self, make_docset, stopwords, refs, budget=12):
+        x = make_docset(["Alpha beta. Gamma delta."], budget=budget)
         Y = ReferenceSet(
             set_id=x.set_id,
             references=tuple(tuple(tokenize(r, stopwords)) for r in refs),
@@ -116,12 +130,24 @@ class TestPrepareSets:
         assert len(Y.references) == 3
 
     def test_respects_per_set_budget(self, make_docset, stopwords):
-        # cfg allows both sentences but the record's own 12 bytes does not
+        # cfg allows both sentences but the record's own 12 bytes does not;
+        # the set keeps the config and the greedy applies the set's budget
         x, Y = self._pair(make_docset, stopwords, ["alpha beta gamma delta."])
         s = self._prepared((x, Y), 1000)
         assert s.greedy_config == GreedyConfig(budget_bytes=1000, r=1.0)
-        assert s.greedy_config.for_set(x).budget_bytes == 12
-        assert s.with_target().target.total_cost <= 12
+        assert x.budget_bytes == 12 and x.costs.sum() > 12
+        assert 0 < s.with_target().target.total_cost <= 12
+
+    def test_empty_target_warning_names_the_shortest_sentence(self, make_docset, stopwords,
+                                                              caplog):
+        # the set's own 10 bytes admit neither the 11- nor the 12-byte sentence;
+        # the config's 1000 would admit both
+        x, Y = self._pair(make_docset, stopwords, ["alpha beta."], budget=10)
+        with caplog.at_level("WARNING", logger="structsum.rouge"):
+            assert self._prepared((x, Y), 1000).with_target().target == Summary((), 0)
+        assert caplog.messages == [
+            "target for set set is empty (its budget admits no sentence; the shortest is 11 bytes)"
+        ]
 
 
 class TestEvaluatePredictions:

@@ -3,6 +3,7 @@ reference exactly, at every round of greedy runs on fixture sets, and the
 greedy's per-candidate path selects what its vectorized path does."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def sets(fixture_data, stopwords):
 
 def run(x, state, reference, budget):
     gain = Checked(state, reference)
-    y = greedy_maximize(x, gain, cfg=GreedyConfig(budget_bytes=budget))
+    # a copy without its own budget, so that ``budget`` reaches the greedy
+    y = greedy_maximize(replace(x, budget_bytes=None), gain, cfg=GreedyConfig(budget_bytes=budget))
     assert gain.rounds <= len(y.selected) + 1
     return len(y.selected)
 
@@ -176,6 +178,7 @@ def test_one_candidate_path_equals_the_vectorized_one(fixture_data, kind):
     accepted = 0
     for x, Y in fixture_data:
         bank = FeatureBank(x, fcfg)
+        unbudgeted = replace(x, budget_bytes=None)  # so that every budget reaches the greedy
         model = Model(kind, weights(rng, dim), fcfg, LossConfig(), GreedyConfig(66), lam)
         raw_target = float(rng.uniform(0.0, 0.8))
         makers = [lambda: _score_state(bank, model, clamp=False),
@@ -187,8 +190,8 @@ def test_one_candidate_path_equals_the_vectorized_one(fixture_data, kind):
             cfg = GreedyConfig(budget_bytes=budget)
             for make in makers:
                 one, every = OneCandidate(make()), AllCandidates(make())
-                y = greedy_maximize(x, every, cfg=cfg)
-                assert greedy_maximize(x, one, cfg=cfg) == y
+                y = greedy_maximize(unbudgeted, every, cfg=cfg)
+                assert greedy_maximize(unbudgeted, one, cfg=cfg) == y
                 assert one.committed == every.committed == list(y.selected)
                 accepted += len(y.selected)
     assert accepted > 8 * len(fixture_data)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from structsum.corpus import build_document_set
 from structsum.greedy import GreedyConfig, greedy_maximize
-from structsum.scoring import CoverageGainState
+from structsum.scoring import CoverageGainState, Summary
 
 from conftest import coverage_state, with_costs
 from oracles import (
@@ -59,19 +59,26 @@ class TestGreedyConfig:
     def test_default_exponent(self):
         assert GreedyConfig(budget_bytes=1).r == 0.3
 
-    def test_for_set_budget_wins(self, make_docset):
-        cfg = GreedyConfig(budget_bytes=665, r=0.5)
-        x = make_docset(["Alpha beta gamma."], budget=50)
-        assert cfg.for_set(x) == GreedyConfig(budget_bytes=50, r=0.5)
 
-    def test_for_set_zero_budget_wins(self, make_docset):
-        cfg = GreedyConfig(budget_bytes=665, r=0.5)
-        x = make_docset(["Alpha beta gamma."], budget=0)
-        assert cfg.for_set(x) == GreedyConfig(budget_bytes=0, r=0.5)
+class TestSetBudget:
+    """A set's own budget, 0 included, beats the config's; a set without one
+    is budgeted by the config. Sentence costs are 17, 19 and 15 bytes."""
 
-    def test_for_set_falls_back_to_config(self, make_docset):
-        cfg = GreedyConfig(budget_bytes=665, r=0.5)
-        assert cfg.for_set(make_docset(["Alpha beta gamma."])) == cfg
+    cfg = GreedyConfig(budget_bytes=665, r=0.5)
+
+    def summary(self, make_docset, budget):
+        x = make_docset(["Alpha beta gamma. Delta epsilon zeta. Eta theta iota."], budget=budget)
+        assert x.costs.tolist() == [17, 19, 15]
+        return greedy_maximize(x, lambda y, k: 1.0, cfg=self.cfg)
+
+    def test_set_budget_wins(self, make_docset):
+        assert self.summary(make_docset, 40) == Summary((2, 0), 32)
+
+    def test_set_zero_budget_wins(self, make_docset):
+        assert self.summary(make_docset, 0) == Summary((), 0)
+
+    def test_set_without_budget_uses_config(self, make_docset):
+        assert self.summary(make_docset, None) == Summary((2, 0, 1), 51)
 
 
 class TestWorkedExample:
@@ -207,12 +214,13 @@ class TestGreedyMechanics:
         for x, _ in fixture_data:
             x = replace(x)  # a copy with empty caches
             for r in (0.3, 1.0):
-                cfg = GreedyConfig(budget_bytes=200, r=r).for_set(x)
+                cfg = GreedyConfig(budget_bytes=200, r=r)
 
                 def gain():
                     return coverage_state(x, lambda w: 1.0 + len(w) % 5)
 
-                want = greedy_scan_reference(x, gain(), cfg)
+                # the scan reads the config's budget, so give it the set's own
+                want = greedy_scan_reference(x, gain(), replace(cfg, budget_bytes=x.budget_bytes))
                 assert greedy_maximize(x, gain(), cfg=cfg) == want
                 scales = x.cost_scales(r)
                 assert greedy_maximize(x, gain(), cfg=cfg) == want

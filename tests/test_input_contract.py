@@ -52,9 +52,9 @@ def cli(argv) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def run_command(tmp: Path, argv, usage_ok: bool = False) -> int:
-    """Run ``argv`` with ``--out`` in ``tmp`` and check how it ended;
-    returns the exit code."""
+def run_command(tmp: Path, argv, usage_ok: bool = False, blame: Path | None = None) -> int:
+    """Run ``argv`` with ``--out`` in ``tmp`` and check how it ended; an
+    error must name ``blame`` when given. Returns the exit code."""
     out = tmp / "out.json"
     rc, stdout, stderr = cli([*argv, "--out", out])
     if rc == 0:
@@ -66,6 +66,7 @@ def run_command(tmp: Path, argv, usage_ok: bool = False) -> int:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), stderr
         assert len(lines[0]) <= 300, f"{len(lines[0])} characters: {lines[0][:300]}"
+        assert blame is None or str(blame) in lines[0], lines[0]
         assert stdout == "", stdout
     else:
         assert rc == 2 and usage_ok, (rc, stderr)
@@ -147,26 +148,37 @@ def test_malformed_dataset_lines(record, position, command):
         run_command(tmp, commands(dataset, predictions)[command])
 
 
+# weight keys that to_json never writes: out of range, no integer (among them
+# "None"), aliases of index 103 (which the model has) and a key longer than an
+# error line
+ADDED_WEIGHT_KEYS = ["9999", "x", "None", " 103", "0103", "1_03", "k" * 300]
+
+
 def _model_paths():
     paths = [(key,) for key in ("model_kind", "lambda", "dimension", "weights", "feature_config",
                                 "loss_config", "greedy_config")]
     for section in ("feature_config", "loss_config", "greedy_config"):
         paths += [(section, key) for key in MODEL[section]]
     paths += [("feature_config", "coverage_levels", 0), ("feature_config", "enabled_groups", 0)]
-    return paths + [("weights", key) for key in list(MODEL["weights"])[:2]] + [("weights", "9999")]
+    return paths + [("weights", key) for key in list(MODEL["weights"])[:2] + ADDED_WEIGHT_KEYS]
 
 
 @CONTRACT
 @given(path=st.sampled_from(_model_paths()), value=VALUES, drop=st.booleans(),
        command=st.sampled_from(["summarize-model", "bounds"]))
 @example(path=("dimension",), value=LONG, drop=False, command="summarize-model")
+@example(path=("weights", " 103"), value=1.5, drop=False, command="summarize-model")
+@example(path=("weights", "0103"), value=-5, drop=False, command="bounds")
+@example(path=("weights", "k" * 300), value=1.5, drop=False, command="summarize-model")
+@example(path=("weights", "None"), value=1.5, drop=False, command="bounds")
 def test_mutated_model_files(path, value, drop, command):
+    added = len(path) == 2 and path[0] == "weights" and path[1] in ADDED_WEIGHT_KEYS
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if path == ("weights", "9999"):
-            drop = False  # a weight that does not exist cannot be dropped
+        drop = drop and not added  # a weight that does not exist cannot be dropped
         model = write_jsonl(tmp / "m.json", [mutate(MODEL, path, value, drop)])
-        run_command(tmp, commands(FIXTURE_JSONL, Path(), model)[command])
+        rc = run_command(tmp, commands(FIXTURE_JSONL, Path(), model)[command])
+        assert rc == 1 or not added, "an added weight key was loaded"
 
 
 PREDICTION_PATHS = [("summaries",), ("summaries", 0), ("summaries", 0, "set_id"),
@@ -178,6 +190,8 @@ PREDICTION_PATHS = [("summaries",), ("summaries", 0), ("summaries", 0, "set_id")
 @given(path=st.sampled_from(PREDICTION_PATHS), value=VALUES, drop=st.booleans(),
        compare=st.sampled_from([None, "valid", "mutated"]))
 @example(path=("summaries", 1, "set_id"), value=LONG, drop=False, compare="mutated")
+@example(path=("summaries",), value=[], drop=False, compare=None)
+@example(path=("summaries",), value=[], drop=False, compare="mutated")
 def test_mutated_prediction_files(path, value, drop, compare):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -186,7 +200,7 @@ def test_mutated_prediction_files(path, value, drop, compare):
         mutated = write_jsonl(tmp / "p.json", [mutate(PREDICTIONS, path, value, drop)])
         first, second = (valid, mutated) if compare == "mutated" else (mutated, valid)
         argv = commands(dataset, first)["evaluate"]
-        run_command(tmp, argv + (["--compare", second] if compare else []))
+        run_command(tmp, argv + (["--compare", second] if compare else []), blame=mutated)
 
 
 # every list and number flag, the commands that read it, and whether argparse
