@@ -11,6 +11,8 @@ once, in argparse parent parsers: data (--dataset, --stopwords, --out),
 greedy (--budget, --r), lambda (--lambda), loss (--rouge-drop-stopwords),
 training (greedy, lambda and loss, plus --model, --groups, --C, --epsilon,
 --max-iters) and split (--train-ids, --test-ids, --test-count, --seed).
+No set may be both held out and trained on: two id lists that share a set
+are an error, and --test-count and --seed draw a split only in place of ids.
 
 Before any work, ``_parse_list`` checks every comma list flag (repeats too)
 and ``util.json_value`` every JSON field of an input file; a bad input exits
@@ -44,7 +46,7 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, ModelError, TrainerConfig, predict
 from .rouge import LossConfig
 from .scoring import PairwiseScorer, Summary, gain_state
-from .util import atomic_write_text, json_value, quoted
+from .util import atomic_write_text, check_disjoint, json_value, quoted
 
 
 def _parse_list(text: str | None, flag: str, kind=str) -> list | None:
@@ -119,19 +121,27 @@ def _load(args):
 
 
 def _auto_split(args, n_sets: int):
+    """The (training, test) set indexes of a study command: the disjoint
+    lists given, or all but --test-count sets (default 5) shuffled with
+    --seed (default 0), which only a drawn split reads."""
     train_ids = _parse_ids(args.train_ids, n_sets, "--train-ids")
     test_ids = _parse_ids(args.test_ids, n_sets, "--test-ids")
-    if train_ids is not None and test_ids is not None:
-        return train_ids, test_ids
-    if train_ids is not None or test_ids is not None:
+    if (train_ids is None) != (test_ids is None):
         raise ValueError("give both --train-ids and --test-ids, or neither")
-    test_count = args.test_count
+    if train_ids is not None:
+        for flag, value in (("--test-count", args.test_count), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to a drawn split; give it without "
+                                 "--train-ids and --test-ids")
+        check_disjoint("--train-ids", train_ids, "--test-ids", test_ids)
+        return train_ids, test_ids
+    test_count = 5 if args.test_count is None else args.test_count
     if test_count < 1:
         raise ValueError(f"--test-count must be at least 1, got {test_count}")
     if test_count >= n_sets:
         raise ValueError(f"--test-count {test_count} leaves no training sets (n={n_sets})")
     order = list(range(n_sets))
-    random.Random(args.seed).shuffle(order)
+    random.Random(args.seed or 0).shuffle(order)
     return sorted(order[:-test_count]), sorted(order[-test_count:])
 
 
@@ -146,6 +156,7 @@ def cmd_train(args) -> int:
     feature_cfg, loss_cfg, greedy_cfg, lam = _training_cfgs(args)
     train_ids = _parse_ids(args.train_ids, len(data), "--train-ids") or list(range(len(data)))
     val_ids = _parse_ids(args.val_ids, len(data), "--val-ids") or []
+    check_disjoint("--train-ids", train_ids, "--val-ids", val_ids)  # the default is every set
     grid, trainer_cfg = _trainer(args)
     if val_ids and len(grid) == 1:
         raise ValueError("--val-ids needs a C grid (give --C two or more values)")
@@ -298,6 +309,7 @@ def cmd_bounds(args) -> int:
     model = Model.load(args.model_file)
     train_ids = _parse_ids(args.train_ids, len(data), "--train-ids")
     test_ids = _parse_ids(args.test_ids, len(data), "--test-ids")
+    check_disjoint("--train-ids", train_ids, "--test-ids", test_ids)
     rows = bounds_table(data, model, train_ids, test_ids, loss_cfg, greedy_cfg)
     print("bound\tmean_f")
     for name, value in rows:
@@ -383,8 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     split = group()
     split.add_argument("--train-ids", default=None)
     split.add_argument("--test-ids", default=None)
-    split.add_argument("--test-count", type=int, default=5)
-    split.add_argument("--seed", type=int, default=0, help="seed for the sampled split")
+    split.add_argument("--test-count", type=int, default=None,
+                       help="test sets of a sampled split (default: 5)")
+    split.add_argument("--seed", type=int, default=None,
+                       help="seed for the sampled split (default: 0)")
 
     p = sub.add_parser("train", parents=[data, training], allow_abbrev=False,
                        help="train a model with cutting planes")

@@ -17,7 +17,12 @@ summarized in the README's "Dataset format" section.
 
 Tokens are interned per load: one ``load_dataset`` call tokenizes each
 distinct whitespace chunk once, and equal chunks in all of its documents and
-references share one immutable ``Token``. Nothing is cached across calls.
+references share one ``Token``. Nothing is cached across calls.
+
+``Token`` and ``Sentence`` are immutable, hashable named tuples, because a
+load builds one per distinct chunk and one per sentence and a tuple is the
+cheapest record to build; ``._replace`` gives a modified copy. They are
+built positionally, so their field order is part of their contract.
 
 A ``DocumentSet`` holds sentences and their tokens only, plus read-only
 arrays of their byte costs and the greedy's ``cost ** r`` scales, computed
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +111,13 @@ def segment_sentences(raw_document: str) -> list[str]:
         pieces.append(raw_document[start:m.end(1)])
         start = m.end(2)
     pieces.append(raw_document[start:])
-    return [p.strip() for p in pieces if p.strip()]
+    return [p for p in map(str.strip, pieces) if p]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One whitespace chunk's surface and normalized forms, with its
+    stopword and capitalization flags."""
+
     surface: str
     normalized: str
     is_stopword: bool
@@ -129,12 +137,7 @@ class _TokenMemo(dict):
         normalized = core.lower()
         token = None
         if normalized:
-            token = Token(
-                surface=chunk,
-                normalized=normalized,
-                is_stopword=normalized in self.stopwords,
-                is_capitalized=core[:1].isupper(),
-            )
+            token = Token(chunk, normalized, normalized in self.stopwords, core[:1].isupper())
         self[chunk] = token
         return token
 
@@ -152,8 +155,7 @@ def tokenize(raw_sentence: str, stopword_list: frozenset[str] = frozenset()) -> 
     return list(_TokenMemo(stopword_list).tokens(raw_sentence))
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One sentence of one document, with its byte cost."""
 
     id: int
@@ -245,16 +247,8 @@ def _build_document_set(
             tokens = memo.tokens(text)
             if not tokens:
                 continue
-            sentences.append(
-                Sentence(
-                    id=len(sentences),
-                    doc_id=doc_id,
-                    position_in_doc=pos,
-                    text=text,
-                    tokens=tokens,
-                    cost=len(text.encode("utf-8")),
-                )
-            )
+            sentences.append(Sentence(len(sentences), doc_id, pos, text, tokens,
+                                      len(text.encode("utf-8"))))
     if not sentences:
         raise DatasetError(f"set {quoted(set_id)} contains zero sentences")
 

@@ -20,7 +20,7 @@ from .greedy import GreedyConfig, greedy_maximize
 from .learner import Model, PreparedSet, SharedPrefix, TrainerConfig, TrainResult, predict, train
 from .rouge import LossConfig, RougeGain, f_score
 from .scoring import Summary
-from .util import quoted
+from .util import check_disjoint, quoted
 
 logger = logging.getLogger(__name__)
 
@@ -188,6 +188,7 @@ def bounds_table(
     greedy_cfg: GreedyConfig,
 ) -> list[tuple[str, float | None]]:
     """Rows: human agreement, extractive ceiling, train fit, test prediction."""
+    check_disjoint("train_ids", train_ids, "test_ids", test_ids)
     return [
         ("human", human_agreement(data, test_ids, loss_cfg)),
         ("extractive", extractive_ceiling(data, test_ids, greedy_cfg, loss_cfg)),

@@ -17,6 +17,14 @@ def quoted(value) -> str:
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
+def check_disjoint(first: str, a, second: str, b) -> None:
+    """ValueError naming both id lists when they share a set: a held-out
+    set that also trains scores the fit, not a prediction."""
+    shared = sorted(set(a) & set(b))
+    if shared:
+        raise ValueError(f"{first} and {second} both name set indexes {quoted(shared)}")
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via a temp sibling and rename, so readers never see a
     partial file and failed writes leave the old content in place."""

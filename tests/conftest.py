@@ -87,7 +87,7 @@ def with_costs(x, costs):
     (so its cost arrays are built afresh)."""
     if len(costs) != x.num_sentences:
         raise ValueError(f"{len(costs)} costs for {x.num_sentences} sentences")
-    return replace(x, sentences=tuple(replace(s, cost=c) for s, c in zip(x.sentences, costs)))
+    return replace(x, sentences=tuple(s._replace(cost=c) for s, c in zip(x.sentences, costs)))
 
 
 def words_set(set_id, cand_words, ref_word_lists):

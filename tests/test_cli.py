@@ -11,7 +11,7 @@ import pytest
 
 import structsum
 from structsum import experiments
-from structsum.cli import build_parser, main
+from structsum.cli import _auto_split, build_parser, main
 from structsum.learner import Model
 
 from conftest import FIXTURE_JSONL, GOLDEN_BASELINE, GOLDEN_SUMMARIES, SMALL_MODEL
@@ -582,9 +582,13 @@ class TestInputContract:
         assert stdout == "" and trained == []
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command, count", [("curve", "-1"), ("ablate", "0")])
-    def test_test_count_below_one_fails_before_training(
-        self, capsys, tmp_path, monkeypatch, command, count
+    @pytest.mark.parametrize("command, count, message", [
+        ("curve", "-1", "--test-count must be at least 1, got -1"),
+        ("ablate", "0", "--test-count must be at least 1, got 0"),
+        ("curve", "40", "--test-count 40 leaves no training sets (n=40)"),
+    ], ids=["curve--1", "ablate-0", "curve-40"])
+    def test_test_count_out_of_range_fails_before_training(
+        self, capsys, tmp_path, monkeypatch, command, count, message
     ):
         trained = []
         monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args))
@@ -592,7 +596,7 @@ class TestInputContract:
         rc, stdout, stderr = run(capsys, command, "--dataset", DATASET, "--test-count", count,
                                  "--out", str(out))
         assert rc == 1
-        assert stderr == f"error: --test-count must be at least 1, got {count}\n"
+        assert stderr == f"error: {message}\n"
         assert stdout == "" and trained == []
         assert not out.exists()
 
@@ -714,6 +718,54 @@ class TestInputContract:
         assert rc == 1
         assert stdout == ""
         assert stderr.startswith("error:") and "must be a finite number, not nan" in stderr
+
+
+def sampled_split(n_sets, test_count, seed):
+    """The split ``curve`` and ``ablate`` draw without ids: all but
+    ``--test-count`` sets, drawn with ``--seed``, train."""
+    args = build_parser().parse_args(["curve", "--dataset", DATASET, "--test-count",
+                                      str(test_count), "--seed", str(seed)])
+    return _auto_split(args, n_sets)
+
+
+def all_but(*ids):
+    return [i for i in range(40) if i not in ids]
+
+
+class TestAutoSplit:
+    @pytest.mark.parametrize("test_count, seed, train, test", [
+        (1, 0, all_but(24), [24]),
+        (5, 0, all_but(2, 16, 24, 26, 32), [2, 16, 24, 26, 32]),
+        (5, 7, all_but(3, 4, 9, 20, 25), [3, 4, 9, 20, 25]),
+        (39, 1, [23], all_but(23)),
+    ])
+    def test_fixture_split_is_pinned(self, test_count, seed, train, test):
+        assert sampled_split(40, test_count, seed) == (train, test)
+
+    def test_shapes_and_disjointness(self):
+        for n_sets, test_count, seed in [(2, 1, 0), (20, 5, 3), (30, 6, 11), (40, 39, 1)]:
+            train, test = sampled_split(n_sets, test_count, seed)
+            assert (len(train), len(test)) == (n_sets - test_count, test_count)
+            assert not set(train) & set(test)
+            assert all(0 <= i < n_sets for i in train + test)
+            assert train == sorted(train) and test == sorted(test)
+
+    def test_seed_determines_output(self):
+        assert sampled_split(30, 6, 11) == sampled_split(30, 6, 11)
+        assert sampled_split(30, 6, 11) != sampled_split(30, 6, 12)
+
+    def test_exact_partition_allowed(self):
+        train, test = sampled_split(9, 3, 0)
+        assert sorted(train + test) == list(range(9))
+
+    @pytest.mark.parametrize("flag", ["--test-count", "--seed"])
+    def test_a_drawn_split_flag_beside_ids_fails(self, capsys, flag):
+        # it used to be ignored without a word
+        rc, stdout, stderr = run(capsys, "curve", "--dataset", DATASET, "--sizes", "1",
+                                 "--train-ids", "0", "--test-ids", "1", flag, "1")
+        assert rc == 1 and stdout == ""
+        assert stderr == (f"error: {flag} applies only to a drawn split; give it without "
+                          "--train-ids and --test-ids\n")
 
 
 @pytest.mark.parametrize("kind", ["pairwise", "pairwise-split", "coverage"])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from structsum import experiments, learner
-from structsum.cli import _auto_split, build_parser
 from structsum.corpus import ReferenceSet, build_document_set, tokenize
 from structsum.experiments import (
     ABLATION_ROWS,
@@ -33,7 +32,7 @@ from structsum.learner import Model, TrainerConfig, predict, psi
 from structsum.rouge import LossConfig, RougeGain, greedy_target
 from structsum.scoring import Summary
 
-from conftest import EXPECTED_RESULTS, FIXTURE_JSONL, SMALL_MODEL, random_documents
+from conftest import EXPECTED_RESULTS, SMALL_MODEL, random_documents
 from oracles import evaluate_reference
 
 
@@ -45,49 +44,6 @@ def expected():
 def predictions(data, ids, model):
     """The model's summary of each set ``data[i] for i in ids``, by set id."""
     return {data[i][0].set_id: predict(data[i][0], model) for i in ids}
-
-
-def sampled_split(n_sets, test_count, seed):
-    """The split ``curve`` and ``ablate`` draw without ids: all but
-    ``--test-count`` sets, drawn with ``--seed``, train."""
-    args = build_parser().parse_args(["curve", "--dataset", str(FIXTURE_JSONL), "--test-count",
-                                      str(test_count), "--seed", str(seed)])
-    return _auto_split(args, n_sets)
-
-
-def all_but(*ids):
-    return [i for i in range(40) if i not in ids]
-
-
-class TestSampleSplits:
-    @pytest.mark.parametrize("test_count, seed, train, test", [
-        (1, 0, all_but(24), [24]),
-        (5, 0, all_but(2, 16, 24, 26, 32), [2, 16, 24, 26, 32]),
-        (5, 7, all_but(3, 4, 9, 20, 25), [3, 4, 9, 20, 25]),
-        (39, 1, [23], all_but(23)),
-    ])
-    def test_fixture_split_is_pinned(self, test_count, seed, train, test):
-        assert sampled_split(40, test_count, seed) == (train, test)
-
-    def test_shapes_and_disjointness(self):
-        for n_sets, test_count, seed in [(2, 1, 0), (20, 5, 3), (30, 6, 11), (40, 39, 1)]:
-            train, test = sampled_split(n_sets, test_count, seed)
-            assert (len(train), len(test)) == (n_sets - test_count, test_count)
-            assert not set(train) & set(test)
-            assert all(0 <= i < n_sets for i in train + test)
-            assert train == sorted(train) and test == sorted(test)
-
-    def test_seed_determines_output(self):
-        assert sampled_split(30, 6, 11) == sampled_split(30, 6, 11)
-        assert sampled_split(30, 6, 11) != sampled_split(30, 6, 12)
-
-    def test_exact_partition_allowed(self):
-        train, test = sampled_split(9, 3, 0)
-        assert sorted(train + test) == list(range(9))
-
-    def test_oversized_request_raises(self):
-        with pytest.raises(ValueError, match=r"--test-count 10 leaves no training sets \(n=10\)"):
-            sampled_split(10, 10, 0)
 
 
 class TestPrepareSets:
@@ -236,6 +192,12 @@ class TestBoundsTable:
             assert got == pytest.approx(want, abs=1e-9)
         by_name = dict(rows)
         assert by_name["extractive"] >= by_name["model_fit"] >= by_name["prediction"]
+
+    def test_a_held_out_training_set_fails(self, fixture_data):
+        with pytest.raises(ValueError, match=r"^train_ids and test_ids both name set indexes "
+                                             r"\[1\]$"):
+            bounds_table(fixture_data, Model.load(SMALL_MODEL), [0, 1], [1, 2], LossConfig(),
+                         GreedyConfig(budget_bytes=66))
 
 
 class TestLearningCurve:

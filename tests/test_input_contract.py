@@ -19,6 +19,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -52,9 +53,9 @@ def cli(argv) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def run_command(tmp: Path, argv, usage_ok: bool = False, blame: Path | None = None) -> int:
+def run_command(tmp: Path, argv, usage_ok: bool = False, blame=()) -> int:
     """Run ``argv`` with ``--out`` in ``tmp`` and check how it ended; an
-    error must name ``blame`` when given. Returns the exit code."""
+    error must name everything in ``blame``. Returns the exit code."""
     out = tmp / "out.json"
     rc, stdout, stderr = cli([*argv, "--out", out])
     if rc == 0:
@@ -66,7 +67,7 @@ def run_command(tmp: Path, argv, usage_ok: bool = False, blame: Path | None = No
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), stderr
         assert len(lines[0]) <= 300, f"{len(lines[0])} characters: {lines[0][:300]}"
-        assert blame is None or str(blame) in lines[0], lines[0]
+        assert all(str(b) in lines[0] for b in blame), lines[0]
         assert stdout == "", stdout
     else:
         assert rc == 2 and usage_ok, (rc, stderr)
@@ -200,7 +201,7 @@ def test_mutated_prediction_files(path, value, drop, compare):
         mutated = write_jsonl(tmp / "p.json", [mutate(PREDICTIONS, path, value, drop)])
         first, second = (valid, mutated) if compare == "mutated" else (mutated, valid)
         argv = commands(dataset, first)["evaluate"]
-        run_command(tmp, argv + (["--compare", second] if compare else []), blame=mutated)
+        run_command(tmp, argv + (["--compare", second] if compare else []), blame=(mutated,))
 
 
 # every list and number flag, the commands that read it, and whether argparse
@@ -242,3 +243,27 @@ def test_flag_values(flag, data, value):
         predictions = write_jsonl(tmp / "p.json", [PREDICTIONS])
         argv = commands(dataset, predictions)[command]
         run_command(tmp, [*argv, f"{flag}={value}"], usage_ok=typed)
+
+
+# split flags that contradict each other: a set named in two id lists, or a
+# flag of a drawn split beside explicit ids; each fails before any work,
+# naming both flags
+SPLIT_CONFLICTS = {
+    "bounds": (["bounds", "--model-file", SMALL_MODEL, "--train-ids", "0,1", "--test-ids", "1"],
+               ["--train-ids", "--test-ids"]),
+    "curve": (["curve", "--train-ids", "0,1", "--test-ids", "1", "--sizes", "1", "--max-iters",
+               "1", "--test-count", "-5", "--seed", "3"], ["--test-count", "--train-ids"]),
+    "ablate": (["ablate", "--train-ids", "0,1", "--test-ids", "1", "--rows", "none",
+                "--max-iters", "1"], ["--train-ids", "--test-ids"]),
+    "train-grid": (["train", "--train-ids", "0,1", "--val-ids", "1", "--C", "1,10",
+                    "--max-iters", "1"], ["--train-ids", "--val-ids"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CONFLICTS))
+def test_contradictory_split_flags(case):
+    command, *argv = SPLIT_CONFLICTS[case][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = run_command(Path(tmp), [command, "--dataset", FIXTURE_JSONL, *argv],
+                         blame=SPLIT_CONFLICTS[case][1])
+    assert rc == 1

@@ -2,7 +2,7 @@ import json
 import math
 import random
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from structsum import experiments, learner
-from structsum.corpus import ReferenceSet, build_document_set, load_dataset, tokenize
+from structsum.corpus import (
+    ReferenceSet, Sentence, Token, build_document_set, load_dataset, tokenize,
+)
 from structsum.experiments import prepare_sets
 from structsum.features import FeatureConfig, FeatureBank, bank_for, registry_for
 from structsum.greedy import GreedyConfig
@@ -845,10 +847,20 @@ class TestBankSlot:
         assert alive_at_build == [False]
         assert previous() is None
 
-    def test_document_sets_are_frozen(self, fixture_data):
+    @pytest.mark.parametrize("record, field", [
+        (lambda x: x.sentences[0].tokens[0], "normalized"),
+        (lambda x: x.sentences[0], "tokens"),
+        (lambda x: x, "sentences"),
+    ], ids=["token", "sentence", "document-set"])
+    def test_document_sets_are_frozen(self, fixture_data, record, field):
         # the slot keys on the set object, which must not change under it
-        with pytest.raises(FrozenInstanceError):
-            fixture_data[0][0].sentences = ()
+        with pytest.raises(AttributeError):
+            setattr(record(fixture_data[0][0]), field, ())
+
+    def test_token_and_sentence_field_order(self):
+        # the loader builds both positionally
+        assert Token._fields == ("surface", "normalized", "is_stopword", "is_capitalized")
+        assert Sentence._fields == ("id", "doc_id", "position_in_doc", "text", "tokens", "cost")
 
     @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reverse"])
     def test_predict_equals_prediction_from_a_fresh_bank(self, fixture_data, step):
